@@ -41,7 +41,6 @@ ServiceConfig churn_sweep_config(double rate, bool cancel_only) {
   config.phases = ServicePhases{50, 250, 50};
   config.dispatch_window = 64;
   config.bail_queue_depth = 2000;
-  config.incremental = true;
   config.record_wall_latency = false;  // fully deterministic step
   config.churn.events_per_kilotick = rate;
   if (cancel_only) {

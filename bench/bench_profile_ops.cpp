@@ -128,8 +128,7 @@ void BM_BackfillChurn(benchmark::State& state) {
   // wide windowed probe (the head's reservation check), revert. The undo
   // log reverts in O(touched) and keeps the index snapshot warm -- the
   // index_rebuilds counter stays at the single warm-up build no matter how
-  // many probes run. Structure mirrors BM_BackfillChurnLegacy exactly
-  // (same prng, same skip decisions), so the delta is the pair mechanism.
+  // many probes run.
   FreeProfile free(busy_profile(state.range(0), 6));
   benchmark::DoNotOptimize(free.profile().min_in(0, 100'000));  // warm index
   Prng prng(21);
@@ -155,26 +154,6 @@ void BM_BackfillChurn(benchmark::State& state) {
                  : 0.0;
 }
 BENCHMARK(BM_BackfillChurn)->Range(64, 4096);
-
-void BM_BackfillChurnLegacy(benchmark::State& state) {
-  // The pre-undo-log pair: uncommit re-runs add's probe/split/coalesce and
-  // each half drains one index-rebuild budget unit, so sustained probing
-  // forces a full O(s) rebuild every ~s/2 pairs (watch index_rebuilds).
-  StepProfile profile = busy_profile(state.range(0), 6);
-  benchmark::DoNotOptimize(profile.min_in(0, 100'000));  // warm index
-  Prng prng(21);
-  for (auto _ : state) {
-    const Time t = prng.uniform_int(0, 50'000);
-    const ProcCount q = prng.uniform_int(1, 64);
-    if (profile.first_below(t, t + 300, q) != kTimeInfinity) continue;
-    profile.add(t, t + 300, -q);
-    benchmark::DoNotOptimize(profile.min_in(0, 100'000));
-    profile.add(t, t + 300, q);
-  }
-  state.counters["index_rebuilds"] =
-      static_cast<double>(profile.index_build_count());
-}
-BENCHMARK(BM_BackfillChurnLegacy)->Range(64, 4096);
 
 void BM_ProfilePlus(benchmark::State& state) {
   const StepProfile a = busy_profile(state.range(0), 8);

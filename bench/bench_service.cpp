@@ -7,10 +7,13 @@
 // planning paths (incremental suffix repair vs per-decision scratch
 // rebuild) and under churn, and exports the sustained rate, decision
 // counts, decision-latency p99 and the incremental-path counters
-// (suffix length replanned, snapshots reused, frames rewound) so
-// BENCH_service.json tracks harness cost, scheduler capacity and the
-// incremental speedup across PRs.
+// (suffix length replanned, frames rewound) so BENCH_service.json tracks
+// harness cost, scheduler capacity and the incremental speedup across PRs.
 #include <benchmark/benchmark.h>
+
+#include <memory>
+#include <string>
+#include <utility>
 
 #include "algorithms/scheduler.hpp"
 #include "bench_util.hpp"
@@ -69,17 +72,40 @@ void print_tables() {
   }
 }
 
+// Forwards to a registry scheduler but hides its incremental_replan
+// capability, so the service plans every decision on the scratch path.
+class ScratchOnly final : public Scheduler {
+ public:
+  explicit ScratchOnly(std::unique_ptr<Scheduler> inner)
+      : inner_(std::move(inner)) {}
+  [[nodiscard]] ScheduleOutcome schedule(
+      const Instance& instance) const override {
+    return inner_->schedule(instance);
+  }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] Capabilities capabilities() const override {
+    Capabilities caps = inner_->capabilities();
+    caps.incremental_replan = false;
+    caps.append_only_replan = false;
+    return caps;
+  }
+
+ private:
+  std::unique_ptr<Scheduler> inner_;
+};
+
 // One full service step at a fixed offered rate; counters export the
 // deterministic aggregates next to the wall-clock timing. `incremental`
 // selects the planning path (suffix repair on the persistent profile vs
-// per-decision scratch rebuild) and `churn_rate` enables the deterministic
-// churn stream.
+// per-decision scratch rebuild through ScratchOnly) and `churn_rate`
+// enables the deterministic churn stream.
 void BM_ServiceStep(benchmark::State& state, const char* scheduler_name,
                     double rate, bool incremental, double churn_rate) {
-  const auto scheduler = make_scheduler(scheduler_name);
+  std::unique_ptr<Scheduler> scheduler = make_scheduler(scheduler_name);
+  if (!incremental)
+    scheduler = std::make_unique<ScratchOnly>(std::move(scheduler));
   const LoadGenConfig load = bench_load();
   ServiceConfig config = bench_config();
-  config.incremental = incremental;
   config.churn.events_per_kilotick = churn_rate;
   ServiceStepResult last;
   // The simulation is deterministic per iteration; only the wall-clock
@@ -102,8 +128,6 @@ void BM_ServiceStep(benchmark::State& state, const char* scheduler_name,
       static_cast<double>(last.decisions_incremental);
   state.counters["decisions_scratch"] =
       static_cast<double>(last.decisions_scratch);
-  state.counters["snapshots_reused"] =
-      static_cast<double>(last.snapshots_reused);
   state.counters["suffix_jobs_replanned"] =
       static_cast<double>(last.suffix_jobs_replanned);
   state.counters["plan_frames_rewound"] =

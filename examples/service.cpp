@@ -13,9 +13,9 @@
 // `decisions_measured` invocations that fell inside the open measure window
 // (the two were conflated before the counters were split). Schedulers that
 // advertise incremental_replan plan on the persistent absolute-time profile
-// (decisions_incremental) unless --no-incremental forces the per-decision
-// scratch rebuild (decisions_scratch); --verify-incremental runs both per
-// decision and cross-checks them. --churn enables the deterministic churn
+// (decisions_incremental); the rest rebuild a scratch instance per decision
+// (decisions_scratch); --verify-incremental runs both per decision and
+// cross-checks them. --churn enables the deterministic churn
 // stream (cancellations, availability drops, window moves) at the given
 // events-per-kilotick rate.
 //
@@ -23,13 +23,15 @@
 // depths, knee) is bit-identical across runs and across schedulers at the
 // same rate step. Wall-clock decision latency is real measured time and
 // therefore run-to-run noisy; pass --stable to blank those columns when
-// diffing output (goldens, CI).
+// diffing output (goldens, CI). Invalid arguments (negative counts,
+// non-finite or too finely divided rates) print an error and exit 1.
 //
 // Run: ./build/examples/service --schedulers=easy,conservative
 //      [--m=64] [--step-size=20] [--step-stop=200] [--seed=42]
 //      [--warmup=100] [--measure=500] [--cooldown=100] [--window=128]
-//      [--no-incremental] [--verify-incremental] [--churn=0]
+//      [--verify-incremental] [--churn=0]
 //      [--machine-readable] [--stable]
+#include <cstdint>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -37,6 +39,7 @@
 #include "algorithms/scheduler.hpp"
 #include "sim/service_sim.hpp"
 #include "util/cli.hpp"
+#include "util/require.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -73,9 +76,17 @@ Rational parse_alpha(const std::string& text) {
   throw std::invalid_argument("alpha must be an integer or a fraction p/q");
 }
 
+// Job and queue counts: a negative value would wrap through the unsigned
+// cast into a huge count (or a phase total that wraps to zero).
+std::uint64_t get_count(const CliParser& cli, const std::string& name) {
+  const std::int64_t value = cli.get_int(name);
+  RESCHED_REQUIRE_MSG(value >= 0, "--" + name + " must be non-negative");
+  return static_cast<std::uint64_t>(value);
+}
+
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   CliParser cli("service",
                 "open-loop saturation sweep: schedulers as a resident "
                 "cluster service");
@@ -96,8 +107,6 @@ int main(int argc, char** argv) {
   cli.add_option("alpha", "width cap as a fraction of m", "1/2");
   cli.add_option("churn", "churn events per kilotick (0 = off)", "0");
   cli.add_option("compact", "history compaction interval, ticks", "256");
-  cli.add_flag("no-incremental",
-               "force the scratch instance rebuild per decision");
   cli.add_flag("verify-incremental",
                "run both planning paths per decision and cross-check them");
   cli.add_flag("machine-readable", "CSV rows instead of aligned tables");
@@ -113,13 +122,11 @@ int main(int argc, char** argv) {
   load.alpha = parse_alpha(cli.get_string("alpha"));
 
   ServiceConfig config;
-  config.phases.warmup = static_cast<std::uint64_t>(cli.get_int("warmup"));
-  config.phases.measure = static_cast<std::uint64_t>(cli.get_int("measure"));
-  config.phases.cooldown =
-      static_cast<std::uint64_t>(cli.get_int("cooldown"));
-  config.dispatch_window = static_cast<std::size_t>(cli.get_int("window"));
-  config.bail_queue_depth = static_cast<std::size_t>(cli.get_int("bail"));
-  config.incremental = !cli.get_flag("no-incremental");
+  config.phases.warmup = get_count(cli, "warmup");
+  config.phases.measure = get_count(cli, "measure");
+  config.phases.cooldown = get_count(cli, "cooldown");
+  config.dispatch_window = get_count(cli, "window");
+  config.bail_queue_depth = get_count(cli, "bail");
   config.verify_incremental = cli.get_flag("verify-incremental");
   config.churn.events_per_kilotick = cli.get_double("churn");
   config.compact_interval = cli.get_int("compact");
@@ -137,8 +144,7 @@ int main(int argc, char** argv) {
                  "queue_mean,queue_peak,queue_end,sustained,saturated,"
                  "decisions,decisions_measured,decisions_incremental,"
                  "decisions_scratch,suffix_jobs,frames_rewound,"
-                 "snapshots_reused,deferred_dispatches,canceled,"
-                 "churn_events\n";
+                 "deferred_dispatches,canceled,churn_events\n";
 
   for (const std::string& name : split(cli.get_string("schedulers"), ',')) {
     const auto scheduler = make_scheduler(name);
@@ -150,8 +156,7 @@ int main(int argc, char** argv) {
                 << ", phases " << config.phases.warmup << "/"
                 << config.phases.measure << "/" << config.phases.cooldown
                 << ", seed " << seed << ", plan "
-                << (scheduler->capabilities().incremental_replan &&
-                            (config.incremental || config.verify_incremental)
+                << (scheduler->capabilities().incremental_replan
                         ? "incremental"
                         : "scratch")
                 << ")\n";
@@ -183,7 +188,6 @@ int main(int argc, char** argv) {
                   << step.decisions_scratch << ','
                   << step.suffix_jobs_replanned << ','
                   << step.plan_frames_rewound << ','
-                  << step.snapshots_reused << ','
                   << step.deferred_dispatches << ',' << step.canceled << ','
                   << step.churn_events << "\n";
       } else {
@@ -201,7 +205,7 @@ int main(int argc, char** argv) {
       std::cout << "knee," << name << ','
                 << (sweep.has_knee() ? format_double(sweep.knee_rate(), 3)
                                      : std::string("none"))
-                << ",,,,,,,,,,,,,,,,,,,,,,,\n";
+                << ",,,,,,,,,,,,,,,,,,,,,,\n";
     } else if (sweep.has_knee()) {
       std::cout << "saturation knee: " << format_double(sweep.knee_rate(), 1)
                 << " jobs/kilotick (step " << sweep.knee_index + 1 << ")\n\n";
@@ -211,4 +215,7 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+} catch (const std::exception& error) {
+  std::cerr << "error: " << error.what() << "\n";
+  return 1;
 }

@@ -61,7 +61,7 @@ Time FreeProfile::earliest_fit(Time t0, ProcCount q, Time p) const {
   }
 }
 
-void FreeProfile::push_frame(Time t, ProcCount q, Time p, bool accepted) {
+void FreeProfile::push_frame(Time t, ProcCount q, Time p) {
   OpenCommit frame;
   if (!frame_pool_.empty()) {
     // Recycle a whole retired frame: its undo record keeps the buffer
@@ -73,31 +73,16 @@ void FreeProfile::push_frame(Time t, ProcCount q, Time p, bool accepted) {
     ++frame_misses_;
   }
   frame.serial = ++next_serial_;
-  frame.t = t;
-  frame.q = q;
-  frame.p = p;
-  frame.accepted = accepted;
   profile_.add_recorded(t, checked_add(t, p), -q, frame.undo);
   open_.push_back(std::move(frame));
   open_high_water_ = std::max(open_high_water_, open_.size());
-}
-
-void FreeProfile::commit(Time t, ProcCount q, Time p) {
-  RESCHED_REQUIRE_MSG(fits_at(t, q, p),
-                      "commit of a job that does not fit at its start time");
-  if (retain_accepted_) {
-    push_frame(t, q, p, /*accepted=*/true);
-    return;
-  }
-  profile_.add(t, checked_add(t, p), -q);
-  ++permanent_mutations_;
 }
 
 void FreeProfile::commit_fitted(Time t, ProcCount q, Time p) {
   RESCHED_ASSERT(fits_at(t, q, p));
   RESCHED_REQUIRE(t >= 0 && q >= 1 && p > 0);
   if (retain_accepted_) {
-    push_frame(t, q, p, /*accepted=*/true);
+    push_frame(t, q, p);
     return;
   }
   profile_.add(t, checked_add(t, p), -q);
@@ -108,7 +93,7 @@ FreeProfile::CommitToken FreeProfile::commit_tentative(Time t, ProcCount q,
                                                        Time p) {
   RESCHED_ASSERT(fits_at(t, q, p));
   RESCHED_REQUIRE(t >= 0 && q >= 1 && p > 0);
-  push_frame(t, q, p, /*accepted=*/false);
+  push_frame(t, q, p);
   return CommitToken(next_serial_);
 }
 
@@ -140,7 +125,6 @@ void FreeProfile::accept(CommitToken&& token) {
   if (retain_accepted_) {
     // Plan-recording mode: seal the decision but keep the frame (and its
     // undo) so rewind_to can invalidate the whole plan suffix later.
-    open_.back().accepted = true;
     return;
   }
   resolve_top(/*keep=*/true);
@@ -160,21 +144,6 @@ void FreeProfile::rewind_to(const Checkpoint& checkpoint) {
                       "frame stack does not match the rewind checkpoint");
     resolve_top(/*keep=*/false);
   }
-}
-
-std::vector<FreeProfile::PlanStep> FreeProfile::plan_since(
-    const Checkpoint& checkpoint) const {
-  RESCHED_CHECK_MSG(open_.size() >= checkpoint.depth,
-                    "plan_since checkpoint is ahead of this profile's state");
-  std::vector<PlanStep> steps;
-  steps.reserve(open_.size() - checkpoint.depth);
-  for (std::size_t i = checkpoint.depth; i < open_.size(); ++i) {
-    RESCHED_CHECK_MSG(open_[i].serial > checkpoint.serial,
-                      "frame stack does not match the plan_since checkpoint");
-    steps.push_back(
-        PlanStep{open_[i].t, open_[i].q, open_[i].p, open_[i].accepted});
-  }
-  return steps;
 }
 
 void FreeProfile::set_retain_accepted(bool on) {
@@ -202,24 +171,6 @@ std::size_t FreeProfile::compact_history(Time t) {
   const std::size_t removed = profile_.compact_before(t);
   if (removed > 0) ++permanent_mutations_;
   return removed;
-}
-
-void FreeProfile::uncommit(Time t, ProcCount q, Time p) {
-  RESCHED_REQUIRE(t >= 0 && q >= 1 && p > 0);
-  // Checked wrapper over the undo log: an uncommit that does not reverse
-  // the newest open tentative commit would add capacity that was never
-  // allocated -- silently lifting the profile above the instance's
-  // availability. Fail loudly instead.
-  RESCHED_CHECK_MSG(!open_.empty(),
-                    "uncommit with no open tentative commit to reverse");
-  const OpenCommit& top = open_.back();
-  RESCHED_CHECK_MSG(!top.accepted,
-                    "uncommit would reverse an accepted plan decision; only "
-                    "rewind_to may unwind those");
-  RESCHED_CHECK_MSG(
-      top.t == t && top.q == q && top.p == p,
-      "uncommit(t, q, p) does not match the newest open tentative commit");
-  resolve_top(/*keep=*/false);
 }
 
 Time FreeProfile::next_change_after(Time t) const {

@@ -4,9 +4,9 @@
 // as jobs are committed. All list/backfilling algorithms are expressed with
 // three queries:
 //
-//   fits_at(t, q, p)      -- can a (q, p) job run in [t, t+p)?
-//   earliest_fit(t0,q,p)  -- first start >= t0 where it can,
-//   commit(t, q, p)       -- allocate it.
+//   fits_at(t, q, p)        -- can a (q, p) job run in [t, t+p)?
+//   earliest_fit(t0, q, p)  -- first start >= t0 where it can,
+//   commit_fitted(t, q, p)  -- allocate it there.
 //
 // Candidate-start lemma (used by earliest_fit and by LSRC's event loop):
 // for fixed committed capacity, the set {t : fits_at(t, q, p)} is a finite
@@ -35,11 +35,7 @@
 //
 // Tokens are strictly nested (LIFO), which is exactly the shape tentative
 // probes and depth-first backtracking produce; resolving any other token
-// trips RESCHED_CHECK. The legacy uncommit(t, q, p) remains as a checked
-// wrapper: it must name exactly the newest open tentative commit, which it
-// then rolls back. An uncommit that does not reverse a live commit used to
-// silently inflate free capacity above the instance's availability --
-// the classic backfilling state-corruption bug -- and now fails loudly.
+// trips RESCHED_CHECK.
 //
 // Complexity: fits_at and each earliest_fit probe are O(log s) on fragmented
 // profiles through StepProfile's lazily built min/max segment-tree index;
@@ -57,8 +53,8 @@
 //   checkpoint()            -- O(1) snapshot of the plan frontier: the frame
 //                              stack depth, the commit serial and the
 //                              underlying StepProfile::version().
-//   set_retain_accepted(on) -- plan-recording mode: commit/commit_fitted
-//                              open a recorded frame instead of mutating
+//   set_retain_accepted(on) -- plan-recording mode: commit_fitted opens a
+//                              recorded frame instead of mutating
 //                              unrecorded, and accept() keeps its frame (undo
 //                              intact) instead of discarding it. Every
 //                              mutation a scheduler makes while planning is
@@ -70,10 +66,6 @@
 //                              invalidated without an O(s) rebuild. Verifies
 //                              through the profile version that nothing but
 //                              frames mutated since the checkpoint.
-//
-// plan_since(checkpoint) reads the delta between the checkpoint's version
-// and now as the ordered list of (t, q, p) allocations -- the decisions a
-// repair loop inspects to find the committed head of a plan.
 //
 // Permanent world changes (a job actually starting, churn: cancellations
 // freeing capacity, availability drops, reservation moves) go through
@@ -140,15 +132,12 @@ class FreeProfile {
   // job has ended), which holds for any valid job of the instance.
   [[nodiscard]] Time earliest_fit(Time t0, ProcCount q, Time p) const;
 
-  // Permanently subtracts q over [t, t+p). Requires fits_at(t, q, p),
-  // re-verified here (always on).
-  void commit(Time t, ProcCount q, Time p);
-
-  // commit() for callers whose t was just produced by earliest_fit (or an
-  // explicit fits_at): the precondition holds by construction, so the
-  // redundant windowed-min recheck is a Debug-only RESCHED_ASSERT. This is
-  // the schedulers' hot placement path; misuse is still caught downstream
-  // by Schedule::validate and the campaign oracle.
+  // Subtracts q over [t, t+p) for callers whose t was just produced by
+  // earliest_fit (or an explicit fits_at): the precondition fits_at(t, q, p)
+  // holds by construction, so its recheck is a Debug-only RESCHED_ASSERT.
+  // This is the schedulers' hot placement path; misuse is still caught
+  // downstream by Schedule::validate and the campaign oracle. Permanent,
+  // except in plan-recording mode (see set_retain_accepted).
   void commit_fitted(Time t, ProcCount q, Time p);
 
   // Tentatively subtracts q over [t, t+p) and opens an undo frame; the
@@ -166,6 +155,8 @@ class FreeProfile {
 
   // Seals the newest open tentative commit (same LIFO check): the
   // allocation becomes permanent and its undo state is discarded in O(1).
+  // In plan-recording mode the frame stays open instead, so rewind_to can
+  // still unwind it.
   void accept(CommitToken&& token);
 
   // O(1) snapshot of the plan frontier; see the header notes. A checkpoint
@@ -189,20 +180,7 @@ class FreeProfile {
   // rewound -- or if the stack is already below the checkpoint depth.
   void rewind_to(const Checkpoint& checkpoint);
 
-  // One allocation recorded on the frame stack since a checkpoint.
-  struct PlanStep {
-    Time t = 0;
-    ProcCount q = 0;
-    Time p = 0;
-    bool accepted = false;
-    friend bool operator==(const PlanStep&, const PlanStep&) = default;
-  };
-  // The delta between the checkpoint's version and now: every still-open
-  // frame recorded since, oldest first. O(frames since).
-  [[nodiscard]] std::vector<PlanStep> plan_since(
-      const Checkpoint& checkpoint) const;
-
-  // Plan-recording mode: while on, commit()/commit_fitted() open recorded
+  // Plan-recording mode: while on, commit_fitted() opens recorded
   // frames and accept() retains its frame with the undo intact, so
   // rewind_to can unwind a whole plan. Toggling requires an empty stack.
   void set_retain_accepted(bool on);
@@ -222,13 +200,6 @@ class FreeProfile {
   // before t (the service loop's monotone clock). Requires an empty frame
   // stack. Returns the number of segments removed.
   std::size_t compact_history(Time t);
-
-  // Legacy inverse of commit_tentative, kept for callers that identify the
-  // allocation by value instead of by token: RESCHED_CHECKs that
-  // (t, q, p) is exactly the newest open tentative commit and rolls it
-  // back. With no open commit -- or mismatched arguments -- this trips
-  // instead of silently raising capacity above the availability.
-  void uncommit(Time t, ProcCount q, Time p);
 
   // Number of open (unresolved) tentative commits.
   [[nodiscard]] std::size_t open_commits() const noexcept {
@@ -258,15 +229,10 @@ class FreeProfile {
   }
 
  private:
-  // One open tentative commit: identity for the checked wrappers plus the
-  // undo record that reverts it. `accepted` marks a frame accept() retained
-  // in plan-recording mode: sealed as a decision, still rewindable.
+  // One open frame: the serial its token names plus the undo record that
+  // reverts it.
   struct OpenCommit {
     std::uint64_t serial = 0;
-    Time t = 0;
-    ProcCount q = 0;
-    Time p = 0;
-    bool accepted = false;
     StepProfile::Undo undo;
   };
 
@@ -274,8 +240,8 @@ class FreeProfile {
   // its undo buffer.
   void resolve_top(bool keep);
   // Opens a recorded frame for a validated allocation; shared by
-  // commit_tentative and the retain-mode permanent commits.
-  void push_frame(Time t, ProcCount q, Time p, bool accepted);
+  // commit_tentative and retain-mode commit_fitted.
+  void push_frame(Time t, ProcCount q, Time p);
 
   StepProfile profile_;
   std::vector<OpenCommit> open_;

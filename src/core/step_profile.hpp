@@ -93,7 +93,7 @@
 // unit the recorded add spent. A tentative probe sequence (add_recorded ->
 // queries -> rollback) is therefore structurally net-zero: no budget drain,
 // no index drop, no O(s) rebuild -- the backfilling schedulers' tentative
-// commit/uncommit loops run entirely on warm snapshots. Undo records unwind
+// commit/rollback loops run entirely on warm snapshots. Undo records unwind
 // newest-first (strict nesting, the shape backtracking search and tentative
 // probes produce). Records whose *checked state* -- the closed region
 // [window_lo, to] plus the value of the step immediately left of it -- was

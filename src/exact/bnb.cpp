@@ -126,9 +126,8 @@ void dfs(SearchState& state) {
     if (completion >= state.best) continue;  // placing it can't improve
 
     // Tentative commit: the undo token reverts the placement in O(touched)
-    // on backtrack, without the index churn (and silent-mismatch risk) of
-    // the old blind uncommit. Tokens nest with the DFS, so the LIFO
-    // discipline holds by construction.
+    // on backtrack, without index churn. Tokens nest with the DFS, so the
+    // LIFO discipline holds by construction.
     FreeProfile::CommitToken token =
         state.free.commit_tentative(start, job.q, job.p);
     state.placed[static_cast<std::size_t>(id)] = true;

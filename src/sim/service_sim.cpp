@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cmath>
+#include <cstdint>
 #include <deque>
 #include <optional>
 #include <utility>
@@ -58,8 +60,7 @@ class ServiceLoop {
       : scheduler_(scheduler),
         config_(config),
         m_(load.m),
-        use_replan_((config.incremental || config.verify_incremental) &&
-                    scheduler.capabilities().incremental_replan),
+        use_replan_(scheduler.capabilities().incremental_replan),
         append_replan_(use_replan_ &&
                        scheduler.capabilities().append_only_replan),
         maintain_profile_(use_replan_ || config.churn.enabled() ||
@@ -545,7 +546,7 @@ class ServiceLoop {
       // in-decision rebase in plan_incremental() fires instead, where the
       // scratch alternative it replaces is expensive anyway. This keeps
       // the periodic rebase spike out of the sub-saturation decision tail.
-      if (use_replan_ && profile_live_ &&
+      if (use_replan_ && result_.decisions_incremental > 0 &&
           compact_due(now, config_.compact_interval / 2)) {
         drop_retained();
         compact_now(now);
@@ -578,8 +579,6 @@ class ServiceLoop {
     if (use_replan_) {
       const std::vector<Time>& starts = plan_incremental(now, k);
       ++result_.decisions_incremental;
-      if (profile_live_) ++result_.snapshots_reused;
-      profile_live_ = true;
       if (config_.verify_incremental) {
         // Full re-solve oracle per decision. With a retained plan this is
         // the strongest form of the append-equivalence claim: the prefix
@@ -736,7 +735,6 @@ class ServiceLoop {
   // Jobs started while a plan was retained: their occupancy lives in plan
   // frames, not in the permanent profile, until drop_retained() rebases it.
   std::vector<std::uint64_t> framed_;
-  bool profile_live_ = false;  // a prior decision left the profile warm
   bool aborted_ = false;
   ServiceStepResult result_;
 };
@@ -747,7 +745,13 @@ ServiceStepResult run_service_step(const Scheduler& scheduler,
                                    const LoadGenConfig& load,
                                    std::uint64_t seed, double rate,
                                    const ServiceConfig& config) {
-  RESCHED_REQUIRE_MSG(rate > 0.0, "offered rate must be positive");
+  RESCHED_REQUIRE_MSG(std::isfinite(rate) && rate > 0.0,
+                      "offered rate must be positive and finite");
+  const ServicePhases& phases = config.phases;
+  RESCHED_REQUIRE_MSG(
+      phases.measure <= UINT64_MAX - phases.warmup &&
+          phases.cooldown <= UINT64_MAX - phases.warmup - phases.measure,
+      "service phase total overflows");
   RESCHED_REQUIRE(config.dispatch_window >= 1);
   RESCHED_REQUIRE(config.queue_sample_interval >= 1);
   RESCHED_REQUIRE(config.compact_interval >= 1);
@@ -770,12 +774,16 @@ double ServiceSweepResult::knee_rate() const {
 }
 
 std::size_t service_sweep_step_count(double step_size, double step_stop) {
+  RESCHED_REQUIRE_MSG(std::isfinite(step_size) && std::isfinite(step_stop),
+                      "sweep rates must be finite");
   RESCHED_REQUIRE(step_size > 0.0 && step_stop >= step_size);
   // Exact integer step count, computed once: the old per-iteration
   // `step_size * (i + 1) > step_stop * (1 + eps)` accumulated float error
   // across the sweep and could gain or lose the final step.
-  return static_cast<std::size_t>(
-      std::floor(step_stop / step_size + 1e-9));
+  const double steps = std::floor(step_stop / step_size + 1e-9);
+  RESCHED_REQUIRE_MSG(steps <= static_cast<double>(INT_MAX),
+                      "sweep has more steps than knee_index can count");
+  return static_cast<std::size_t>(steps);
 }
 
 ServiceSweepResult run_service_sweep(const Scheduler& scheduler,

@@ -9,17 +9,14 @@
 // is exactly how EASY/conservative run in production batch systems --
 // re-plan on event, commit only the head of the plan.
 //
-// ## Incremental re-planning (ROADMAP item 2)
+// ## Planning paths
 //
-// Two planning paths produce bit-identical schedules:
+// The scheduler's capabilities() pick the path; there is no user switch.
 //
-//  * scratch  -- per decision, build an Instance: waiting window as jobs,
-//    running jobs and availability windows as reservations relative to now,
-//    and call Scheduler::schedule(). O(running + windows) profile rebuild
-//    per decision.
-//  * incremental -- keep ONE FreeProfile in absolute time for the whole
-//    step. Churn windows are permanent capacity adjustments; planned jobs
-//    live in retained plan frames above an O(1) checkpoint. Schedulers
+//  * incremental -- for schedulers advertising incremental_replan (fcfs,
+//    conservative, easy): keep ONE FreeProfile in absolute time for the
+//    whole step. Churn windows are permanent capacity adjustments; planned
+//    jobs live in retained plan frames above an O(1) checkpoint. Schedulers
 //    that advertise append_only_replan (pure arrival-order folds: fcfs,
 //    conservative) keep the plan across decisions -- a started job's
 //    occupancy simply stays in its frame, and a decision re-solves only
@@ -29,12 +26,18 @@
 //    started-job occupancy permanent, compacting dead history -- runs
 //    AFTER the decision's latency sample (settle(): respond first, then
 //    reclaim), and preferentially at idle instants.
+//  * scratch -- for every other scheduler (lsrc, portfolio, local-search),
+//    and as the incremental path's oracle: per decision, build an Instance
+//    (waiting window as jobs, running jobs and availability windows as
+//    reservations relative to now) and call Scheduler::schedule(). O(running
+//    + windows) profile rebuild per decision.
 //
-// Equivalence is structural -- replan() shares its core loop with
-// schedule(), differing only by a time translation -- and enforced: with
-// ServiceConfig::verify_incremental both paths run per decision and any
-// start-time divergence trips RESCHED_CHECK (the churn differential fuzz in
-// tests/test_churn_fuzz.cpp drives this across the whole registry).
+// The two produce bit-identical schedules. Equivalence is structural --
+// replan() shares its core loop with schedule(), differing only by a time
+// translation -- and enforced: with ServiceConfig::verify_incremental both
+// paths run per decision and any start-time divergence trips RESCHED_CHECK
+// (the churn differential fuzz in tests/test_churn_fuzz.cpp drives this
+// across the whole registry).
 //
 // ## Churn
 //
@@ -126,13 +129,10 @@ struct ServiceConfig {
   // Wall-clock timing of each scheduler decision (steady_clock). Off =>
   // decision_ns stays empty and the whole result is deterministic.
   bool record_wall_latency = true;
-  // Plan via Scheduler::replan on the persistent profile when the scheduler
-  // advertises capabilities().incremental_replan; schedulers without the
-  // capability fall back to the scratch path per decision.
-  bool incremental = true;
   // Oracle mode: run BOTH paths per decision and RESCHED_CHECK that the
-  // incremental plan equals the scratch plan shifted by now. Requires an
-  // incremental-capable scheduler. Used by the differential churn fuzz.
+  // incremental plan equals the scratch plan shifted by now. Requires a
+  // scheduler with capabilities().incremental_replan. Used by the
+  // differential churn fuzz.
   bool verify_incremental = false;
   // Dead plan history is coalesced (FreeProfile::compact_history) once
   // this many simulated ticks pass -- or sooner, after a fixed completion
@@ -177,7 +177,6 @@ struct ServiceStepResult {
   // Incremental-path accounting (zero when the scratch path planned).
   std::uint64_t decisions_incremental = 0;  // decisions via replan()
   std::uint64_t decisions_scratch = 0;      // decisions via schedule()
-  std::uint64_t snapshots_reused = 0;   // decisions reusing the live profile
   std::uint64_t suffix_jobs_replanned = 0;  // sum of re-solved window sizes
   std::uint64_t plan_frames_rewound = 0;    // frames unwound by rewind_to
   std::uint64_t history_compactions = 0;    // compact_history calls
@@ -211,8 +210,9 @@ struct ServiceStepResult {
 };
 
 // Runs one fixed-rate step. The scheduler must accept reservations (running
-// jobs are modeled as such); throws std::invalid_argument otherwise.
-// `rate` is in jobs per kilotick.
+// jobs are modeled as such), `rate` (jobs per kilotick) must be positive
+// and finite, and the phase total must not overflow; throws
+// std::invalid_argument otherwise.
 [[nodiscard]] ServiceStepResult run_service_step(const Scheduler& scheduler,
                                                  const LoadGenConfig& load,
                                                  std::uint64_t seed,
@@ -231,7 +231,9 @@ struct ServiceSweepResult {
 // Number of steps a sweep with these parameters runs: the largest n with
 // n * step_size <= step_stop, computed once from an exact integer step
 // count (no per-iteration float accumulation; a half-ulp shortfall in
-// step_stop/step_size still yields the intended final step).
+// step_stop/step_size still yields the intended final step). Both inputs
+// must be finite and the count must fit ServiceSweepResult::knee_index (an
+// int); throws std::invalid_argument otherwise.
 [[nodiscard]] std::size_t service_sweep_step_count(double step_size,
                                                    double step_stop);
 

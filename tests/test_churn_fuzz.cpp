@@ -22,6 +22,7 @@
 #include "algorithms/scheduler.hpp"
 #include "core/profile_allocator.hpp"
 #include "generators/churn.hpp"
+#include "scratch_only.hpp"
 #include "sim/service_sim.hpp"
 #include "util/prng.hpp"
 
@@ -226,9 +227,6 @@ TEST_P(ChurnDifferential, IncrementalStaysBitIdenticalAcrossRegistry) {
       EXPECT_EQ(step.decisions_scratch, step.decisions_incremental)
           << "oracle mode runs both paths per decision";
       EXPECT_GT(step.decisions, 0u);
-      EXPECT_EQ(step.snapshots_reused + 1,
-                std::max<std::uint64_t>(1, step.decisions_incremental))
-          << "every decision after the first reuses the live profile";
       EXPECT_GT(step.churn_events + step.churn_skipped, 0u)
           << "the churn chain must have fired";
     }
@@ -259,7 +257,6 @@ TEST(ChurnDifferential, IncrementalDecisionsStayNearlyAllocationFreeUnderChurn) 
     for (const std::string& name : incremental_schedulers()) {
       ServiceConfig config = fuzz_config();
       config.verify_incremental = false;  // oracle re-solves would dominate
-      config.incremental = true;
       const ServiceStepResult step = run_service_step(
           *make_scheduler(name), fuzz_load(), seed, 150.0, config);
       ASSERT_GT(step.decisions_measured, 50u) << name << " seed " << seed;
@@ -275,17 +272,15 @@ TEST(ChurnDifferential, IncrementalDecisionsStayNearlyAllocationFreeUnderChurn) 
 TEST(ChurnDifferential, IncrementalAndScratchProduceTheSameService) {
   // Beyond per-decision start equality (verify mode), the two planning
   // paths must yield the same *service-level* outcome: identical job
-  // streams, waits, responses and queue evolution.
+  // streams, waits, responses and queue evolution. ScratchOnly hides the
+  // capability, so the same algorithm runs on the scratch path.
   for (const std::string& name : incremental_schedulers()) {
-    const auto scheduler = make_scheduler(name);
     ServiceConfig config = fuzz_config();
     config.verify_incremental = false;
-    config.incremental = true;
     const ServiceStepResult inc =
-        run_service_step(*scheduler, fuzz_load(), 77, 180.0, config);
-    config.incremental = false;
+        run_service_step(*make_scheduler(name), fuzz_load(), 77, 180.0, config);
     const ServiceStepResult scratch =
-        run_service_step(*scheduler, fuzz_load(), 77, 180.0, config);
+        run_service_step(ScratchOnly(name), fuzz_load(), 77, 180.0, config);
     EXPECT_EQ(inc.arrivals, scratch.arrivals) << name;
     EXPECT_EQ(inc.completed, scratch.completed) << name;
     EXPECT_EQ(inc.canceled, scratch.canceled) << name;

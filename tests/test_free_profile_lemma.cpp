@@ -9,8 +9,7 @@
 //
 // Also checks that tentative commits unwind to the bit-identical profile,
 // which is what branch-and-bound backtracking assumes. Undo is LIFO by
-// contract (tokens resolve newest-first); both the token rollback and the
-// checked legacy uncommit wrapper are exercised.
+// contract (tokens resolve newest-first).
 #include "core/profile_allocator.hpp"
 
 #include <gtest/gtest.h>
@@ -86,15 +85,8 @@ TEST(FreeProfileLemma, TentativeCommitsUnwindToIdenticalProfile) {
 
     // Stack a random batch of tentative commits at their earliest fits
     // (exactly the branch-and-bound shape), then unwind newest-first; the
-    // profile must come back bit-identical. Alternate between the token
-    // rollback and the checked legacy uncommit wrapper.
-    struct Placed {
-      Time t;
-      ProcCount q;
-      Time p;
-      FreeProfile::CommitToken token;
-    };
-    std::vector<Placed> placed;
+    // profile must come back bit-identical.
+    std::vector<FreeProfile::CommitToken> placed;
     const int jobs = static_cast<int>(prng.uniform_int(1, 10));
     for (int i = 0; i < jobs; ++i) {
       const ProcCount q = prng.uniform_int(1, m);
@@ -102,19 +94,14 @@ TEST(FreeProfileLemma, TentativeCommitsUnwindToIdenticalProfile) {
       const Time t0 = prng.uniform_int(0, kHorizon);
       if (free.profile().final_value() < q) continue;
       const Time t = free.earliest_fit(t0, q, p);
-      placed.push_back(Placed{t, q, p, free.commit_tentative(t, q, p)});
+      placed.push_back(free.commit_tentative(t, q, p));
     }
     ASSERT_GE(free.profile().min_value(), 0)
         << "commit drove free capacity negative";
     ASSERT_EQ(free.open_commits(), placed.size());
 
     while (!placed.empty()) {
-      Placed& job = placed.back();
-      if (prng.chance(0.5)) {
-        free.rollback(std::move(job.token));
-      } else {
-        free.uncommit(job.t, job.q, job.p);
-      }
+      free.rollback(std::move(placed.back()));
       placed.pop_back();
     }
     ASSERT_EQ(free.open_commits(), 0u);
@@ -137,7 +124,7 @@ TEST(FreeProfileLemma, CommitThenRequeryNeverFindsEarlierStart) {
     const ProcCount cq = prng.uniform_int(1, m);
     const Time cp = prng.uniform_int(1, 25);
     const Time ct = free.earliest_fit(prng.uniform_int(0, kHorizon), cq, cp);
-    free.commit(ct, cq, cp);
+    free.commit_fitted(ct, cq, cp);
 
     const Time after = free.earliest_fit(0, q, p);
     ASSERT_GE(after, before);

@@ -71,7 +71,7 @@ TEST(FreeProfile, EarliestFitImpossibleWidthThrows) {
   EXPECT_THROW((void)free.earliest_fit(0, 3, 1), std::invalid_argument);
 }
 
-TEST(FreeProfile, TentativeCommitSubtractsAndUncommitRestores) {
+TEST(FreeProfile, TentativeCommitSubtractsAndRollbackRestores) {
   FreeProfile free{StepProfile(4)};
   FreeProfile::CommitToken token = free.commit_tentative(2, 3, 5);
   EXPECT_TRUE(token.live());
@@ -80,8 +80,7 @@ TEST(FreeProfile, TentativeCommitSubtractsAndUncommitRestores) {
   EXPECT_EQ(free.capacity_at(6), 1);
   EXPECT_EQ(free.capacity_at(7), 4);
   EXPECT_FALSE(free.fits_at(0, 2, 5));
-  // The legacy wrapper reverses the newest open tentative commit.
-  free.uncommit(2, 3, 5);
+  free.rollback(std::move(token));
   EXPECT_EQ(free.capacity_at(2), 4);
   EXPECT_EQ(free.open_commits(), 0u);
 }
@@ -103,28 +102,6 @@ TEST(FreeProfile, RollbackAndAcceptResolveTokens) {
   EXPECT_EQ(free.capacity_at(10), 4);
 }
 
-TEST(FreeProfile, MismatchedUncommitTripsInsteadOfInflatingCapacity) {
-  // Regression: uncommit with arguments that never were (or no longer are)
-  // a live commit used to blindly add capacity back, silently raising the
-  // profile above the instance's availability. It now must reverse the
-  // newest open tentative commit exactly, or trip RESCHED_CHECK.
-  FreeProfile free{StepProfile(4)};
-  // No open commit at all.
-  EXPECT_THROW(free.uncommit(2, 3, 5), std::logic_error);
-  EXPECT_EQ(free.capacity_at(2), 4) << "failed uncommit must not mutate";
-
-  FreeProfile::CommitToken token = free.commit_tentative(2, 3, 5);
-  // Wrong start / demand / duration each trip; profile stays committed.
-  EXPECT_THROW(free.uncommit(3, 3, 5), std::logic_error);
-  EXPECT_THROW(free.uncommit(2, 2, 5), std::logic_error);
-  EXPECT_THROW(free.uncommit(2, 3, 6), std::logic_error);
-  EXPECT_EQ(free.capacity_at(2), 1);
-  // A permanent commit is not revocable either.
-  free.accept(std::move(token));
-  EXPECT_THROW(free.uncommit(2, 3, 5), std::logic_error);
-  EXPECT_EQ(free.capacity_at(2), 1);
-}
-
 TEST(FreeProfile, TokensResolveNewestFirst) {
   FreeProfile free{StepProfile(8)};
   FreeProfile::CommitToken first = free.commit_tentative(0, 2, 4);
@@ -140,12 +117,6 @@ TEST(FreeProfile, TokensResolveNewestFirst) {
   EXPECT_EQ(free.open_commits(), 1u);
   // A dead token cannot resolve anything.
   EXPECT_THROW(free.rollback(std::move(second)), std::logic_error);
-}
-
-TEST(FreeProfile, CommitRequiresFit) {
-  FreeProfile free{StepProfile(2)};
-  free.commit(0, 2, 3);
-  EXPECT_THROW(free.commit(1, 1, 1), std::invalid_argument);
 }
 
 TEST(FreeProfile, TentativeProbeLoopNeverRebuildsTheIndex) {
@@ -235,7 +206,7 @@ TEST(FreeProfileVersioned, CheckpointRewindRestoresPlanState) {
 
   // A plan in recording mode: permanent-API commits become frames too.
   free.commit_fitted(0, 3, 10);
-  free.commit(5, 2, 4);
+  free.commit_fitted(5, 2, 4);
   FreeProfile::CommitToken probe = free.commit_tentative(12, 8, 2);
   free.accept(std::move(probe));
   EXPECT_EQ(free.open_commits(), 3u);
@@ -261,37 +232,6 @@ TEST(FreeProfileVersioned, RewindToMidPlanCheckpointUnwindsOnlyTheSuffix) {
   free.rewind_to(mid);
   EXPECT_EQ(free.capacity_at(0), 6) << "prefix frame must survive";
   EXPECT_EQ(free.open_commits(), 1u);
-}
-
-TEST(FreeProfileVersioned, PlanSinceListsTheRecordedDecisions) {
-  FreeProfile free{StepProfile(8)};
-  free.set_retain_accepted(true);
-  const FreeProfile::Checkpoint before = free.checkpoint();
-  free.commit_fitted(0, 3, 10);
-  FreeProfile::CommitToken probe = free.commit_tentative(10, 2, 4);
-  free.accept(std::move(probe));
-  FreeProfile::CommitToken open = free.commit_tentative(20, 1, 1);
-
-  const std::vector<FreeProfile::PlanStep> plan = free.plan_since(before);
-  ASSERT_EQ(plan.size(), 3u);
-  EXPECT_EQ(plan[0], (FreeProfile::PlanStep{0, 3, 10, true}));
-  EXPECT_EQ(plan[1], (FreeProfile::PlanStep{10, 2, 4, true}));
-  EXPECT_EQ(plan[2], (FreeProfile::PlanStep{20, 1, 1, false}));
-  free.rollback(std::move(open));
-  EXPECT_EQ(free.plan_since(before).size(), 2u);
-  free.rewind_to(before);
-  EXPECT_TRUE(free.plan_since(before).empty());
-}
-
-TEST(FreeProfileVersioned, AcceptedFramesRefuseLegacyUncommit) {
-  // uncommit() reverses tentative probes; a retained *accepted* frame is a
-  // sealed plan decision that only rewind_to may unwind.
-  FreeProfile free{StepProfile(4)};
-  free.set_retain_accepted(true);
-  FreeProfile::CommitToken token = free.commit_tentative(0, 2, 5);
-  free.accept(std::move(token));
-  EXPECT_THROW(free.uncommit(0, 2, 5), std::logic_error);
-  EXPECT_EQ(free.capacity_at(0), 2) << "failed uncommit must not mutate";
 }
 
 TEST(FreeProfileVersioned, ToggleRetainRequiresEmptyStack) {

@@ -9,7 +9,7 @@
 // budget-triggered rebuilds against a naive dense-array model.
 //
 // Also re-asserts the candidate-start lemma of profile_allocator.hpp on the
-// indexed path, checks canonical form after every commit/uncommit
+// indexed path, checks canonical form after every commit/rollback
 // interleaving, and pins the strong exception guarantee of add(): an
 // overflow mid-window must leave the profile untouched (the seed
 // implementation applied partial deltas and left equal-value neighbours
@@ -305,7 +305,7 @@ TEST(PropIndexedProfile, IntegralOverflowStillThrowsOnIndexedProfiles) {
 }
 
 // ---------------------------------------------------------------------------
-// add(): strong exception guarantee (the uncommit canonical-form fix).
+// add(): strong exception guarantee.
 // ---------------------------------------------------------------------------
 
 TEST(PropIndexedProfile, OverflowMidWindowLeavesProfileUntouchedAndCanonical) {
@@ -391,16 +391,10 @@ TEST(PropIndexedProfile, FreeProfileOpsMatchDenseModelAndKeepCanonicalForm) {
         live.push_back(Placed{t, q, p, free.commit_tentative(t, q, p)});
         model.add(t, t + p, -q);
       } else if (roll < 0.75 && !live.empty()) {
-        // Revoke the newest open commit (undo is LIFO by contract),
-        // through the token half the time and through the checked legacy
-        // uncommit wrapper the other half.
+        // Revoke the newest open commit (undo is LIFO by contract).
         Placed job = std::move(live.back());
         live.pop_back();
-        if (prng.chance(0.5)) {
-          free.rollback(std::move(job.token));
-        } else {
-          free.uncommit(job.t, job.q, job.p);
-        }
+        free.rollback(std::move(job.token));
         model.add(job.t, job.t + job.p, job.q);
       } else {
         // Pure queries.

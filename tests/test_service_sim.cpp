@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cstdint>
+#include <limits>
+
 #include "algorithms/scheduler.hpp"
+#include "scratch_only.hpp"
 
 namespace resched {
 namespace {
@@ -187,12 +192,30 @@ TEST(ServiceSim, RejectsBadParameters) {
   EXPECT_THROW(run_service_step(*scheduler, small_load(), 1, 0.0,
                                 small_config()),
                std::invalid_argument);
+  EXPECT_THROW(run_service_step(*scheduler, small_load(), 1,
+                                std::numeric_limits<double>::infinity(),
+                                small_config()),
+               std::invalid_argument);
   ServiceConfig config = small_config();
   config.dispatch_window = 0;
   EXPECT_THROW(run_service_step(*scheduler, small_load(), 1, 1.0, config),
                std::invalid_argument);
   EXPECT_THROW(run_service_sweep(*scheduler, small_load(), 1, 0.0, 10.0,
                                  small_config()),
+               std::invalid_argument);
+}
+
+TEST(ServiceSim, RejectsOverflowingPhaseTotal) {
+  // Regression: warmup = 2^64 - 1 (a negative count cast to unsigned) plus
+  // measure = 1 wrapped ServicePhases::total() to 0, and the step reported
+  // an empty, unsaturated run instead of rejecting the config.
+  const auto scheduler = make_scheduler("easy");
+  ServiceConfig config = small_config();
+  config.phases = ServicePhases{UINT64_MAX, 1, 0};
+  EXPECT_THROW(run_service_step(*scheduler, small_load(), 1, 10.0, config),
+               std::invalid_argument);
+  config.phases = ServicePhases{1, UINT64_MAX - 1, 1};
+  EXPECT_THROW(run_service_step(*scheduler, small_load(), 1, 10.0, config),
                std::invalid_argument);
 }
 
@@ -261,6 +284,24 @@ TEST(ServiceSim, SweepStepCountIsExact) {
                std::invalid_argument);
   EXPECT_THROW((void)service_sweep_step_count(2.0, 1.0),
                std::invalid_argument);
+  // Regression: a non-finite or huge floor() was cast to size_t (undefined
+  // behaviour; the sweep silently ran zero steps). The count must also fit
+  // knee_index, an int.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)service_sweep_step_count(1.0, kInf),
+               std::invalid_argument);
+  EXPECT_THROW((void)service_sweep_step_count(kInf, kInf),
+               std::invalid_argument);
+  EXPECT_THROW((void)service_sweep_step_count(kNaN, 1.0),
+               std::invalid_argument);
+  EXPECT_THROW((void)service_sweep_step_count(1e-300, 200.0),
+               std::invalid_argument);
+  EXPECT_EQ(service_sweep_step_count(1.0, static_cast<double>(INT_MAX)),
+            static_cast<std::size_t>(INT_MAX));
+  EXPECT_THROW((void)service_sweep_step_count(
+                   1.0, static_cast<double>(INT_MAX) + 1.0),
+               std::invalid_argument);
 
   const auto scheduler = make_scheduler("fcfs");
   ServiceConfig config = small_config();
@@ -292,21 +333,17 @@ TEST(ServiceSim, DecisionCountersAreConsistent) {
 }
 
 TEST(ServiceSim, IncrementalPathIsUsedAndAccounted) {
-  const auto scheduler = make_scheduler("easy");
-  ServiceConfig config = small_config();
+  const ServiceConfig config = small_config();
   const ServiceStepResult inc =
-      run_service_step(*scheduler, small_load(), 42, 80.0, config);
+      run_service_step(*make_scheduler("easy"), small_load(), 42, 80.0, config);
   EXPECT_EQ(inc.decisions_incremental, inc.decisions);
   EXPECT_EQ(inc.decisions_scratch, 0u);
   EXPECT_GE(inc.suffix_jobs_replanned, inc.decisions);
-  EXPECT_EQ(inc.snapshots_reused + 1, inc.decisions_incremental);
 
-  config.incremental = false;
   const ServiceStepResult scratch =
-      run_service_step(*scheduler, small_load(), 42, 80.0, config);
+      run_service_step(ScratchOnly("easy"), small_load(), 42, 80.0, config);
   EXPECT_EQ(scratch.decisions_scratch, scratch.decisions);
   EXPECT_EQ(scratch.decisions_incremental, 0u);
-  EXPECT_EQ(scratch.snapshots_reused, 0u);
   // Same service either way (schedules are bit-identical by construction).
   EXPECT_EQ(inc.completed, scratch.completed);
   EXPECT_EQ(inc.wait_ticks, scratch.wait_ticks);

@@ -1,7 +1,6 @@
-// R4 negative: resolved frames, token transfer, and the 2-arg uncommit.
+// R4 negative: resolved frames and token transfer.
 struct Plan {
   int commit_tentative(int t, int q);
-  void uncommit(int t, int q);
   void accept(int token);
   void rollback(int token);
 };
@@ -18,8 +17,4 @@ bool try_place(Plan& plan, int t, int q) {
 
 int transfer_token(Plan& plan, int t) {
   return plan.commit_tentative(t, 1);  // token transferred to the caller
-}
-
-void cancel(Plan& plan, int t, int q) {
-  plan.uncommit(t, q);  // checked wrapper, 2-arg form
 }

@@ -1,12 +1,7 @@
-// R4 positive: legacy 3-arg uncommit plus an unresolved commit elsewhere.
+// R4 positive: a token that is dropped without being resolved.
 struct Plan {
   int commit_tentative(int t, int q);
-  void uncommit(int t, int q, int p);
 };
-
-void legacy_cancel(Plan& plan, int t, int q, int p) {
-  plan.uncommit(t, q, p);  // LINT-EXPECT: R4
-}
 
 int fire_and_forget(Plan& plan, int t) {
   int token = plan.commit_tentative(t, 1);  // LINT-EXPECT: R4

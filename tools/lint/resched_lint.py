@@ -43,9 +43,7 @@ compiles:
 
   R4 frame        every FreeProfile::commit_tentative() call must be paired
      discipline   with accept()/rollback() in the same function (or the token
-                  returned to the caller); calls to the legacy checked
-                  uncommit(t, q, p) wrapper are flagged for migration to
-                  CommitToken. Annotate intentional legacy uses:
+                  returned to the caller). Annotate intentional exceptions:
                       // resched-lint: frame-audited(<reason>)
 
 Annotation grammar (also documented in BUILDING.md):
@@ -58,18 +56,14 @@ annotation on its own line applies to the next code line; a trailing one to
 its own line. The <reason> is mandatory and non-empty. A [function]
 annotation must sit directly above the function's signature.
 
-Engines
--------
-The analyzer is libclang-based when python bindings are importable
-(`import clang.cindex` over an exported compile_commands.json): libclang then
-resolves the declared type of R1 operand atoms exactly, including through
-typedef sugar. Containers without libclang (like the dev image, which ships
-only the LLVM C++ libs) fall back to the self-contained textual engine: a
-C++ tokenizer plus a project-wide symbol harvest (typedef aliases, struct
-fields and function return types in the tick domain) that classifies operand
-atoms by spelled type. The textual engine is the deterministic one the CI
-baseline gate runs (`--engine textual`); the libclang engine is available via
-`--engine libclang` / `auto` and is run as an informational CI step.
+Engine
+------
+The analyzer is self-contained and textual: a C++ tokenizer plus a
+project-wide symbol harvest (typedef aliases, struct fields and function
+return types in the tick domain) that classifies operand atoms by spelled
+type. It needs nothing beyond python3, so its verdicts are the same on every
+machine. An exported compile_commands.json, when given, only selects which
+translation units under src/ are analyzed.
 
 Baseline policy
 ---------------
@@ -1337,7 +1331,6 @@ def rule_r4(toks, funcs, ann, relpath, findings):
         lo, hi = f.body_start, f.body_end
         has_accept = False
         commits = []
-        uncommits = []
         for i in range(lo + 1, hi):
             t = toks[i]
             if t.kind != "id":
@@ -1356,23 +1349,6 @@ def rule_r4(toks, funcs, ann, relpath, findings):
                                for k in range(stmt_start, i))
                 if not returned:
                     commits.append(t)
-            if t.text == "uncommit" and nxt == "(" and f.name != "uncommit":
-                j = i + 1
-                depth = 0
-                commas = 0
-                while j < hi:
-                    x = toks[j].text
-                    if x in ("(", "[", "{"):
-                        depth += 1
-                    elif x in (")", "]", "}"):
-                        depth -= 1
-                        if depth == 0:
-                            break
-                    elif x == "," and depth == 1:
-                        commas += 1
-                    j += 1
-                if commas == 2:
-                    uncommits.append(t)
         for t in commits:
             if has_accept:
                 continue
@@ -1383,100 +1359,6 @@ def rule_r4(toks, funcs, ann, relpath, findings):
                 "commit_tentative() without accept()/rollback() on any path "
                 "in this function; every tentative frame must be resolved "
                 "in-function or the CommitToken returned to the caller", ""))
-        for t in uncommits:
-            if ann.suppressed("R4", t.line) or "R4" in f.annotations:
-                continue
-            findings.append(Finding(
-                "R4", relpath, t.line, t.col, f.qualified,
-                "legacy uncommit(t, q, p) call; migrate to "
-                "commit_tentative() + CommitToken accept()/rollback() "
-                "(the checked wrapper is for pre-token callers only)", ""))
-
-
-# --------------------------------------------------------------------------
-# Optional libclang type oracle (engine=libclang / auto)
-# --------------------------------------------------------------------------
-
-class LibclangOracle:
-    """Resolves operand atom types exactly via clang.cindex when available.
-
-    Used by R1 to confirm/deny textual classifications: an identifier whose
-    canonical declared type (through typedef sugar) spells Time, ProcCount,
-    int64_t or `long` (LP64) is tick-domain. The oracle is best-effort: any
-    parse failure falls back to the textual classification for that TU.
-    """
-
-    TICK_SPELLINGS = re.compile(
-        r"\b(Time|ProcCount|int64_t|long)\b")
-
-    def __init__(self, compile_commands_dir):
-        import clang.cindex as ci  # noqa: raises ImportError when absent
-        self.ci = ci
-        self.index = ci.Index.create()
-        self.db = ci.CompilationDatabase.fromDirectory(compile_commands_dir)
-        self.cache = {}
-
-    def tick_positions(self, path):
-        """Returns a set of (line, col) of DeclRefExpr/MemberRefExpr tokens
-        with tick-domain canonical types, or None on failure."""
-        if path in self.cache:
-            return self.cache[path]
-        result = None
-        try:
-            cmds = self.db.getCompileCommands(path)
-            args = []
-            if cmds:
-                args = [a for a in list(cmds[0].arguments)[1:]
-                        if a not in ("-c", "-o", path) and
-                        not a.endswith(".o")]
-            tu = self.index.parse(path, args=args)
-            result = set()
-            ck = self.ci.CursorKind
-            for cur in tu.cursor.walk_preorder():
-                if cur.location.file is None or \
-                        os.path.abspath(cur.location.file.name) != \
-                        os.path.abspath(path):
-                    continue
-                if cur.kind in (ck.DECL_REF_EXPR, ck.MEMBER_REF_EXPR,
-                                ck.CALL_EXPR):
-                    spelled = cur.type.spelling or ""
-                    canon = cur.type.get_canonical().spelling or ""
-                    if self.TICK_SPELLINGS.search(spelled) or \
-                            self.TICK_SPELLINGS.search(canon):
-                        result.add((cur.location.line, cur.location.column))
-        except Exception as exc:  # pragma: no cover - environment dependent
-            sys.stderr.write(f"resched-lint: libclang parse failed for "
-                             f"{path}: {exc}; textual fallback\n")
-            result = None
-        self.cache[path] = result
-        return result
-
-
-def make_oracle(engine, compile_commands):
-    if engine == "textual":
-        return None, "textual"
-    try:
-        import clang.cindex  # noqa: F401
-    except ImportError:
-        if engine == "libclang":
-            sys.stderr.write(
-                "resched-lint: --engine libclang requested but clang.cindex "
-                "is not importable; install python3-clang + libclang. "
-                "Falling back to the textual engine.\n")
-        return None, "textual"
-    if not compile_commands:
-        if engine == "libclang":
-            sys.stderr.write("resched-lint: libclang engine needs "
-                             "--compile-commands; textual fallback\n")
-        return None, "textual"
-    try:
-        oracle = LibclangOracle(os.path.dirname(
-            os.path.abspath(compile_commands)))
-        return oracle, "libclang"
-    except Exception as exc:  # pragma: no cover
-        sys.stderr.write(f"resched-lint: libclang unavailable ({exc}); "
-                         f"textual fallback\n")
-        return None, "textual"
 
 
 # --------------------------------------------------------------------------
@@ -1505,7 +1387,7 @@ def discover_files(repo_root, compile_commands, explicit):
     return sorted(files)
 
 
-def analyze(repo_root, files, rules, oracle=None):
+def analyze(repo_root, files, rules):
     file_tokens = {}
     file_lines = {}
     ann_by_file = {}
@@ -1561,18 +1443,7 @@ def analyze(repo_root, files, rules, oracle=None):
         toks = file_tokens[rel]
         ann = ann_by_file[rel]
         if "R1" in rules:
-            oracle_hits = None
-            if oracle is not None:
-                abs_path = os.path.join(repo_root, rel)
-                oracle_hits = oracle.tick_positions(abs_path)
             for f in funcs:
-                if oracle_hits is not None:
-                    # Exact typing: widen the textual local table with every
-                    # identifier libclang resolved to a tick type.
-                    for i in range(f.body_start + 1, f.body_end):
-                        t = toks[i]
-                        if t.kind == "id" and (t.line, t.col) in oracle_hits:
-                            f.locals_tick.add(t.text)
                 rule_r1(toks, f, symbols, ann, rel, findings)
         if "R2" in rules:
             rule_r2(toks, funcs, symbols, ann, rel, findings)
@@ -1640,16 +1511,14 @@ def main(argv=None):
                          "compile_commands.json)")
     ap.add_argument("--repo-root", default=None)
     ap.add_argument("--compile-commands", default=None,
-                    help="build/compile_commands.json (TU discovery + "
-                         "libclang engine args)")
+                    help="build/compile_commands.json (selects the "
+                         "translation units under src/)")
     ap.add_argument("--baseline", default=None,
                     help="gate against this baseline file")
     ap.add_argument("--update-baseline", action="store_true",
                     help="rewrite the baseline: prune stale entries, add "
                          "new findings as TODO")
     ap.add_argument("--rules", default="R1,R2,R3,R4")
-    ap.add_argument("--engine", choices=("auto", "textual", "libclang"),
-                    default="auto")
     ap.add_argument("--format", choices=("text", "json"), default="text")
     ap.add_argument("--quiet", action="store_true")
     args = ap.parse_args(argv)
@@ -1666,13 +1535,12 @@ def main(argv=None):
         if r not in RULES:
             ap.error(f"unknown rule {r}")
 
-    oracle, engine = make_oracle(args.engine, cc)
     files = discover_files(repo_root, cc, args.paths)
     if not files:
         sys.stderr.write("resched-lint: no input files\n")
         return 2
 
-    findings, problems = analyze(repo_root, files, rules, oracle)
+    findings, problems = analyze(repo_root, files, rules)
 
     if problems:
         for (rel, line, msg) in problems:
@@ -1693,7 +1561,6 @@ def main(argv=None):
 
     if args.format == "json":
         print(json.dumps({
-            "engine": engine,
             "findings": [{
                 "rule": f.rule, "file": f.file, "line": f.line,
                 "col": f.col, "function": f.function,
@@ -1736,13 +1603,13 @@ def main(argv=None):
             for k in unjustified:
                 sys.stderr.write(f"  {k}\n")
         if ok:
-            print(f"resched-lint [{engine}]: OK -- {len(findings)} "
+            print(f"resched-lint: OK -- {len(findings)} "
                   f"finding(s), all baselined with justifications "
                   f"({len(files)} files)")
             return 0
         return 1
 
-    print(f"resched-lint [{engine}]: {len(findings)} finding(s) in "
+    print(f"resched-lint: {len(findings)} finding(s) in "
           f"{len(files)} files")
     return 0 if not findings else 1
 

@@ -46,8 +46,7 @@ def expected_findings(path):
 def run_fixture(path):
     """Returns a list of mismatch strings (empty = pass)."""
     expected = expected_findings(path)
-    findings, problems = resched_lint.analyze(
-        FIXTURES, [path], ALL_RULES, oracle=None)
+    findings, problems = resched_lint.analyze(FIXTURES, [path], ALL_RULES)
     errors = []
     for (rel, line, msg) in problems:
         errors.append(f"analysis problem at {rel}:{line}: {msg}")
