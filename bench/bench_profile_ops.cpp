@@ -124,8 +124,8 @@ void BM_EarliestFit(benchmark::State& state) {
 BENCHMARK(BM_EarliestFit)->Range(64, 16384);
 
 void BM_BackfillChurn(benchmark::State& state) {
-  // EASY-phase-2-shaped tentative probe loop: commit a candidate, run a
-  // wide windowed probe (the head's reservation check), revert. The undo
+  // Branch-and-bound-shaped probe loop (exact/bnb.cpp's DFS): commit a
+  // candidate tentatively, run a wide windowed query, backtrack. The undo
   // log reverts in O(touched) and keeps the index snapshot warm -- the
   // index_rebuilds counter stays at the single warm-up build no matter how
   // many probes run.

@@ -9,12 +9,12 @@
 //   ./build/examples/scenarios
 //
 //   # two cells, CSV export (the CI smoke invocation)
-//   ./build/examples/scenarios --m=16 --instances=2 \
-//       --schedulers=fcfs,lsrc --scenarios=soak,ramp --csv=matrix.csv
+//   ./build/examples/scenarios --m=16 --instances=2 --schedulers=fcfs,lsrc
+//       --scenarios=soak,ramp --csv=matrix.csv       (one command line)
 //
 //   # committed .scn programs and a real SWF trace as extra rows
-//   ./build/examples/scenarios --scn=tests/data/maintenance.scn \
-//       --trace=tests/data/tiny.swf
+//   ./build/examples/scenarios --scn=tests/data/maintenance.scn
+//       --trace=tests/data/tiny.swf                  (one command line)
 #include <fstream>
 #include <iostream>
 

@@ -7,100 +7,90 @@
 namespace resched {
 
 BackfillQueue::BackfillQueue(ProcCount max_q, Arena* scratch)
-    : buckets_(ArenaAlloc<Bucket>(scratch)),
-      heap_(ArenaAlloc<Head>(scratch)),
-      pass_qs_(ArenaAlloc<ProcCount>(scratch)) {
+    : slot_(ArenaAlloc<std::uint32_t>(scratch)),
+      buckets_(ArenaAlloc<Bucket>(scratch)),
+      heap_(ArenaAlloc<Head>(scratch)) {
   RESCHED_REQUIRE_MSG(max_q >= 1, "backfill queue needs max_q >= 1");
-  buckets_.reserve(static_cast<std::size_t>(max_q) + 1);
-  for (std::size_t q = 0; q <= static_cast<std::size_t>(max_q); ++q)
-    buckets_.emplace_back(scratch);
+  slot_.assign(static_cast<std::size_t>(max_q) + 1, 0);
 }
 
 void BackfillQueue::insert(JobId id, std::int64_t rank, ProcCount q) {
   RESCHED_REQUIRE_MSG(!pass_open_, "insert during an open pass");
-  RESCHED_REQUIRE(q >= 1 &&
-                  static_cast<std::size_t>(q) < buckets_.size());
-  Bucket& bucket = buckets_[static_cast<std::size_t>(q)];
+  RESCHED_REQUIRE(q >= 1 && static_cast<std::size_t>(q) < slot_.size());
+  std::uint32_t& slot = slot_[static_cast<std::size_t>(q)];
+  if (slot == 0) {
+    buckets_.emplace_back(buckets_.get_allocator().arena());
+    slot = static_cast<std::uint32_t>(buckets_.size());
+  }
+  ScratchVec<Entry>& items = buckets_[slot - 1].items;
   // Ranks arrive mostly in increasing order (release-sorted feeds), so the
   // binary search almost always lands at the back.
   const auto at = std::lower_bound(
-      bucket.items.begin(), bucket.items.end(), rank,
+      items.begin(), items.end(), rank,
       [](const Entry& entry, std::int64_t value) { return entry.rank < value; });
-  bucket.items.insert(at, Entry{id, rank, q});
+  items.insert(at, Entry{id, rank, q});
   ++size_;
 }
 
 void BackfillQueue::begin_pass() {
   RESCHED_REQUIRE_MSG(!pass_open_, "pass already open");
   pass_open_ = true;
-  current_ = -1;
+  current_ = kNoCandidate;
   heap_.clear();
-  for (std::size_t q = 1; q < buckets_.size(); ++q) {
-    if (buckets_[q].items.empty()) continue;
-    heap_.push_back(Head{buckets_[q].items.front().rank,
-                         static_cast<ProcCount>(q)});
-  }
+  for (std::size_t b = 0; b < buckets_.size(); ++b)
+    if (!buckets_[b].items.empty())
+      heap_.push_back(Head{buckets_[b].items.front().rank, b});
   std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
-}
-
-void BackfillQueue::touch(Bucket& bucket, ProcCount q) {
-  if (!bucket.in_pass) {
-    bucket.in_pass = true;
-    bucket.read = 0;
-    bucket.write = 0;
-    pass_qs_.push_back(q);
-  }
 }
 
 std::optional<BackfillQueue::Entry> BackfillQueue::next(
     std::int64_t capacity, bool ignore_capacity) {
-  RESCHED_ASSERT(pass_open_ && current_ < 0);
+  RESCHED_ASSERT(pass_open_ && current_ == kNoCandidate);
   while (!heap_.empty()) {
     std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
     const Head head = heap_.back();
     heap_.pop_back();
-    Bucket& bucket = buckets_[static_cast<std::size_t>(head.q)];
-    touch(bucket, head.q);
-    if (!ignore_capacity && head.q > capacity) {
+    const Bucket& bucket = buckets_[head.bucket];
+    const Entry& candidate = bucket.items[bucket.read];
+    if (!ignore_capacity && candidate.q > capacity) {
       // Retire the bucket for this pass: capacity at the event time cannot
       // come back up, so none of its jobs can start (see header sketch).
       continue;
     }
-    current_ = head.q;
-    return bucket.items[bucket.read];
+    current_ = head.bucket;
+    return candidate;
   }
   return std::nullopt;
 }
 
-void BackfillQueue::keep() {
-  RESCHED_ASSERT(pass_open_ && current_ >= 0);
-  Bucket& bucket = buckets_[static_cast<std::size_t>(current_)];
-  bucket.items[bucket.write++] = bucket.items[bucket.read++];
+void BackfillQueue::advance(std::size_t b) {
+  const Bucket& bucket = buckets_[b];
   if (bucket.read < bucket.items.size()) {
-    heap_.push_back(Head{bucket.items[bucket.read].rank, current_});
+    heap_.push_back(Head{bucket.items[bucket.read].rank, b});
     std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
   }
-  current_ = -1;
+  current_ = kNoCandidate;
+}
+
+void BackfillQueue::keep() {
+  RESCHED_ASSERT(pass_open_ && current_ != kNoCandidate);
+  Bucket& bucket = buckets_[current_];
+  bucket.items[bucket.write++] = bucket.items[bucket.read++];
+  advance(current_);
 }
 
 void BackfillQueue::take() {
-  RESCHED_ASSERT(pass_open_ && current_ >= 0);
-  Bucket& bucket = buckets_[static_cast<std::size_t>(current_)];
-  ++bucket.read;
+  RESCHED_ASSERT(pass_open_ && current_ != kNoCandidate);
+  ++buckets_[current_].read;
   --size_;
-  if (bucket.read < bucket.items.size()) {
-    heap_.push_back(Head{bucket.items[bucket.read].rank, current_});
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  }
-  current_ = -1;
+  advance(current_);
 }
 
 void BackfillQueue::end_pass() {
-  RESCHED_REQUIRE_MSG(pass_open_ && current_ < 0,
+  RESCHED_REQUIRE_MSG(pass_open_ && current_ == kNoCandidate,
                       "end_pass with an unanswered candidate");
-  for (const ProcCount q : pass_qs_) {
-    Bucket& bucket = buckets_[static_cast<std::size_t>(q)];
-    // Survivors [write, read) were already compacted; shift the unexamined
+  for (Bucket& bucket : buckets_) {
+    // Survivors [0, write) were already compacted; shift the unexamined
     // tail [read, end) down next to them.
     if (bucket.write != bucket.read)
       bucket.items.erase(
@@ -108,9 +98,7 @@ void BackfillQueue::end_pass() {
           bucket.items.begin() + static_cast<std::ptrdiff_t>(bucket.read));
     bucket.read = 0;
     bucket.write = 0;
-    bucket.in_pass = false;
   }
-  pass_qs_.clear();
   heap_.clear();
   pass_open_ = false;
 }

@@ -13,7 +13,11 @@
 // test_prop_scheduler_equiv pin this):
 //
 //   * pending jobs live in buckets keyed by their processor demand q, each
-//     bucket sorted by the scheduler's rank;
+//     bucket sorted by the scheduler's rank. Only demands that were ever
+//     inserted own a bucket: a dense bucket array plus a q -> bucket slot
+//     table, so opening and closing a pass costs O(occupied demands), not
+//     O(m) -- a service decision plans a handful of jobs in a few distinct
+//     widths on a machine with m in the hundreds;
 //   * a capacity event opens a *pass*: the buckets whose threshold the
 //     current free capacity reaches (q <= capacity at t) are merged
 //     rank-order through a small binary heap, so candidates come out in
@@ -22,9 +26,8 @@
 //     rest of the pass: the rescan would have probed each of its jobs only
 //     to fail fits_at immediately (capacity at t is the minimum over the
 //     job's window, so value-at-t below q already decides it). Capacity at
-//     t never rises within a pass -- commits subtract, and the only
-//     transient restore (EASY's tentative backfill) is unwound before the
-//     next candidate is popped -- so retirement is permanent for the pass.
+//     t never rises within a pass -- the only mutations are commits, which
+//     subtract -- so retirement is permanent for the pass.
 //
 // Equivalence sketch: a pass examines precisely the pending jobs the
 // rescan would have examined minus jobs that provably fail their capacity
@@ -32,16 +35,17 @@
 // committed jobs and their commit order therefore coincide, and by
 // induction over events the whole schedule does.
 //
-// EventTimes replaces the schedulers' raw std::priority_queue<Time> wake-up
-// heap: release/completion collisions previously piled up as duplicate
-// entries that each cost a heap pop; the ordered-set representation
-// deduplicates on insert and consumes a whole stale prefix per advance.
+// EventTimes is the schedulers' wake-up queue: a binary min-heap over a
+// ScratchVec, so a push is a vector append with no per-node allocation.
+// Release/completion collisions are not deduplicated on insert: each
+// duplicate costs one pop when the clock reaches it, and one advance
+// consumes the whole stale prefix.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <iterator>
+#include <functional>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "core/arena.hpp"
@@ -59,7 +63,7 @@ class BackfillQueue {
 
   // max_q: largest processor demand that will ever be inserted (the
   // instance's machine count). With a scratch arena, every internal buffer
-  // (buckets, merge heap, pass list) is bump-allocated from it -- the
+  // (slot table, buckets, merge heap) is bump-allocated from it -- the
   // replan hot path; null = plain counted heap (batch schedule()).
   explicit BackfillQueue(ProcCount max_q, Arena* scratch = nullptr);
 
@@ -89,58 +93,70 @@ class BackfillQueue {
   struct Bucket {
     explicit Bucket(Arena* scratch) : items(ArenaAlloc<Entry>(scratch)) {}
     ScratchVec<Entry> items;   // sorted by rank
-    std::size_t read = 0;      // pass cursors: next candidate / survivor slot
+    // Pass cursors: next candidate / survivor slot. Both are 0 outside a
+    // pass, so begin_pass needs no per-bucket reset.
+    std::size_t read = 0;
     std::size_t write = 0;
-    bool in_pass = false;
   };
 
   // Heap item: the head rank of a live bucket. Min-heap by rank (ranks are
   // unique, so the bucket index never tiebreaks).
   struct Head {
     std::int64_t rank;
-    ProcCount q;
+    std::size_t bucket;  // index into buckets_
     friend bool operator>(const Head& a, const Head& b) {
       return a.rank > b.rank;
     }
   };
 
-  void touch(Bucket& bucket, ProcCount q);
+  static constexpr std::size_t kNoCandidate = static_cast<std::size_t>(-1);
 
-  ScratchVec<Bucket> buckets_;          // indexed by q, 0..max_q
+  // Re-offers the answered candidate's bucket to the merge if it still has
+  // unexamined jobs.
+  void advance(std::size_t b);
+
+  // slot_[q] = 1 + index of q's bucket in buckets_, or 0 if q never
+  // arrived. Buckets are never removed: one that empties simply sits out
+  // the merge until an insert refills it.
+  ScratchVec<std::uint32_t> slot_;
+  ScratchVec<Bucket> buckets_;          // occupied demands, first-insert order
   ScratchVec<Head> heap_;               // std::push_heap/pop_heap, min by rank
-  ScratchVec<ProcCount> pass_qs_;       // buckets touched by the open pass
   std::size_t size_ = 0;
-  ProcCount current_ = -1;              // bucket of the last popped candidate
+  std::size_t current_ = kNoCandidate;  // bucket of the last popped candidate
   bool pass_open_ = false;
 };
 
-// Deduplicated min-queue of wake-up times for event-driven schedulers.
-// With a scratch arena the set's nodes come from the bump allocator
-// (erased nodes are not individually reclaimed -- the arena reset at the
-// end of the decision takes them all); null = plain counted heap.
+// Min-queue of wake-up times for event-driven schedulers: a binary heap on
+// a ScratchVec (arena-backed with a scratch arena, plain counted heap when
+// null). Duplicates are kept and consumed together by next_after.
 class EventTimes {
  public:
   explicit EventTimes(Arena* scratch = nullptr)
-      : times_(std::less<Time>(), ArenaAlloc<Time>(scratch)) {}
+      : heap_(ArenaAlloc<Time>(scratch)) {}
 
-  // Records a wake-up; duplicates coalesce.
-  void push(Time t) { times_.insert(t); }
+  // Records a wake-up.
+  void push(Time t) {
+    heap_.push_back(t);
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  }
 
   // Smallest recorded time strictly greater than t, or kTimeInfinity.
   // Consumes everything up to and including the returned time.
   Time next_after(Time t) {
-    const auto it = times_.upper_bound(t);
-    if (it == times_.end()) {
-      times_.clear();
-      return kTimeInfinity;
-    }
-    const Time next = *it;
-    times_.erase(times_.begin(), std::next(it));
+    while (!heap_.empty() && heap_.front() <= t) pop();
+    if (heap_.empty()) return kTimeInfinity;
+    const Time next = heap_.front();
+    while (!heap_.empty() && heap_.front() == next) pop();
     return next;
   }
 
  private:
-  std::set<Time, std::less<Time>, ArenaAlloc<Time>> times_;
+  void pop() {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    heap_.pop_back();
+  }
+
+  ScratchVec<Time> heap_;  // min-heap
 };
 
 }  // namespace resched

@@ -15,7 +15,7 @@
 //
 //  * Arena -- a monotonic bump allocator with scope-reset semantics. One
 //    arena backs all transient allocations inside a single schedule()/
-//    replan() call: scratch job/queue vectors, backfill buckets, event sets,
+//    replan() call: scratch job/queue vectors, backfill buckets, event heaps,
 //    the returned Schedule's start array. reset() rewinds the cursor but
 //    keeps the chunks, so after the first few decisions warm it up, a
 //    steady-state decision touches the heap zero times. mark()/rewind()
@@ -27,10 +27,10 @@
 //    is the vector alias used at call sites.
 //
 // Deallocation through ArenaAlloc is a no-op when arena-backed; memory is
-// reclaimed wholesale by reset(). Containers that erase and re-insert
-// (e.g. the EventTimes set) therefore grow to their high-water mark within
-// one decision scope -- bounded, and exactly the point: no per-node heap
-// traffic inside the timed window.
+// reclaimed wholesale by reset(). A vector that grows (e.g. the EventTimes
+// heap) therefore strands each outgrown buffer until the reset -- together
+// smaller than its final buffer, so bounded per decision scope, and exactly
+// the point: no heap traffic inside the timed window.
 #pragma once
 
 #include <cstddef>

@@ -97,9 +97,9 @@ FreeProfile::CommitToken FreeProfile::commit_tentative(Time t, ProcCount q,
   return CommitToken(next_serial_);
 }
 
-void FreeProfile::resolve_top(bool keep) {
+void FreeProfile::pop_frame() {
   OpenCommit& top = open_.back();
-  if (!keep) profile_.rollback(top.undo);
+  profile_.rollback(top.undo);
   // Adaptive cap: a rewind of the deepest plan ever carried recycles every
   // frame; anything past that depth would be dead weight.
   if (frame_pool_.size() < std::max(kMinPoolFrames, open_high_water_))
@@ -113,22 +113,7 @@ void FreeProfile::rollback(CommitToken&& token) {
                     "commit tokens resolve newest-first: this token is not "
                     "the newest open tentative commit");
   token.live_ = false;
-  resolve_top(/*keep=*/false);
-}
-
-void FreeProfile::accept(CommitToken&& token) {
-  RESCHED_CHECK_MSG(token.live_, "accept of a dead commit token");
-  RESCHED_CHECK_MSG(!open_.empty() && open_.back().serial == token.serial_,
-                    "commit tokens resolve newest-first: this token is not "
-                    "the newest open tentative commit");
-  token.live_ = false;
-  if (retain_accepted_) {
-    // Plan-recording mode: seal the decision but keep the frame (and its
-    // undo) so rewind_to can invalidate the whole plan suffix later.
-    return;
-  }
-  resolve_top(/*keep=*/true);
-  ++permanent_mutations_;
+  pop_frame();
 }
 
 void FreeProfile::rewind_to(const Checkpoint& checkpoint) {
@@ -142,7 +127,7 @@ void FreeProfile::rewind_to(const Checkpoint& checkpoint) {
   while (open_.size() > checkpoint.depth) {
     RESCHED_CHECK_MSG(open_.back().serial > checkpoint.serial,
                       "frame stack does not match the rewind checkpoint");
-    resolve_top(/*keep=*/false);
+    pop_frame();
   }
 }
 

@@ -21,21 +21,17 @@
 //
 // ## Tentative commits (transactional allocation)
 //
-// Backfilling's inner loop is speculative: commit a candidate, test whether
-// a protected job is pushed back, revert if so; branch-and-bound backtracks
-// the same way. commit_tentative() makes that pattern first-class: it
-// subtracts the job and returns an opaque CommitToken whose undo record
-// (StepProfile's undo log) reverts the allocation in O(touched segments) --
-// no re-run of add's split/coalesce path, no index-snapshot drop, no budget
-// drain, so arbitrarily long probe loops never trigger an O(s) index
-// rebuild. A token must be resolved exactly once, newest-first:
-//
-//   rollback(token)  -- revert the allocation,
-//   accept(token)    -- keep it, discarding the undo state in O(1).
-//
-// Tokens are strictly nested (LIFO), which is exactly the shape tentative
-// probes and depth-first backtracking produce; resolving any other token
-// trips RESCHED_CHECK.
+// Branch-and-bound (exact/bnb.cpp) is speculative: place a job, recurse,
+// and on backtrack take the placement back. commit_tentative() makes that
+// pattern first-class: it subtracts the job and returns an opaque
+// CommitToken whose undo record (StepProfile's undo log) reverts the
+// allocation in O(touched segments) via rollback(token) -- no re-run of
+// add's split/coalesce path, no index-snapshot drop, no budget drain, so
+// arbitrarily deep or long DFS probe loops never trigger an O(s) index
+// rebuild. Tokens are strictly nested (LIFO), which is exactly the shape
+// depth-first backtracking produces; rolling back any token but the newest
+// open one trips RESCHED_CHECK. (EASY's backfill test needs no tentative
+// commit: it reads the uncommitted profile, see algorithms/easy_bf.cpp.)
 //
 // Complexity: fits_at and each earliest_fit probe are O(log s) on fragmented
 // profiles through StepProfile's lazily built min/max segment-tree index;
@@ -55,10 +51,9 @@
 //                              underlying StepProfile::version().
 //   set_retain_accepted(on) -- plan-recording mode: commit_fitted opens a
 //                              recorded frame instead of mutating
-//                              unrecorded, and accept() keeps its frame (undo
-//                              intact) instead of discarding it. Every
-//                              mutation a scheduler makes while planning is
-//                              therefore on the frame stack.
+//                              unrecorded. Every mutation a scheduler makes
+//                              while planning is therefore on the frame
+//                              stack.
 //   rewind_to(checkpoint)   -- rolls the frame stack back to the checkpoint
 //                              depth, newest-first, in O(touched) per frame
 //                              with the query index kept warm (invariant I6
@@ -85,10 +80,9 @@ namespace resched {
 class FreeProfile {
  public:
   // Opaque handle to one open tentative commit. Move-only; a
-  // default-constructed or resolved token is dead. Every live token must be
-  // resolved (rollback or accept) before any older token -- destroying one
-  // unresolved leaves its undo frame open and the next resolution will
-  // trip the LIFO check.
+  // default-constructed or rolled-back token is dead. Every live token must
+  // be rolled back before any older token -- destroying one live leaves its
+  // undo frame open and the next rollback will trip the LIFO check.
   class CommitToken {
    public:
     CommitToken() = default;
@@ -141,7 +135,7 @@ class FreeProfile {
   void commit_fitted(Time t, ProcCount q, Time p);
 
   // Tentatively subtracts q over [t, t+p) and opens an undo frame; the
-  // returned token resolves it via rollback() or accept(). Same
+  // returned token reverts it via rollback(). Same
   // by-construction precondition (and Debug-only recheck) as
   // commit_fitted. O(touched) to record; the frame's buffers are recycled
   // across probes, so a reject/retry loop stops allocating after warm-up.
@@ -152,12 +146,6 @@ class FreeProfile {
   // drops or rebuilds the profile's query index (invariant I6 in
   // step_profile.hpp).
   void rollback(CommitToken&& token);
-
-  // Seals the newest open tentative commit (same LIFO check): the
-  // allocation becomes permanent and its undo state is discarded in O(1).
-  // In plan-recording mode the frame stays open instead, so rewind_to can
-  // still unwind it.
-  void accept(CommitToken&& token);
 
   // O(1) snapshot of the plan frontier; see the header notes. A checkpoint
   // taken on one FreeProfile must only be passed back to that object.
@@ -173,16 +161,16 @@ class FreeProfile {
   }
 
   // Rolls the frame stack back to the checkpoint's depth, newest-first
-  // (accepted-retained frames included), leaving the profile bit-identical
+  // (retained plan frames included), leaving the profile bit-identical
   // to its checkpoint state with the query index warm. Trips RESCHED_CHECK
   // if any permanent mutation (adjust_capacity, non-retained commit,
   // compact_history) happened since the checkpoint -- those cannot be
   // rewound -- or if the stack is already below the checkpoint depth.
   void rewind_to(const Checkpoint& checkpoint);
 
-  // Plan-recording mode: while on, commit_fitted() opens recorded
-  // frames and accept() retains its frame with the undo intact, so
-  // rewind_to can unwind a whole plan. Toggling requires an empty stack.
+  // Plan-recording mode: while on, commit_fitted() opens a recorded frame
+  // (undo intact) instead of mutating permanently, so rewind_to can unwind
+  // a whole plan. Toggling requires an empty stack.
   void set_retain_accepted(bool on);
   [[nodiscard]] bool retain_accepted() const noexcept {
     return retain_accepted_;
@@ -201,7 +189,8 @@ class FreeProfile {
   // stack. Returns the number of segments removed.
   std::size_t compact_history(Time t);
 
-  // Number of open (unresolved) tentative commits.
+  // Number of open frames: live tentative commits plus, in plan-recording
+  // mode, the plan's retained commit_fitted frames.
   [[nodiscard]] std::size_t open_commits() const noexcept {
     return open_.size();
   }
@@ -236,9 +225,9 @@ class FreeProfile {
     StepProfile::Undo undo;
   };
 
-  // Pops the top frame (rolling the profile back unless `keep`), recycling
-  // its undo buffer.
-  void resolve_top(bool keep);
+  // Pops the top frame, rolling the profile back and recycling its undo
+  // buffer.
+  void pop_frame();
   // Opens a recorded frame for a validated allocation; shared by
   // commit_tentative and retain-mode commit_fitted.
   void push_frame(Time t, ProcCount q, Time p);

@@ -42,12 +42,12 @@ TEST(Arena, AllocationsAreAlignedAndDisjoint) {
 TEST(Arena, ResetKeepsChunksSoSteadyStateIsAllocationFree) {
   Arena arena;
   // Warm: force at least one chunk into existence.
-  for (int i = 0; i < 100; ++i) arena.allocate(64, 8);
+  for (int i = 0; i < 100; ++i) (void)arena.allocate(64, 8);
   const std::size_t chunks = arena.chunk_count();
   const std::uint64_t warm = alloc_count();
   for (int cycle = 0; cycle < 50; ++cycle) {
     arena.reset();
-    for (int i = 0; i < 100; ++i) arena.allocate(64, 8);
+    for (int i = 0; i < 100; ++i) (void)arena.allocate(64, 8);
   }
   EXPECT_EQ(alloc_count(), warm) << "reset+refill must reuse warm chunks";
   EXPECT_EQ(arena.chunk_count(), chunks);
@@ -55,10 +55,10 @@ TEST(Arena, ResetKeepsChunksSoSteadyStateIsAllocationFree) {
 
 TEST(Arena, MarkerRewindReleasesLifoScopes) {
   Arena arena;
-  arena.allocate(128, 8);
+  (void)arena.allocate(128, 8);
   const Arena::Marker frame = arena.mark();
   void* inner_first = arena.allocate(64, 8);
-  arena.allocate(256, 8);
+  (void)arena.allocate(256, 8);
   arena.rewind(frame);
   // The next allocation after rewind lands where the frame started.
   void* replay = arena.allocate(64, 8);
@@ -215,8 +215,8 @@ TEST(FramePool, SteadyStateCommitRollbackIsAllocationFree) {
 
 TEST(FramePool, RecyclesAcrossCommitRollbackInterleavings) {
   FreeProfile free{StepProfile(32)};
-  // Interleave accepts and rollbacks so recycled frames carry undos from
-  // both resolutions; the profile must stay consistent throughout.
+  // Interleave nested commits and rollbacks so recycled frames carry undos
+  // of different windows; the profile must stay consistent throughout.
   for (int round = 0; round < 50; ++round) {
     FreeProfile::CommitToken a = free.commit_tentative(round * 7, 4, 10);
     FreeProfile::CommitToken b =
@@ -238,7 +238,7 @@ TEST(FramePool, AllocCountDiagnosticCombinesProfileAndMisses) {
   EXPECT_EQ(free.alloc_count(), free.profile().alloc_count() +
                                     free.frame_misses());
   FreeProfile::CommitToken t = free.commit_tentative(0, 4, 4);
-  free.accept(std::move(t));
+  free.rollback(std::move(t));
   EXPECT_GE(free.frame_misses(), 1u) << "cold pool counts its misses";
   EXPECT_EQ(free.alloc_count(), free.profile().alloc_count() +
                                     free.frame_misses());

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/step_profile.hpp"
@@ -129,6 +130,66 @@ TEST(FreeProfileLemma, CommitThenRequeryNeverFindsEarlierStart) {
     const Time after = free.earliest_fit(0, q, p);
     ASSERT_GE(after, before);
   }
+}
+
+TEST(FreeProfileLemma, ReadOnlyHeadCheckMatchesTentativeCommit) {
+  // EASY's backfill test (algorithms/easy_bf.cpp): with the head blocked at
+  // t and reserved at head_start > t, a candidate fitting at t and ending
+  // after head_start is admitted iff committing it would leave the head's
+  // overlap window [head_start, min(head_end, job_end)) at >= head.q. The
+  // commit lowers exactly that window by job.q, so one read of the
+  // uncommitted profile against head.q + job.q must give the same answer
+  // as commit -> first_below -> rollback, and touch nothing.
+  Prng prng(4242);
+  int admitted = 0;
+  int refused = 0;
+  for (int round = 0; round < 1000; ++round) {
+    const ProcCount m = prng.uniform_int(2, 8);
+    FreeProfile free(random_capacity(prng, m));
+    for (int placed = static_cast<int>(prng.uniform_int(0, 4)); placed > 0;
+         --placed) {
+      const ProcCount q = prng.uniform_int(1, m);
+      const Time p = prng.uniform_int(1, 30);
+      if (free.profile().final_value() < q) continue;
+      free.commit_fitted(free.earliest_fit(prng.uniform_int(0, kHorizon), q, p),
+                         q, p);
+    }
+    const StepProfile snapshot = free.profile();
+    for (int query = 0; query < 32; ++query) {
+      const Time t = prng.uniform_int(0, kHorizon);
+      const ProcCount head_q = prng.uniform_int(1, m);
+      const Time head_p = prng.uniform_int(1, 40);
+      const ProcCount q = prng.uniform_int(1, m);
+      const Time p = prng.uniform_int(1, 60);
+      if (free.profile().final_value() < head_q) continue;
+      if (free.fits_at(t, head_q, head_p) || !free.fits_at(t, q, p)) continue;
+      const Time head_start = free.earliest_fit(t, head_q, head_p);
+      const Time head_end = head_start + head_p;
+      const Time job_end = t + p;
+      ASSERT_GT(head_start, t);
+      if (job_end <= head_start) continue;
+      const Time window_end = std::min(head_end, job_end);
+
+      const bool read_only =
+          free.profile().first_below(head_start, window_end, head_q + q) ==
+          kTimeInfinity;
+      FreeProfile::CommitToken token = free.commit_tentative(t, q, p);
+      const bool tentative =
+          free.profile().first_below(head_start, window_end, head_q) ==
+          kTimeInfinity;
+      free.rollback(std::move(token));
+
+      ASSERT_EQ(read_only, tentative)
+          << "t=" << t << " head=(" << head_q << "," << head_p
+          << ") at " << head_start << " job=(" << q << "," << p << ")";
+      ASSERT_EQ(free.profile(), snapshot);
+      ASSERT_EQ(free.open_commits(), 0u);
+      ++(read_only ? admitted : refused);
+    }
+  }
+  // Both verdicts were exercised, not just one side of the identity.
+  EXPECT_GT(admitted, 100);
+  EXPECT_GT(refused, 100);
 }
 
 TEST(FreeProfileLemma, EarliestFitRejectsImpossibleJobs) {

@@ -85,19 +85,18 @@ TEST(FreeProfile, TentativeCommitSubtractsAndRollbackRestores) {
   EXPECT_EQ(free.open_commits(), 0u);
 }
 
-TEST(FreeProfile, RollbackAndAcceptResolveTokens) {
+TEST(FreeProfile, RollbackKillsItsTokenAndKeepsFittedCommits) {
   FreeProfile free{StepProfile(4)};
-  FreeProfile::CommitToken kept = free.commit_tentative(0, 2, 10);
-  free.accept(std::move(kept));
-  EXPECT_FALSE(kept.live());  // NOLINT(bugprone-use-after-move): asserted dead
+  free.commit_fitted(0, 2, 10);
   EXPECT_EQ(free.capacity_at(5), 2);
   EXPECT_EQ(free.open_commits(), 0u);
 
   FreeProfile::CommitToken probe = free.commit_tentative(3, 2, 4);
   EXPECT_EQ(free.capacity_at(4), 0);
   free.rollback(std::move(probe));
+  EXPECT_FALSE(probe.live());  // NOLINT(bugprone-use-after-move): asserted dead
   EXPECT_EQ(free.capacity_at(4), 2);
-  // The accepted commit stays in effect.
+  // The fitted commit stays in effect.
   EXPECT_EQ(free.capacity_at(9), 2);
   EXPECT_EQ(free.capacity_at(10), 4);
 }
@@ -106,10 +105,11 @@ TEST(FreeProfile, TokensResolveNewestFirst) {
   FreeProfile free{StepProfile(8)};
   FreeProfile::CommitToken first = free.commit_tentative(0, 2, 4);
   FreeProfile::CommitToken second = free.commit_tentative(1, 3, 4);
-  // Resolving the older token out of order trips the LIFO check (and
-  // leaves it live: a failed resolve consumes nothing).
+  // Rolling back the older token out of order trips the LIFO check (and
+  // leaves it live: a failed rollback consumes nothing, so a retry trips
+  // again).
   EXPECT_THROW(free.rollback(std::move(first)), std::logic_error);
-  EXPECT_THROW(free.accept(std::move(first)), std::logic_error);
+  EXPECT_THROW(free.rollback(std::move(first)), std::logic_error);
   EXPECT_TRUE(first.live());  // NOLINT(bugprone-use-after-move)
   // Unwinding newest-first works.
   free.rollback(std::move(second));
@@ -207,8 +207,7 @@ TEST(FreeProfileVersioned, CheckpointRewindRestoresPlanState) {
   // A plan in recording mode: permanent-API commits become frames too.
   free.commit_fitted(0, 3, 10);
   free.commit_fitted(5, 2, 4);
-  FreeProfile::CommitToken probe = free.commit_tentative(12, 8, 2);
-  free.accept(std::move(probe));
+  free.commit_fitted(12, 8, 2);
   EXPECT_EQ(free.open_commits(), 3u);
   EXPECT_EQ(free.capacity_at(6), 3);
   EXPECT_EQ(free.capacity_at(12), 0);

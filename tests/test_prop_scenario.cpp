@@ -118,8 +118,9 @@ TEST(PropScenario, SerializeParseIsTheIdentityAndCanonicalIsAFixedPoint) {
                     [](const ScenarioStep& s) {
                       return s.kind == ScenarioStepKind::kWaitToCross;
                     });
-    if (!has_wait)
+    if (!has_wait) {
       ASSERT_EQ(compile_scenario(reparsed), compile_scenario(program));
+    }
   }
 }
 
@@ -141,7 +142,9 @@ TEST(PropScenario, DecompositionStacksBackIntoTheExactProfile) {
       ASSERT_EQ(rectangles[i].id, static_cast<ReservationId>(i));
       ASSERT_GE(rectangles[i].q, 1);
       ASSERT_GE(rectangles[i].p, 1);
-      if (i > 0) ASSERT_LE(rectangles[i - 1].start, rectangles[i].start);
+      if (i > 0) {
+        ASSERT_LE(rectangles[i - 1].start, rectangles[i].start);
+      }
     }
   }
   // The fuzz actually exercised the skyline stack, not just empty curves.

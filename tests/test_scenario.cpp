@@ -206,8 +206,9 @@ TEST(Scenario, DecompositionRebuildsTheStaircaseExactly) {
   for (std::size_t i = 0; i < rectangles.size(); ++i) {
     EXPECT_EQ(rectangles[i].id, static_cast<ReservationId>(i));
     EXPECT_EQ(rectangles[i].name, "scn" + std::to_string(i));
-    if (i > 0)
+    if (i > 0) {
       EXPECT_LE(rectangles[i - 1].start, rectangles[i].start);
+    }
   }
 }
 
