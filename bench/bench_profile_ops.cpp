@@ -123,6 +123,34 @@ void BM_EarliestFit(benchmark::State& state) {
 }
 BENCHMARK(BM_EarliestFit)->Range(64, 16384);
 
+void BM_EarliestFitHoles(benchmark::State& state) {
+  // The first fit lies past N holes too short for the job: N deficient runs
+  // of two segments each, separated by 4-tick holes at full capacity, then
+  // free capacity for good. BM_EarliestFit fits almost immediately; here
+  // the search walks across 3N segments before it fits.
+  const std::int64_t holes = state.range(0);
+  StepProfile capacity(256);
+  for (std::int64_t k = 0; k < holes; ++k) {
+    const Time start = k * 10;
+    capacity.add(start, start + 3, -192);
+    capacity.add(start + 3, start + 6, -160);
+  }
+  FreeProfile free(std::move(capacity));
+  const Time expected = holes * 10 - 4;  // the tail after the last run
+  Time t0 = 0;
+  ProcCount q = 128;
+  Time p = 8;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(t0);
+    benchmark::DoNotOptimize(q);
+    benchmark::DoNotOptimize(p);
+    const Time t = free.earliest_fit(t0, q, p);
+    if (t != expected) state.SkipWithError("unexpected first fit");
+    benchmark::DoNotOptimize(t);
+  }
+}
+BENCHMARK(BM_EarliestFitHoles)->Arg(8)->Arg(64)->Arg(512)->Arg(4096);
+
 void BM_BackfillChurn(benchmark::State& state) {
   // Branch-and-bound-shaped probe loop (exact/bnb.cpp's DFS): commit a
   // candidate tentatively, run a wide windowed query, backtrack. The undo

@@ -41,24 +41,11 @@ Time FreeProfile::earliest_fit(Time t0, ProcCount q, Time p) const {
   RESCHED_REQUIRE_MSG(
       profile_.final_value() >= q,
       "job can never fit: q exceeds the eventual free capacity");
-  Time t = t0;
-  while (true) {
-    // First moment in the window where capacity dips below q; an O(log s)
-    // tree descent on indexed profiles.
-    const Time deficient = profile_.first_below(t, checked_add(t, p), q);
-    if (deficient == kTimeInfinity) return t;
-    // The window can only become feasible once capacity comes back up to q;
-    // leap over the entire deficient run in one descent. The landing point
-    // is a capacity-increase breakpoint (value < q just before it, >= q at
-    // it), so the candidate-start lemma in the header still holds, and the
-    // result is unchanged: the old breakpoint-by-breakpoint walk stopped at
-    // exactly this position. final_value() >= q makes the leap finite, and
-    // finitely many breakpoints make the loop terminate.
-    const Time resume = profile_.first_at_least(deficient, q);
-    RESCHED_CHECK_MSG(resume > t && resume != kTimeInfinity,
-                      "earliest_fit failed to advance");
-    t = resume;
-  }
+  // final_value() >= q makes the answer finite: every window that starts
+  // in the unbounded last segment fits.
+  const Time t = profile_.first_fit(t0, p, q);
+  RESCHED_CHECK_MSG(t != kTimeInfinity, "earliest_fit found no start");
+  return t;
 }
 
 void FreeProfile::push_frame(Time t, ProcCount q, Time p) {

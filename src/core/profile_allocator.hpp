@@ -17,7 +17,9 @@
 // the segment's right edge, which is a breakpoint where capacity rises.
 // Hence earliest_fit only ever returns t0 or an increase breakpoint, and a
 // scheduler that re-examines its queue at capacity-increase events (job
-// completions, reservation ends) never misses a feasible start.
+// completions, reservation ends) never misses a feasible start. It is also
+// why StepProfile::first_fit, which earliest_fit delegates to, may jump
+// from a dip straight to the end of its deficient run.
 //
 // ## Tentative commits (transactional allocation)
 //
@@ -33,10 +35,12 @@
 // open one trips RESCHED_CHECK. (EASY's backfill test needs no tentative
 // commit: it reads the uncommitted profile, see algorithms/easy_bf.cpp.)
 //
-// Complexity: fits_at and each earliest_fit probe are O(log s) on fragmented
-// profiles through StepProfile's lazily built min/max segment-tree index;
-// earliest_fit leaps over whole runs of deficient segments per iteration
-// (first_at_least), so placements no longer rescan the profile linearly.
+// Complexity: fits_at is O(log s) on fragmented profiles through
+// StepProfile's lazily built min/max segment-tree index. earliest_fit is one
+// forward walk over the profile (StepProfile::first_fit) that visits each
+// segment between t0 and the answer's window end once, O(1) per segment;
+// it needs no index, so a placement right after a commit never waits on
+// an index rebuild.
 //
 // ## Versioned plans (checkpoint / rewind -- the incremental-replan substrate)
 //

@@ -882,6 +882,33 @@ Time StepProfile::first_at_least(Time from, std::int64_t threshold) const {
   return r;
 }
 
+Time StepProfile::first_fit(Time from, Time len,
+                            std::int64_t threshold) const {
+  RESCHED_REQUIRE(from >= 0 && len > 0);
+  // One forward walk: the cursor t is always a candidate start (from, or
+  // the right edge of a deficient run) and every start before it is known
+  // not to fit. A dip in t's window becomes the cursor; skipping the
+  // deficient run lands on the next candidate, a capacity-increase
+  // breakpoint. Every segment is visited at most once.
+  const Time* times = steps_.times_data();
+  const std::int64_t* values = steps_.values_data();
+  const std::size_t n = steps_.size();
+  std::size_t j = index_of(from);
+  Time t = from;
+  while (true) {
+    const Time end = checked_add(t, len);
+    if (values[j] >= threshold) {
+      for (++j; j < n && times[j] < end && values[j] >= threshold; ++j) {
+      }
+      if (j == n || times[j] >= end) return t;
+    }
+    for (++j; j < n && values[j] < threshold; ++j) {
+    }
+    if (j == n) return kTimeInfinity;  // the unbounded tail is deficient
+    t = times[j];
+  }
+}
+
 Time StepProfile::next_change_after(Time t) const {
   RESCHED_REQUIRE(t >= 0);
   const std::size_t i = index_of(t);

@@ -21,11 +21,12 @@
 // schedulers' per-placement hot path. Each starts as a bounded linear scan
 // (faster than any descent while windows are short) and hands over to a
 // lazily built min/max-augmented implicit segment tree, O(log s), once the
-// window proves to span more than kIndexedLeafCutoff segments. The same
-// tree carries a sum augmentation (per-node integral over the node's finite
-// span, 128-bit), which turns `integral` into an O(log s) range-sum and
-// `time_to_accumulate` into an O(log s) descent with exact linear scans on
-// the at-most-two partially covered boundary leaves.
+// window proves to span more than kIndexedLeafCutoff segments. first_fit,
+// the earliest-fit search, is a plain forward walk and never uses the tree.
+// The same tree carries a sum augmentation (per-node integral over the
+// node's finite span, 128-bit), which turns `integral` into an O(log s)
+// range-sum and `time_to_accumulate` into an O(log s) descent with exact
+// linear scans on the at-most-two partially covered boundary leaves.
 //
 // Segment-tree index invariants (cache published as an immutable snapshot;
 // steps_ stays authoritative):
@@ -263,9 +264,19 @@ class StepProfile {
                                  std::int64_t threshold) const;
 
   // Earliest t >= from with value_at(t) >= threshold, or kTimeInfinity.
-  // Lets earliest_fit leap over an entire run of deficient segments in one
-  // O(log s) descent instead of stepping breakpoint by breakpoint.
+  // Leaps over an entire run of deficient segments in one O(log s) descent.
   [[nodiscard]] Time first_at_least(Time from, std::int64_t threshold) const;
+
+  // Earliest t >= from with min over [t, t+len) >= threshold, or
+  // kTimeInfinity; requires len > 0 (window ends go through checked_add).
+  // The earliest-fit search behind FreeProfile::earliest_fit: one forward
+  // walk over the segments from index_of(from), in which a dip in the
+  // cursor's window becomes the cursor and the end of the deficient run
+  // after it becomes the next candidate. It visits each segment between
+  // from and the answer's window end once, O(1) each, and never builds the
+  // index.
+  [[nodiscard]] Time first_fit(Time from, Time len,
+                               std::int64_t threshold) const;
 
   // Smallest breakpoint strictly greater than t, or kTimeInfinity if the
   // function is constant after t.

@@ -101,6 +101,24 @@ class DenseModel {
     return area;
   }
 
+  // Earliest t >= from whose window [t, t+len) never dips below threshold.
+  // One right-to-left pass tracking the first deficient tick at or after
+  // t, so a query costs O(horizon) whatever the answer's distance.
+  [[nodiscard]] Time first_fit(Time from, Time len,
+                               std::int64_t threshold) const {
+    const bool tail_ok = tail_ >= threshold;
+    if (from >= horizon_) return tail_ok ? from : kTimeInfinity;
+    Time next_bad = tail_ok ? kTimeInfinity : horizon_;
+    Time best = tail_ok ? horizon_ : kTimeInfinity;
+    for (Time t = horizon_ - 1; t >= from; --t) {
+      if (value_at(t) < threshold)
+        next_bad = t;
+      else if (next_bad - t >= len)
+        best = t;
+    }
+    return best;
+  }
+
  private:
   Time horizon_;
   std::vector<std::int64_t> ticks_;
@@ -421,6 +439,209 @@ TEST(PropIndexedProfile, FreeProfileOpsMatchDenseModelAndKeepCanonicalForm) {
     }
     ASSERT_EQ(free.profile(), capacity);
   }
+}
+
+// ---------------------------------------------------------------------------
+// first_fit: the forward walk.
+// ---------------------------------------------------------------------------
+
+// Coverage floor: an answer this many segments past t0 is a long walk.
+constexpr std::size_t kLongWalk = 256;
+
+// Index of the segment containing t in a segments() list.
+std::size_t segment_index(const std::vector<StepProfile::Segment>& segments,
+                          Time t) {
+  const auto it = std::upper_bound(
+      segments.begin(), segments.end(), t,
+      [](Time x, const StepProfile::Segment& s) { return x < s.start; });
+  return static_cast<std::size_t>(it - segments.begin()) - 1;
+}
+
+// A capacity-m profile over [0, horizon) in one of two shapes, mirrored
+// into `model`: random short carves, or a train of deficient runs (each one
+// to three segments below m/2) separated by full-capacity holes of 1-8
+// ticks, so a wide job's first fit lies past hundreds of segments. Both get
+// a sprinkle of small carves that fragment the holes further.
+StepProfile fragmented_capacity(Prng& prng, ProcCount m, Time horizon,
+                                bool hole_train, DenseModel& model) {
+  StepProfile profile(m);
+  const auto add = [&](Time a, Time b, std::int64_t delta) {
+    profile.add(a, b, delta);
+    model.add(a, b, delta);
+  };
+  if (hole_train) {
+    Time x = prng.uniform_int(0, 64);
+    const Time train_end = horizon - prng.uniform_int(200, 800);
+    while (x < train_end) {
+      const int pieces = static_cast<int>(prng.uniform_int(1, 3));
+      for (int piece = 0; piece < pieces; ++piece) {
+        const Time d = prng.uniform_int(1, 6);
+        add(x, x + d, -prng.uniform_int(m - m / 2, m));
+        x += d;
+      }
+      x += prng.uniform_int(1, 8);  // the hole
+    }
+  }
+  const int carves = static_cast<int>(prng.uniform_int(150, 400));
+  for (int i = 0; i < carves; ++i) {
+    const Time a = prng.uniform_int(0, horizon - 2);
+    const Time b = std::min(a + prng.uniform_int(1, 12), horizon);
+    const std::int64_t room = profile.min_in(a, b);
+    if (room <= 0) continue;
+    add(a, b, -prng.uniform_int(1, std::min<std::int64_t>(room, 3)));
+  }
+  return profile;
+}
+
+TEST(PropIndexedProfile, FirstFitWalkMatchesDenseModel) {
+  constexpr Time kHorizon = 8192;
+  Prng prng(20261017);
+  int far = 0;             // answer lies more than kLongWalk segments out
+  int from_deficient = 0;  // search starts inside a deficient run
+  int from_last = 0;       // search starts inside the last segment
+  int on_breakpoint = 0;   // window ends on a breakpoint, deficient after
+  int never = 0;           // no fit at all (threshold above every value)
+  for (int round = 0; round < 24; ++round) {
+    const ProcCount m = prng.uniform_int(8, 40);
+    DenseModel model(kHorizon, m);
+    const StepProfile capacity =
+        fragmented_capacity(prng, m, kHorizon, round % 3 != 0, model);
+    const auto segments = capacity.segments();
+    ASSERT_GT(segments.size(), 300u) << "round " << round;
+    const auto random_segment = [&] {
+      return static_cast<std::size_t>(
+          prng.uniform_int(0, static_cast<std::int64_t>(segments.size()) - 2));
+    };
+    FreeProfile free(capacity);
+
+    for (int query = 0; query < 160; ++query) {
+      ProcCount q = prng.chance(0.6) ? prng.uniform_int(m - m / 2 + 1, m)
+                                     : prng.uniform_int(1, m);
+      Time p = prng.chance(0.15) ? prng.uniform_int(64, 400)
+                                 : prng.uniform_int(1, 48);
+      Time t0 = prng.uniform_int(0, kHorizon);
+      const double shape = prng.uniform_real();
+      if (shape < 0.2) {
+        // Start strictly inside (or at the left edge of) a deficient run.
+        for (int attempt = 0; attempt < 32; ++attempt) {
+          const std::size_t k = random_segment();
+          if (segments[k].value >= q) continue;
+          t0 = prng.uniform_int(segments[k].start, segments[k].end - 1);
+          break;
+        }
+      } else if (shape < 0.3) {
+        t0 = segments.back().start + prng.uniform_int(0, 50);
+      } else if (shape < 0.5) {
+        // A window that fits exactly from a segment start up to a later
+        // breakpoint, followed by a deficient segment when possible: the
+        // window's end must count as outside.
+        const std::size_t a = random_segment();
+        const std::size_t b = std::min(
+            segments.size() - 1,
+            a + static_cast<std::size_t>(prng.uniform_int(1, 300)));
+        p = segments[b].start - segments[a].start;
+        std::int64_t floor = segments[a].value;
+        for (std::size_t k = a; k < b; ++k)
+          floor = std::min(floor, segments[k].value);
+        q = std::max<std::int64_t>(floor, 1);
+        t0 = std::max<Time>(0, segments[a].start - prng.uniform_int(0, 40));
+      }
+      // A threshold above every value never fits.
+      const std::int64_t threshold = prng.chance(0.05) ? m + 1 : q;
+
+      const Time expected = model.first_fit(t0, p, threshold);
+      const Time got = capacity.first_fit(t0, p, threshold);
+      ASSERT_EQ(got, expected) << "round " << round << " query " << query
+                               << " t0=" << t0 << " p=" << p
+                               << " threshold=" << threshold;
+      if (threshold > m) {
+        ++never;
+        continue;
+      }
+      ASSERT_NE(got, kTimeInfinity);
+      ASSERT_EQ(free.earliest_fit(t0, q, p), got);
+      ASSERT_TRUE(got == t0 || capacity.value_at(got) >
+                                   capacity.value_at(got - 1))
+          << "neither t0 nor a capacity-increase breakpoint";
+
+      const std::size_t first = segment_index(segments, t0);
+      const std::size_t lo = segment_index(segments, got);
+      const std::size_t hi = segment_index(segments, got + p - 1);
+      if (lo - first > kLongWalk) ++far;
+      if (capacity.value_at(t0) < q) ++from_deficient;
+      if (first + 1 == segments.size()) ++from_last;
+      if (hi + 1 < segments.size() && segments[hi + 1].start == got + p &&
+          segments[hi + 1].value < q)
+        ++on_breakpoint;
+    }
+  }
+  EXPECT_GT(far, 500);
+  EXPECT_GT(from_deficient, 500);
+  EXPECT_GT(from_last, 150);
+  EXPECT_GT(on_breakpoint, 50);
+  EXPECT_GT(never, 100);
+}
+
+TEST(PropIndexedProfile, FirstFitSweepMatchesDenseModel) {
+  // 150 deficient runs with 5-tick holes ([0, 1500), 300 segments), a
+  // 200-tick region alternating 9/10 every tick (200 segments), one more
+  // deficient run at [1700, 1705), then 10 forever. Sweeping t0 over every
+  // tick puts the answer anywhere from t0 itself to 500 segments out, and
+  // p = 205 makes the fitting window end exactly on the breakpoint at 1700.
+  constexpr Time kHorizon = 2048;
+  DenseModel model(kHorizon, 10);
+  StepProfile profile(10);
+  const auto add = [&](Time a, Time b, std::int64_t delta) {
+    profile.add(a, b, delta);
+    model.add(a, b, delta);
+  };
+  for (Time t = 0; t < 1500; t += 10) add(t, t + 5, -10);
+  for (Time t = 1500; t < 1700; t += 2) add(t, t + 1, -1);
+  add(1700, 1705, -10);
+  ASSERT_GT(profile.segment_count(), 500u);
+  for (const std::int64_t q : {9, 10}) {
+    for (const Time p : {6, 150, 204, 205, 206}) {
+      for (Time t0 = 0; t0 <= 1720; ++t0) {
+        ASSERT_EQ(profile.first_fit(t0, p, q), model.first_fit(t0, p, q))
+            << "q=" << q << " p=" << p << " t0=" << t0;
+      }
+    }
+  }
+  EXPECT_EQ(profile.first_fit(0, 205, 9), 1495);
+  EXPECT_EQ(profile.first_fit(0, 206, 9), 1705);
+}
+
+TEST(PropIndexedProfile, FirstFitWalksWithoutBuildingTheIndex) {
+  // 1200 segments: far above kMinIndexedSegments, so any query that
+  // descended the index would build it. Period-8 pattern: 4 ticks at 10, then
+  // 4 ticks at 2 + (k % 3) -- deficient for q >= 5, with 4-tick holes.
+  // One 5-tick hole, [800, 805), sits 200 segments out.
+  StepProfile profile(10);
+  for (Time t = 0; t < 4800; t += 8)
+    profile.add(t + 4, t + 8, -8 + (t / 8) % 3);
+  profile.add(804, 805, 7);
+  ASSERT_GT(profile.segment_count(), 1000u);
+  ASSERT_EQ(profile.index_build_count(), 0u);
+
+  // Fits within the first hole, a few holes out, 200 segments out, or at a
+  // window that spans 200 segments but fits at t0 (low threshold).
+  EXPECT_EQ(profile.first_fit(0, 4, 5), 0);
+  EXPECT_EQ(profile.first_fit(1, 4, 5), 8);
+  EXPECT_EQ(profile.first_fit(2000, 3, 10), 2000);
+  EXPECT_EQ(profile.first_fit(0, 800, 2), 0);
+  // Threshold 3: only the every-third dips at 2 are deficient ([4, 8),
+  // [28, 32), ...). Start inside one, and a window ending exactly on one.
+  EXPECT_EQ(profile.first_fit(5, 8, 3), 8);
+  EXPECT_EQ(profile.first_fit(8, 20, 3), 8);
+  EXPECT_EQ(profile.first_fit(0, 5, 5), 800);
+  for (Time t0 = 1000; t0 < 3000; t0 += 7)
+    ASSERT_EQ(profile.first_fit(t0, 4, 10), t0 % 8 == 0 ? t0 : (t0 / 8 + 1) * 8)
+        << "t0=" << t0;
+  // Past the 5-tick hole, a 5-tick job's first fit lies after the
+  // pattern, ~1000 segments out.
+  EXPECT_EQ(profile.first_fit(801, 5, 5), 4800);
+  EXPECT_EQ(profile.index_build_count(), 0u)
+      << "first_fit built the segment-tree index";
 }
 
 // ---------------------------------------------------------------------------

@@ -1,17 +1,15 @@
 // R4 negative: resolved frames and token transfer.
 struct Plan {
   int commit_tentative(int t, int q);
-  void accept(int token);
+  void commit_fitted(int t, int q);
   void rollback(int token);
 };
 
 bool try_place(Plan& plan, int t, int q) {
   int token = plan.commit_tentative(t, q);
-  if (token < 0) {
-    plan.rollback(token);
-    return false;
-  }
-  plan.accept(token);
+  plan.rollback(token);
+  if (token < 0) return false;
+  plan.commit_fitted(t, q);
   return true;
 }
 

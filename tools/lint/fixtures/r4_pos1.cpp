@@ -1,7 +1,6 @@
 // R4 positive: a tentative frame that is never resolved in-function.
 struct Plan {
   int commit_tentative(int t, int q);
-  void accept(int token);
   void rollback(int token);
 };
 

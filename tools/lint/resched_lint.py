@@ -42,8 +42,9 @@ compiles:
                       // resched-lint: hot-path-alloc-audited(<why the budget holds>)
 
   R4 frame        every FreeProfile::commit_tentative() call must be paired
-     discipline   with accept()/rollback() in the same function (or the token
-                  returned to the caller). Annotate intentional exceptions:
+     discipline   with a rollback() in the same function (or the token
+                  returned to the caller); rollback is the only call that
+                  resolves a tentative frame. Annotate intentional exceptions:
                       // resched-lint: frame-audited(<reason>)
 
 Annotation grammar (also documented in BUILDING.md):
@@ -1329,15 +1330,15 @@ def scan_r3_body(toks, f, ann, relpath, path, findings):
 def rule_r4(toks, funcs, ann, relpath, findings):
     for f in funcs:
         lo, hi = f.body_start, f.body_end
-        has_accept = False
+        has_rollback = False
         commits = []
         for i in range(lo + 1, hi):
             t = toks[i]
             if t.kind != "id":
                 continue
             nxt = toks[i + 1].text if i + 1 < hi else ""
-            if t.text in ("accept", "rollback"):
-                has_accept = True
+            if t.text == "rollback":
+                has_rollback = True
             if t.text == "commit_tentative" and nxt == "(" and \
                     f.name != "commit_tentative":
                 # `return ...commit_tentative(...)` transfers the token.
@@ -1350,13 +1351,13 @@ def rule_r4(toks, funcs, ann, relpath, findings):
                 if not returned:
                     commits.append(t)
         for t in commits:
-            if has_accept:
+            if has_rollback:
                 continue
             if ann.suppressed("R4", t.line) or "R4" in f.annotations:
                 continue
             findings.append(Finding(
                 "R4", relpath, t.line, t.col, f.qualified,
-                "commit_tentative() without accept()/rollback() on any path "
+                "commit_tentative() without rollback() on any path "
                 "in this function; every tentative frame must be resolved "
                 "in-function or the CommitToken returned to the caller", ""))
 
