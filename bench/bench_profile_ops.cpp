@@ -91,8 +91,8 @@ void BM_ProfileFirstBelow(benchmark::State& state) {
 BENCHMARK(BM_ProfileFirstBelow)->Range(64, 16384);
 
 void BM_ProfileIntegral(benchmark::State& state) {
-  // Whole-horizon window: the regime where the pre-sum-index scan visited
-  // every segment (the /16384 profile holds ~22k of them).
+  // Whole-horizon window: the scan visits every segment (the /16384 profile
+  // holds ~22k of them).
   const StepProfile profile = busy_profile(state.range(0), 5);
   for (auto _ : state)
     benchmark::DoNotOptimize(profile.integral(0, 100'000));
@@ -154,11 +154,8 @@ BENCHMARK(BM_EarliestFitHoles)->Arg(8)->Arg(64)->Arg(512)->Arg(4096);
 void BM_BackfillChurn(benchmark::State& state) {
   // Branch-and-bound-shaped probe loop (exact/bnb.cpp's DFS): commit a
   // candidate tentatively, run a wide windowed query, backtrack. The undo
-  // log reverts in O(touched) and keeps the index snapshot warm -- the
-  // index_rebuilds counter stays at the single warm-up build no matter how
-  // many probes run.
+  // log reverts in O(touched).
   FreeProfile free(busy_profile(state.range(0), 6));
-  benchmark::DoNotOptimize(free.profile().min_in(0, 100'000));  // warm index
   Prng prng(21);
   std::uint64_t allocs = 0;
   std::uint64_t probes = 0;
@@ -173,8 +170,6 @@ void BM_BackfillChurn(benchmark::State& state) {
     allocs += alloc_count() - allocs_begin;
     ++probes;
   }
-  state.counters["index_rebuilds"] =
-      static_cast<double>(free.profile().index_build_count());
   // Steady-state commit/probe/rollback cycles should be allocation-free:
   // undo frames come from the spare pool, segment edits reuse capacity.
   state.counters["allocs_per_probe"] =

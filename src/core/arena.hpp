@@ -9,9 +9,9 @@
 //    residual std-container allocations are counted too (bench/alloc_hook.cpp).
 //    Instrumented sites allocate with std::malloc, which the global
 //    operator-new hook never sees, so a heap event is counted exactly once.
-//    The counter mirrors StepProfile::index_build_count(): cheap enough to
-//    sample around every decision, precise enough to assert "this decision
-//    performed zero heap allocations" in tests and CI.
+//    The counter is cheap enough to sample around every decision, and
+//    precise enough to assert "this decision performed zero heap
+//    allocations" in tests and CI.
 //
 //  * Arena -- a monotonic bump allocator with scope-reset semantics. One
 //    arena backs all transient allocations inside a single schedule()/

@@ -32,7 +32,7 @@ ProcCount FreeProfile::capacity_at(Time t) const {
 bool FreeProfile::fits_at(Time t, ProcCount q, Time p) const {
   RESCHED_REQUIRE(t >= 0 && q >= 1 && p > 0);
   // Equivalent to min_in(t, t+p) >= q, but bails out at the first deficient
-  // segment (and descends the index on wide windows).
+  // segment.
   return profile_.first_below(t, checked_add(t, p), q) == kTimeInfinity;
 }
 

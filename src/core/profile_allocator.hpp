@@ -28,19 +28,16 @@
 // pattern first-class: it subtracts the job and returns an opaque
 // CommitToken whose undo record (StepProfile's undo log) reverts the
 // allocation in O(touched segments) via rollback(token) -- no re-run of
-// add's split/coalesce path, no index-snapshot drop, no budget drain, so
-// arbitrarily deep or long DFS probe loops never trigger an O(s) index
-// rebuild. Tokens are strictly nested (LIFO), which is exactly the shape
-// depth-first backtracking produces; rolling back any token but the newest
-// open one trips RESCHED_CHECK. (EASY's backfill test needs no tentative
+// add's split/coalesce path, so arbitrarily deep or long DFS probe loops
+// pay only for the segments they touch. Tokens are strictly nested (LIFO),
+// which is exactly the shape depth-first backtracking produces; rolling back
+// any token but the newest open one trips RESCHED_CHECK. (EASY's backfill test needs no tentative
 // commit: it reads the uncommitted profile, see algorithms/easy_bf.cpp.)
 //
-// Complexity: fits_at is O(log s) on fragmented profiles through
-// StepProfile's lazily built min/max segment-tree index. earliest_fit is one
-// forward walk over the profile (StepProfile::first_fit) that visits each
-// segment between t0 and the answer's window end once, O(1) per segment;
-// it needs no index, so a placement right after a commit never waits on
-// an index rebuild.
+// Complexity: fits_at is an O(window) scan that stops at the first deficient
+// segment. earliest_fit is one forward walk over the profile
+// (StepProfile::first_fit) that visits each segment between t0 and the
+// answer's window end once, O(1) per segment.
 //
 // ## Versioned plans (checkpoint / rewind -- the incremental-replan substrate)
 //
@@ -59,12 +56,11 @@
 //                              while planning is therefore on the frame
 //                              stack.
 //   rewind_to(checkpoint)   -- rolls the frame stack back to the checkpoint
-//                              depth, newest-first, in O(touched) per frame
-//                              with the query index kept warm (invariant I6
-//                              in step_profile.hpp): the whole plan suffix is
-//                              invalidated without an O(s) rebuild. Verifies
-//                              through the profile version that nothing but
-//                              frames mutated since the checkpoint.
+//                              depth, newest-first, in O(touched) per frame:
+//                              the whole plan suffix is invalidated without
+//                              rebuilding the profile. Verifies through the
+//                              profile version that nothing but frames
+//                              mutated since the checkpoint.
 //
 // Permanent world changes (a job actually starting, churn: cancellations
 // freeing capacity, availability drops, reservation moves) go through
@@ -146,9 +142,7 @@ class FreeProfile {
   [[nodiscard]] CommitToken commit_tentative(Time t, ProcCount q, Time p);
 
   // Reverts the newest open tentative commit, which must be the one the
-  // token names (RESCHED_CHECK otherwise). O(touched segments); never
-  // drops or rebuilds the profile's query index (invariant I6 in
-  // step_profile.hpp).
+  // token names (RESCHED_CHECK otherwise). O(touched segments).
   void rollback(CommitToken&& token);
 
   // O(1) snapshot of the plan frontier; see the header notes. A checkpoint
@@ -166,10 +160,10 @@ class FreeProfile {
 
   // Rolls the frame stack back to the checkpoint's depth, newest-first
   // (retained plan frames included), leaving the profile bit-identical
-  // to its checkpoint state with the query index warm. Trips RESCHED_CHECK
-  // if any permanent mutation (adjust_capacity, non-retained commit,
-  // compact_history) happened since the checkpoint -- those cannot be
-  // rewound -- or if the stack is already below the checkpoint depth.
+  // to its checkpoint state. Trips RESCHED_CHECK if any permanent mutation
+  // (adjust_capacity, non-retained commit, compact_history) happened since
+  // the checkpoint -- those cannot be rewound -- or if the stack is already
+  // below the checkpoint depth.
   void rewind_to(const Checkpoint& checkpoint);
 
   // Plan-recording mode: while on, commit_fitted() opens a recorded frame

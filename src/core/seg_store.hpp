@@ -6,9 +6,8 @@
 //
 //  * SoA -- the profile hot paths are asymmetric: binary searches
 //    (index_of, rollback's lower_bound) touch only starts, while the
-//    scan-heavy leaf walks of the windowed queries and the index rebuild
-//    stream only values. Splitting the arrays halves the cache traffic of
-//    both, and build_index's breakpoint snapshot becomes one memcpy.
+//    scan-heavy walks of the windowed queries stream mostly values.
+//    Splitting the arrays halves the cache traffic of both.
 //  * SBO -- profiles of up to kInlineSegments segments live entirely inside
 //    the object: the thousands of short-lived profiles churn repair and
 //    backfill probes create never touch the heap. The inline capacity was
@@ -161,8 +160,8 @@ class SegStore {
         std::lower_bound(times_, times_ + size_, t) - times_);
   }
 
-  // Heap blocks this store has allocated (diagnostic; mirrors
-  // index_build_count's semantics: copies start at zero, moves carry it).
+  // Heap blocks this store has allocated (diagnostic: copies start at zero,
+  // moves carry it).
   [[nodiscard]] std::uint64_t alloc_count() const noexcept { return allocs_; }
 
   friend bool operator==(const SegStore& a, const SegStore& b) noexcept {

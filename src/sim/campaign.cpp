@@ -100,7 +100,7 @@ CampaignResult run_campaign(const InstanceGenerator& generator,
   // under that instance's once_flag while workers on other indices keep
   // scheduling, so generation overlaps the task phase instead of
   // serializing ahead of it. Later tasks on i read the one built instance
-  // const-shared, which StepProfile's snapshot index makes safe (I5).
+  // const-shared, which is safe because const reads mutate nothing.
   // call_once's "turns" semantics also keep a throwing generator exact:
   // the flag stays unset and the exception aborts the campaign as before.
   // Determinism is untouched -- the instance is a pure function of

@@ -21,11 +21,11 @@
 //     afterwards in (scheduler, instance) order.
 //
 // Sharing is safe because every read of a generated instance is const, and
-// the one lazily cached structure underneath it (StepProfile's query index)
-// publishes itself as an atomically installed snapshot -- invariant I5 in
-// core/step_profile.hpp. Regeneration is kept as the default only because
-// it is the seed behavior; share_instances skips instances-x-schedulers
-// redundant generator runs and is the mode to use at production scale.
+// const reads touch no mutable state: StepProfile, the structure underneath
+// it, holds no cache (core/step_profile.hpp). Regeneration is kept as the
+// default only because it is the seed behavior; share_instances skips
+// instances-x-schedulers redundant generator runs and is the mode to use at
+// production scale.
 //
 // Domain handling: schedulers report out-of-domain instances through the
 // typed DomainError arm of ScheduleOutcome, which the runner counts per

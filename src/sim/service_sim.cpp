@@ -382,9 +382,7 @@ class ServiceLoop {
 
   // ---- planning ----------------------------------------------------------
 
-  // Coalesce dead plan history behind the clock and re-warm the query
-  // index (compact_history drops it; the throwaway probe rebuilds it here
-  // so no timed decision pays the rebuild). Callers gate the cadence.
+  // Coalesce dead plan history behind the clock. Callers gate the cadence.
   void compact_now(Time now) {
     last_compact_ = now;
     completions_since_compact_ = 0;
@@ -393,7 +391,6 @@ class ServiceLoop {
       ++result_.history_compactions;
       result_.compacted_segments += removed;
     }
-    static_cast<void>(free_.profile().min_in(now, checked_add(now, 1)));
   }
 
   [[nodiscard]] bool compact_due(Time now, Time threshold) const {
@@ -413,8 +410,8 @@ class ServiceLoop {
   }
 
   // Rewind the retained plan's frames off the persistent profile
-  // (O(touched), index stays warm) and forget its starts. Called whenever
-  // an event invalidates the plan suffix: a churn mutation (it needs the
+  // (O(touched)) and forget its starts. Called whenever an event
+  // invalidates the plan suffix: a churn mutation (it needs the
   // empty stack for adjust_capacity and changes what a re-solve would
   // produce), a queue edit, or the periodic compaction rebase. Jobs that
   // started *under* the plan were living inside their plan frames; the
@@ -464,8 +461,8 @@ class ServiceLoop {
   // Incremental path: plan directly on the persistent absolute-time
   // profile. Append-capable schedulers keep their plan frames open across
   // decisions and replan only the arrived suffix; the rest replan the
-  // window each decision (checkpoint -> replan -> rewind, index kept
-  // warm). Returned starts are absolute and aligned with the window.
+  // window each decision (checkpoint -> replan -> rewind). Returned starts
+  // are absolute and aligned with the window.
   const std::vector<Time>& plan_incremental(Time now, std::size_t k) {
     // The retained plan survives starts and completions outright; settle()
     // rebases it (drop + compact, after the latency sample) once the

@@ -119,35 +119,6 @@ TEST(FreeProfile, TokensResolveNewestFirst) {
   EXPECT_THROW(free.rollback(std::move(second)), std::logic_error);
 }
 
-TEST(FreeProfile, TentativeProbeLoopNeverRebuildsTheIndex) {
-  // The acceptance criterion of the undo log: a tentative probe sequence
-  // (commit -> wide windowed probe -> rollback) leaves the query-index
-  // snapshot installed and its rebuild budget intact, so even far more
-  // pairs than the budget trigger zero further O(s) rebuilds. Before the
-  // undo log, each pair burned two budget units and the loop below would
-  // rebuild hundreds of times.
-  StepProfile capacity(64);
-  for (Time t = 0; t < 6000; t += 10) capacity.add(t, t + 5, -(1 + (t / 10) % 3));
-  FreeProfile free(capacity);
-  ASSERT_GT(free.profile().segment_count(), 256u);
-  // Warm the index with one wide probe.
-  ASSERT_TRUE(free.fits_at(0, 1, 7000));
-  const std::uint64_t builds_after_warmup = free.profile().index_build_count();
-  Prng prng(2026);
-  for (int probe = 0; probe < 4000; ++probe) {
-    const Time t = prng.uniform_int(0, 5000);
-    const ProcCount q = prng.uniform_int(1, 32);
-    const Time p = prng.uniform_int(1, 200);
-    if (!free.fits_at(t, q, p)) continue;
-    FreeProfile::CommitToken token = free.commit_tentative(t, q, p);
-    // Wide probe through the indexed descent (the head-reservation check).
-    (void)free.fits_at(0, 1, 7000);
-    free.rollback(std::move(token));
-  }
-  EXPECT_EQ(free.profile().index_build_count(), builds_after_warmup)
-      << "tentative probes must not drop or rebuild the index snapshot";
-}
-
 TEST(FreeProfile, ForInstanceUsesAvailability) {
   const Instance instance(6, {Job{0, 1, 1, 0, ""}},
                           {Reservation{0, 4, 5, 2, ""}});

@@ -1,15 +1,14 @@
-// Differential fuzz suite for the segment-tree-indexed StepProfile and the
-// FreeProfile built on top of it.
+// Differential fuzz suite for StepProfile and FreeProfile on wide,
+// fragmented profiles.
 //
-// The index (step_profile.hpp, invariants I1-I5) only engages on windows
-// spanning more than kIndexedLeafCutoff segments, so unlike
-// test_prop_step_profile (horizon 96) this suite drives profiles with many
-// hundreds of segments: every query here exercises the lazily built tree,
-// its incremental lazy range-adds, boundary-leaf recomputes and
-// budget-triggered rebuilds against a naive dense-array model.
+// Unlike test_prop_step_profile (horizon 96), this suite drives profiles
+// with many hundreds of segments and windows spanning hundreds of them, and
+// checks every windowed query (min_in, max_in, first_below, first_at_least,
+// first_fit, integral, time_to_accumulate) against a naive dense-array
+// model after every mutation.
 //
-// Also re-asserts the candidate-start lemma of profile_allocator.hpp on the
-// indexed path, checks canonical form after every commit/rollback
+// Also re-asserts the candidate-start lemma of profile_allocator.hpp on
+// fragmented profiles, checks canonical form after every commit/rollback
 // interleaving, and pins the strong exception guarantee of add(): an
 // overflow mid-window must leave the profile untouched (the seed
 // implementation applied partial deltas and left equal-value neighbours
@@ -127,7 +126,7 @@ class DenseModel {
 
 // Segment-walk reference for time_to_accumulate: replays the documented
 // positive-rate accumulation over the public segment list, independent of
-// the sum-augmented index (and of the hybrid scan/descent dispatch).
+// StepProfile's own scan.
 Time ref_time_to_accumulate(const StepProfile& profile, Time from,
                             std::int64_t target) {
   if (target == 0) return from;
@@ -148,7 +147,7 @@ Time ref_time_to_accumulate(const StepProfile& profile, Time from,
 }
 
 // ---------------------------------------------------------------------------
-// StepProfile at index scale.
+// StepProfile on wide, fragmented profiles.
 // ---------------------------------------------------------------------------
 
 TEST(PropIndexedProfile, WideProfilesMatchDenseModelThroughIncrementalIndex) {
@@ -169,9 +168,8 @@ TEST(PropIndexedProfile, WideProfilesMatchDenseModelThroughIncrementalIndex) {
       profile.add(a, b, delta);
       model.add(a, b, delta);
 
-      // One wide query (spans hundreds of segments -> tree descent) and one
-      // narrow query (bounded scan) per mutation, so every intermediate
-      // index state is checked.
+      // One wide query (spans hundreds of segments) and one narrow query
+      // per mutation, so every intermediate profile is checked.
       {
         const Time f = prng.uniform_int(0, kHorizon / 4);
         const Time t = prng.uniform_int(3 * kHorizon / 4, kHorizon + 64);
@@ -184,10 +182,8 @@ TEST(PropIndexedProfile, WideProfilesMatchDenseModelThroughIncrementalIndex) {
             << "round " << round << " op " << op << " thr " << threshold;
         ASSERT_EQ(profile.first_at_least(f, threshold),
                   model.first_at_least(f, threshold));
-        // Sum-augmented paths: wide integral = tree range-sum with scanned
-        // boundary leaves; time_to_accumulate = positive-rate descent
-        // (values here go negative, exercising the expand-on-negative
-        // branch alongside the O(log s) skips).
+        // Area queries over wide windows (values here go negative, so
+        // time_to_accumulate must skip non-positive-rate stretches).
         ASSERT_EQ(profile.integral(f, t), model.integral(f, t))
             << "round " << round << " op " << op;
         const std::int64_t target = prng.uniform_int(0, 4000);
@@ -206,7 +202,7 @@ TEST(PropIndexedProfile, WideProfilesMatchDenseModelThroughIncrementalIndex) {
       }
     }
     ASSERT_GT(profile.segment_count(), 256u)
-        << "fuzz profile too small to exercise the index";
+        << "fuzz profile too small to exercise wide windows";
     ASSERT_NO_FATAL_FAILURE(ExpectCanonical(profile));
     for (Time t = 0; t <= kHorizon + 2; ++t)
       ASSERT_EQ(profile.value_at(t), model.value_at(t)) << "at t=" << t;
@@ -239,20 +235,12 @@ TEST(PropIndexedProfile, MinMaxInUnboundedWindowsMatchOnIndexedProfiles) {
 }
 
 TEST(PropIndexedProfile, FirstAtLeastInsideLastSnapshotLeafWithLongTail) {
-  // Regression: with a valid index, query from a point strictly inside the
-  // *last* snapshot leaf while more than kIndexedLeafCutoff real segments
-  // follow it (incremental adds split far beyond the last snapshot
-  // breakpoint). The first implementation read index_.times[lo_leaf + 1]
-  // one past the end here (caught by ASan); the clipped scan must instead
-  // treat the last leaf as unbounded.
+  // Query from far inside a fragmented profile while hundreds of segments
+  // follow the start point: the answer lies hundreds of segments out, and the
+  // search must run to the end of the function when nothing qualifies.
   StepProfile profile(1000);
-  // ~600 segments in [0, 6000] -> rebuild budget of ~600 incremental adds.
   for (Time t = 0; t < 6000; t += 10) profile.add(t, t + 5, 1 + (t / 10) % 3);
-  // Build the index with a wide query.
-  (void)profile.min_in(0, kTimeInfinity);
-  // ~580 incremental adds entirely inside the last snapshot leaf
-  // [6000, +inf): each is a boundary-partial update, staying within budget,
-  // so the index remains valid while the tail grows far beyond the snapshot.
+  // ~580 more segment pairs in the tail [6100, 12000).
   for (Time t = 6100; t < 12000; t += 10) profile.add(t, t + 5, (t / 10) % 5);
   // The only capacity >= 1006 in the tail sits at t = 11990..11995
   // (1000 + 4 is the max of the periodic bumps; add a distinct spike).
@@ -274,17 +262,15 @@ TEST(PropIndexedProfile, FirstAtLeastInsideLastSnapshotLeafWithLongTail) {
 }
 
 TEST(PropIndexedProfile, TimeToAccumulateClampsThroughTheIndexedDescent) {
-  // The kTimeInfinity clamp lived only in the linear walk before the sum
-  // augmentation; this pins it on the tree path: several hundred segments
-  // force the descent, and the rate-1 tail makes near-ceiling targets land
-  // "past any horizon".
+  // Pins the kTimeInfinity clamp after a long fragmented prefix: several
+  // hundred segments precede a rate-1 tail on which near-ceiling targets
+  // land "past any horizon".
   StepProfile profile(0);
   for (Time t = 0; t < 4000; t += 10) profile.add(t, t + 5, 1 + (t / 10) % 3);
   profile.add(4000, kTimeInfinity, 1);
-  (void)profile.min_in(0, kTimeInfinity);  // build the index
   ASSERT_GT(profile.segment_count(), 256u);
 
-  // Finite crossing just past the fragmented prefix, through descent + tail.
+  // Finite crossing just past the fragmented prefix.
   const std::int64_t prefix_area = profile.integral(0, 4000);
   EXPECT_EQ(profile.time_to_accumulate(0, prefix_area + 7), 4007);
   // Near-ceiling target over the rate-1 tail: clamps instead of overflowing.
@@ -307,11 +293,10 @@ TEST(PropIndexedProfile, TimeToAccumulateClampsThroughTheIndexedDescent) {
 }
 
 TEST(PropIndexedProfile, IntegralOverflowStillThrowsOnIndexedProfiles) {
-  // Wide windows go through the 128-bit range sum; results that do not fit
-  // int64 must still surface as std::overflow_error, profile intact.
+  // Wide windows accumulate in 128 bits; results that do not fit int64
+  // must still surface as std::overflow_error, profile intact.
   StepProfile profile(1'000'000'000'000ll);  // 1e12 per tick
   for (Time t = 0; t < 4000; t += 10) profile.add(t, t + 5, (t / 10) % 7);
-  (void)profile.min_in(0, kTimeInfinity);
   ASSERT_GT(profile.segment_count(), 256u);
   std::int64_t expected = 0;
   for (const auto& segment : profile.segments_in(0, 4000))
@@ -345,7 +330,7 @@ TEST(PropIndexedProfile, OverflowMidWindowLeavesProfileUntouchedAndCanonical) {
 }
 
 // ---------------------------------------------------------------------------
-// FreeProfile differential fuzz on fragmented (indexed) capacity profiles.
+// FreeProfile differential fuzz on fragmented capacity profiles.
 // ---------------------------------------------------------------------------
 
 TEST(PropIndexedProfile, FreeProfileOpsMatchDenseModelAndKeepCanonicalForm) {
@@ -397,7 +382,7 @@ TEST(PropIndexedProfile, FreeProfileOpsMatchDenseModelAndKeepCanonicalForm) {
         }
         ASSERT_EQ(t, brute) << "t0=" << t0 << " q=" << q << " p=" << p;
         ASSERT_LT(t + p, kModelSpan) << "fuzz outgrew the dense model";
-        // Candidate-start lemma on the indexed path.
+        // Candidate-start lemma on fragmented profiles.
         ASSERT_TRUE(t == t0 ||
                     free.profile().value_at(t) >
                         free.profile().value_at(t - 1))
@@ -612,16 +597,14 @@ TEST(PropIndexedProfile, FirstFitSweepMatchesDenseModel) {
 }
 
 TEST(PropIndexedProfile, FirstFitWalksWithoutBuildingTheIndex) {
-  // 1200 segments: far above kMinIndexedSegments, so any query that
-  // descended the index would build it. Period-8 pattern: 4 ticks at 10, then
-  // 4 ticks at 2 + (k % 3) -- deficient for q >= 5, with 4-tick holes.
+  // 1200 segments. Period-8 pattern: 4 ticks at 10, then 4 ticks at
+  // 2 + (k % 3) -- deficient for q >= 5, with 4-tick holes.
   // One 5-tick hole, [800, 805), sits 200 segments out.
   StepProfile profile(10);
   for (Time t = 0; t < 4800; t += 8)
     profile.add(t + 4, t + 8, -8 + (t / 8) % 3);
   profile.add(804, 805, 7);
   ASSERT_GT(profile.segment_count(), 1000u);
-  ASSERT_EQ(profile.index_build_count(), 0u);
 
   // Fits within the first hole, a few holes out, 200 segments out, or at a
   // window that spans 200 segments but fits at t0 (low threshold).
@@ -640,13 +623,11 @@ TEST(PropIndexedProfile, FirstFitWalksWithoutBuildingTheIndex) {
   // Past the 5-tick hole, a 5-tick job's first fit lies after the
   // pattern, ~1000 segments out.
   EXPECT_EQ(profile.first_fit(801, 5, 5), 4800);
-  EXPECT_EQ(profile.index_build_count(), 0u)
-      << "first_fit built the segment-tree index";
 }
 
 // ---------------------------------------------------------------------------
 // Undo log: recorded add -> rollback differential fuzz vs a never-touched
-// twin (segments AND observable index answers must come back bit-identical).
+// twin (segments AND every query answer must come back bit-identical).
 // ---------------------------------------------------------------------------
 
 TEST(PropIndexedProfile, RecordedAddRollbackMatchesNeverTouchedTwin) {
@@ -667,7 +648,6 @@ TEST(PropIndexedProfile, RecordedAddRollbackMatchesNeverTouchedTwin) {
       model.add(a, b, delta);
     }
     ASSERT_GT(subject.segment_count(), 256u);
-    // Build both indexes before the probe episodes begin.
     ASSERT_EQ(subject.min_in(0, kTimeInfinity), twin.min_in(0, kTimeInfinity));
 
     const auto expect_observably_identical = [&](int episode) {
@@ -718,8 +698,7 @@ TEST(PropIndexedProfile, RecordedAddRollbackMatchesNeverTouchedTwin) {
         ASSERT_EQ(rec.undo.live(), rec.delta != 0);
         stack.push_back(std::move(rec));
 
-        // Wide query: exercises (and mid-sequence rebuilds, if a drop ever
-        // happened) the index while tentative state is live.
+        // Wide query while tentative state is live.
         const Time f = prng.uniform_int(0, kHorizon / 2);
         const Time t = prng.uniform_int(3 * kHorizon / 4, kHorizon + 64);
         ASSERT_EQ(subject.min_in(f, t), model.min_in(f, t))
@@ -741,10 +720,6 @@ TEST(PropIndexedProfile, RecordedAddRollbackMatchesNeverTouchedTwin) {
       }
     }
     ASSERT_NO_FATAL_FAILURE(expect_observably_identical(-1));
-    // The whole fuzz ran on warm snapshots: recorded add/rollback pairs are
-    // budget-neutral, so the subject rebuilt its index no more often than
-    // the untouched twin built its one.
-    EXPECT_LE(subject.index_build_count(), twin.index_build_count() + 1);
   }
 }
 

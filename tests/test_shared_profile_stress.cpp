@@ -1,20 +1,17 @@
-// Shared-const-read stress: invariant I5 of core/step_profile.hpp.
+// Shared-const-read stress: many threads read ONE const StepProfile (and
+// one const Instance through the whole scheduler stack) concurrently.
 //
-// Many threads hammer ONE const StepProfile (and one const Instance through
-// the whole scheduler stack) at index scale. Before the atomic-snapshot
-// index this was undefined behavior -- every windowed query could race on
-// the lazily built cache -- and CampaignRunner had to regenerate instances
-// per task to sidestep it. These tests are the ThreadSanitizer targets of
-// the CI tsan job: correctness is asserted here (every thread must see the
-// single-threaded reference answers), and TSan asserts the absence of data
-// races in the same run.
+// StepProfile holds no cache, so its const queries touch no mutable state
+// and concurrent reads need no synchronization (core/step_profile.hpp).
+// CampaignRunner's share_instances mode relies on exactly that. These tests
+// are the ThreadSanitizer targets of the CI tsan job: correctness is
+// asserted here (every thread must see the single-threaded reference
+// answers), and TSan asserts that the reads share no mutable state in the
+// same run -- a cache added to the profile later without synchronization
+// would fail here.
 //
 // Query mix: min_in / max_in / first_below / first_at_least / integral /
-// time_to_accumulate -- every public read that can touch the segment-tree
-// snapshot, with windows wide enough (> kIndexedLeafCutoff segments) that
-// the indexed descent, not the bounded scan, answers them. The profile is
-// left index-less before the threads start, so all of them race to build
-// and install the first snapshot (the compare-exchange path).
+// time_to_accumulate over windows spanning thousands of segments.
 #include "core/step_profile.hpp"
 
 #include <gtest/gtest.h>
@@ -39,9 +36,8 @@ constexpr std::size_t kThreads = 8;
 StepProfile fragmented_profile() {
   StepProfile profile(64);
   Prng prng(20260726);
-  // ~2000 windowed adds produce thousands of segments over [0, 200k) --
-  // far past kMinIndexedSegments, with plenty of room for windows spanning
-  // more than kIndexedLeafCutoff (256) segments.
+  // ~2000 windowed adds produce thousands of segments over [0, 200k), with
+  // plenty of room for windows spanning hundreds of them.
   for (int i = 0; i < 2000; ++i) {
     const Time from = prng.uniform_int(0, 200000);
     const Time to = from + prng.uniform_int(1, 800);
@@ -74,14 +70,14 @@ TEST(SharedProfileStress, EightThreadsHammerOneConstProfile) {
   for (int i = 0; i < 64; ++i) {
     Query q{};
     q.from = prng.uniform_int(0, 150000);
-    q.to = q.from + prng.uniform_int(50000, 120000);  // wide: indexed path
+    q.to = q.from + prng.uniform_int(50000, 120000);  // wide windows
     q.threshold = prng.uniform_int(58, 70);
     q.target = prng.uniform_int(1, 1 << 20);
     queries.push_back(q);
   }
 
-  // Reference answers from a private copy (copies drop the index cache, so
-  // this neither builds nor reuses the shared object's snapshot).
+  // Reference answers from a private copy, computed before any thread
+  // starts.
   const StepProfile reference = profile;
   std::vector<Expected> expected;
   expected.reserve(queries.size());
@@ -93,8 +89,7 @@ TEST(SharedProfileStress, EightThreadsHammerOneConstProfile) {
         reference.integral(q.from, q.to),
         reference.time_to_accumulate(q.from, q.target)});
 
-  // The shared object still has no index: all threads race to build and
-  // install the first snapshot, then keep reading it concurrently.
+  // All threads start together and read the shared object concurrently.
   std::atomic<int> mismatches{0};
   std::atomic<bool> start{false};
   std::vector<std::thread> pool;
@@ -103,8 +98,8 @@ TEST(SharedProfileStress, EightThreadsHammerOneConstProfile) {
     pool.emplace_back([&, t] {
       while (!start.load(std::memory_order_acquire)) {}
       for (int round = 0; round < 3; ++round) {
-        // Distinct per-thread phase so threads disagree about which query
-        // triggers the first descent.
+        // Distinct per-thread phase so threads read different windows at
+        // the same moment.
         for (std::size_t k = 0; k < queries.size(); ++k) {
           const std::size_t idx = (k + t * 7 + static_cast<std::size_t>(
                                                    round)) % queries.size();
@@ -130,7 +125,7 @@ TEST(SharedProfileStress, EightThreadsHammerOneConstProfile) {
 
 TEST(SharedProfileStress, MutationAfterSharedReadsStaysCoherent) {
   StepProfile profile = fragmented_profile();
-  // Concurrent const reads build + install the snapshot...
+  // Concurrent const reads...
   {
     std::vector<std::thread> pool;
     for (std::size_t t = 0; t < kThreads; ++t)
@@ -138,10 +133,10 @@ TEST(SharedProfileStress, MutationAfterSharedReadsStaysCoherent) {
           [&] { (void)profile.min_in(0, 180000); });
     for (std::thread& thread : pool) thread.join();
   }
-  // ...then exclusive mutation patches or drops it, and subsequent queries
-  // must see the new function exactly.
+  // ...then an exclusive mutation, after which queries must see the new
+  // function exactly.
   profile.add(1000, 90000, 5);
-  const StepProfile reference = profile;  // index-less copy
+  const StepProfile reference = profile;
   EXPECT_EQ(profile.min_in(500, 175000), reference.min_in(500, 175000));
   EXPECT_EQ(profile.integral(500, 175000), reference.integral(500, 175000));
 }
