@@ -4,8 +4,9 @@
 // prints sustained throughput plus the saturation knee -- the per-PR
 // "heavy traffic" curve the ROADMAP north star asks for. The benchmark
 // section times single service steps below and above the knee, on both
-// planning paths (incremental suffix repair vs per-decision scratch
-// rebuild) and under churn, and exports the sustained rate, decision
+// planning paths (incremental -- append-only suffix repair for
+// conservative, decision-only passes at now for easy and lsrc -- vs
+// per-decision scratch rebuild) and under churn, and exports the sustained rate, decision
 // counts, decision-latency p99 and the incremental-path counters
 // (suffix length replanned, frames rewound) so BENCH_service.json tracks
 // harness cost, scheduler capacity and the incremental speedup across PRs.
@@ -49,7 +50,7 @@ void print_tables() {
       "Open-loop stepped-rate service (m = 32, phases 50/250/50, seed 42): "
       "sustained jobs/kilotick per offered rate and the saturation knee -- "
       "the first step whose queue growth diverges.");
-  for (const char* name : {"easy", "conservative", "fcfs"}) {
+  for (const char* name : {"easy", "conservative", "fcfs", "lsrc"}) {
     const auto scheduler = make_scheduler(name);
     const ServiceSweepResult sweep = run_service_sweep(
         *scheduler, bench_load(), kSeed, 100.0, 700.0, bench_config());
@@ -96,7 +97,7 @@ class ScratchOnly final : public Scheduler {
 
 // One full service step at a fixed offered rate; counters export the
 // deterministic aggregates next to the wall-clock timing. `incremental`
-// selects the planning path (suffix repair on the persistent profile vs
+// selects the planning path (replan() on the persistent profile vs
 // per-decision scratch rebuild through ScratchOnly) and `churn_rate`
 // enables the deterministic churn stream.
 void BM_ServiceStep(benchmark::State& state, const char* scheduler_name,
@@ -189,12 +190,22 @@ BENCHMARK_CAPTURE(BM_ServiceStep, conservative_saturated, "conservative",
 BENCHMARK_CAPTURE(BM_ServiceStep, conservative_saturated_scratch,
                   "conservative", 700.0, false, 0.0)
     ->Unit(benchmark::kMillisecond);
+// The paper's list scheduler (LSRC, submission order) as a service.
+BENCHMARK_CAPTURE(BM_ServiceStep, lsrc_subsat, "lsrc", 200.0, true, 0.0)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ServiceStep, lsrc_subsat_scratch, "lsrc", 200.0, false,
+                  0.0)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ServiceStep, lsrc_saturated, "lsrc", 700.0, true, 0.0)
+    ->Unit(benchmark::kMillisecond);
 // Churn-heavy step: cancellations, availability drops and window moves at
 // 30 events/kilotick on the incremental path.
 BENCHMARK_CAPTURE(BM_ServiceStep, easy_churn, "easy", 300.0, true, 30.0)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ServiceStep, conservative_churn, "conservative", 300.0,
                   true, 30.0)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ServiceStep, lsrc_churn, "lsrc", 300.0, true, 30.0)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ServiceKnee, easy, "easy")
     ->Unit(benchmark::kMillisecond);

@@ -19,8 +19,10 @@ class EasyBackfillScheduler final : public Scheduler {
   // Unrestricted domain: the outcome is always a schedule.
   [[nodiscard]] ScheduleOutcome schedule(
       const Instance& instance) const override;
-  // Incremental path: the same event loop run against a persistent
-  // absolute-time profile (see ReplanRequest in scheduler.hpp).
+  // Decision-only incremental path (see ReplanRequest in scheduler.hpp):
+  // the batch loop's pass run once, at now, against the service's
+  // persistent absolute-time profile. It commits and returns only the jobs
+  // starting now; the rest stay unscheduled for the next event.
   [[nodiscard]] Schedule replan(const ReplanRequest& request) const override;
   [[nodiscard]] std::string name() const override { return "easy"; }
   [[nodiscard]] Capabilities capabilities() const override {

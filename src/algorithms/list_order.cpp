@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
 
 #include "util/prng.hpp"
 #include "util/require.hpp"
@@ -34,45 +35,34 @@ std::vector<ListOrder> all_list_orders() {
           ListOrder::kMaxArea,    ListOrder::kMinArea, ListOrder::kRandom};
 }
 
+std::int64_t list_key(ListOrder order, const Job& job) {
+  switch (order) {
+    case ListOrder::kSubmission: return 0;
+    case ListOrder::kLpt: return -job.p;
+    case ListOrder::kSpt: return job.p;
+    case ListOrder::kWidest: return -job.q;
+    case ListOrder::kNarrowest: return job.q;
+    case ListOrder::kMaxArea: return -job.area();
+    case ListOrder::kMinArea: return job.area();
+    case ListOrder::kRandom: break;
+  }
+  throw std::invalid_argument("list order has no sort key: " +
+                              to_string(order));
+}
+
 std::vector<JobId> make_list(const Instance& instance, ListOrder order,
                              std::uint64_t seed) {
   std::vector<JobId> ids(instance.n());
   std::iota(ids.begin(), ids.end(), JobId{0});
-
-  const auto& jobs = instance.jobs();
-  auto by = [&](auto key) {
+  if (order == ListOrder::kRandom) {
+    Prng prng(seed);
+    prng.shuffle(ids);
+  } else if (order != ListOrder::kSubmission) {
+    const auto& jobs = instance.jobs();
     std::stable_sort(ids.begin(), ids.end(), [&](JobId a, JobId b) {
-      return key(jobs[static_cast<std::size_t>(a)]) <
-             key(jobs[static_cast<std::size_t>(b)]);
+      return list_key(order, jobs[static_cast<std::size_t>(a)]) <
+             list_key(order, jobs[static_cast<std::size_t>(b)]);
     });
-  };
-
-  switch (order) {
-    case ListOrder::kSubmission:
-      break;
-    case ListOrder::kLpt:
-      by([](const Job& j) { return -j.p; });
-      break;
-    case ListOrder::kSpt:
-      by([](const Job& j) { return j.p; });
-      break;
-    case ListOrder::kWidest:
-      by([](const Job& j) { return -j.q; });
-      break;
-    case ListOrder::kNarrowest:
-      by([](const Job& j) { return j.q; });
-      break;
-    case ListOrder::kMaxArea:
-      by([](const Job& j) { return -j.area(); });
-      break;
-    case ListOrder::kMinArea:
-      by([](const Job& j) { return j.area(); });
-      break;
-    case ListOrder::kRandom: {
-      Prng prng(seed);
-      prng.shuffle(ids);
-      break;
-    }
   }
   return ids;
 }

@@ -37,4 +37,8 @@ enum class ListOrder {
                                            ListOrder order,
                                            std::uint64_t seed = 0);
 
+// Sort key of a deterministic order: make_list lists the jobs by ascending
+// (list_key(order, job), id). Requires order != kRandom.
+[[nodiscard]] std::int64_t list_key(ListOrder order, const Job& job);
+
 }  // namespace resched

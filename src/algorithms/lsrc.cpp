@@ -5,11 +5,43 @@
 #include <vector>
 
 #include "algorithms/backfill_queue.hpp"
+#include "core/arena.hpp"
 #include "core/profile_allocator.hpp"
 #include "util/checked.hpp"
 #include "util/require.hpp"
 
 namespace resched {
+namespace {
+
+// One LSRC pass at instant t: in priority order, start every pending job
+// that fits for its whole duration from t, committing it on `free` and
+// reporting it through `on_start(job)`. Only buckets with q <= capacity
+// wake up; the rest provably cannot start. run() loops over passes at
+// successive events; replan() runs exactly one, at now.
+template <class OnStart>
+std::size_t lsrc_pass(FreeProfile& free, const std::vector<Job>& jobs,
+                      BackfillQueue& pending, Time t, OnStart&& on_start) {
+  std::size_t started = 0;
+  std::int64_t capacity = free.capacity_at(t);
+  pending.begin_pass();
+  while (const auto candidate = pending.next(capacity)) {
+    const Job& job = jobs[static_cast<std::size_t>(candidate->id)];
+    if (free.fits_at(t, job.q, job.p)) {
+      free.commit_fitted(t, job.q, job.p);
+      on_start(job);
+      // resched-lint: time-arith-audited(admitted q keeps capacity in [0, m])
+      capacity -= job.q;
+      ++started;
+      pending.take();
+    } else {
+      pending.keep();
+    }
+  }
+  pending.end_pass();
+  return started;
+}
+
+}  // namespace
 
 LsrcScheduler::LsrcScheduler(ListOrder order, std::uint64_t seed)
     : order_(order), seed_(seed), use_explicit_(false) {}
@@ -88,25 +120,12 @@ Schedule LsrcScheduler::run(const Instance& instance,
                      job.q);
     }
 
-    // Single pass in priority order: start everything that fits now. Only
-    // buckets with q <= capacity wake up; the rest provably cannot start.
-    std::int64_t capacity = free.capacity_at(t);
-    pending.begin_pass();
-    while (const auto candidate = pending.next(capacity)) {
-      const Job& job = instance.job(candidate->id);
-      if (free.fits_at(t, job.q, job.p)) {
-        free.commit_fitted(t, job.q, job.p);
-        schedule.set_start(job.id, t);
-        events.push(checked_add(t, job.p));
-        // resched-lint: time-arith-audited(admitted q keeps capacity in [0, m])
-        capacity -= job.q;
-        --remaining;
-        pending.take();
-      } else {
-        pending.keep();
-      }
-    }
-    pending.end_pass();
+    // Single pass in priority order: start everything that fits now.
+    remaining -= lsrc_pass(free, instance.jobs(), pending, t,
+                           [&](const Job& job) {
+                             schedule.set_start(job.id, t);
+                             events.push(checked_add(t, job.p));
+                           });
     if (remaining == 0) break;
 
     // Advance to the next wake-up strictly after t.
@@ -116,6 +135,43 @@ Schedule LsrcScheduler::run(const Instance& instance,
                       "instance must be infeasible");
     t = next;
   }
+  return schedule;
+}
+
+Capabilities LsrcScheduler::capabilities() const {
+  return Capabilities{.incremental_replan =
+                          !use_explicit_ && order_ != ListOrder::kRandom};
+}
+
+Schedule LsrcScheduler::replan(const ReplanRequest& request) const {
+  RESCHED_CHECK_MSG(capabilities().incremental_replan,
+                    name() + " has no decision-only replan");
+  const std::vector<Job>& jobs = request.queue;
+  Schedule schedule(jobs.size(), request.scratch);
+  // The list make_list builds for the scratch translation (every release
+  // 0, ids in queue order): ascending (list_key, id). The submission order
+  // is the queue itself.
+  ScratchVec<JobId> list(jobs.size(), JobId{0},
+                         ArenaAlloc<JobId>(request.scratch));
+  std::iota(list.begin(), list.end(), JobId{0});
+  if (order_ != ListOrder::kSubmission) {
+    std::sort(list.begin(), list.end(), [&](JobId a, JobId b) {
+      const std::int64_t ka =
+          list_key(order_, jobs[static_cast<std::size_t>(a)]);
+      const std::int64_t kb =
+          list_key(order_, jobs[static_cast<std::size_t>(b)]);
+      return ka != kb ? ka < kb : a < b;
+    });
+  }
+  BackfillQueue pending(request.m, request.scratch);
+  for (std::size_t r = 0; r < list.size(); ++r) {
+    const Job& job = jobs[static_cast<std::size_t>(list[r])];
+    pending.insert(job.id, static_cast<std::int64_t>(r), job.q);
+  }
+  (void)lsrc_pass(request.free, jobs, pending, request.now,
+                  [&](const Job& job) {
+                    schedule.set_start(job.id, request.now);
+                  });
   return schedule;
 }
 

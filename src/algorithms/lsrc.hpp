@@ -21,6 +21,11 @@
 // events the loop wakes on; release times are additional wake-ups in the
 // online extension.
 //
+// The resident service (sim/service_sim.hpp) runs the same pass through
+// replan(): at each event it asks only who starts now, so one pass over the
+// waiting window at now is the whole decision (decision-only, see
+// ReplanRequest in scheduler.hpp).
+//
 // Guarantees proved in the paper, all checked by tests/benches:
 //   * no reservations:      C_LSRC <= (2 - 1/m) C*            (Theorem 2)
 //   * non-increasing U:     C_LSRC <= (2 - 1/m(C*)) C*        (Prop. 1)
@@ -51,6 +56,13 @@ class LsrcScheduler final : public Scheduler {
   [[nodiscard]] ScheduleOutcome schedule(
       const Instance& instance) const override;
   [[nodiscard]] std::string name() const override;
+  // Decision-only incremental path (see ReplanRequest in scheduler.hpp):
+  // one pass at now over the queue in this scheduler's priority order.
+  // Offered for the deterministic orders; an explicit list names instance
+  // ids and a kRandom list depends on the whole instance, so neither can
+  // be rebuilt from a queue window.
+  [[nodiscard]] Capabilities capabilities() const override;
+  [[nodiscard]] Schedule replan(const ReplanRequest& request) const override;
 
   // One-shot run with an explicit list (priority = position in `list`).
   [[nodiscard]] static Schedule run(const Instance& instance,

@@ -40,10 +40,14 @@ class OnlineBatchScheduler final : public Scheduler {
   [[nodiscard]] std::string name() const override;
   // Inherited from the base scheduler: a batch sub-instance keeps the full
   // reservation set and carries release times (= the batch epoch), so the
-  // wrapper is exactly as capable as its base and requires the base to
-  // accept release times.
+  // wrapper accepts exactly the instances its base does and requires the
+  // base to accept release times. The incremental ones are not inherited:
+  // the wrapper has no replan(), and batching is not the base's decision.
   [[nodiscard]] Capabilities capabilities() const override {
-    return base_->capabilities();
+    Capabilities caps = base_->capabilities();
+    caps.incremental_replan = false;
+    caps.append_only_replan = false;
+    return caps;
   }
 
   // Like schedule(), additionally reporting the batch structure (left

@@ -37,14 +37,18 @@
 // concrete instance, so drivers filter up front instead of throw-and-catch.
 // Capability matrix of the built-in registry:
 //
-//   scheduler      release times  reservations  deterministic
-//   lsrc[,-lpt]        yes            yes            yes
-//   fcfs               yes            yes            yes
-//   conservative       yes            yes            yes
-//   easy               yes            yes            yes
-//   shelf-ff/-nf       no             no             yes
-//   portfolio          yes            yes            yes (seeded restarts)
-//   local-search       yes            yes            yes (seeded moves)
+//   scheduler      release times  reservations  deterministic  incremental
+//   lsrc[,-lpt]        yes            yes            yes         decision-only
+//   fcfs               yes            yes            yes         append-only
+//   conservative       yes            yes            yes         append-only
+//   easy               yes            yes            yes         decision-only
+//   shelf-ff/-nf       no             no             yes             no
+//   portfolio          yes            yes       yes (seeded)         no
+//   local-search       yes            yes       yes (seeded)         no
+//
+// ("incremental" is the replan() contract, see Capabilities and
+// ReplanRequest below: append-only schedulers plan the whole queue and keep
+// the plan, decision-only ones return just the starts at now.)
 //
 // (Availability windows are not a separate capability: the paper's
 // transformation reduces a machine profile m(t) to reservations, and
@@ -92,22 +96,30 @@ struct Capabilities {
   bool release_times = true;  // accepts instances with release > 0
   bool reservations = true;   // accepts instances with reservations
   bool deterministic = true;  // pure function of the instance (seeds fixed)
-  // Implements replan(): the algorithm can plan a waiting queue directly
-  // against an externally maintained FreeProfile at an absolute clock, so a
-  // resident service repairs its plan on churn events instead of rebuilding
-  // instance + profile from scratch per decision. replan() must be
-  // bit-identical (modulo the time translation) to schedule() on the
-  // equivalent from-scratch instance -- pinned by the churn oracle fuzz.
+  // Implements replan(): the algorithm works directly against an
+  // externally maintained FreeProfile at an absolute clock, so a resident
+  // service repairs its plan on events instead of rebuilding instance +
+  // profile from scratch per decision. What replan() returns depends on
+  // append_only_replan below; either way it shares its core loop with
+  // schedule() and agrees with schedule() on the equivalent from-scratch
+  // instance -- pinned by the churn oracle fuzz.
   bool incremental_replan = false;
-  // replan() is a pure FCFS fold: each queued job is planned exactly once,
-  // in queue order, against the profile state left by its predecessors, and
-  // never revisited. For such schedulers planning a queue suffix on the
-  // profile that still holds the prefix's plan frames yields the same
-  // starts as replanning the whole queue (earliest-fit results are stable
-  // as `now` advances past nothing), so the service loop retains the plan
-  // across pure-arrival decisions and replans only the appended jobs.
-  // Event-loop algorithms (easy: a late arrival can backfill ahead of an
-  // earlier job's pending decision) must leave this false.
+  // true:  append-only. replan() plans the whole queue and is bit-identical
+  //   (modulo the time translation) to schedule(). It is a pure FCFS fold:
+  //   each queued job is planned exactly once, in queue order, against the
+  //   profile state left by its predecessors, and never revisited. Planning
+  //   a queue suffix on the profile that still holds the prefix's plan
+  //   frames therefore yields the same starts as replanning the whole queue
+  //   (earliest-fit results are stable as `now` advances past nothing), so
+  //   the service retains the plan across pure-arrival decisions and
+  //   replans only the appended jobs (fcfs, conservative).
+  // false: decision-only. replan() decides who starts at now and nothing
+  //   else: it commits exactly those jobs on the profile and leaves every
+  //   other job unscheduled. Its starts at now are the jobs schedule()
+  //   starts at 0 on the scratch translation. Event-loop algorithms (easy,
+  //   lsrc) are decision-only: their first pass at now fixes every start at
+  //   now, and a late arrival can overtake an earlier job's pending
+  //   decision, so a retained plan would be wrong anyway.
   bool append_only_replan = false;
 };
 
@@ -121,19 +133,26 @@ class FreeProfile;
 //    before `now` is dead (never queried, possibly compacted).
 //  * `queue` holds the waiting jobs in FCFS order with dense ids 0..k-1;
 //    release is the absolute arrival tick, all <= now.
-//  * `wakeups` are the future capacity-increase instants (> now): running
-//    job completions and availability-window ends. Exactly the reservation
-//    ends a from-scratch solve would see.
-//  * The scheduler plans entirely through frames on `free` (the caller has
-//    plan recording on and rewinds afterwards); returned starts are
-//    absolute (>= now).
-// Equivalence: replan(free, queue, wakeups, now) must equal
-// schedule(instance) + now, where instance is the scratch translation
-// (releases 0, running jobs and windows as reservations relative to now).
+//  * The scheduler places jobs only through commits on `free`; returned
+//    starts are absolute.
+//  * Append-only schedulers (Capabilities::append_only_replan) plan every
+//    job (starts >= now) and the caller has plan recording on, so the plan
+//    lives in frames it can rewind. replan(free, queue, now) must equal
+//    schedule(instance) + now, where instance is the scratch translation
+//    (releases 0, running jobs and windows as reservations relative to
+//    now).
+//  * Decision-only schedulers (every other incremental_replan scheduler)
+//    start jobs at `now` only: each one is committed on `free` and returned
+//    with start == now, and every other job comes back unscheduled. The
+//    caller has plan recording off, so those commits are permanent -- they
+//    ARE the jobs starting. {j : start_j == now} must equal
+//    {j : schedule(instance).start_j == 0}. A start later than now would
+//    leak its capacity forever; the service loop rejects it.
+//  * There is no wake-up list: a decision-only scheduler never looks past
+//    now, and an append-only fold reads future capacity from `free` alone.
 struct ReplanRequest {
   FreeProfile& free;
   const std::vector<Job>& queue;
-  const std::vector<Time>& wakeups;
   ProcCount m = 1;  // cluster size (demand bound for the event structures)
   Time now = 0;
   // Order floor for append-mode suffix planning (append_only_replan): the
@@ -196,7 +215,8 @@ class Scheduler {
   // Incremental replan entry point (see ReplanRequest). Only meaningful
   // when capabilities().incremental_replan is true; the default trips
   // RESCHED_CHECK. Implementations share their core loop with schedule()
-  // so the two stay bit-identical by construction.
+  // so the two agree by construction: the whole plan for append-only
+  // schedulers, the starts at now for decision-only ones.
   [[nodiscard]] virtual Schedule replan(const ReplanRequest& request) const;
 
   // Evaluates capabilities() against a concrete instance: nullopt when the

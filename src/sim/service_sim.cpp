@@ -70,7 +70,7 @@ class ServiceLoop {
     gen_.set_rate(rate);
     result_.offered_rate = rate;
     jobs_.reserve(config.phases.total());
-    if (maintain_profile_) free_.set_retain_accepted(true);
+    if (append_replan_) free_.set_retain_accepted(true);
     if (config.churn.enabled())
       churn_.emplace(config.churn, seed ^ kChurnSeedSalt);
   }
@@ -399,24 +399,15 @@ class ServiceLoop {
            completions_since_compact_ >= kCompactCompletionBudget;
   }
 
-  // Fills the persistent wakeups_ buffer (capacity reused across
-  // decisions; a fresh vector here would be one heap event per decision).
-  const std::vector<Time>& collect_wakeups(Time now) {
-    wakeups_.clear();
-    for (const auto& [index, rec] : running_) wakeups_.push_back(rec.end);
-    for (const ChurnWindow& w : windows_)
-      if (w.end > now) wakeups_.push_back(w.end);
-    return wakeups_;
-  }
-
-  // Rewind the retained plan's frames off the persistent profile
-  // (O(touched)) and forget its starts. Called whenever an event
-  // invalidates the plan suffix: a churn mutation (it needs the
+  // Rewind an append-only scheduler's retained plan frames off the
+  // persistent profile (O(touched)) and forget its starts. Called whenever
+  // an event invalidates the plan suffix: a churn mutation (it needs the
   // empty stack for adjust_capacity and changes what a re-solve would
   // produce), a queue edit, or the periodic compaction rebase. Jobs that
   // started *under* the plan were living inside their plan frames; the
   // rewind takes their occupancy with it, so it is re-applied permanently
   // here (only the [now, end) remainder -- earlier history is dead).
+  // Decision-only schedulers never retain a plan, so this is a no-op.
   void drop_retained() {
     if (!retained_live_) return;
     result_.plan_frames_rewound +=
@@ -434,24 +425,30 @@ class ServiceLoop {
     framed_.clear();
   }
 
+  // Window positions [from, k) of the waiting queue as a replan queue:
+  // dense ids from 0, absolute arrival ticks as releases.
+  const std::vector<Job>& fill_window(std::size_t from, std::size_t k) {
+    window_jobs_.clear();
+    for (std::size_t j = from; j < k; ++j) {
+      const ServiceJob& job = jobs_[waiting_[j]];
+      window_jobs_.push_back(Job{static_cast<JobId>(j - from), job.q, job.p,
+                                 job.arrival, ""});
+    }
+    return window_jobs_;
+  }
+
   // Append-mode suffix repair: plan only the jobs that arrived since the
   // retained plan, on the profile that still holds the prefix's frames.
   // Valid exactly for append_only_replan schedulers (FCFS folds): the
   // prefix's re-solve is bit-identical to the retained plan, so only the
   // suffix is new work. `not_before` continues fcfs's non-overtaking chain.
+  // With no plan (planned == 0) this is the full window solve.
   void append_suffix(Time now, std::size_t planned, std::size_t k) {
-    window_jobs_.clear();
-    for (std::size_t j = planned; j < k; ++j) {
-      const ServiceJob& job = jobs_[waiting_[j]];
-      window_jobs_.push_back(Job{static_cast<JobId>(j - planned), job.q,
-                                 job.p, job.arrival, ""});
-    }
-    const std::vector<Time>& wakeups = collect_wakeups(now);
     const Time floor = std::max(
         now, retained_plan_.starts.empty() ? now
                                            : retained_plan_.starts.back());
     const Schedule plan = scheduler_.replan(ReplanRequest{
-        free_, window_jobs_, wakeups, m_, now, floor, &decision_arena_});
+        free_, fill_window(planned, k), m_, now, floor, &decision_arena_});
     for (std::size_t j = planned; j < k; ++j)
       retained_plan_.starts.push_back(
           plan.start(static_cast<JobId>(j - planned)));
@@ -459,43 +456,71 @@ class ServiceLoop {
   }
 
   // Incremental path: plan directly on the persistent absolute-time
-  // profile. Append-capable schedulers keep their plan frames open across
-  // decisions and replan only the arrived suffix; the rest replan the
-  // window each decision (checkpoint -> replan -> rewind). Returned starts
-  // are absolute and aligned with the window.
-  const std::vector<Time>& plan_incremental(Time now, std::size_t k) {
-    // The retained plan survives starts and completions outright; settle()
-    // rebases it (drop + compact, after the latency sample) once the
-    // compaction deadline passes, so the frame stack and the dead history
-    // stay bounded and the next decision here re-solves the full window.
-    if (append_replan_ && retained_live_) {
+  // profile and collect in head_ the window positions that start now.
+  //  * Append-only schedulers keep their plan frames open across decisions
+  //    (above a checkpoint taken when the plan was built) and replan only
+  //    the arrived suffix. settle() rebases the plan (drop + compact, after
+  //    the latency sample) once the compaction deadline passes, so the
+  //    frame stack and the dead history stay bounded and the next decision
+  //    here re-solves the full window.
+  //  * Decision-only schedulers commit the jobs they start at now straight
+  //    onto the profile (plan recording is off, so those commits are the
+  //    world change) and leave every other job unscheduled. A later start
+  //    would be capacity no completion ever returns, so it is rejected.
+  void plan_incremental(Time now, std::size_t k) {
+    if (append_replan_) {
+      if (!retained_live_) {
+        retained_plan_.base = free_.checkpoint();
+        retained_live_ = true;
+      }
       const std::size_t planned = retained_plan_.starts.size();
       RESCHED_CHECK_MSG(planned <= k,
                         "retained plan outlived a queue shrink");
       if (planned < k) append_suffix(now, planned, k);
-      return retained_plan_.starts;
+      for (std::size_t j = 0; j < k; ++j)
+        if (retained_plan_.starts[j] == now) head_.push_back(j);
+      return;
     }
-    drop_retained();
-    retained_plan_.starts.clear();
-    window_jobs_.clear();
-    for (std::size_t j = 0; j < k; ++j) {
-      const ServiceJob& job = jobs_[waiting_[j]];
-      window_jobs_.push_back(
-          Job{static_cast<JobId>(j), job.q, job.p, job.arrival, ""});
-    }
-    const std::vector<Time>& wakeups = collect_wakeups(now);
-    retained_plan_.base = free_.checkpoint();
     const Schedule plan = scheduler_.replan(ReplanRequest{
-        free_, window_jobs_, wakeups, m_, now, now, &decision_arena_});
+        free_, fill_window(0, k), m_, now, now, &decision_arena_});
     result_.suffix_jobs_replanned += k;
-    for (std::size_t j = 0; j < k; ++j)
-      retained_plan_.starts.push_back(plan.start(static_cast<JobId>(j)));
-    // Retain for every scheduler: append-capable ones reuse the plan on
-    // later decisions; the rest have it rewound by settle() right after
-    // this decision's latency sample -- the rewind prepares the NEXT
-    // decision and does not belong in this one's timed window.
-    retained_live_ = true;
-    return retained_plan_.starts;
+    for (std::size_t j = 0; j < k; ++j) {
+      const auto id = static_cast<JobId>(j);
+      if (!plan.is_scheduled(id)) continue;
+      RESCHED_CHECK_MSG(plan.start(id) == now,
+                        "decision-only replan scheduled a job after now");
+      head_.push_back(j);
+    }
+  }
+
+  // Oracle mode: a full re-solve per decision on the scratch path. An
+  // append-only plan must match it job by job -- with a retained plan the
+  // strongest form of the append-equivalence claim, since the prefix
+  // starts were computed at an earlier instant and must still match a
+  // from-scratch solve at this one. A decision-only scheduler must start
+  // exactly the jobs the re-solve starts at 0.
+  void verify_against_scratch(Time now, std::size_t k) {
+    const Schedule oracle = plan_scratch(now, k);
+    ++result_.decisions_scratch;
+    if (append_replan_) {
+      for (std::size_t j = 0; j < k; ++j)
+        RESCHED_CHECK_MSG(
+            retained_plan_.starts[j] ==
+                checked_add(oracle.start(static_cast<JobId>(j)), now),
+            "incremental replan diverged from the full re-solve oracle");
+      return;
+    }
+    std::size_t matched = 0;
+    for (std::size_t j = 0; j < k; ++j) {
+      if (oracle.start(static_cast<JobId>(j)) != 0) continue;
+      RESCHED_CHECK_MSG(matched < head_.size() && head_[matched] == j,
+                        "decision-only replan started other jobs than the "
+                        "full re-solve oracle");
+      ++matched;
+    }
+    RESCHED_CHECK_MSG(matched == head_.size(),
+                      "decision-only replan started other jobs than the "
+                      "full re-solve oracle");
   }
 
   // Scratch path: translate the live state into a fresh Instance relative
@@ -540,8 +565,7 @@ class ServiceLoop {
       // dropping the retained frames and compacting here is almost free,
       // and the next arrival rebuilds a plan for a near-empty queue.
       // Under sustained pressure the queue never empties and the
-      // in-decision rebase in plan_incremental() fires instead, where the
-      // scratch alternative it replaces is expensive anyway. This keeps
+      // post-decision rebase in settle() fires instead. This keeps
       // the periodic rebase spike out of the sub-saturation decision tail.
       if (use_replan_ && result_.decisions_incremental > 0 &&
           compact_due(now, config_.compact_interval / 2)) {
@@ -574,24 +598,9 @@ class ServiceLoop {
 
     head_.clear();  // window positions starting now
     if (use_replan_) {
-      const std::vector<Time>& starts = plan_incremental(now, k);
+      plan_incremental(now, k);
       ++result_.decisions_incremental;
-      if (config_.verify_incremental) {
-        // Full re-solve oracle per decision. With a retained plan this is
-        // the strongest form of the append-equivalence claim: the prefix
-        // starts were computed at an earlier instant and must still match
-        // a from-scratch solve at this one.
-        const Schedule oracle = plan_scratch(now, k);
-        ++result_.decisions_scratch;
-        for (std::size_t j = 0; j < k; ++j) {
-          RESCHED_CHECK_MSG(
-              starts[j] ==
-                  checked_add(oracle.start(static_cast<JobId>(j)), now),
-              "incremental replan diverged from the full re-solve oracle");
-        }
-      }
-      for (std::size_t j = 0; j < k; ++j)
-        if (starts[j] == now) head_.push_back(j);
+      if (config_.verify_incremental) verify_against_scratch(now, k);
     } else {
       const Schedule plan = plan_scratch(now, k);
       ++result_.decisions_scratch;
@@ -626,12 +635,11 @@ class ServiceLoop {
   }
 
   // Post-decision maintenance, outside the timed window. The decision's
-  // output is complete once the heads have started; rewinding a
-  // non-append scheduler's plan frames and compacting dead history only
-  // prepare the profile for the NEXT decision, so they run after the
-  // latency sample (deferred reclamation -- respond first, clean up
-  // before the next event). Append-capable schedulers keep their plan and
-  // rebase here only when the compaction deadline has passed.
+  // output is complete once the heads have started; compacting dead
+  // history only prepares the profile for the NEXT decision, so it runs
+  // after the latency sample (deferred reclamation -- respond first, clean
+  // up before the next event). Append-capable schedulers keep their plan
+  // and rebase here only when the compaction deadline has passed.
   void settle(Time now) {
     if (!use_replan_) return;
     if (append_replan_) {
@@ -644,12 +652,11 @@ class ServiceLoop {
       compact_now(now);
       return;
     }
-    // Non-append schedulers re-solve every decision anyway: reclaim the
-    // plan frames immediately, and compact as soon as any completion has
-    // stranded dead history (each completion leaves ~2 dead segments, and
-    // every live one drags each backfill splice of the next re-solve; the
-    // compaction itself is a single untimed splice, far cheaper).
-    drop_retained();
+    // Decision-only schedulers leave no plan behind: their commits are
+    // the started jobs. Compact as soon as any completion has stranded
+    // dead history (each completion leaves ~2 dead segments, and every
+    // live one drags the next decision's scans and splices; the compaction
+    // itself is a single untimed splice, far cheaper).
     if (completions_since_compact_ > 0 ||
         // resched-lint: time-arith-audited(monotonic sim clock: now >= last_compact_)
         now - last_compact_ >= config_.compact_interval)
@@ -668,16 +675,18 @@ class ServiceLoop {
         running_.begin(), running_.end(), index,
         [](const auto& entry, std::uint64_t key) { return entry.first < key; });
     running_.insert(at, {index, RunningRec{completion, job.q}});
+    // Occupancy [now, completion) leaves the profile by natural expiry, so
+    // a normal completion needs no mutation at all. A decision-only
+    // scheduler's replan() already committed it permanently.
     if (retained_live_) {
-      // Started under a retained plan: the job's occupancy [now, completion)
-      // is already subtracted by its own plan frame, so the start mutates
-      // nothing. drop_retained() re-applies the remainder permanently when
-      // the plan eventually dies.
+      // Started under a retained plan: the occupancy is already subtracted
+      // by the job's own plan frame, so the start mutates nothing.
+      // drop_retained() re-applies the remainder permanently when the plan
+      // eventually dies.
       framed_.push_back(index);
-    } else if (maintain_profile_) {
-      // The start is a permanent world change: occupancy [now, completion)
-      // leaves the profile by natural expiry, so a normal completion needs
-      // no mutation at all.
+    } else if (!use_replan_ && maintain_profile_) {
+      // Scratch path with churn or windows: the start is the permanent
+      // world change.
       free_.adjust_capacity(sim_.now(), completion,
                             -static_cast<std::int64_t>(job.q));
     }
@@ -696,7 +705,9 @@ class ServiceLoop {
   const bool maintain_profile_;
   LoadGen gen_;
   Simulation sim_;
-  FreeProfile free_;  // persistent absolute-time capacity, plan-recording on
+  // Persistent absolute-time capacity; plan recording is on for append-only
+  // schedulers only.
+  FreeProfile free_;
   std::optional<ChurnGen> churn_;
   std::vector<ChurnWindow> windows_;  // active/future availability drops
   std::vector<ServiceJob> jobs_;      // indexed by arrival order
@@ -728,7 +739,6 @@ class ServiceLoop {
   // high-water capacity is reused so the timed window stays allocation-free.
   std::vector<std::size_t> head_;
   std::vector<Job> window_jobs_;
-  std::vector<Time> wakeups_;
   // Jobs started while a plan was retained: their occupancy lives in plan
   // frames, not in the permanent profile, until drop_retained() rebases it.
   std::vector<std::uint64_t> framed_;

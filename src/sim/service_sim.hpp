@@ -14,30 +14,41 @@
 // The scheduler's capabilities() pick the path; there is no user switch.
 //
 //  * incremental -- for schedulers advertising incremental_replan (fcfs,
-//    conservative, easy): keep ONE FreeProfile in absolute time for the
-//    whole step. Churn windows are permanent capacity adjustments; planned
-//    jobs live in retained plan frames above an O(1) checkpoint. Schedulers
-//    that advertise append_only_replan (pure arrival-order folds: fcfs,
-//    conservative) keep the plan across decisions -- a started job's
-//    occupancy simply stays in its frame, and a decision re-solves only
-//    the jobs that arrived since the plan was built (suffix repair).
-//    Event-loop schedulers (easy) re-solve the window per decision on the
-//    warm profile. Either way, plan upkeep -- rewinding frames, making
-//    started-job occupancy permanent, compacting dead history -- runs
-//    AFTER the decision's latency sample (settle(): respond first, then
-//    reclaim), and preferentially at idle instants.
-//  * scratch -- for every other scheduler (lsrc, portfolio, local-search),
-//    and as the incremental path's oracle: per decision, build an Instance
-//    (waiting window as jobs, running jobs and availability windows as
-//    reservations relative to now) and call Scheduler::schedule(). O(running
-//    + windows) profile rebuild per decision.
+//    conservative, easy, lsrc, lsrc-lpt): keep ONE FreeProfile in absolute
+//    time for the whole step. Churn windows are permanent capacity
+//    adjustments. What a decision asks of replan() depends on the
+//    scheduler (see ReplanRequest in algorithms/scheduler.hpp):
+//     - append-only (append_only_replan; pure arrival-order folds: fcfs,
+//       conservative) -- the plan lives in retained plan frames above an
+//       O(1) checkpoint and is kept across decisions. A started job's
+//       occupancy simply stays in its frame, and a decision re-solves only
+//       the jobs that arrived since the plan was built (suffix repair).
+//     - decision-only (every other incremental scheduler: the event loops
+//       easy, lsrc, lsrc-lpt) -- replan() runs one pass at now and commits
+//       only the jobs that start now, permanently: plan recording is off,
+//       so those commits are the jobs starting, and no plan is left to
+//       rewind. Any start after now trips RESCHED_CHECK.
+//    Upkeep -- rewinding an append-only plan, making started-job occupancy
+//    permanent, compacting dead history -- runs AFTER the decision's
+//    latency sample (settle(): respond first, then reclaim), and
+//    preferentially at idle instants.
+//  * scratch -- for every other scheduler (portfolio, local-search, lsrc
+//    with an explicit or random list), and as the incremental path's
+//    oracle: per decision, build an Instance (waiting window as jobs,
+//    running jobs and availability windows as reservations relative to
+//    now) and call Scheduler::schedule(). O(running + windows) profile
+//    rebuild per decision.
 //
-// The two produce bit-identical schedules. Equivalence is structural --
-// replan() shares its core loop with schedule(), differing only by a time
-// translation -- and enforced: with ServiceConfig::verify_incremental both
-// paths run per decision and any start-time divergence trips RESCHED_CHECK
-// (the churn differential fuzz in tests/test_churn_fuzz.cpp drives this
-// across the whole registry).
+// The two paths start the same jobs at every decision: append-only plans
+// are bit-identical to the scratch plan shifted by now, and decision-only
+// schedulers start exactly the jobs the scratch plan starts at 0.
+// Equivalence is structural -- replan() shares its core loop with
+// schedule(), differing only by a time translation (and, for
+// decision-only schedulers, by stopping after the first pass) -- and
+// enforced: with ServiceConfig::verify_incremental both paths run per
+// decision and any divergence trips RESCHED_CHECK (the churn differential
+// fuzz in tests/test_churn_fuzz.cpp drives this across the whole
+// registry).
 //
 // ## Churn
 //
@@ -129,10 +140,11 @@ struct ServiceConfig {
   // Wall-clock timing of each scheduler decision (steady_clock). Off =>
   // decision_ns stays empty and the whole result is deterministic.
   bool record_wall_latency = true;
-  // Oracle mode: run BOTH paths per decision and RESCHED_CHECK that the
-  // incremental plan equals the scratch plan shifted by now. Requires a
-  // scheduler with capabilities().incremental_replan. Used by the
-  // differential churn fuzz.
+  // Oracle mode: run BOTH paths per decision and RESCHED_CHECK that they
+  // agree -- the whole plan shifted by now for append-only schedulers, the
+  // set of jobs starting now for decision-only ones. Requires a scheduler
+  // with capabilities().incremental_replan. Used by the differential churn
+  // fuzz.
   bool verify_incremental = false;
   // Dead plan history is coalesced (FreeProfile::compact_history) once
   // this many simulated ticks pass -- or sooner, after a fixed completion

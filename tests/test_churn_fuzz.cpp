@@ -6,9 +6,11 @@
 //  * ChurnGen contract tests (validation, determinism, shape bounds).
 //  * A direct replan-vs-schedule oracle on randomized live states, outside
 //    the harness: build the absolute-time profile by hand, replan, and
-//    compare against schedule() on the scratch translation. This pins the
-//    time-translation invariance of every incremental-capable scheduler
-//    with no service loop in between.
+//    compare against schedule() on the scratch translation -- the whole
+//    plan for append-only schedulers, the starts at now (and the profile
+//    they leave) for decision-only ones. This pins the time-translation
+//    invariance of every incremental-capable scheduler with no service
+//    loop in between.
 //  * Registry-wide harness fuzz: run_service_step with verify_incremental
 //    (the loop RESCHED_CHECKs both paths per decision) plus an aggressive
 //    churn stream, across every registered scheduler that advertises
@@ -102,12 +104,12 @@ std::vector<std::string> incremental_schedulers() {
 
 TEST(ReplanOracle, RegistryExposesIncrementalSchedulers) {
   const std::vector<std::string> names = incremental_schedulers();
-  // The three production backfilling policies all share their core loop
-  // between schedule() and replan().
-  EXPECT_NE(std::find(names.begin(), names.end(), "easy"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "conservative"),
-            names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "fcfs"), names.end());
+  // The three production backfilling policies and the paper's list
+  // scheduler all share their core loop between schedule() and replan().
+  for (const char* expected :
+       {"easy", "conservative", "fcfs", "lsrc", "lsrc-lpt"})
+    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
+        << expected;
 }
 
 TEST(ReplanOracle, ReplanMatchesScheduleOnRandomLiveStates) {
@@ -151,33 +153,49 @@ TEST(ReplanOracle, ReplanMatchesScheduleOnRandomLiveStates) {
       // Scratch translation: blocks become reservations relative to now.
       std::vector<Reservation> held;
       ReservationId rid = 0;
-      std::vector<Time> wakeups;
       for (const Block& block : blocks) {
         held.push_back(Reservation{rid++, block.q, block.end - block.start,
                                    block.start - now, ""});
-        wakeups.push_back(block.end);
       }
       const Instance instance(kM, scratch_jobs, held);
       const Schedule expected = scheduler->schedule(instance).value();
 
-      // Incremental: persistent absolute-time profile, plan recording on.
       FreeProfile free{capacity};
-      free.set_retain_accepted(true);
-      const FreeProfile::Checkpoint before = free.checkpoint();
+      if (scheduler->capabilities().append_only_replan) {
+        // Append-only: the whole plan, in frames the caller can rewind.
+        free.set_retain_accepted(true);
+        const FreeProfile::Checkpoint before = free.checkpoint();
+        const Schedule got =
+            scheduler->replan(ReplanRequest{free, queue, kM, now});
+        for (int j = 0; j < k; ++j) {
+          ASSERT_EQ(got.start(static_cast<JobId>(j)),
+                    expected.start(static_cast<JobId>(j)) + now)
+              << name << " trial " << trial << " job " << j << " now "
+              << now;
+        }
+        // The plan must be fully rewindable: nothing escaped the frames.
+        free.rewind_to(before);
+        ASSERT_EQ(free.profile(), capacity) << name << " trial " << trial;
+        continue;
+      }
+      // Decision-only: the same jobs start at now, nothing else is
+      // scheduled, and the profile loses exactly the started jobs.
       const Schedule got =
-          scheduler->replan(ReplanRequest{free, queue, wakeups, kM, now});
+          scheduler->replan(ReplanRequest{free, queue, kM, now});
+      StepProfile after = capacity;
       for (int j = 0; j < k; ++j) {
-        ASSERT_EQ(got.start(static_cast<JobId>(j)),
-                  expected.start(static_cast<JobId>(j)) + now)
+        const auto id = static_cast<JobId>(j);
+        const bool starts_now = expected.start(id) == 0;
+        ASSERT_EQ(got.is_scheduled(id), starts_now)
             << name << " trial " << trial << " job " << j << " now " << now;
+        if (!starts_now) continue;
+        ASSERT_EQ(got.start(id), now) << name << " trial " << trial;
+        after.add(now, now + queue[static_cast<std::size_t>(j)].p,
+                  -static_cast<std::int64_t>(
+                      queue[static_cast<std::size_t>(j)].q));
       }
-      // The plan must be fully rewindable: nothing escaped the frames.
-      free.rewind_to(before);
-      for (const Block& block : blocks) {
-        ASSERT_EQ(free.capacity_at(block.start),
-                  capacity.value_at(block.start));
-      }
-      ASSERT_EQ(free.capacity_at(now), capacity.value_at(now));
+      ASSERT_EQ(free.profile(), after) << name << " trial " << trial;
+      ASSERT_EQ(free.open_commits(), 0u) << name << " trial " << trial;
     }
   }
 }

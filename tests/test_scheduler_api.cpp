@@ -198,6 +198,10 @@ TEST(OnlineBatch, InheritsBaseCapabilities) {
   const Capabilities caps = wrapper.capabilities();
   EXPECT_TRUE(caps.release_times);
   EXPECT_TRUE(caps.reservations);
+  // The base's replan() is not the wrapper's: a service must take the
+  // scratch path through the wrapper's own schedule().
+  EXPECT_FALSE(caps.incremental_replan);
+  EXPECT_FALSE(caps.append_only_replan);
 }
 
 TEST(OnlineBatch, RejectsOfflineOnlyBaseAtConstruction) {

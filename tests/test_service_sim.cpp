@@ -5,8 +5,11 @@
 #include <climits>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "algorithms/scheduler.hpp"
+#include "plans_ahead.hpp"
 #include "scratch_only.hpp"
 
 namespace resched {
@@ -50,7 +53,8 @@ TEST(ServiceSim, SteadyStateDecisionsAreNearlyAllocationFree) {
   // timed measure-window decisions (operator-new hook + instrumented
   // malloc sites); the residue is rare amortized capacity growth, far
   // below one allocation per decision on average.
-  for (const char* name : {"easy", "conservative", "fcfs"}) {
+  for (const char* name :
+       {"easy", "conservative", "fcfs", "lsrc", "lsrc-lpt"}) {
     ServiceConfig config = small_config();
     config.phases = ServicePhases{100, 400, 50};  // long warm steady state
     const ServiceStepResult step = run_service_step(
@@ -344,7 +348,8 @@ TEST(ServiceSim, IncrementalPathIsUsedAndAccounted) {
       run_service_step(ScratchOnly("easy"), small_load(), 42, 80.0, config);
   EXPECT_EQ(scratch.decisions_scratch, scratch.decisions);
   EXPECT_EQ(scratch.decisions_incremental, 0u);
-  // Same service either way (schedules are bit-identical by construction).
+  // Same service either way: both paths start the same jobs at every
+  // decision, by construction.
   EXPECT_EQ(inc.completed, scratch.completed);
   EXPECT_EQ(inc.wait_ticks, scratch.wait_ticks);
   EXPECT_EQ(inc.response_ticks, scratch.response_ticks);
@@ -364,19 +369,38 @@ TEST(ServiceSim, HistoryCompactionKeepsTheProfileBounded) {
 }
 
 TEST(ServiceSim, VerifyModeRequiresIncrementalCapability) {
-  // lsrc accepts reservations but does not implement replan(); asking for
-  // the oracle mode must be rejected up front.
-  const auto lsrc = make_scheduler("lsrc");
+  // portfolio accepts reservations but does not implement replan(); asking
+  // for the oracle mode must be rejected up front.
+  const auto portfolio = make_scheduler("portfolio");
   ServiceConfig config = small_config();
   config.verify_incremental = true;
-  EXPECT_THROW(run_service_step(*lsrc, small_load(), 1, 10.0, config),
+  EXPECT_THROW(run_service_step(*portfolio, small_load(), 1, 10.0, config),
                std::invalid_argument);
   // Without verify it degrades gracefully to the scratch path.
   config.verify_incremental = false;
   const ServiceStepResult step =
-      run_service_step(*lsrc, small_load(), 1, 10.0, config);
+      run_service_step(*portfolio, small_load(), 1, 10.0, config);
   EXPECT_EQ(step.decisions_incremental, 0u);
   EXPECT_EQ(step.decisions_scratch, step.decisions);
+}
+
+TEST(ServiceSim, DecisionOnlyPlanMayOnlyStartJobsNow) {
+  // A decision-only scheduler's commits are permanent, so a start after
+  // now would be capacity no completion ever returns. The loop must trip
+  // its invariant check on the first such plan, not run on with a leak.
+  for (const char* name : {"easy", "lsrc"}) {
+    try {
+      (void)run_service_step(PlansAhead(name), small_load(), 42, 50.0,
+                             small_config());
+      ADD_FAILURE() << name << ": a start after now was accepted";
+    } catch (const std::invalid_argument& error) {
+      ADD_FAILURE() << name << ": rejected as bad input: " << error.what();
+    } catch (const std::logic_error& error) {
+      EXPECT_NE(std::string(error.what()).find("scheduled a job after now"),
+                std::string::npos)
+          << name << ": " << error.what();
+    }
+  }
 }
 
 TEST(ServiceSim, EmptyPhasesAreANoOp) {
