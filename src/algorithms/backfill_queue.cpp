@@ -14,9 +14,10 @@ BackfillQueue::BackfillQueue(ProcCount max_q, Arena* scratch)
   slot_.assign(static_cast<std::size_t>(max_q) + 1, 0);
 }
 
-void BackfillQueue::insert(JobId id, std::int64_t rank, ProcCount q) {
+void BackfillQueue::insert(JobId id, std::int64_t rank, ProcCount q, Time p) {
   RESCHED_REQUIRE_MSG(!pass_open_, "insert during an open pass");
   RESCHED_REQUIRE(q >= 1 && static_cast<std::size_t>(q) < slot_.size());
+  RESCHED_REQUIRE(p > 0);
   std::uint32_t& slot = slot_[static_cast<std::size_t>(q)];
   if (slot == 0) {
     buckets_.emplace_back(buckets_.get_allocator().arena());
@@ -28,7 +29,7 @@ void BackfillQueue::insert(JobId id, std::int64_t rank, ProcCount q) {
   const auto at = std::lower_bound(
       items.begin(), items.end(), rank,
       [](const Entry& entry, std::int64_t value) { return entry.rank < value; });
-  items.insert(at, Entry{id, rank, q});
+  items.insert(at, Entry{id, rank, q, p});
   ++size_;
 }
 
@@ -36,6 +37,7 @@ void BackfillQueue::begin_pass() {
   RESCHED_REQUIRE_MSG(!pass_open_, "pass already open");
   pass_open_ = true;
   current_ = kNoCandidate;
+  ++epoch_;
   heap_.clear();
   for (std::size_t b = 0; b < buckets_.size(); ++b)
     if (!buckets_[b].items.empty())
@@ -43,47 +45,50 @@ void BackfillQueue::begin_pass() {
   std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
 }
 
-std::optional<BackfillQueue::Entry> BackfillQueue::next(
-    std::int64_t capacity, bool ignore_capacity) {
-  RESCHED_ASSERT(pass_open_ && current_ == kNoCandidate);
-  while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    const Head head = heap_.back();
-    heap_.pop_back();
-    const Bucket& bucket = buckets_[head.bucket];
-    const Entry& candidate = bucket.items[bucket.read];
-    if (!ignore_capacity && candidate.q > capacity) {
-      // Retire the bucket for this pass: capacity at the event time cannot
-      // come back up, so none of its jobs can start (see header sketch).
-      continue;
-    }
-    current_ = head.bucket;
-    return candidate;
-  }
-  return std::nullopt;
+bool BackfillQueue::pop(Head& head) {
+  if (heap_.empty()) return false;
+  std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  head = heap_.back();
+  heap_.pop_back();
+  return true;
 }
 
-void BackfillQueue::advance(std::size_t b) {
+void BackfillQueue::offer(std::size_t b) {
   const Bucket& bucket = buckets_[b];
   if (bucket.read < bucket.items.size()) {
     heap_.push_back(Head{bucket.items[bucket.read].rank, b});
     std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
   }
-  current_ = kNoCandidate;
+}
+
+BackfillQueue::Entry BackfillQueue::surface(std::size_t b) {
+  current_ = b;
+  const Bucket& bucket = buckets_[b];
+  return bucket.items[bucket.read];
+}
+
+std::optional<BackfillQueue::Entry> BackfillQueue::next_head() {
+  RESCHED_ASSERT(pass_open_ && current_ == kNoCandidate);
+  Head head;
+  if (!pop(head)) return std::nullopt;
+  return surface(head.bucket);
 }
 
 void BackfillQueue::keep() {
   RESCHED_ASSERT(pass_open_ && current_ != kNoCandidate);
   Bucket& bucket = buckets_[current_];
   bucket.items[bucket.write++] = bucket.items[bucket.read++];
-  advance(current_);
+  offer(current_);
+  current_ = kNoCandidate;
 }
 
 void BackfillQueue::take() {
   RESCHED_ASSERT(pass_open_ && current_ != kNoCandidate);
   ++buckets_[current_].read;
   --size_;
-  advance(current_);
+  ++epoch_;
+  offer(current_);
+  current_ = kNoCandidate;
 }
 
 void BackfillQueue::end_pass() {
@@ -101,6 +106,23 @@ void BackfillQueue::end_pass() {
   }
   heap_.clear();
   pass_open_ = false;
+}
+
+Time fit_deadline(const StepProfile& free, Time t, ProcCount q, Time w) {
+  return free.first_below(t, checked_add(t, w), q);
+}
+
+Time backfill_deadline(const StepProfile& free, Time t, ProcCount q,
+                       Time w, const HeadReservation& head) {
+  const Time fit = fit_deadline(free, t, q, w);
+  // Jobs that fit end by min(fit, t + w), so only dips of the head's window
+  // before that matter; when it is at or before head.start the window is
+  // empty and G is free.
+  const Time last_end = std::min(fit, checked_add(t, w));
+  if (last_end <= head.start) return fit;
+  return std::min(fit, free.first_below(head.start,
+                                        std::min(head.end, last_end),
+                                        checked_add(head.q, q)));
 }
 
 }  // namespace resched

@@ -27,13 +27,37 @@
 //     to fail fits_at immediately (capacity at t is the minimum over the
 //     job's window, so value-at-t below q already decides it). Capacity at
 //     t never rises within a pass -- the only mutations are commits, which
-//     subtract -- so retirement is permanent for the pass.
+//     subtract -- so retirement is permanent for the pass;
+//   * a bucket that survives the capacity gate asks the caller for the
+//     *limit* of its first unexamined job (q, p): the longest duration a
+//     demand-q job may have and still start now (for LSRC, fit_deadline(q)
+//     - t; for EASY, backfill_deadline(q) - t), read over that job's own
+//     window [t, t + p). If the job starts, it surfaces. If not, the dip
+//     that rejected it lies inside the window, so the limit is exact for
+//     the whole demand: every later job with p > limit is copied straight
+//     to the survivor slots without surfacing, and the bucket is
+//     re-offered to the merge at its first job with p <= limit, which
+//     starts without another read. Exact limits, like capacity, only
+//     shrink within a pass (commits only remove capacity, so every first
+//     dip the deadlines read can only move earlier), so a job skipped once
+//     would fail every later probe of the pass too. A rejecting limit is
+//     memoised in the bucket until the next take(): within a pass t is
+//     fixed and a take is the only point where the caller's profile
+//     changes, so (pass, takes) keys the memo exactly as (t, profile
+//     version) would.
 //
-// Equivalence sketch: a pass examines precisely the pending jobs the
-// rescan would have examined minus jobs that provably fail their capacity
-// precheck, in the same order, against the same FreeProfile state;
-// committed jobs and their commit order therefore coincide, and by
-// induction over events the whole schedule does.
+// Equivalence sketch: a pass hands out precisely the pending jobs the
+// rescan would have started, in the same order, against the same
+// FreeProfile state; everything it skips (a retired bucket, a job past its
+// bucket's limit) provably fails the rescan's probe at the point the rescan
+// would reach it, and stays pending in rank order. Committed jobs and their
+// commit order therefore coincide, and by induction over events the whole
+// schedule does.
+//
+// fit_deadline/backfill_deadline turn the schedulers' start tests into one
+// deadline per demand, so a pass reads the profile about once per start
+// and once per rejecting demand between starts, instead of once per
+// candidate.
 //
 // EventTimes is the schedulers' wake-up queue: a binary min-heap over a
 // ScratchVec, so a push is a vector append with no per-node allocation.
@@ -45,11 +69,15 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <vector>
 
 #include "core/arena.hpp"
+#include "core/step_profile.hpp"
 #include "core/types.hpp"
+#include "util/checked.hpp"
+#include "util/require.hpp"
 
 namespace resched {
 
@@ -59,6 +87,7 @@ class BackfillQueue {
     JobId id;
     std::int64_t rank;  // global examination order; unique per job
     ProcCount q;
+    Time p;
   };
 
   // max_q: largest processor demand that will ever be inserted (the
@@ -68,23 +97,38 @@ class BackfillQueue {
   explicit BackfillQueue(ProcCount max_q, Arena* scratch = nullptr);
 
   // Inserts a pending job. Must not be called while a pass is open.
-  void insert(JobId id, std::int64_t rank, ProcCount q);
+  void insert(JobId id, std::int64_t rank, ProcCount q, Time p);
 
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
   // Pass protocol, one pass per capacity event:
   //   queue.begin_pass();
-  //   while (auto e = queue.next(capacity)) { ...; queue.keep() or take(); }
+  //   while (auto e = queue.next_head()) { ...; queue.keep() or take(); }
+  //   while (auto e = queue.next(capacity, limit)) { ...; queue.take(); }
   //   queue.end_pass();
   // Every popped candidate must be answered with exactly one keep()/take()
-  // before the next next() call. `capacity` is the caller-maintained free
-  // capacity at the event time (decremented by q on every commit);
-  // ignore_capacity pops the globally lowest-ranked job regardless of its
-  // bucket's threshold (EASY's protected head).
+  // before the next pop.
+  //
+  // next(capacity, limit) pops the lowest-ranked job with q <= capacity
+  // that starts now, where `capacity` is the caller-maintained free
+  // capacity at the event time (decremented by q on every commit) and
+  // limit(q, p) -> Time decides the rest for the demand-q job of duration p
+  // about to surface: it returns L with p <= L iff that job starts now, and
+  // when it rejects (L < p), L is exact -- a demand-q job of any duration
+  // p' starts now iff p' <= L. A rejecting limit is memoised in the bucket
+  // until the next take() and decides the bucket's later jobs without
+  // another call. Capacity and the exact limits may only shrink within a
+  // pass, and limits may change only at a take(). Jobs next() passes over
+  // stay pending in rank order.
+  //
+  // next_head() pops the globally lowest-ranked unexamined job whatever
+  // its demand and duration (EASY's protected head).
   void begin_pass();
+  template <class Limit>
   [[nodiscard]] std::optional<Entry> next(std::int64_t capacity,
-                                          bool ignore_capacity = false);
+                                          Limit&& limit);
+  [[nodiscard]] std::optional<Entry> next_head();
   void keep();
   void take();
   void end_pass();
@@ -97,6 +141,9 @@ class BackfillQueue {
     // pass, so begin_pass needs no per-bucket reset.
     std::size_t read = 0;
     std::size_t write = 0;
+    // Exact rejecting limit, current while limit_epoch == epoch_.
+    std::uint64_t limit_epoch = 0;
+    Time limit = 0;
   };
 
   // Heap item: the head rank of a live bucket. Min-heap by rank (ranks are
@@ -111,9 +158,13 @@ class BackfillQueue {
 
   static constexpr std::size_t kNoCandidate = static_cast<std::size_t>(-1);
 
-  // Re-offers the answered candidate's bucket to the merge if it still has
-  // unexamined jobs.
-  void advance(std::size_t b);
+  // Pops the lowest-ranked live bucket into `head`; false once the merge is
+  // drained.
+  bool pop(Head& head);
+  // Re-offers bucket b to the merge if it still has unexamined jobs.
+  void offer(std::size_t b);
+  // Marks bucket b's current job as the popped candidate.
+  Entry surface(std::size_t b);
 
   // slot_[q] = 1 + index of q's bucket in buckets_, or 0 if q never
   // arrived. Buckets are never removed: one that empties simply sits out
@@ -123,8 +174,77 @@ class BackfillQueue {
   ScratchVec<Head> heap_;               // std::push_heap/pop_heap, min by rank
   std::size_t size_ = 0;
   std::size_t current_ = kNoCandidate;  // bucket of the last popped candidate
+  // Advanced by begin_pass and take(), the points where limits may change.
+  std::uint64_t epoch_ = 0;
   bool pass_open_ = false;
 };
+
+template <class Limit>
+std::optional<BackfillQueue::Entry> BackfillQueue::next(std::int64_t capacity,
+                                                        Limit&& limit) {
+  RESCHED_ASSERT(pass_open_ && current_ == kNoCandidate);
+  Head head;
+  while (pop(head)) {
+    Bucket& bucket = buckets_[head.bucket];
+    const Entry& first = bucket.items[bucket.read];
+    // Retire the bucket for this pass: capacity at the event time cannot
+    // come back up, so none of its jobs can start (see header sketch).
+    if (first.q > capacity) continue;
+    if (bucket.limit_epoch != epoch_) {
+      const Time verdict = limit(first.q, first.p);
+      if (first.p <= verdict) return surface(head.bucket);
+      bucket.limit = verdict;
+      bucket.limit_epoch = epoch_;
+    }
+    // Skip what the limit rejects: straight to the survivor slots.
+    while (bucket.read < bucket.items.size() &&
+           bucket.items[bucket.read].p > bucket.limit)
+      bucket.items[bucket.write++] = bucket.items[bucket.read++];
+    if (bucket.read == bucket.items.size()) continue;
+    // Re-offer at the first acceptable rank unless it still leads.
+    if (bucket.items[bucket.read].rank != head.rank && !heap_.empty() &&
+        heap_.front().rank < bucket.items[bucket.read].rank) {
+      offer(head.bucket);
+      continue;
+    }
+    return surface(head.bucket);
+  }
+  return std::nullopt;
+}
+
+// The blocked head's reservation in an EASY pass: demand q over
+// [start, end).
+struct HeadReservation {
+  ProcCount q;
+  Time start;
+  Time end;
+};
+
+// F(q): the earliest instant in [t, t + w) at which `free` drops below q,
+// or kTimeInfinity. A demand-q job with p <= w fits at t iff t + p <= F(q):
+// F is the first dip of the wider window, so no dip before t + p means no
+// dip in [t, t + p). A finite F is the first dip after t outright, so it
+// then decides jobs of every duration.
+[[nodiscard]] Time fit_deadline(const StepProfile& free, Time t, ProcCount q,
+                                Time w);
+
+// D(q) = min(F(q), G(q)) for EASY's backfill at t with `head` blocked
+// (head.start > t), G(q) being the first dip below head.q + q in the
+// head's window up to the latest end min(F, t + w) of a fitting job: a
+// demand-q job with p <= w starts at t iff t + p <= D(q), i.e. iff it fits
+// at t and committing it keeps the head fitting at head.start. A D below
+// t + w is exact for every duration. Derivation in easy_bf.cpp.
+[[nodiscard]] Time backfill_deadline(const StepProfile& free, Time t,
+                                     ProcCount q, Time w,
+                                     const HeadReservation& head);
+
+// The limit a deadline D sets at t for BackfillQueue::next: the longest p
+// with t + p <= D. D == kTimeInfinity means "no dip" (the profile queries'
+// sentinel), which admits every duration -- exactly as fits_at reads it.
+[[nodiscard]] inline Time deadline_limit(Time deadline, Time t) {
+  return deadline == kTimeInfinity ? std::numeric_limits<Time>::max()
+                                   : checked_sub(deadline, t);
+}
 
 // Min-queue of wake-up times for event-driven schedulers: a binary heap on
 // a ScratchVec (arena-backed with a scratch arena, plain counted heap when

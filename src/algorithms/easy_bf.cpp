@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include "algorithms/backfill_queue.hpp"
@@ -13,6 +14,22 @@
 namespace resched {
 namespace {
 
+// The blocked head's reservation as of a profile version. schedule()
+// carries it across passes: while the same head stays blocked, the only
+// mutations are the protected backfill commits of its own passes, which
+// keep it fitting at `start` and only remove capacity, so no earlier start
+// can appear and earliest_fit would return `start` again; easy_pass
+// re-stamps the version after them. Any other mutation (a phase-1 start, a
+// new head) moves the version or the id and forces a recompute. (In
+// schedule() a head changes only by starting, so the id alone would tell;
+// the version keeps that argument local.) replan() starts from an empty
+// cache.
+struct HeadCache {
+  JobId id = -1;
+  Time start = 0;
+  std::uint64_t version = 0;
+};
+
 // One EASY pass at instant t over the released waiting jobs: start heads
 // while they fit, then reserve the blocked head's earliest start and
 // backfill at t whatever neither fails to fit nor pushes that reservation
@@ -23,17 +40,17 @@ namespace {
 // construction.
 template <class OnStart>
 std::size_t easy_pass(FreeProfile& free, const std::vector<Job>& jobs,
-                      BackfillQueue& waiting, Time t, OnStart&& on_start) {
+                      BackfillQueue& waiting, Time t, HeadCache& cache,
+                      OnStart&& on_start) {
   std::size_t started = 0;
   std::int64_t capacity = free.capacity_at(t);
   waiting.begin_pass();
 
   // Phase 1: start the head (and successive heads) while they fit now.
   // The head is the globally lowest-ranked waiting job regardless of its
-  // bucket's capacity threshold, hence ignore_capacity.
+  // bucket's capacity threshold, hence next_head().
   const Job* blocked = nullptr;
-  while (const auto candidate =
-             waiting.next(capacity, /*ignore_capacity=*/true)) {
+  while (const auto candidate = waiting.next_head()) {
     const Job& head = jobs[static_cast<std::size_t>(candidate->id)];
     if (!free.fits_at(t, head.q, head.p)) {
       blocked = &head;
@@ -49,47 +66,57 @@ std::size_t easy_pass(FreeProfile& free, const std::vector<Job>& jobs,
   }
 
   // Phase 2: head blocked -> reserve its start, then backfill the rest in
-  // FCFS order. Only buckets with q <= capacity wake up; the retired ones
-  // would have failed fits_at outright.
+  // FCFS order through one deadline per demand. The reservation is made
+  // when the first bucket passes the capacity gate: a pass with no such
+  // bucket backfills nothing and needs none.
   if (blocked != nullptr) {
     const Job& head = *blocked;
-    const Time head_start = free.earliest_fit(t, head.q, head.p);
-    const Time head_end = checked_add(head_start, head.p);
-    // Probe-window invariant: the head fits at head_start right now
-    // (earliest_fit established it, and every accepted candidate below
-    // re-establishes it). A candidate's commit only removes job.q on its
-    // own window [t, job_end), so "head not pushed back" only needs the
-    // windowed min over the *overlap* of that window with the head's
-    // reservation window -- and a candidate ending at or before
-    // head_start cannot push the head at all. head_start > t (the head
-    // does not fit at t), so for a candidate with job_end > head_start
-    // the overlap [head_start, min(head_end, job_end)) lies inside
-    // [t, job_end), where the committed profile would read exactly
-    // job.q lower than it does now. "Committed value < head.q" is
-    // therefore "current value < head.q + job.q": one read on the
-    // uncommitted profile decides the candidate, and a rejected one
-    // costs no frame, undo record or rollback.
-    while (const auto candidate = waiting.next(capacity)) {
+    std::optional<HeadReservation> reservation;
+    const auto book_head = [&] {
+      if (cache.id != head.id || cache.version != free.profile().version()) {
+        cache = HeadCache{head.id, free.earliest_fit(t, head.q, head.p),
+                          free.profile().version()};
+      }
+      RESCHED_ASSERT(cache.start == free.earliest_fit(t, head.q, head.p));
+      return HeadReservation{head.q, cache.start,
+                             checked_add(cache.start, head.p)};
+    };
+    // D(q), the deadline a demand-q candidate (q, p) must end by: the head
+    // fits at head_start > t right now (earliest_fit established it, and
+    // every accepted candidate re-establishes it). The candidate starts iff
+    // (a) it fits, min over [t, t + p) >= q, i.e. t + p <= F(q), the first
+    // dip below q; and (b) its commit, which removes q on [t, t + p) only,
+    // leaves min >= head.q over the head's window. (b) can only fail on the
+    // overlap [head_start, min(head_end, t + p)), where the committed
+    // profile reads exactly q lower than it does now: "committed value <
+    // head.q" is "current value < head.q + q", so (b) is t + p <= G(q), the
+    // first dip below head.q + q in [head_start, head_end) -- a candidate
+    // ending at or before head_start passes since G >= head_start. Read
+    // over the candidate's own window, F and G stop at t + p: under (a)
+    // the candidate ends by min(F, t + p), so G's window can stop there,
+    // and is empty (G free) when that is at or before head_start. Hence:
+    // start iff t + p <= D(q) = min(F, G). A rejected candidate has its
+    // dip inside the window, which makes D exact for every duration, so
+    // BackfillQueue::next skips the demand's later rejects unseen. D is a
+    // pure read of the uncommitted profile: a rejected candidate costs no
+    // frame, undo record or rollback.
+    const auto limit = [&](ProcCount q, Time p) {
+      if (!reservation) reservation = book_head();
+      return deadline_limit(
+          backfill_deadline(free.profile(), t, q, p, *reservation), t);
+    };
+    while (const auto candidate = waiting.next(capacity, limit)) {
       const Job& job = jobs[static_cast<std::size_t>(candidate->id)];
-      if (!free.fits_at(t, job.q, job.p)) {
-        waiting.keep();
-        continue;
-      }
-      const Time job_end = checked_add(t, job.p);
-      if (job_end > head_start &&
-          free.profile().first_below(head_start, std::min(head_end, job_end),
-                                     checked_add(head.q, job.q)) !=
-              kTimeInfinity) {
-        waiting.keep();
-        continue;
-      }
       free.commit_fitted(t, job.q, job.p);
+      RESCHED_ASSERT(free.fits_at(reservation->start, head.q, head.p));
       on_start(job);
       // resched-lint: time-arith-audited(admitted q keeps capacity in [0, m])
       capacity -= job.q;
       waiting.take();
       ++started;
     }
+    // Protected commits leave the reservation where it is.
+    if (reservation) cache.version = free.profile().version();
   }
   waiting.end_pass();
   return started;
@@ -128,6 +155,7 @@ ScheduleOutcome EasyBackfillScheduler::schedule(
   // position, so passes examine candidates in exactly the FCFS order the
   // seed's deque walk used.
   BackfillQueue waiting(instance.m());
+  HeadCache head_cache;
   std::size_t next_arrival = 0;
   std::size_t started = 0;
   while (started < jobs.size()) {
@@ -135,13 +163,15 @@ ScheduleOutcome EasyBackfillScheduler::schedule(
            jobs[static_cast<std::size_t>(arrival[next_arrival])].release <=
                t) {
       const Job& job = jobs[static_cast<std::size_t>(arrival[next_arrival])];
-      waiting.insert(job.id, static_cast<std::int64_t>(next_arrival), job.q);
+      waiting.insert(job.id, static_cast<std::int64_t>(next_arrival), job.q,
+                     job.p);
       ++next_arrival;
     }
-    started += easy_pass(free, jobs, waiting, t, [&](const Job& job) {
-      schedule.set_start(job.id, t);
-      events.push(checked_add(t, job.p));
-    });
+    started += easy_pass(free, jobs, waiting, t, head_cache,
+                         [&](const Job& job) {
+                           schedule.set_start(job.id, t);
+                           events.push(checked_add(t, job.p));
+                         });
     if (started == jobs.size()) break;
 
     const Time next = events.next_after(t);
@@ -159,8 +189,9 @@ Schedule EasyBackfillScheduler::replan(const ReplanRequest& request) const {
   // rank = id is exactly the arrival order the batch loop sorts into.
   BackfillQueue waiting(request.m, request.scratch);
   for (const Job& job : jobs)
-    waiting.insert(job.id, static_cast<std::int64_t>(job.id), job.q);
-  (void)easy_pass(request.free, jobs, waiting, request.now,
+    waiting.insert(job.id, static_cast<std::int64_t>(job.id), job.q, job.p);
+  HeadCache head_cache;
+  (void)easy_pass(request.free, jobs, waiting, request.now, head_cache,
                   [&](const Job& job) {
                     schedule.set_start(job.id, request.now);
                   });

@@ -16,26 +16,28 @@ namespace {
 // One LSRC pass at instant t: in priority order, start every pending job
 // that fits for its whole duration from t, committing it on `free` and
 // reporting it through `on_start(job)`. Only buckets with q <= capacity
-// wake up; the rest provably cannot start. run() loops over passes at
-// successive events; replan() runs exactly one, at now.
+// wake up, and a demand-q job (q, p) fits iff t + p <= F(q), the first dip
+// below q (fit_deadline). A rejected job's dip is the demand's exact
+// deadline until the next commit, so BackfillQueue::next skips the
+// demand's later rejects unseen. run() loops over passes at successive
+// events; replan() runs exactly one, at now.
 template <class OnStart>
 std::size_t lsrc_pass(FreeProfile& free, const std::vector<Job>& jobs,
                       BackfillQueue& pending, Time t, OnStart&& on_start) {
   std::size_t started = 0;
   std::int64_t capacity = free.capacity_at(t);
+  const auto limit = [&](ProcCount q, Time p) {
+    return deadline_limit(fit_deadline(free.profile(), t, q, p), t);
+  };
   pending.begin_pass();
-  while (const auto candidate = pending.next(capacity)) {
+  while (const auto candidate = pending.next(capacity, limit)) {
     const Job& job = jobs[static_cast<std::size_t>(candidate->id)];
-    if (free.fits_at(t, job.q, job.p)) {
-      free.commit_fitted(t, job.q, job.p);
-      on_start(job);
-      // resched-lint: time-arith-audited(admitted q keeps capacity in [0, m])
-      capacity -= job.q;
-      ++started;
-      pending.take();
-    } else {
-      pending.keep();
-    }
+    free.commit_fitted(t, job.q, job.p);
+    on_start(job);
+    // resched-lint: time-arith-audited(admitted q keeps capacity in [0, m])
+    capacity -= job.q;
+    ++started;
+    pending.take();
   }
   pending.end_pass();
   return started;
@@ -117,7 +119,7 @@ Schedule LsrcScheduler::run(const Instance& instance,
            instance.job(by_release[next_release]).release <= t) {
       const Job& job = instance.job(by_release[next_release++]);
       pending.insert(job.id, rank_of[static_cast<std::size_t>(job.id)],
-                     job.q);
+                     job.q, job.p);
     }
 
     // Single pass in priority order: start everything that fits now.
@@ -166,7 +168,7 @@ Schedule LsrcScheduler::replan(const ReplanRequest& request) const {
   BackfillQueue pending(request.m, request.scratch);
   for (std::size_t r = 0; r < list.size(); ++r) {
     const Job& job = jobs[static_cast<std::size_t>(list[r])];
-    pending.insert(job.id, static_cast<std::int64_t>(r), job.q);
+    pending.insert(job.id, static_cast<std::int64_t>(r), job.q, job.p);
   }
   (void)lsrc_pass(request.free, jobs, pending, request.now,
                   [&](const Job& job) {

@@ -2,12 +2,13 @@
 // algorithms/backfill_queue.hpp against naive references.
 //
 // BackfillQueue is checked against the linear rescan it replaces: a
-// rank-ordered pending list walked once per pass, which skips jobs with
-// q > capacity and, under ignore_capacity, hands out the lowest-ranked job
-// whatever its demand. Random insert / pass / keep / take sequences drive
-// both with the schedulers' protocol (capacity never rises within a pass,
-// ignore_capacity calls come before the capacity-gated ones, as in EASY),
-// for several machine sizes and with heap- and arena-backed buffers.
+// rank-ordered pending list walked once per pass, which hands out jobs with
+// q <= capacity and p <= limit(q) and, for next_head(), the lowest-ranked
+// job whatever its demand. Random insert / pass / keep / take sequences
+// drive both with the schedulers' protocol (capacity and limits never rise
+// within a pass, limits change only at a take, next_head() calls come
+// before the gated ones, as in EASY), for several machine sizes and with
+// heap- and arena-backed buffers.
 //
 // EventTimes is checked against an ordered std::set<Time>: duplicates,
 // pushes at or before the current time, and kTimeInfinity once drained.
@@ -31,22 +32,36 @@ namespace {
 
 using Entry = BackfillQueue::Entry;
 
+// No duration limit: every job that passes the capacity gate surfaces.
+Time unlimited(ProcCount /*q*/, Time /*p*/) { return kTimeInfinity; }
+
 // The linear rescan: pending jobs in rank order, a cursor per pass.
 class ReferenceQueue {
  public:
-  void insert(JobId id, std::int64_t rank, ProcCount q) {
+  void insert(JobId id, std::int64_t rank, ProcCount q, Time p) {
     const auto at = std::lower_bound(
         pending_.begin(), pending_.end(), rank,
         [](const Entry& e, std::int64_t value) { return e.rank < value; });
-    pending_.insert(at, Entry{id, rank, q});
+    pending_.insert(at, Entry{id, rank, q, p});
   }
 
   void begin_pass() { cursor_ = 0; }
 
-  std::optional<Entry> next(std::int64_t capacity, bool ignore_capacity) {
-    for (; cursor_ < pending_.size(); ++cursor_)
-      if (ignore_capacity || pending_[cursor_].q <= capacity)
-        return pending_[cursor_];
+  std::optional<Entry> next_head() {
+    if (cursor_ < pending_.size()) return pending_[cursor_];
+    return std::nullopt;
+  }
+
+  // Jobs the capacity gate lets through but the limit rejects are counted
+  // in limit_skips.
+  std::optional<Entry> next(std::int64_t capacity,
+                            const std::vector<Time>& limits) {
+    for (; cursor_ < pending_.size(); ++cursor_) {
+      const Entry& e = pending_[cursor_];
+      if (e.q > capacity) continue;
+      if (e.p <= limits[static_cast<std::size_t>(e.q)]) return e;
+      ++limit_skips;
+    }
     return std::nullopt;
   }
 
@@ -56,11 +71,19 @@ class ReferenceQueue {
   }
 
   [[nodiscard]] std::size_t size() const { return pending_.size(); }
+  [[nodiscard]] const std::vector<Entry>& pending() const { return pending_; }
   [[nodiscard]] std::size_t count(ProcCount q) const {
     return static_cast<std::size_t>(
         std::count_if(pending_.begin(), pending_.end(),
                       [q](const Entry& e) { return e.q == q; }));
   }
+  [[nodiscard]] bool has(ProcCount q, Time p) const {
+    return std::any_of(pending_.begin(), pending_.end(), [&](const Entry& e) {
+      return e.q == q && e.p == p;
+    });
+  }
+
+  int limit_skips = 0;
 
  private:
   std::vector<Entry> pending_;
@@ -74,6 +97,23 @@ void expect_same(const std::optional<Entry>& got,
   EXPECT_EQ(got->id, want->id);
   EXPECT_EQ(got->rank, want->rank);
   EXPECT_EQ(got->q, want->q);
+  EXPECT_EQ(got->p, want->p);
+}
+
+// Walks a fresh pass with next_head() + keep(): every pending job must
+// come out, in rank order, and the walk must leave the queue unchanged.
+void expect_pending_in_rank_order(BackfillQueue& queue,
+                                  const ReferenceQueue& reference) {
+  queue.begin_pass();
+  std::size_t i = 0;
+  while (const auto got = queue.next_head()) {
+    ASSERT_LT(i, reference.pending().size());
+    expect_same(got, reference.pending()[i++]);
+    queue.keep();
+  }
+  queue.end_pass();
+  EXPECT_EQ(i, reference.pending().size());
+  EXPECT_EQ(queue.size(), reference.size());
 }
 
 class BackfillQueueDifferential
@@ -89,12 +129,23 @@ TEST_P(BackfillQueueDifferential, MatchesTheLinearRescan) {
   for (int i = 0; i < 4; ++i) widths.push_back(prng.uniform_int(1, m));
 
   int refills = 0;
+  int limit_skips = 0;
   for (int run = 0; run < 40; ++run) {
     if (arena_backed) arena.reset();
     BackfillQueue queue(m, arena_backed ? &arena : nullptr);
     ReferenceQueue reference;
     std::vector<bool> emptied(static_cast<std::size_t>(m) + 1, false);
+    std::vector<Time> limits(static_cast<std::size_t>(m) + 1);
     JobId next_id = 0;
+
+    // The queue's limit callback, asked about a pending job: the table's
+    // exact limit when it rejects, and when it admits any bound >= p, as
+    // a deadline read over the job's own window may be.
+    const auto limit = [&](ProcCount q, Time p) {
+      EXPECT_TRUE(reference.has(q, p));
+      const Time exact = limits[static_cast<std::size_t>(q)];
+      return p <= exact ? prng.uniform_int(p, std::min(exact, p + 10)) : exact;
+    };
 
     for (int event = 0; event < 30; ++event) {
       // Arrivals: ranks mostly increasing (release-sorted feeds) with some
@@ -105,23 +156,26 @@ TEST_P(BackfillQueueDifferential, MatchesTheLinearRescan) {
         const std::int64_t rank =
             prng.chance(0.2) ? prng.uniform_int(0, 999) * 1024 + next_id
                                 : 1'000'000'000 + next_id;
+        const Time p = prng.uniform_int(1, 40);
         if (emptied[static_cast<std::size_t>(q)]) {
           ++refills;
           emptied[static_cast<std::size_t>(q)] = false;
         }
-        queue.insert(next_id, rank, q);
-        reference.insert(next_id, rank, q);
+        queue.insert(next_id, rank, q, p);
+        reference.insert(next_id, rank, q, p);
         ++next_id;
       }
       ASSERT_EQ(queue.size(), reference.size());
 
       std::int64_t capacity = prng.uniform_int(0, m);
+      for (Time& cap : limits)
+        cap = prng.chance(0.2) ? kTimeInfinity : prng.uniform_int(0, 45);
       queue.begin_pass();
       reference.begin_pass();
       // Phase 1: the protected head, popped whatever its demand.
       for (int k = static_cast<int>(prng.uniform_int(0, 2)); k > 0; --k) {
-        const auto got = queue.next(capacity, /*ignore_capacity=*/true);
-        expect_same(got, reference.next(capacity, true));
+        const auto got = queue.next_head();
+        expect_same(got, reference.next_head());
         if (!got) break;
         if (prng.chance(0.5) && got->q <= capacity) {
           capacity -= got->q;
@@ -133,15 +187,20 @@ TEST_P(BackfillQueueDifferential, MatchesTheLinearRescan) {
           break;
         }
       }
-      // Phase 2: capacity-gated candidates; capacity only goes down.
+      // Phase 2: capacity- and limit-gated candidates; capacity only goes
+      // down, and limits shrink only after a take.
       while (true) {
-        const auto got = queue.next(capacity);
-        expect_same(got, reference.next(capacity, false));
+        const auto got = queue.next(capacity, limit);
+        expect_same(got, reference.next(capacity, limits));
         if (!got) break;
-        if (prng.chance(0.5)) {
+        if (prng.chance(0.7)) {
           capacity -= got->q;
           queue.take();
           reference.take();
+          for (Time& cap : limits)
+            if (prng.chance(0.3))
+              cap = cap == kTimeInfinity ? prng.uniform_int(0, 45)
+                                         : cap - prng.uniform_int(0, cap);
         } else {
           queue.keep();
           reference.keep();
@@ -151,23 +210,28 @@ TEST_P(BackfillQueueDifferential, MatchesTheLinearRescan) {
       queue.end_pass();
       ASSERT_EQ(queue.size(), reference.size());
       ASSERT_EQ(queue.empty(), reference.size() == 0);
+      // Skipped jobs are still pending, in rank order.
+      if (prng.chance(0.3)) expect_pending_in_rank_order(queue, reference);
       for (const ProcCount q : widths)
         if (reference.count(q) == 0) emptied[static_cast<std::size_t>(q)] = true;
     }
+    limit_skips += reference.limit_skips;
 
     // Drain: what is left must come out in the same rank order.
+    expect_pending_in_rank_order(queue, reference);
     queue.begin_pass();
     reference.begin_pass();
-    while (const auto got = queue.next(0, /*ignore_capacity=*/true)) {
-      expect_same(got, reference.next(0, true));
+    while (const auto got = queue.next_head()) {
+      expect_same(got, reference.next_head());
       queue.take();
       reference.take();
     }
-    EXPECT_FALSE(reference.next(0, true).has_value());
+    EXPECT_FALSE(reference.next_head().has_value());
     queue.end_pass();
     EXPECT_TRUE(queue.empty());
   }
   EXPECT_GT(refills, 0) << "no bucket emptied and refilled across passes";
+  EXPECT_GT(limit_skips, 100) << "the limit rarely rejected a candidate";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -178,37 +242,81 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(BackfillQueue, RejectsDemandsOutsideTheMachine) {
   BackfillQueue queue(4);
-  EXPECT_THROW(queue.insert(0, 0, 0), std::invalid_argument);
-  EXPECT_THROW(queue.insert(0, 0, 5), std::invalid_argument);
-  queue.insert(0, 0, 4);
+  EXPECT_THROW(queue.insert(0, 0, 0, 1), std::invalid_argument);
+  EXPECT_THROW(queue.insert(0, 0, 5, 1), std::invalid_argument);
+  EXPECT_THROW(queue.insert(0, 0, 4, 0), std::invalid_argument);
+  queue.insert(0, 0, 4, 1);
   EXPECT_EQ(queue.size(), 1u);
 }
 
 TEST(BackfillQueue, RetiredBucketSitsOutTheRestOfThePass) {
   BackfillQueue queue(8);
-  queue.insert(0, 0, 6);
-  queue.insert(1, 1, 2);
-  queue.insert(2, 2, 6);
+  queue.insert(0, 0, 6, 1);
+  queue.insert(1, 1, 2, 1);
+  queue.insert(2, 2, 6, 1);
   queue.begin_pass();
   // Capacity 4: the q=6 bucket retires at its head; only job 1 surfaces.
-  const auto first = queue.next(4);
+  const auto first = queue.next(4, unlimited);
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->id, 1);
   queue.take();
-  EXPECT_FALSE(queue.next(2).has_value());
+  EXPECT_FALSE(queue.next(2, unlimited).has_value());
   queue.end_pass();
   // Retired jobs stay pending, in rank order.
   queue.begin_pass();
-  const auto head = queue.next(8);
+  const auto head = queue.next(8, unlimited);
   ASSERT_TRUE(head.has_value());
   EXPECT_EQ(head->id, 0);
   queue.keep();
-  const auto second = queue.next(8);
+  const auto second = queue.next(8, unlimited);
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->id, 2);
   queue.keep();
   queue.end_pass();
   EXPECT_EQ(queue.size(), 2u);
+}
+
+TEST(BackfillQueue, LimitSkipsLongJobsAndReoffersTheBucket) {
+  BackfillQueue queue(4);
+  // Demand 1: ranks 0 (p=9), 2 (p=3), 4 (p=2); demand 2: rank 3 (p=1).
+  queue.insert(0, 0, 1, 9);
+  queue.insert(1, 2, 1, 3);
+  queue.insert(2, 3, 2, 1);
+  queue.insert(3, 4, 1, 2);
+  int calls = 0;
+  const auto limit = [&](ProcCount q, Time p) {
+    ++calls;
+    EXPECT_EQ(p, q == 1 ? 9 : 1);  // asked about each bucket's first job
+    return Time{3};
+  };
+  queue.begin_pass();
+  // Job 0 (p=9 > 3) is rejected and stays pending; the q=1 bucket comes
+  // back at job 1, which the memoised limit admits.
+  auto got = queue.next(4, limit);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->id, 1);
+  queue.keep();
+  got = queue.next(4, limit);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->id, 2);
+  queue.keep();
+  got = queue.next(4, limit);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->id, 3);
+  queue.take();
+  EXPECT_FALSE(queue.next(4, limit).has_value());
+  queue.end_pass();
+  // One call per demand: job 3 is decided by the q=1 bucket's memoised
+  // rejecting limit, and the take leaves that bucket empty.
+  EXPECT_EQ(calls, 2);
+  // The skipped job is still pending, ahead of the others.
+  queue.begin_pass();
+  got = queue.next_head();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->id, 0);
+  queue.keep();
+  queue.end_pass();
+  EXPECT_EQ(queue.size(), 3u);
 }
 
 // --- EventTimes --------------------------------------------------------------

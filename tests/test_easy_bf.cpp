@@ -39,6 +39,30 @@ TEST(EasyBf, HeadChainsStartImmediately) {
   EXPECT_EQ(schedule.start(2), 3);
 }
 
+TEST(EasyBf, HeadWaitsAcrossPassesWhileBackfillsLand) {
+  // m = 4. Job 0 (q=3) runs [0, 10); the head, job 1 (q=4), is reserved at
+  // 10 and stays blocked through the passes at 0, 2, 3, 4, 5 and 7 while
+  // narrow jobs backfill into the one free processor:
+  //   t=0  job 2 (p=3) backfills, ends 3;
+  //   t=2  job 3 arrives, no room;
+  //   t=3  job 3 (p=4) backfills, ends 7;
+  //   t=4  job 4 arrives, t=5 job 5 arrives, no room;
+  //   t=7  job 4 (p=5) would end at 12 inside the head's window: refused;
+  //        job 5 (p=3) ends exactly at 10 = head start: backfills;
+  //   t=10 the head starts; job 4 becomes the head and waits for 15.
+  const Instance instance(4, {Job{0, 3, 10, 0, ""}, Job{1, 4, 5, 0, ""},
+                              Job{2, 1, 3, 0, ""}, Job{3, 1, 4, 2, ""},
+                              Job{4, 1, 5, 4, ""}, Job{5, 1, 3, 5, ""}});
+  const Schedule schedule = EasyBackfillScheduler().schedule(instance).value();
+  ASSERT_TRUE(schedule.validate(instance).ok);
+  EXPECT_EQ(schedule.start(0), 0);
+  EXPECT_EQ(schedule.start(1), 10);
+  EXPECT_EQ(schedule.start(2), 0);
+  EXPECT_EQ(schedule.start(3), 3);
+  EXPECT_EQ(schedule.start(4), 15);
+  EXPECT_EQ(schedule.start(5), 7);
+}
+
 TEST(EasyBf, RespectsReservations) {
   const Instance instance(2, {Job{0, 2, 4, 0, ""}, Job{1, 1, 2, 0, ""}},
                           {Reservation{0, 2, 2, 3, ""}});

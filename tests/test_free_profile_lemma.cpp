@@ -8,8 +8,10 @@
 // in every list/backfilling algorithm at once.
 //
 // Also checks that tentative commits unwind to the bit-identical profile,
-// which is what branch-and-bound backtracking assumes. Undo is LIFO by
-// contract (tokens resolve newest-first).
+// which is what branch-and-bound backtracking assumes (undo is LIFO by
+// contract: tokens resolve newest-first), and that the schedulers'
+// read-only start tests -- the per-demand deadlines behind LSRC's and
+// EASY's passes -- agree with committing and re-querying.
 #include "core/profile_allocator.hpp"
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "algorithms/backfill_queue.hpp"
 #include "core/step_profile.hpp"
 #include "util/prng.hpp"
 
@@ -132,18 +135,40 @@ TEST(FreeProfileLemma, CommitThenRequeryNeverFindsEarlierStart) {
   }
 }
 
-TEST(FreeProfileLemma, ReadOnlyHeadCheckMatchesTentativeCommit) {
-  // EASY's backfill test (algorithms/easy_bf.cpp): with the head blocked at
-  // t and reserved at head_start > t, a candidate fitting at t and ending
-  // after head_start is admitted iff committing it would leave the head's
-  // overlap window [head_start, min(head_end, job_end)) at >= head.q. The
-  // commit lowers exactly that window by job.q, so one read of the
-  // uncommitted profile against head.q + job.q must give the same answer
-  // as commit -> first_below -> rollback, and touch nothing.
-  Prng prng(4242);
+// EASY's verdict for a candidate (q, p) at t with the head blocked and
+// reserved at head.start, computed the slow way: the candidate fits, and
+// committing it on a copy leaves the head's earliest start where it was.
+bool easy_admits(const FreeProfile& free, Time t, ProcCount q, Time p,
+                 const HeadReservation& head) {
+  if (!free.fits_at(t, q, p)) return false;
+  FreeProfile committed(free.profile());
+  committed.commit_fitted(t, q, p);
+  return committed.earliest_fit(t, head.q, head.end - head.start) ==
+         head.start;
+}
+
+TEST(FreeProfileLemma, BackfillDeadlineMatchesFitAndHeadCheck) {
+  // The schedulers' one-deadline-per-demand test (algorithms/
+  // backfill_queue.hpp): read over a window w, for every p <= w,
+  // t + p <= F(q) iff the job fits at t, and t + p <= D(q) = min(F, G) iff
+  // it fits and does not push the blocked head back; and a deadline below
+  // t + w is the one an unbounded window reads (the exactness the queue's
+  // skip relies on). G reads the uncommitted profile against
+  // head.q + q where the commit would leave head.q, so this also pins that
+  // read-only identity. Checked over a (q, p) grid -- q past the capacity
+  // at t, p past the head's end -- on random fragmented profiles
+  // (reservations plus committed jobs) with the head from earliest_fit,
+  // against committing on a copy and re-running earliest_fit.
+  Prng prng(9090);
+  int ends_at_head_start = 0;
+  int past_head_end = 0;
+  int f_infinite = 0;
+  int g_infinite = 0;
+  int over_capacity = 0;
   int admitted = 0;
-  int refused = 0;
-  for (int round = 0; round < 1000; ++round) {
+  int refused_by_head = 0;
+  int exact_below_window = 0;
+  for (int round = 0; round < 150; ++round) {
     const ProcCount m = prng.uniform_int(2, 8);
     FreeProfile free(random_capacity(prng, m));
     for (int placed = static_cast<int>(prng.uniform_int(0, 4)); placed > 0;
@@ -154,42 +179,61 @@ TEST(FreeProfileLemma, ReadOnlyHeadCheckMatchesTentativeCommit) {
       free.commit_fitted(free.earliest_fit(prng.uniform_int(0, kHorizon), q, p),
                          q, p);
     }
-    const StepProfile snapshot = free.profile();
-    for (int query = 0; query < 32; ++query) {
+    for (int query = 0; query < 4; ++query) {
       const Time t = prng.uniform_int(0, kHorizon);
       const ProcCount head_q = prng.uniform_int(1, m);
       const Time head_p = prng.uniform_int(1, 40);
-      const ProcCount q = prng.uniform_int(1, m);
-      const Time p = prng.uniform_int(1, 60);
       if (free.profile().final_value() < head_q) continue;
-      if (free.fits_at(t, head_q, head_p) || !free.fits_at(t, q, p)) continue;
+      if (free.fits_at(t, head_q, head_p)) continue;
       const Time head_start = free.earliest_fit(t, head_q, head_p);
-      const Time head_end = head_start + head_p;
-      const Time job_end = t + p;
       ASSERT_GT(head_start, t);
-      if (job_end <= head_start) continue;
-      const Time window_end = std::min(head_end, job_end);
-
-      const bool read_only =
-          free.profile().first_below(head_start, window_end, head_q + q) ==
-          kTimeInfinity;
-      FreeProfile::CommitToken token = free.commit_tentative(t, q, p);
-      const bool tentative =
-          free.profile().first_below(head_start, window_end, head_q) ==
-          kTimeInfinity;
-      free.rollback(std::move(token));
-
-      ASSERT_EQ(read_only, tentative)
-          << "t=" << t << " head=(" << head_q << "," << head_p
-          << ") at " << head_start << " job=(" << q << "," << p << ")";
-      ASSERT_EQ(free.profile(), snapshot);
-      ASSERT_EQ(free.open_commits(), 0u);
-      ++(read_only ? admitted : refused);
+      const HeadReservation head{head_q, head_start, head_start + head_p};
+      const Time grid_p = head.end - t + 8;
+      const Time unbounded = 4 * kHorizon;
+      for (ProcCount q = 1; q <= m + 1; ++q) {
+        const Time w = prng.chance(0.5) ? grid_p : prng.uniform_int(1, grid_p);
+        const Time f = fit_deadline(free.profile(), t, q, w);
+        const Time d = backfill_deadline(free.profile(), t, q, w, head);
+        if (f < t + w) {
+          ASSERT_EQ(f, fit_deadline(free.profile(), t, q, unbounded));
+        }
+        if (d < t + w) {
+          ASSERT_EQ(d,
+                    backfill_deadline(free.profile(), t, q, unbounded, head));
+          ++exact_below_window;
+        }
+        if (f == kTimeInfinity) ++f_infinite;
+        if (f > head.start &&
+            free.profile().first_below(head.start, head.end, head.q + q) ==
+                kTimeInfinity)
+          ++g_infinite;
+        if (q > free.capacity_at(t)) ++over_capacity;
+        for (Time p = 1; p <= w; ++p) {
+          const bool fits = free.fits_at(t, q, p);
+          const bool admits = easy_admits(free, t, q, p, head);
+          ASSERT_EQ(t + p <= f, fits)
+              << "t=" << t << " q=" << q << " p=" << p << " F=" << f;
+          ASSERT_EQ(t + p <= d, admits)
+              << "t=" << t << " head=(" << head.q << "," << head_p << ") at "
+              << head.start << " q=" << q << " p=" << p << " D=" << d;
+          ASSERT_EQ(p <= deadline_limit(d, t), admits);
+          if (admits && t + p == head.start) ++ends_at_head_start;
+          if (fits && t + p > head.end) ++past_head_end;
+          if (admits) ++admitted;
+          else if (fits) ++refused_by_head;
+        }
+      }
     }
   }
-  // Both verdicts were exercised, not just one side of the identity.
+  // Every boundary the derivation leans on was exercised.
+  EXPECT_GT(ends_at_head_start, 10);
+  EXPECT_GT(past_head_end, 10);
+  EXPECT_GT(f_infinite, 10);
+  EXPECT_GT(g_infinite, 10);
+  EXPECT_GT(over_capacity, 10);
   EXPECT_GT(admitted, 100);
-  EXPECT_GT(refused, 100);
+  EXPECT_GT(refused_by_head, 100);
+  EXPECT_GT(exact_below_window, 100);
 }
 
 TEST(FreeProfileLemma, EarliestFitRejectsImpossibleJobs) {
