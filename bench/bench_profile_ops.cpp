@@ -153,9 +153,11 @@ BENCHMARK(BM_EarliestFitHoles)->Arg(8)->Arg(64)->Arg(512)->Arg(4096);
 
 void BM_BackfillChurn(benchmark::State& state) {
   // Branch-and-bound-shaped probe loop (exact/bnb.cpp's DFS): commit a
-  // candidate tentatively, run a wide windowed query, backtrack. The undo
-  // log reverts in O(touched).
+  // candidate as a recorded frame, run a wide windowed query, rewind. The
+  // undo log reverts in O(touched).
   FreeProfile free(busy_profile(state.range(0), 6));
+  free.set_retain_accepted(true);
+  const FreeProfile::Checkpoint before = free.checkpoint();
   Prng prng(21);
   std::uint64_t allocs = 0;
   std::uint64_t probes = 0;
@@ -164,13 +166,13 @@ void BM_BackfillChurn(benchmark::State& state) {
     const ProcCount q = prng.uniform_int(1, 64);
     if (!free.fits_at(t, q, 300)) continue;
     const std::uint64_t allocs_begin = alloc_count();
-    FreeProfile::CommitToken token = free.commit_tentative(t, q, 300);
+    free.commit_fitted(t, q, 300);
     benchmark::DoNotOptimize(free.profile().min_in(0, 100'000));
-    free.rollback(std::move(token));
+    free.rewind_to(before);
     allocs += alloc_count() - allocs_begin;
     ++probes;
   }
-  // Steady-state commit/probe/rollback cycles should be allocation-free:
+  // Steady-state commit/probe/rewind cycles should be allocation-free:
   // undo frames come from the spare pool, segment edits reuse capacity.
   state.counters["allocs_per_probe"] =
       probes > 0 ? static_cast<double>(allocs) / static_cast<double>(probes)

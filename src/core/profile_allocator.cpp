@@ -76,14 +76,6 @@ void FreeProfile::commit_fitted(Time t, ProcCount q, Time p) {
   ++permanent_mutations_;
 }
 
-FreeProfile::CommitToken FreeProfile::commit_tentative(Time t, ProcCount q,
-                                                       Time p) {
-  RESCHED_ASSERT(fits_at(t, q, p));
-  RESCHED_REQUIRE(t >= 0 && q >= 1 && p > 0);
-  push_frame(t, q, p);
-  return CommitToken(next_serial_);
-}
-
 void FreeProfile::pop_frame() {
   OpenCommit& top = open_.back();
   profile_.rollback(top.undo);
@@ -94,28 +86,19 @@ void FreeProfile::pop_frame() {
   open_.pop_back();
 }
 
-void FreeProfile::rollback(CommitToken&& token) {
-  RESCHED_CHECK_MSG(token.live_, "rollback of a dead commit token");
-  RESCHED_CHECK_MSG(!open_.empty() && open_.back().serial == token.serial_,
-                    "commit tokens resolve newest-first: this token is not "
-                    "the newest open tentative commit");
-  token.live_ = false;
-  pop_frame();
-}
-
 void FreeProfile::rewind_to(const Checkpoint& checkpoint) {
   RESCHED_CHECK_MSG(
       permanent_mutations_ == checkpoint.permanent,
       "rewind_to across a permanent capacity mutation: the checkpoint "
-      "predates an adjust_capacity / unretained commit / compact_history");
+      "predates an adjust_capacity / unrecorded commit / compact_history");
   RESCHED_CHECK_MSG(
-      open_.size() >= checkpoint.depth && next_serial_ >= checkpoint.serial,
-      "rewind_to target is ahead of this profile's state");
-  while (open_.size() > checkpoint.depth) {
-    RESCHED_CHECK_MSG(open_.back().serial > checkpoint.serial,
-                      "frame stack does not match the rewind checkpoint");
-    pop_frame();
-  }
+      checkpoint.depth <= open_.size() &&
+          (checkpoint.depth == 0 ? std::uint64_t{0}
+                                : open_[checkpoint.depth - 1].serial) ==
+              checkpoint.top,
+      "stale rewind checkpoint: the frame stack no longer holds the frames "
+      "it saw");
+  while (open_.size() > checkpoint.depth) pop_frame();
 }
 
 void FreeProfile::set_retain_accepted(bool on) {
@@ -143,10 +126,6 @@ std::size_t FreeProfile::compact_history(Time t) {
   const std::size_t removed = profile_.compact_before(t);
   if (removed > 0) ++permanent_mutations_;
   return removed;
-}
-
-Time FreeProfile::next_change_after(Time t) const {
-  return profile_.next_change_after(t);
 }
 
 }  // namespace resched

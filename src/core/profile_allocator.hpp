@@ -21,52 +21,46 @@
 // why StepProfile::first_fit, which earliest_fit delegates to, may jump
 // from a dip straight to the end of its deficient run.
 //
-// ## Tentative commits (transactional allocation)
-//
-// Branch-and-bound (exact/bnb.cpp) is speculative: place a job, recurse,
-// and on backtrack take the placement back. commit_tentative() makes that
-// pattern first-class: it subtracts the job and returns an opaque
-// CommitToken whose undo record (StepProfile's undo log) reverts the
-// allocation in O(touched segments) via rollback(token) -- no re-run of
-// add's split/coalesce path, so arbitrarily deep or long DFS probe loops
-// pay only for the segments they touch. Tokens are strictly nested (LIFO),
-// which is exactly the shape depth-first backtracking produces; rolling back
-// any token but the newest open one trips RESCHED_CHECK. (EASY's backfill test needs no tentative
-// commit: it reads the uncommitted profile, see algorithms/easy_bf.cpp.)
-//
 // Complexity: fits_at is an O(window) scan that stops at the first deficient
 // segment. earliest_fit is one forward walk over the profile
 // (StepProfile::first_fit) that visits each segment between t0 and the
 // answer's window end once, O(1) per segment.
 //
-// ## Versioned plans (checkpoint / rewind -- the incremental-replan substrate)
+// ## Frames (checkpoint / rewind)
 //
-// A resident service re-plans on every arrival/completion event. Rebuilding
-// the capacity profile from scratch per decision is the dominant cost; the
-// alternative is to keep ONE long-lived FreeProfile (absolute time) and let
-// each plan run directly on it, then unwind the plan's speculative
-// allocations before the next event. Three pieces make that safe:
+// Two callers place work speculatively and take it back. Branch-and-bound
+// (exact/bnb.cpp) places a job, recurses, and on backtrack removes the
+// placement. The resident service (sim/service_sim.cpp) keeps ONE
+// long-lived FreeProfile (absolute time), lets an append-only scheduler
+// plan directly on it, and unwinds the plan before the world moves instead
+// of rebuilding the profile per decision. Both use the same three pieces:
 //
-//   checkpoint()            -- O(1) snapshot of the plan frontier: the frame
-//                              stack depth, the commit serial and the
-//                              underlying StepProfile::version().
-//   set_retain_accepted(on) -- plan-recording mode: commit_fitted opens a
-//                              recorded frame instead of mutating
-//                              unrecorded. Every mutation a scheduler makes
-//                              while planning is therefore on the frame
-//                              stack.
-//   rewind_to(checkpoint)   -- rolls the frame stack back to the checkpoint
-//                              depth, newest-first, in O(touched) per frame:
-//                              the whole plan suffix is invalidated without
-//                              rebuilding the profile. Verifies through the
-//                              profile version that nothing but frames
-//                              mutated since the checkpoint.
+//   set_retain_accepted(on) -- recording mode: commit_fitted opens a frame
+//                              (an undo record in StepProfile's undo log)
+//                              instead of mutating permanently.
+//   checkpoint()            -- O(1) snapshot of the frame stack: its depth,
+//                              its top frame's serial and the count of
+//                              permanent mutations so far.
+//   rewind_to(checkpoint)   -- pops frames newest-first down to the
+//                              checkpoint's depth, O(touched segments) per
+//                              frame: no re-run of add's split/coalesce
+//                              path, so deep DFS probe loops and long plans
+//                              pay only for the segments they touch.
+//
+// Frames are strictly nested (LIFO). bnb takes a checkpoint before each
+// placement and rewinds to it after the recursion, and the service rewinds
+// its whole plan at once, so both nest by construction. rewind_to refuses
+// (RESCHED_CHECK, profile untouched) a checkpoint that no longer describes
+// the stack: the frame it saw on top was popped, or the stack is shallower
+// than its depth.
 //
 // Permanent world changes (a job actually starting, churn: cancellations
 // freeing capacity, availability drops, reservation moves) go through
 // adjust_capacity(), which requires an empty frame stack: plans are always
 // rewound before the world moves, so a checkpoint can never span a
-// permanent mutation (rewind_to checks this and trips loudly).
+// permanent mutation (rewind_to checks this and trips loudly). (EASY's
+// backfill test needs no frame at all: it reads the uncommitted profile,
+// see algorithms/easy_bf.cpp.)
 #pragma once
 
 #include <cstdint>
@@ -79,37 +73,6 @@ namespace resched {
 
 class FreeProfile {
  public:
-  // Opaque handle to one open tentative commit. Move-only; a
-  // default-constructed or rolled-back token is dead. Every live token must
-  // be rolled back before any older token -- destroying one live leaves its
-  // undo frame open and the next rollback will trip the LIFO check.
-  class CommitToken {
-   public:
-    CommitToken() = default;
-    CommitToken(CommitToken&& other) noexcept
-        : serial_(other.serial_), live_(other.live_) {
-      other.live_ = false;
-    }
-    CommitToken& operator=(CommitToken&& other) noexcept {
-      serial_ = other.serial_;
-      live_ = other.live_;
-      other.live_ = false;
-      return *this;
-    }
-    CommitToken(const CommitToken&) = delete;
-    CommitToken& operator=(const CommitToken&) = delete;
-    ~CommitToken() = default;
-
-    [[nodiscard]] bool live() const noexcept { return live_; }
-
-   private:
-    friend class FreeProfile;
-    explicit CommitToken(std::uint64_t serial) noexcept
-        : serial_(serial), live_(true) {}
-    std::uint64_t serial_ = 0;
-    bool live_ = false;
-  };
-
   // View over an explicit capacity profile (must be non-negative).
   explicit FreeProfile(StepProfile free_capacity);
 
@@ -134,45 +97,30 @@ class FreeProfile {
   // except in plan-recording mode (see set_retain_accepted).
   void commit_fitted(Time t, ProcCount q, Time p);
 
-  // Tentatively subtracts q over [t, t+p) and opens an undo frame; the
-  // returned token reverts it via rollback(). Same
-  // by-construction precondition (and Debug-only recheck) as
-  // commit_fitted. O(touched) to record; the frame's buffers are recycled
-  // across probes, so a reject/retry loop stops allocating after warm-up.
-  [[nodiscard]] CommitToken commit_tentative(Time t, ProcCount q, Time p);
-
-  // Reverts the newest open tentative commit, which must be the one the
-  // token names (RESCHED_CHECK otherwise). O(touched segments).
-  void rollback(CommitToken&& token);
-
-  // O(1) snapshot of the plan frontier; see the header notes. A checkpoint
+  // O(1) snapshot of the frame stack; see the header notes. A checkpoint
   // taken on one FreeProfile must only be passed back to that object.
   struct Checkpoint {
-    std::uint64_t serial = 0;    // next commit serial at checkpoint time
-    std::size_t depth = 0;       // frame-stack depth at checkpoint time
-    std::uint64_t version = 0;   // StepProfile::version() at checkpoint time
-    std::uint64_t permanent = 0; // permanent mutations seen at checkpoint time
+    std::uint64_t top = 0;        // serial of the top frame, 0 if none
+    std::size_t depth = 0;        // frame-stack depth
+    std::uint64_t permanent = 0;  // permanent mutations seen so far
   };
   [[nodiscard]] Checkpoint checkpoint() const noexcept {
-    return Checkpoint{next_serial_, open_.size(), profile_.version(),
+    return Checkpoint{open_.empty() ? 0 : open_.back().serial, open_.size(),
                       permanent_mutations_};
   }
 
-  // Rolls the frame stack back to the checkpoint's depth, newest-first
-  // (retained plan frames included), leaving the profile bit-identical
-  // to its checkpoint state. Trips RESCHED_CHECK if any permanent mutation
-  // (adjust_capacity, non-retained commit, compact_history) happened since
-  // the checkpoint -- those cannot be rewound -- or if the stack is already
-  // below the checkpoint depth.
+  // Pops frames newest-first down to the checkpoint's depth, leaving the
+  // profile bit-identical to its checkpoint state. Trips RESCHED_CHECK,
+  // without mutating anything, if a permanent mutation (adjust_capacity,
+  // unrecorded commit, compact_history) happened since the checkpoint --
+  // those cannot be rewound -- or if the checkpoint is stale: the stack is
+  // below its depth, or the frame at its depth is not the one it saw.
   void rewind_to(const Checkpoint& checkpoint);
 
   // Plan-recording mode: while on, commit_fitted() opens a recorded frame
   // (undo intact) instead of mutating permanently, so rewind_to can unwind
   // a whole plan. Toggling requires an empty stack.
   void set_retain_accepted(bool on);
-  [[nodiscard]] bool retain_accepted() const noexcept {
-    return retain_accepted_;
-  }
 
   // Permanent capacity mutation (a job starting for real; churn events:
   // cancellation refunds, availability drops, reservation moves). delta < 0
@@ -187,8 +135,7 @@ class FreeProfile {
   // stack. Returns the number of segments removed.
   std::size_t compact_history(Time t);
 
-  // Number of open frames: live tentative commits plus, in plan-recording
-  // mode, the plan's retained commit_fitted frames.
+  // Number of open frames (recorded commit_fitted calls not yet rewound).
   [[nodiscard]] std::size_t open_commits() const noexcept {
     return open_.size();
   }
@@ -208,16 +155,13 @@ class FreeProfile {
     return frame_misses_;
   }
 
-  // Smallest breakpoint > t, or kTimeInfinity (event-driven scheduling).
-  [[nodiscard]] Time next_change_after(Time t) const;
-
   [[nodiscard]] const StepProfile& profile() const noexcept {
     return profile_;
   }
 
  private:
-  // One open frame: the serial its token names plus the undo record that
-  // reverts it.
+  // One open frame: its serial (checkpoints name the top frame by it) plus
+  // the undo record that reverts it.
   struct OpenCommit {
     std::uint64_t serial = 0;
     StepProfile::Undo undo;
@@ -226,8 +170,8 @@ class FreeProfile {
   // Pops the top frame, rolling the profile back and recycling its undo
   // buffer.
   void pop_frame();
-  // Opens a recorded frame for a validated allocation; shared by
-  // commit_tentative and retain-mode commit_fitted.
+  // Opens a recorded frame for a validated allocation (recording-mode
+  // commit_fitted).
   void push_frame(Time t, ProcCount q, Time p);
 
   StepProfile profile_;

@@ -36,16 +36,17 @@
 // probe/split/coalesce machinery, after verifying against a replay of the
 // add that it really is reversing that mutation (a stale or out-of-order
 // rollback trips RESCHED_CHECK instead of silently corrupting the
-// function). A tentative probe sequence (add_recorded -> queries ->
+// function). A recorded probe sequence (add_recorded -> queries ->
 // rollback) is therefore structurally net-zero. Undo records unwind
-// newest-first (strict nesting, the shape backtracking search and tentative
-// probes produce). Records whose *checked state* -- the closed region
-// [window_lo, to] plus the value of the step immediately left of it -- was
-// not touched by any still-live later mutation may also unwind out of
-// order; anything else trips the rollback check. Note the checked state is
-// slightly wider than the mutation window [from, to): a later add that
-// merely coalesces across this record's region boundary, or shifts the
-// region's trailing piece at `to`, blocks this record until it unwinds.
+// newest-first (strict nesting: the shape of FreeProfile's checkpoint /
+// rewind_to frames, which backtracking search and plan rewinds produce).
+// Records whose *checked state* -- the closed region [window_lo, to] plus
+// the value of the step immediately left of it -- was not touched by any
+// still-live later mutation may also unwind out of order; anything else
+// trips the rollback check. Note the checked state is slightly wider than
+// the mutation window [from, to): a later add that merely coalesces across
+// this record's region boundary, or shifts the region's trailing piece at
+// `to`, blocks this record until it unwinds.
 #pragma once
 
 #include <cstddef>

@@ -125,11 +125,11 @@ void dfs(SearchState& state) {
     const Time completion = checked_add(start, job.p);
     if (completion >= state.best) continue;  // placing it can't improve
 
-    // Tentative commit: the undo token reverts the placement in O(touched)
-    // on backtrack, without index churn. Tokens nest with the DFS, so the
-    // LIFO discipline holds by construction.
-    FreeProfile::CommitToken token =
-        state.free.commit_tentative(start, job.q, job.p);
+    // Recorded commit: rewinding to `before` reverts the placement in
+    // O(touched) on backtrack. Frames nest with the DFS, so the LIFO
+    // discipline holds by construction.
+    const FreeProfile::Checkpoint before = state.free.checkpoint();
+    state.free.commit_fitted(start, job.q, job.p);
     state.placed[static_cast<std::size_t>(id)] = true;
     state.starts[static_cast<std::size_t>(id)] = start;
     const Time saved_makespan = state.current_makespan;
@@ -139,7 +139,7 @@ void dfs(SearchState& state) {
 
     state.current_makespan = saved_makespan;
     state.placed[static_cast<std::size_t>(id)] = false;
-    state.free.rollback(std::move(token));
+    state.free.rewind_to(before);
     if (state.aborted) break;
   }
   state.scratch.rewind(frame);
@@ -158,6 +158,7 @@ BnbResult branch_and_bound(const Instance& instance,
   SearchState state;
   state.instance = &instance;
   state.free = FreeProfile::for_instance(instance);
+  state.free.set_retain_accepted(true);
   state.placed.assign(instance.n(), false);
   state.starts.assign(instance.n(), 0);
   state.node_limit = options.node_limit;

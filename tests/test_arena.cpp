@@ -1,8 +1,8 @@
 // Memory-subsystem tests: the decision arena (scope reset, marker rewind,
 // alignment, chunk reuse), the arena-aware allocator (heap fallback, copy
 // vs move semantics), the SoA/SBO segment store underneath StepProfile, and
-// the FreeProfile frame pool. The steady-state legs pin the PR's core
-// claim -- a warm commit/rollback cycle performs zero heap allocations --
+// the FreeProfile frame pool. The steady-state legs pin the core claim --
+// a warm commit/rewind cycle performs zero heap allocations --
 // via the process-wide resched::alloc_count() counter (operator-new hook
 // plus the library's instrumented malloc sites).
 #include <cstdint>
@@ -182,53 +182,45 @@ TEST(SegStore, CopyAndMoveSemantics) {
 
 // ---- FreeProfile frame pool ------------------------------------------------
 
-TEST(FramePool, SteadyStateCommitRollbackIsAllocationFree) {
+TEST(FramePool, SteadyStateCommitRewindIsAllocationFree) {
   FreeProfile free{StepProfile(64)};
+  free.set_retain_accepted(true);
+  const FreeProfile::Checkpoint base = free.checkpoint();
   // Warm-up: grow the profile store, the frame pool and every undo buffer
   // to its high-water capacity.
   for (int cycle = 0; cycle < 4; ++cycle) {
-    std::vector<FreeProfile::CommitToken> tokens;
-    for (Time t = 0; t < 16; ++t)
-      tokens.push_back(free.commit_tentative(t * 3, 2, 5));
-    while (!tokens.empty()) {
-      free.rollback(std::move(tokens.back()));
-      tokens.pop_back();
-    }
+    for (Time t = 0; t < 16; ++t) free.commit_fitted(t * 3, 2, 5);
+    free.rewind_to(base);
   }
-  std::vector<FreeProfile::CommitToken> tokens;
-  tokens.reserve(16);  // the probe's own buffer must not pollute the count
   const std::uint64_t warm = alloc_count();
   const std::uint64_t warm_misses = free.frame_misses();
   for (int cycle = 0; cycle < 100; ++cycle) {
-    for (Time t = 0; t < 16; ++t)
-      tokens.push_back(free.commit_tentative(t * 3, 2, 5));
-    while (!tokens.empty()) {
-      free.rollback(std::move(tokens.back()));
-      tokens.pop_back();
-    }
+    for (Time t = 0; t < 16; ++t) free.commit_fitted(t * 3, 2, 5);
+    free.rewind_to(base);
   }
   EXPECT_EQ(free.frame_misses(), warm_misses)
       << "warm frame pool must recycle every frame";
   EXPECT_EQ(alloc_count(), warm)
-      << "steady-state commit/rollback must be zero-allocation";
+      << "steady-state commit/rewind must be zero-allocation";
 }
 
-TEST(FramePool, RecyclesAcrossCommitRollbackInterleavings) {
+TEST(FramePool, RecyclesAcrossCommitRewindInterleavings) {
   FreeProfile free{StepProfile(32)};
-  // Interleave nested commits and rollbacks so recycled frames carry undos
+  free.set_retain_accepted(true);
+  // Interleave nested commits and rewinds so recycled frames carry undos
   // of different windows; the profile must stay consistent throughout.
   for (int round = 0; round < 50; ++round) {
-    FreeProfile::CommitToken a = free.commit_tentative(round * 7, 4, 10);
-    FreeProfile::CommitToken b =
-        free.commit_tentative(round * 7 + 2, 8, 5);
-    free.rollback(std::move(b));
-    FreeProfile::CommitToken c =
-        free.commit_tentative(round * 7 + 1, 2, 3);
-    free.rollback(std::move(c));
-    free.rollback(std::move(a));
+    const FreeProfile::Checkpoint base = free.checkpoint();
+    free.commit_fitted(round * 7, 4, 10);
+    const FreeProfile::Checkpoint after_a = free.checkpoint();
+    free.commit_fitted(round * 7 + 2, 8, 5);
+    free.rewind_to(after_a);
+    free.commit_fitted(round * 7 + 1, 2, 3);
+    free.rewind_to(after_a);
+    free.rewind_to(base);
   }
   EXPECT_EQ(free.open_commits(), 0u);
-  // Fully rolled back: the profile is flat free capacity again.
+  // Fully rewound: the profile is flat free capacity again.
   EXPECT_EQ(free.profile().min_in(0, 1000), 32);
   EXPECT_EQ(free.profile().max_in(0, 1000), 32);
 }
@@ -237,8 +229,10 @@ TEST(FramePool, AllocCountDiagnosticCombinesProfileAndMisses) {
   FreeProfile free{StepProfile(16)};
   EXPECT_EQ(free.alloc_count(), free.profile().alloc_count() +
                                     free.frame_misses());
-  FreeProfile::CommitToken t = free.commit_tentative(0, 4, 4);
-  free.rollback(std::move(t));
+  free.set_retain_accepted(true);
+  const FreeProfile::Checkpoint before = free.checkpoint();
+  free.commit_fitted(0, 4, 4);
+  free.rewind_to(before);
   EXPECT_GE(free.frame_misses(), 1u) << "cold pool counts its misses";
   EXPECT_EQ(free.alloc_count(), free.profile().alloc_count() +
                                     free.frame_misses());

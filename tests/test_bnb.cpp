@@ -77,6 +77,21 @@ TEST(Bnb, ScheduleAchievesReportedOptimum) {
   EXPECT_EQ(result.schedule.makespan(instance), result.optimal);
 }
 
+TEST(Bnb, SearchOrderIsPinned) {
+  // Node count and optimum of one mid-sized search. Any change to the
+  // branching order, the pruning or the backtracking undo shows up here as
+  // a different count, not only as a different running time.
+  WorkloadConfig config;
+  config.n = 9;
+  config.m = 4;
+  config.p_max = 9;
+  const Instance instance = random_workload(config, 6);
+  const BnbResult result = branch_and_bound(instance);
+  EXPECT_TRUE(result.proven);
+  EXPECT_EQ(result.nodes, 5993u);
+  EXPECT_EQ(result.optimal, 32);
+}
+
 TEST(Bnb, NodeLimitReportsUnproven) {
   WorkloadConfig config;
   config.n = 10;

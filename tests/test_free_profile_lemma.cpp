@@ -7,9 +7,9 @@
 // capacity-increase events, so a counterexample here is a missed-start bug
 // in every list/backfilling algorithm at once.
 //
-// Also checks that tentative commits unwind to the bit-identical profile,
+// Also checks that recorded commits rewind to the bit-identical profile,
 // which is what branch-and-bound backtracking assumes (undo is LIFO by
-// contract: tokens resolve newest-first), and that the schedulers'
+// contract: checkpoints rewind newest-first), and that the schedulers'
 // read-only start tests -- the per-demand deadlines behind LSRC's and
 // EASY's passes -- agree with committing and re-querying.
 #include "core/profile_allocator.hpp"
@@ -80,17 +80,18 @@ TEST(FreeProfileLemma, EarliestFitReturnsT0OrCapacityIncreaseBreakpoint) {
   }
 }
 
-TEST(FreeProfileLemma, TentativeCommitsUnwindToIdenticalProfile) {
+TEST(FreeProfileLemma, RecordedCommitsRewindToIdenticalProfile) {
   Prng prng(9091);
   for (int round = 0; round < 120; ++round) {
     const ProcCount m = prng.uniform_int(2, 8);
     FreeProfile free(random_capacity(prng, m));
+    free.set_retain_accepted(true);
     const StepProfile snapshot = free.profile();
 
-    // Stack a random batch of tentative commits at their earliest fits
-    // (exactly the branch-and-bound shape), then unwind newest-first; the
-    // profile must come back bit-identical.
-    std::vector<FreeProfile::CommitToken> placed;
+    // Stack a random batch of recorded commits at their earliest fits, one
+    // checkpoint before each (exactly the branch-and-bound shape), then
+    // rewind newest-first; the profile must come back bit-identical.
+    std::vector<FreeProfile::Checkpoint> placed;
     const int jobs = static_cast<int>(prng.uniform_int(1, 10));
     for (int i = 0; i < jobs; ++i) {
       const ProcCount q = prng.uniform_int(1, m);
@@ -98,19 +99,20 @@ TEST(FreeProfileLemma, TentativeCommitsUnwindToIdenticalProfile) {
       const Time t0 = prng.uniform_int(0, kHorizon);
       if (free.profile().final_value() < q) continue;
       const Time t = free.earliest_fit(t0, q, p);
-      placed.push_back(free.commit_tentative(t, q, p));
+      placed.push_back(free.checkpoint());
+      free.commit_fitted(t, q, p);
     }
     ASSERT_GE(free.profile().min_value(), 0)
         << "commit drove free capacity negative";
     ASSERT_EQ(free.open_commits(), placed.size());
 
     while (!placed.empty()) {
-      free.rollback(std::move(placed.back()));
+      free.rewind_to(placed.back());
       placed.pop_back();
+      ASSERT_EQ(free.open_commits(), placed.size());
     }
-    ASSERT_EQ(free.open_commits(), 0u);
     ASSERT_EQ(free.profile(), snapshot)
-        << "tentative commits did not round-trip";
+        << "recorded commits did not round-trip";
   }
 }
 

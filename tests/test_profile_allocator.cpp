@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <utility>
 
 #include "core/availability.hpp"
 #include "util/prng.hpp"
@@ -71,52 +70,59 @@ TEST(FreeProfile, EarliestFitImpossibleWidthThrows) {
   EXPECT_THROW((void)free.earliest_fit(0, 3, 1), std::invalid_argument);
 }
 
-TEST(FreeProfile, TentativeCommitSubtractsAndRollbackRestores) {
+TEST(FreeProfile, RecordedCommitSubtractsAndRewindRestores) {
   FreeProfile free{StepProfile(4)};
-  FreeProfile::CommitToken token = free.commit_tentative(2, 3, 5);
-  EXPECT_TRUE(token.live());
+  free.set_retain_accepted(true);
+  const FreeProfile::Checkpoint before = free.checkpoint();
+  free.commit_fitted(2, 3, 5);
   EXPECT_EQ(free.open_commits(), 1u);
   EXPECT_EQ(free.capacity_at(2), 1);
   EXPECT_EQ(free.capacity_at(6), 1);
   EXPECT_EQ(free.capacity_at(7), 4);
   EXPECT_FALSE(free.fits_at(0, 2, 5));
-  free.rollback(std::move(token));
+  free.rewind_to(before);
   EXPECT_EQ(free.capacity_at(2), 4);
   EXPECT_EQ(free.open_commits(), 0u);
 }
 
-TEST(FreeProfile, RollbackKillsItsTokenAndKeepsFittedCommits) {
+TEST(FreeProfile, RewindKeepsUnrecordedCommits) {
   FreeProfile free{StepProfile(4)};
   free.commit_fitted(0, 2, 10);
   EXPECT_EQ(free.capacity_at(5), 2);
   EXPECT_EQ(free.open_commits(), 0u);
 
-  FreeProfile::CommitToken probe = free.commit_tentative(3, 2, 4);
+  free.set_retain_accepted(true);
+  const FreeProfile::Checkpoint before = free.checkpoint();
+  free.commit_fitted(3, 2, 4);
   EXPECT_EQ(free.capacity_at(4), 0);
-  free.rollback(std::move(probe));
-  EXPECT_FALSE(probe.live());  // NOLINT(bugprone-use-after-move): asserted dead
+  free.rewind_to(before);
   EXPECT_EQ(free.capacity_at(4), 2);
-  // The fitted commit stays in effect.
+  // The unrecorded commit stays in effect.
   EXPECT_EQ(free.capacity_at(9), 2);
   EXPECT_EQ(free.capacity_at(10), 4);
 }
 
-TEST(FreeProfile, TokensResolveNewestFirst) {
+TEST(FreeProfile, StaleCheckpointIsRejected) {
   FreeProfile free{StepProfile(8)};
-  FreeProfile::CommitToken first = free.commit_tentative(0, 2, 4);
-  FreeProfile::CommitToken second = free.commit_tentative(1, 3, 4);
-  // Rolling back the older token out of order trips the LIFO check (and
-  // leaves it live: a failed rollback consumes nothing, so a retry trips
-  // again).
-  EXPECT_THROW(free.rollback(std::move(first)), std::logic_error);
-  EXPECT_THROW(free.rollback(std::move(first)), std::logic_error);
-  EXPECT_TRUE(first.live());  // NOLINT(bugprone-use-after-move)
-  // Unwinding newest-first works.
-  free.rollback(std::move(second));
-  EXPECT_EQ(free.capacity_at(2), 6);
+  free.set_retain_accepted(true);
+  const FreeProfile::Checkpoint empty = free.checkpoint();
+  free.commit_fitted(0, 2, 4);
+  const FreeProfile::Checkpoint one = free.checkpoint();
+  free.rewind_to(empty);
+  // A different frame now sits at `one`'s depth: `one` names a popped frame.
+  free.commit_fitted(1, 3, 4);
+  const StepProfile with_second = free.profile();
+  EXPECT_THROW(free.rewind_to(one), std::logic_error);
+  EXPECT_EQ(free.profile(), with_second) << "failed rewind must not mutate";
   EXPECT_EQ(free.open_commits(), 1u);
-  // A dead token cannot resolve anything.
-  EXPECT_THROW(free.rollback(std::move(second)), std::logic_error);
+  // A checkpoint deeper than the stack is stale too.
+  free.rewind_to(empty);
+  EXPECT_THROW(free.rewind_to(one), std::logic_error);
+  // The live checkpoint still works.
+  free.commit_fitted(1, 3, 4);
+  free.rewind_to(empty);
+  EXPECT_EQ(free.capacity_at(2), 8);
+  EXPECT_EQ(free.open_commits(), 0u);
 }
 
 TEST(FreeProfile, ForInstanceUsesAvailability) {
@@ -206,11 +212,17 @@ TEST(FreeProfileVersioned, RewindToMidPlanCheckpointUnwindsOnlyTheSuffix) {
 
 TEST(FreeProfileVersioned, ToggleRetainRequiresEmptyStack) {
   FreeProfile free{StepProfile(4)};
-  FreeProfile::CommitToken token = free.commit_tentative(0, 1, 1);
-  EXPECT_THROW(free.set_retain_accepted(true), std::invalid_argument);
-  free.rollback(std::move(token));
   free.set_retain_accepted(true);
-  EXPECT_TRUE(free.retain_accepted());
+  const FreeProfile::Checkpoint before = free.checkpoint();
+  free.commit_fitted(0, 1, 1);
+  EXPECT_THROW(free.set_retain_accepted(false), std::invalid_argument);
+  free.commit_fitted(1, 1, 1);
+  EXPECT_EQ(free.open_commits(), 2u) << "the failed toggle left recording on";
+  free.rewind_to(before);
+  free.set_retain_accepted(false);
+  free.commit_fitted(0, 1, 1);
+  EXPECT_EQ(free.open_commits(), 0u) << "recording is off";
+  EXPECT_EQ(free.capacity_at(0), 3);
 }
 
 TEST(FreeProfileVersioned, RewindRefusesToCrossPermanentMutations) {
@@ -233,9 +245,11 @@ TEST(FreeProfileVersioned, AdjustCapacityContracts) {
   free.adjust_capacity(2, 6, 4);
   EXPECT_EQ(free.capacity_at(3), 4);
   // Plans must be rewound before the world moves.
-  FreeProfile::CommitToken token = free.commit_tentative(0, 1, 1);
+  free.set_retain_accepted(true);
+  const FreeProfile::Checkpoint before = free.checkpoint();
+  free.commit_fitted(0, 1, 1);
   EXPECT_THROW(free.adjust_capacity(0, 1, -1), std::logic_error);
-  free.rollback(std::move(token));
+  free.rewind_to(before);
   EXPECT_THROW(free.adjust_capacity(3, 3, -1), std::invalid_argument);
 }
 

@@ -353,14 +353,15 @@ TEST(PropIndexedProfile, FreeProfileOpsMatchDenseModelAndKeepCanonicalForm) {
       model.add(a, b, -carve);
     }
     FreeProfile free(capacity);
+    free.set_retain_accepted(true);
 
     struct Placed {
       Time t;
       ProcCount q;
       Time p;
-      FreeProfile::CommitToken token;
+      FreeProfile::Checkpoint before;  // taken just before the commit
     };
-    std::vector<Placed> live;  // open tentative commits, oldest first
+    std::vector<Placed> live;  // open recorded commits, oldest first
     for (int op = 0; op < 40; ++op) {
       const double roll = prng.uniform_real();
       if (roll < 0.5) {
@@ -391,13 +392,14 @@ TEST(PropIndexedProfile, FreeProfileOpsMatchDenseModelAndKeepCanonicalForm) {
             << t0 << " t=" << t << ")";
         ASSERT_TRUE(free.fits_at(t, q, p));
 
-        live.push_back(Placed{t, q, p, free.commit_tentative(t, q, p)});
+        live.push_back(Placed{t, q, p, free.checkpoint()});
+        free.commit_fitted(t, q, p);
         model.add(t, t + p, -q);
       } else if (roll < 0.75 && !live.empty()) {
         // Revoke the newest open commit (undo is LIFO by contract).
-        Placed job = std::move(live.back());
+        const Placed job = live.back();
         live.pop_back();
-        free.rollback(std::move(job.token));
+        free.rewind_to(job.before);
         model.add(job.t, job.t + job.p, job.q);
       } else {
         // Pure queries.
@@ -418,9 +420,8 @@ TEST(PropIndexedProfile, FreeProfileOpsMatchDenseModelAndKeepCanonicalForm) {
     // Unwinding every open commit newest-first drains back to the starting
     // profile bit-identically.
     while (!live.empty()) {
-      Placed job = std::move(live.back());
+      free.rewind_to(live.back().before);
       live.pop_back();
-      free.rollback(std::move(job.token));
     }
     ASSERT_EQ(free.profile(), capacity);
   }

@@ -2,9 +2,9 @@
 """resched-lint: project-invariant static analyzer for the resched codebase.
 
 The repo's headline guarantees -- exact 64-bit tick arithmetic, bit-identical
-schedules across thread counts, ~0 allocations per decision on the service hot
-path, and transactional commit/rollback discipline -- are enforced dynamically
-by differential fuzz, golden hashes and the alloc-budget gate. This tool
+schedules across thread counts and ~0 allocations per decision on the service
+hot path -- are enforced dynamically by differential fuzz, golden hashes and
+the alloc-budget gate. This tool
 encodes them as *source-level* rules so the class of bug is caught before it
 compiles:
 
@@ -41,18 +41,12 @@ compiles:
                   reachability check. Annotate amortized/cold sites:
                       // resched-lint: hot-path-alloc-audited(<why the budget holds>)
 
-  R4 frame        every FreeProfile::commit_tentative() call must be paired
-     discipline   with a rollback() in the same function (or the token
-                  returned to the caller); rollback is the only call that
-                  resolves a tentative frame. Annotate intentional exceptions:
-                      // resched-lint: frame-audited(<reason>)
-
 Annotation grammar (also documented in BUILDING.md):
 
     // resched-lint: <rule>-audited(<reason>)              line-scoped
     // resched-lint: <rule>-audited(<reason>) [function]   whole function
 
-with <rule> in {time-arith, determinism, hot-path-alloc, frame}. A line-scoped
+with <rule> in {time-arith, determinism, hot-path-alloc}. A line-scoped
 annotation on its own line applies to the next code line; a trailing one to
 its own line. The <reason> is mandatory and non-empty. A [function]
 annotation must sit directly above the function's signature.
@@ -93,13 +87,12 @@ from dataclasses import dataclass, field
 # Rule registry and project configuration
 # --------------------------------------------------------------------------
 
-RULES = ("R1", "R2", "R3", "R4")
+RULES = ("R1", "R2", "R3")
 
 ANNOTATION_NAMES = {
     "time-arith": "R1",
     "determinism": "R2",
     "hot-path-alloc": "R3",
-    "frame": "R4",
 }
 
 # Spelled types that live in the 64-bit tick domain. Project aliases of these
@@ -1324,45 +1317,6 @@ def scan_r3_body(toks, f, ann, relpath, path, findings):
 
 
 # --------------------------------------------------------------------------
-# R4: frame discipline
-# --------------------------------------------------------------------------
-
-def rule_r4(toks, funcs, ann, relpath, findings):
-    for f in funcs:
-        lo, hi = f.body_start, f.body_end
-        has_rollback = False
-        commits = []
-        for i in range(lo + 1, hi):
-            t = toks[i]
-            if t.kind != "id":
-                continue
-            nxt = toks[i + 1].text if i + 1 < hi else ""
-            if t.text == "rollback":
-                has_rollback = True
-            if t.text == "commit_tentative" and nxt == "(" and \
-                    f.name != "commit_tentative":
-                # `return ...commit_tentative(...)` transfers the token.
-                stmt_start = i
-                while stmt_start > lo and toks[stmt_start].text not in \
-                        (";", "{", "}"):
-                    stmt_start -= 1
-                returned = any(toks[k].text == "return"
-                               for k in range(stmt_start, i))
-                if not returned:
-                    commits.append(t)
-        for t in commits:
-            if has_rollback:
-                continue
-            if ann.suppressed("R4", t.line) or "R4" in f.annotations:
-                continue
-            findings.append(Finding(
-                "R4", relpath, t.line, t.col, f.qualified,
-                "commit_tentative() without rollback() on any path "
-                "in this function; every tentative frame must be resolved "
-                "in-function or the CommitToken returned to the caller", ""))
-
-
-# --------------------------------------------------------------------------
 # Analysis driver
 # --------------------------------------------------------------------------
 
@@ -1448,8 +1402,6 @@ def analyze(repo_root, files, rules):
                 rule_r1(toks, f, symbols, ann, rel, findings)
         if "R2" in rules:
             rule_r2(toks, funcs, symbols, ann, rel, findings)
-        if "R4" in rules:
-            rule_r4(toks, funcs, ann, rel, findings)
     if "R3" in rules:
         rule_r3(file_tokens, funcs_by_file, all_funcs, ann_by_file, findings)
 
@@ -1506,7 +1458,7 @@ def main(argv=None):
         prog="resched-lint",
         description="Project-invariant static analyzer for resched "
                     "(R1 time-arith, R2 determinism, R3 hot-path "
-                    "allocation, R4 frame discipline).")
+                    "allocation).")
     ap.add_argument("paths", nargs="*",
                     help="explicit files to analyze (default: src/ tree / "
                          "compile_commands.json)")
@@ -1519,7 +1471,7 @@ def main(argv=None):
     ap.add_argument("--update-baseline", action="store_true",
                     help="rewrite the baseline: prune stale entries, add "
                          "new findings as TODO")
-    ap.add_argument("--rules", default="R1,R2,R3,R4")
+    ap.add_argument("--rules", default="R1,R2,R3")
     ap.add_argument("--format", choices=("text", "json"), default="text")
     ap.add_argument("--quiet", action="store_true")
     args = ap.parse_args(argv)

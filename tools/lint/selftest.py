@@ -7,7 +7,8 @@ Each fixture is analyzed in isolation (its own symbol harvest, its own call
 graph) with every rule enabled, so a fixture written for one rule also proves
 the other rules stay quiet on it.  A line may expect several rules
 (`// LINT-EXPECT: R1, R2`).  Negative fixtures carry no markers and must
-produce zero findings.
+produce zero findings.  Every rule needs at least one positive
+(`r<n>_pos*.cpp`) and one negative (`r<n>_neg*.cpp`) fixture.
 
 Exit status: 0 if every fixture matches exactly, 1 otherwise.
 """
@@ -24,7 +25,7 @@ import resched_lint  # noqa: E402
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 EXPECT_RE = re.compile(r"//\s*LINT-EXPECT:\s*([R0-9,\s]+?)\s*$")
-ALL_RULES = ("R1", "R2", "R3", "R4")
+ALL_RULES = ("R1", "R2", "R3")
 
 
 def expected_findings(path):
@@ -65,10 +66,14 @@ def main():
         os.path.join(FIXTURES, name)
         for name in os.listdir(FIXTURES)
         if name.endswith(".cpp"))
-    if len(fixtures) < 12:
-        print(f"selftest: fixture corpus incomplete "
-              f"({len(fixtures)} files, expected >= 12)", file=sys.stderr)
-        return 1
+    names = [os.path.basename(path) for path in fixtures]
+    for rule in ALL_RULES:
+        for kind in ("pos", "neg"):
+            prefix = f"{rule.lower()}_{kind}"
+            if not any(name.startswith(prefix) for name in names):
+                print(f"selftest: fixture corpus incomplete "
+                      f"(no {prefix}*.cpp for {rule})", file=sys.stderr)
+                return 1
     failures = 0
     for path in fixtures:
         name = os.path.basename(path)
