@@ -2,10 +2,13 @@
 //
 // The schedule stores sigma_i per job; feasibility means
 //   forall t:  sum_{i running at t} q_i  <=  m - U(t)
-// and sigma_i >= release_i. Validation recomputes everything from scratch,
-// independently of the scheduler that produced the schedule (defence in
-// depth: schedulers maintain their own profiles, the validator rebuilds
-// them).
+// and sigma_i >= release_i. Validation recomputes everything from scratch
+// and shares no code with StepProfile, the structure the schedulers plan on
+// (defence in depth): every job and reservation window becomes a +q event
+// at its start and a -q event at its end, an LSD radix sort over 8-bit
+// digits orders the events, and one sweep sums the load. Its cost is
+// O((n + n') * passes), where passes = ceil(bits(2 * latest end) / 8): two
+// while every window ends before tick 32768, three below 2^23.
 #pragma once
 
 #include <optional>
@@ -52,7 +55,12 @@ class Schedule {
   // r(t): processors used by scheduled jobs at time t (the appendix's r).
   [[nodiscard]] StepProfile usage_profile(const Instance& instance) const;
 
-  // Full feasibility check; explains the first violation found.
+  // Full feasibility check; explains the first violation found. Checks run
+  // in order: size mismatch, then per job (by id) unscheduled and start
+  // before release, then capacity, reported as
+  //   "capacity exceeded: L > m = M during [a, b)"
+  // for the earliest maximal interval of constant overloaded load L. Throws
+  // std::overflow_error when a window's end overflows int64.
   [[nodiscard]] ValidationResult validate(const Instance& instance) const;
 
   // Area available to the scheduler in [0, makespan) minus the work placed

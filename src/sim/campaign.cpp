@@ -159,14 +159,19 @@ CampaignResult run_campaign(const InstanceGenerator& generator,
                            std::chrono::steady_clock::now() - start)
                            .count();
         const Schedule schedule = std::move(outcome).value();
+        // One feasibility check per task: validate mode reports a failure
+        // as the scheduler's invariant breach, otherwise compute_metrics'
+        // own precondition check reports it.
         if (config.validate) {
           const ValidationResult check = schedule.validate(instance);
           RESCHED_CHECK_MSG(check.ok, "campaign: scheduler '" + names[s] +
                                           "' produced an infeasible "
                                           "schedule: " +
                                           check.error);
+          slot.metrics = metrics_of_feasible(instance, schedule, config.tau);
+        } else {
+          slot.metrics = compute_metrics(instance, schedule, config.tau);
         }
-        slot.metrics = compute_metrics(instance, schedule, config.tau);
         slot.scheduled = true;
         if (config.check_guarantees) {
           // An exact reference turns a bound breach into a definite

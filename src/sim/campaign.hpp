@@ -69,8 +69,12 @@ struct CampaignConfig {
   std::vector<std::string> schedulers;
   // Bounded-slowdown threshold passed to compute_metrics.
   Time tau = 10;
-  // Re-validate every schedule against the instance (differential oracle for
-  // the scheduler + profile stack); throws on the first violation.
+  // Every schedule is validated exactly once against the instance in both
+  // modes (Schedule::validate, an oracle that shares no code with the
+  // schedulers' profiles); the first violation aborts the campaign. The
+  // flag only picks which check reports it: true throws std::logic_error
+  // naming the scheduler, false throws compute_metrics' precondition
+  // failure (std::invalid_argument).
   bool validate = true;
   // true: generate each instance once -- on first touch, under a
   // per-instance std::call_once, so generation overlaps the task phase

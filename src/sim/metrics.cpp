@@ -8,10 +8,15 @@ namespace resched {
 
 ScheduleMetrics compute_metrics(const Instance& instance,
                                 const Schedule& schedule, Time tau) {
-  RESCHED_REQUIRE(tau >= 1);
   const ValidationResult valid = schedule.validate(instance);
   RESCHED_REQUIRE_MSG(valid.ok, "metrics need a feasible schedule: " +
                                     valid.error);
+  return metrics_of_feasible(instance, schedule, tau);
+}
+
+ScheduleMetrics metrics_of_feasible(const Instance& instance,
+                                    const Schedule& schedule, Time tau) {
+  RESCHED_REQUIRE(tau >= 1);
   ScheduleMetrics metrics;
   metrics.makespan = schedule.makespan(instance);
   metrics.utilization = schedule.utilization(instance);

@@ -22,10 +22,19 @@ struct ScheduleMetrics {
   double max_bounded_slowdown = 0.0;
 };
 
-// Requires a fully scheduled, feasible schedule. tau is the bounded-slowdown
-// threshold (default 10 ticks).
+// Requires a fully scheduled, feasible schedule: validates it first and
+// throws std::invalid_argument with validate's error otherwise. tau is the
+// bounded-slowdown threshold (default 10 ticks).
 [[nodiscard]] ScheduleMetrics compute_metrics(const Instance& instance,
                                               const Schedule& schedule,
                                               Time tau = 10);
+
+// The same metrics without the check. Precondition: schedule.validate(
+// instance) has just returned ok -- for a caller that reports its own
+// validation failure and must not pay for a second check. On any other
+// schedule the numbers are meaningless. Requires tau >= 1.
+[[nodiscard]] ScheduleMetrics metrics_of_feasible(const Instance& instance,
+                                                  const Schedule& schedule,
+                                                  Time tau = 10);
 
 }  // namespace resched

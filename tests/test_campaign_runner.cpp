@@ -14,8 +14,10 @@
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <exception>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "core/step_profile.hpp"
 #include "generators/reservations.hpp"
@@ -215,6 +217,78 @@ TEST(CampaignRunner, PreconditionViolationInsideSchedulerAbortsTheCampaign) {
   };
   // Not a skip: the campaign must abort with the underlying error.
   EXPECT_THROW((void)run_campaign(generator, config), std::invalid_argument);
+}
+
+namespace {
+// Starts every job at 0, so any instance wider than the machine comes back
+// overloaded: a feasible-looking outcome that only validation can reject.
+class AllAtZeroScheduler final : public Scheduler {
+ public:
+  [[nodiscard]] ScheduleOutcome schedule(
+      const Instance& instance) const override {
+    Schedule schedule(instance.n());
+    for (const Job& job : instance.jobs()) schedule.set_start(job.id, 0);
+    return schedule;
+  }
+  [[nodiscard]] std::string name() const override { return "all-at-zero"; }
+};
+
+// Runs a campaign of all-at-zero schedules and returns what it threw.
+std::exception_ptr infeasible_campaign_error(bool validate) {
+  static const bool registered = [] {
+    register_scheduler(
+        "all-at-zero", [] { return std::make_unique<AllAtZeroScheduler>(); },
+        "test-only: starts every job at 0, overloading the machine");
+    return true;
+  }();
+  (void)registered;
+  CampaignConfig config;
+  config.instances = 3;
+  config.threads = 2;
+  config.validate = validate;
+  config.schedulers = {"fcfs", "all-at-zero"};
+  const InstanceGenerator generator = [](std::size_t, std::uint64_t seed) {
+    return sweep_instance(seed, true);
+  };
+  try {
+    (void)run_campaign(generator, config);
+  } catch (...) {
+    return std::current_exception();
+  }
+  return nullptr;
+}
+}  // namespace
+
+// Each schedule is checked once; whichever check reports, an infeasible
+// schedule still aborts the campaign.
+TEST(CampaignRunner, InfeasibleScheduleAbortsNamingTheSchedulerWhenValidating) {
+  const std::exception_ptr error = infeasible_campaign_error(true);
+  ASSERT_TRUE(error);
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::invalid_argument& e) {
+    FAIL() << "expected the invariant breach, got a precondition: "
+           << e.what();
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("scheduler 'all-at-zero' produced an infeasible"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("capacity exceeded"), std::string::npos) << what;
+  }
+}
+
+TEST(CampaignRunner, InfeasibleScheduleAbortsInMetricsWithoutValidateMode) {
+  const std::exception_ptr error = infeasible_campaign_error(false);
+  ASSERT_TRUE(error);
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("metrics need a feasible schedule: capacity exceeded"),
+              std::string::npos)
+        << what;
+  }
 }
 
 TEST(CampaignRunner, UnknownSchedulerThrowsBeforeAnyWork) {
