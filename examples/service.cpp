@@ -2,8 +2,8 @@
 //
 // Sweeps the offered arrival rate from --step-size up to --step-stop (jobs
 // per kilotick, mutated-client style) for each requested scheduler, running
-// warmup/measure/cooldown phases per step on the sim/des kernel, and prints
-// one row per rate step: decision-latency percentiles, wait-time
+// warmup/measure/cooldown phases per step on the service's event loop, and
+// prints one row per rate step: decision-latency percentiles, wait-time
 // percentiles, queue depth, sustained throughput, and whether the step
 // saturated. The detected saturation knee -- the first rate whose queue
 // growth diverges -- closes each scheduler's section.

@@ -108,11 +108,11 @@ struct Capabilities {
   //   (modulo the time translation) to schedule(). It is a pure FCFS fold:
   //   each queued job is planned exactly once, in queue order, against the
   //   profile state left by its predecessors, and never revisited. Planning
-  //   a queue suffix on the profile that still holds the prefix's plan
-  //   frames therefore yields the same starts as replanning the whole queue
+  //   a queue suffix on the profile that still holds the prefix's committed
+  //   plan therefore yields the same starts as replanning the whole queue
   //   (earliest-fit results are stable as `now` advances past nothing), so
-  //   the service retains the plan across pure-arrival decisions and
-  //   replans only the appended jobs (fcfs, conservative).
+  //   the service keeps the plan across arrivals and on-time completions
+  //   and plans only the appended jobs (fcfs, conservative).
   // false: decision-only. replan() decides who starts at now and nothing
   //   else: it commits exactly those jobs on the profile and leaves every
   //   other job unscheduled. Its starts at now are the jobs schedule()
@@ -136,18 +136,18 @@ class FreeProfile;
 //  * The scheduler places jobs only through commits on `free`; returned
 //    starts are absolute.
 //  * Append-only schedulers (Capabilities::append_only_replan) plan every
-//    job (starts >= now) and the caller has plan recording on, so the plan
-//    lives in frames it can rewind. replan(free, queue, now) must equal
-//    schedule(instance) + now, where instance is the scratch translation
-//    (releases 0, running jobs and windows as reservations relative to
-//    now).
+//    job (starts >= now), each one an ordinary permanent commit on `free`:
+//    the caller keeps the plan, and to drop it returns each job's
+//    occupancy by value (FreeProfile::adjust_capacity). replan(free,
+//    queue, now) must equal schedule(instance) + now, where instance is the
+//    scratch translation (releases 0, running jobs and windows as
+//    reservations relative to now).
 //  * Decision-only schedulers (every other incremental_replan scheduler)
 //    start jobs at `now` only: each one is committed on `free` and returned
-//    with start == now, and every other job comes back unscheduled. The
-//    caller has plan recording off, so those commits are permanent -- they
-//    ARE the jobs starting. {j : start_j == now} must equal
-//    {j : schedule(instance).start_j == 0}. A start later than now would
-//    leak its capacity forever; the service loop rejects it.
+//    with start == now, and every other job comes back unscheduled. Those
+//    permanent commits ARE the jobs starting. {j : start_j == now} must
+//    equal {j : schedule(instance).start_j == 0}. A start later than now
+//    would leak its capacity forever; the service loop rejects it.
 //  * There is no wake-up list: a decision-only scheduler never looks past
 //    now, and an append-only fold reads future capacity from `free` alone.
 struct ReplanRequest {

@@ -24,14 +24,20 @@ std::string to_string(Compliance compliance) {
 GuaranteeReport check_guarantee(const Instance& instance,
                                 const Schedule& schedule,
                                 std::optional<Time> exact_optimum) {
-  GuaranteeReport report;
-
   const ValidationResult valid = schedule.validate(instance);
   if (!valid.ok) {
+    GuaranteeReport report;
     report.compliance = Compliance::kViolated;
     report.detail = "infeasible schedule: " + valid.error;
     return report;
   }
+  return guarantee_of_feasible(instance, schedule, exact_optimum);
+}
+
+GuaranteeReport guarantee_of_feasible(const Instance& instance,
+                                      const Schedule& schedule,
+                                      std::optional<Time> exact_optimum) {
+  GuaranteeReport report;
   report.makespan = schedule.makespan(instance);
 
   // Which guarantee applies to this instance class? (Strongest first.)

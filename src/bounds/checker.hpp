@@ -46,6 +46,14 @@ struct GuaranteeReport {
     const Instance& instance, const Schedule& schedule,
     std::optional<Time> exact_optimum = std::nullopt);
 
+// The same report without the feasibility check. Precondition:
+// schedule.validate(instance) has just returned ok -- for a caller that
+// has validated already and must not pay for a second check. On any other
+// schedule the verdict is meaningless.
+[[nodiscard]] GuaranteeReport guarantee_of_feasible(
+    const Instance& instance, const Schedule& schedule,
+    std::optional<Time> exact_optimum = std::nullopt);
+
 struct Lemma1Report {
   bool holds = true;
   // Witness pair when violated.

@@ -1,5 +1,8 @@
 #include "core/availability.hpp"
 
+#include <algorithm>
+
+#include "util/checked.hpp"
 #include "util/require.hpp"
 
 namespace resched {
@@ -16,6 +19,17 @@ StepProfile availability_profile(const Instance& instance) {
   for (const Reservation& resa : instance.reservations())
     profile.add(resa.start, resa.end(), -resa.q);
   return profile;
+}
+
+std::int64_t available_area(const Instance& instance, Time horizon) {
+  RESCHED_REQUIRE(horizon >= 0);
+  std::int64_t area = checked_mul(instance.m(), horizon);
+  for (const Reservation& resa : instance.reservations()) {
+    const Time to = std::min(resa.end(), horizon);
+    if (to <= resa.start) continue;
+    area = checked_sub(area, checked_mul(resa.q, checked_sub(to, resa.start)));
+  }
+  return area;
 }
 
 bool has_non_increasing_unavailability(const Instance& instance) {

@@ -9,6 +9,7 @@
 //  * alpha-restriction (section 4.2): U(t) <= (1-alpha) m and q_i <= alpha m.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 
 #include "core/instance.hpp"
@@ -22,6 +23,15 @@ namespace resched {
 
 // m(t) = m - U(t): processors the scheduler may use over time.
 [[nodiscard]] StepProfile availability_profile(const Instance& instance);
+
+// Integral of m(t) over [0, horizon), summed straight from the reservation
+// windows: m * horizon - sum_r q_r * |[start_r, end_r) intersect [0, horizon)|.
+// No profile is built, so the schedule checks (Schedule::utilization and
+// idle_area) share no code with the StepProfile the schedulers plan on.
+// Requires horizon >= 0; throws std::overflow_error when an intermediate
+// int64 product or sum overflows.
+[[nodiscard]] std::int64_t available_area(const Instance& instance,
+                                          Time horizon);
 
 // Section 4.1 restriction: U non-increasing (equivalently m(t) non-
 // decreasing). Instances with no reservations qualify trivially.

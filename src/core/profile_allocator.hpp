@@ -28,12 +28,12 @@
 //
 // ## Frames (checkpoint / rewind)
 //
-// Two callers place work speculatively and take it back. Branch-and-bound
+// One caller places work speculatively and takes it back: branch-and-bound
 // (exact/bnb.cpp) places a job, recurses, and on backtrack removes the
-// placement. The resident service (sim/service_sim.cpp) keeps ONE
-// long-lived FreeProfile (absolute time), lets an append-only scheduler
-// plan directly on it, and unwinds the plan before the world moves instead
-// of rebuilding the profile per decision. Both use the same three pieces:
+// placement. (The resident service keeps its long-lived profile without
+// frames: an append-only plan is committed permanently, and when churn
+// drops it each waiting job's occupancy is returned by value through
+// adjust_capacity.) Frames take three pieces:
 //
 //   set_retain_accepted(on) -- recording mode: commit_fitted opens a frame
 //                              (an undo record in StepProfile's undo log)
@@ -48,19 +48,18 @@
 //                              pay only for the segments they touch.
 //
 // Frames are strictly nested (LIFO). bnb takes a checkpoint before each
-// placement and rewinds to it after the recursion, and the service rewinds
-// its whole plan at once, so both nest by construction. rewind_to refuses
-// (RESCHED_CHECK, profile untouched) a checkpoint that no longer describes
-// the stack: the frame it saw on top was popped, or the stack is shallower
-// than its depth.
+// placement and rewinds to it after the recursion, so its frames nest by
+// construction. rewind_to refuses (RESCHED_CHECK, profile untouched) a
+// checkpoint that no longer describes the stack: the frame it saw on top
+// was popped, or the stack is shallower than its depth.
 //
 // Permanent world changes (a job actually starting, churn: cancellations
-// freeing capacity, availability drops, reservation moves) go through
-// adjust_capacity(), which requires an empty frame stack: plans are always
-// rewound before the world moves, so a checkpoint can never span a
-// permanent mutation (rewind_to checks this and trips loudly). (EASY's
-// backfill test needs no frame at all: it reads the uncommitted profile,
-// see algorithms/easy_bf.cpp.)
+// freeing capacity, availability drops, reservation moves, a dropped plan
+// returning its occupancy) go through adjust_capacity(), which requires an
+// empty frame stack, so a checkpoint can never span a permanent mutation
+// (rewind_to checks this and trips loudly). (EASY's backfill test needs no
+// frame at all: it reads the uncommitted profile, see
+// algorithms/easy_bf.cpp.)
 #pragma once
 
 #include <cstdint>
@@ -94,7 +93,7 @@ class FreeProfile {
   // holds by construction, so its recheck is a Debug-only RESCHED_ASSERT.
   // This is the schedulers' hot placement path; misuse is still caught
   // downstream by Schedule::validate and the campaign oracle. Permanent,
-  // except in plan-recording mode (see set_retain_accepted).
+  // except in recording mode (see set_retain_accepted).
   void commit_fitted(Time t, ProcCount q, Time p);
 
   // O(1) snapshot of the frame stack; see the header notes. A checkpoint
@@ -117,17 +116,17 @@ class FreeProfile {
   // below its depth, or the frame at its depth is not the one it saw.
   void rewind_to(const Checkpoint& checkpoint);
 
-  // Plan-recording mode: while on, commit_fitted() opens a recorded frame
-  // (undo intact) instead of mutating permanently, so rewind_to can unwind
-  // a whole plan. Toggling requires an empty stack.
+  // Recording mode: while on, commit_fitted() opens a recorded frame (undo
+  // intact) instead of mutating permanently, so rewind_to can unwind the
+  // placements. Toggling requires an empty stack.
   void set_retain_accepted(bool on);
 
   // Permanent capacity mutation (a job starting for real; churn events:
-  // cancellation refunds, availability drops, reservation moves). delta < 0
-  // withdraws capacity over [from, to), delta > 0 restores it. Requires an
-  // empty frame stack -- plans must be rewound before the world moves --
-  // and, for withdrawals, that the window can afford it (min capacity over
-  // the window stays >= 0).
+  // cancellation refunds, availability drops, reservation moves; a dropped
+  // plan's occupancy coming back). delta < 0 withdraws capacity over
+  // [from, to), delta > 0 restores it. Requires an empty frame stack and,
+  // for withdrawals, that the window can afford it (min capacity over the
+  // window stays >= 0).
   void adjust_capacity(Time from, Time to, std::int64_t delta);
 
   // Forwards StepProfile::compact_before: coalesces dead history strictly
@@ -176,10 +175,10 @@ class FreeProfile {
 
   StepProfile profile_;
   std::vector<OpenCommit> open_;
-  // Retired frames, kept whole (undo buffer included) so probe loops and
-  // plan/rewind cycles stop allocating once warm. Capped adaptively at
+  // Retired frames, kept whole (undo buffer included) so probe and
+  // backtrack loops stop allocating once warm. Capped adaptively at
   // max(kMinPoolFrames, peak open-stack depth): a full rewind of the
-  // deepest plan this profile has ever carried can recycle every frame,
+  // deepest stack this profile has ever carried can recycle every frame,
   // while a shallow prober never hoards more than a handful.
   std::vector<OpenCommit> frame_pool_;
   // High-water mark of open_.size(); sets the pool cap.

@@ -154,8 +154,7 @@ ValidationResult Schedule::validate(const Instance& instance) const {
 std::int64_t Schedule::idle_area(const Instance& instance) const {
   const Time horizon = makespan(instance);
   if (horizon == 0) return 0;
-  const std::int64_t available =
-      availability_profile(instance).integral(0, horizon);
+  const std::int64_t available = available_area(instance, horizon);
   std::int64_t placed = 0;
   for (std::size_t i = 0; i < starts_.size(); ++i) {
     if (!starts_[i].has_value()) continue;
@@ -167,8 +166,7 @@ std::int64_t Schedule::idle_area(const Instance& instance) const {
 double Schedule::utilization(const Instance& instance) const {
   const Time horizon = makespan(instance);
   if (horizon == 0) return 1.0;
-  const std::int64_t available =
-      availability_profile(instance).integral(0, horizon);
+  const std::int64_t available = available_area(instance, horizon);
   if (available == 0) return 1.0;
   return static_cast<double>(instance.total_work()) /
          static_cast<double>(available);

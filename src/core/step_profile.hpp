@@ -39,7 +39,7 @@
 // function). A recorded probe sequence (add_recorded -> queries ->
 // rollback) is therefore structurally net-zero. Undo records unwind
 // newest-first (strict nesting: the shape of FreeProfile's checkpoint /
-// rewind_to frames, which backtracking search and plan rewinds produce).
+// rewind_to frames, which branch-and-bound's backtracking produces).
 // Records whose *checked state* -- the closed region [window_lo, to] plus
 // the value of the step immediately left of it -- was not touched by any
 // still-live later mutation may also unwind out of order; anything else

@@ -185,8 +185,9 @@ CampaignResult run_campaign(const InstanceGenerator& generator,
                 instance, BnbOptions{.upper_bound_hint = slot.metrics.makespan});
             if (bnb.proven) exact = bnb.optimal;
           }
+          // Validated above, by either branch: no second check.
           const GuaranteeReport report =
-              check_guarantee(instance, schedule, exact);
+              guarantee_of_feasible(instance, schedule, exact);
           slot.guarantee_checked = true;
           slot.has_guarantee = report.has_guarantee;
           slot.compliance = report.compliance;

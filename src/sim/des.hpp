@@ -4,7 +4,10 @@
 // event-driven execution (EASY, the online batch wrapper) have their own
 // specialised loops for clarity; this kernel backs the cluster simulator and
 // is the extension point for users who want to script their own scenarios
-// (see examples/online_cluster.cpp).
+// (see examples/online_cluster.cpp). The resident service (sim/service_sim)
+// does not use it: its events are plain {kind, job} records on its own
+// EventQueue, since a std::function handler capturing more than 16 bytes
+// heap-allocates on every push.
 #pragma once
 
 #include <functional>

@@ -13,7 +13,7 @@
 #include "core/arena.hpp"
 #include "core/instance.hpp"
 #include "core/profile_allocator.hpp"
-#include "sim/des.hpp"
+#include "sim/event_queue.hpp"
 #include "util/checked.hpp"
 #include "util/prng.hpp"
 #include "util/require.hpp"
@@ -51,8 +51,24 @@ struct ChurnWindow {
   ProcCount width = 0;
 };
 
-// One fixed-rate service step: owns the DES, the queue, the persistent
-// capacity profile and the recorders.
+// A pending service event: what happens and, for arrivals and completions,
+// to which job (arrival index). Plain data, so queueing one never
+// allocates; equal-time events fire in insertion order (EventQueue).
+enum class EventKind : std::uint8_t {
+  kArrival,
+  kCompletion,
+  kWindowEnd,
+  kQueueSample,
+  kChurn,
+};
+
+struct Event {
+  EventKind kind = EventKind::kArrival;
+  std::uint64_t index = 0;
+};
+
+// One fixed-rate service step: owns the event queue, the waiting queue, the
+// persistent capacity profile and the recorders.
 class ServiceLoop {
  public:
   ServiceLoop(const Scheduler& scheduler, const LoadGenConfig& load,
@@ -70,7 +86,6 @@ class ServiceLoop {
     gen_.set_rate(rate);
     result_.offered_rate = rate;
     jobs_.reserve(config.phases.total());
-    if (append_replan_) free_.set_retain_accepted(true);
     if (config.churn.enabled())
       churn_.emplace(config.churn, seed ^ kChurnSeedSalt);
   }
@@ -84,11 +99,16 @@ class ServiceLoop {
       // the chain unscheduled; it dies when measurement closes.
       if (config_.phases.measure > 0) schedule_queue_sample();
       if (churn_.has_value()) schedule_next_churn();
-      sim_.run();
+      while (!events_.empty()) {
+        const auto [time, event] = events_.pop();
+        RESCHED_CHECK_MSG(time >= now_, "event queue went back in time");
+        now_ = time;
+        fire(event);
+      }
     }
     RESCHED_CHECK_MSG(busy_ == 0, "machines still busy after service drain");
     result_.end_queue_depth = waiting_.size();
-    result_.sim_end = sim_.now();
+    result_.sim_end = now_;
     result_.measured = measured_done_;
     if (measured_done_ > 0) {
       // resched-lint: time-arith-audited(phases keep measure_end_ >= measure_begin_)
@@ -158,25 +178,58 @@ class ServiceLoop {
            running_.empty();
   }
 
-  void schedule_next_arrival() {
-    if (aborted_ || emitted_ >= config_.phases.total()) return;
-    const ArrivalSpec spec = gen_.next();
-    const std::uint64_t index = emitted_++;
-    sim_.at(std::max(spec.time, sim_.now()),
-            [this, spec, index](Simulation&) { on_arrival(spec, index); });
+  // ---- events ------------------------------------------------------------
+
+  void push_event(Time time, EventKind kind, std::uint64_t index = 0) {
+    RESCHED_CHECK_MSG(time >= now_, "cannot schedule an event in the past");
+    events_.push(time, Event{kind, index});
   }
 
-  void on_arrival(const ArrivalSpec& spec, std::uint64_t index) {
+  void fire(const Event& event) {
+    switch (event.kind) {
+      case EventKind::kArrival:
+        on_arrival(event.index);
+        return;
+      case EventKind::kCompletion:
+        on_complete(event.index);
+        return;
+      case EventKind::kWindowEnd:
+        if (!aborted_) dispatch();
+        return;
+      case EventKind::kQueueSample:
+        if (aborted_ || measure_finished()) return;  // chain dies
+        if (in_measure())
+          result_.queue_depth.record(
+              static_cast<std::int64_t>(waiting_.size()));
+        schedule_queue_sample();
+        return;
+      case EventKind::kChurn:
+        if (aborted_ || drained()) return;  // chain dies with the step
+        apply_churn(pending_churn_);
+        schedule_next_churn();
+        return;
+    }
+  }
+
+  // The arrival chain keeps one arrival in flight: its spec waits here.
+  void schedule_next_arrival() {
+    if (aborted_ || emitted_ >= config_.phases.total()) return;
+    pending_arrival_ = gen_.next();
+    push_event(std::max(pending_arrival_.time, now_), EventKind::kArrival,
+               emitted_++);
+  }
+
+  void on_arrival(std::uint64_t index) {
     if (aborted_) return;
     RESCHED_CHECK_MSG(index == jobs_.size(), "arrivals fired out of order");
-    jobs_.push_back(
-        ServiceJob{sim_.now(), spec.q, spec.p, phase_of(index)});
+    jobs_.push_back(ServiceJob{now_, pending_arrival_.q, pending_arrival_.p,
+                               phase_of(index)});
     waiting_.push_back(index);
     ++result_.arrivals;
     result_.peak_queue_depth =
         std::max(result_.peak_queue_depth, waiting_.size());
     if (jobs_.back().phase == kMeasure && measure_begin_ < 0) {
-      measure_begin_ = sim_.now();
+      measure_begin_ = now_;
       result_.queue_depth.record(
           static_cast<std::int64_t>(waiting_.size()));
     }
@@ -207,33 +260,25 @@ class ServiceLoop {
     ++result_.completed;
     ++completions_since_compact_;
     if (job.phase == kMeasure) {
-      result_.response_ticks.record(checked_sub(sim_.now(), job.arrival));
+      result_.response_ticks.record(checked_sub(now_, job.arrival));
       ++measured_done_;
-      measure_end_ = sim_.now();
+      measure_end_ = now_;
     }
     if (aborted_) return;
     dispatch();
   }
 
   void schedule_queue_sample() {
-    sim_.after(config_.queue_sample_interval, [this](Simulation&) {
-      if (aborted_ || measure_finished()) return;  // chain dies
-      if (in_measure())
-        result_.queue_depth.record(
-            static_cast<std::int64_t>(waiting_.size()));
-      schedule_queue_sample();
-    });
+    push_event(checked_add(now_, config_.queue_sample_interval),
+               EventKind::kQueueSample);
   }
 
   // ---- churn -------------------------------------------------------------
 
+  // Like arrivals, the churn chain keeps one event in flight.
   void schedule_next_churn() {
-    const ChurnEvent event = churn_->next();
-    sim_.after(event.gap, [this, event](Simulation&) {
-      if (aborted_ || drained()) return;  // chain dies with the step
-      apply_churn(event);
-      schedule_next_churn();
-    });
+    pending_churn_ = churn_->next();
+    push_event(checked_add(now_, pending_churn_.gap), EventKind::kChurn);
   }
 
   void note_canceled(const ServiceJob& job) {
@@ -242,12 +287,12 @@ class ServiceLoop {
   }
 
   void apply_churn(const ChurnEvent& event) {
-    const Time now = sim_.now();
-    // Every churn kind either mutates the world profile (which requires an
-    // empty plan stack and changes what a re-solve would produce) or edits
-    // the waiting queue under the retained plan's feet: the plan suffix it
-    // invalidates is rewound here, and the next dispatch replans it.
-    drop_retained();
+    const Time now = now_;
+    // Every churn kind either mutates the world profile (which changes what
+    // a re-solve would produce) or edits the waiting queue under the
+    // plan's feet: the plan is returned to the profile here, and the next
+    // dispatch re-solves the window.
+    drop_plan();
     purge_windows(now);
     switch (event.kind) {
       case ChurnKind::kCancelWaiting: {
@@ -370,9 +415,7 @@ class ServiceLoop {
   // event; without this a blocked job could wait past its feasible start
   // until the next arrival/completion (or forever).
   void schedule_window_end(Time end) {
-    sim_.at(end, [this](Simulation&) {
-      if (!aborted_) dispatch();
-    });
+    push_event(end, EventKind::kWindowEnd);
   }
 
   void purge_windows(Time now) {
@@ -399,30 +442,24 @@ class ServiceLoop {
            completions_since_compact_ >= kCompactCompletionBudget;
   }
 
-  // Rewind an append-only scheduler's retained plan frames off the
-  // persistent profile (O(touched)) and forget its starts. Called whenever
-  // an event invalidates the plan suffix: a churn mutation (it needs the
-  // empty stack for adjust_capacity and changes what a re-solve would
-  // produce), a queue edit, or the periodic compaction rebase. Jobs that
-  // started *under* the plan were living inside their plan frames; the
-  // rewind takes their occupancy with it, so it is re-applied permanently
-  // here (only the [now, end) remainder -- earlier history is dead).
-  // Decision-only schedulers never retain a plan, so this is a no-op.
-  void drop_retained() {
-    if (!retained_live_) return;
-    result_.plan_frames_rewound +=
-        free_.open_commits() - retained_plan_.base.depth;
-    free_.rewind_to(retained_plan_.base);
-    retained_live_ = false;
-    retained_plan_.starts.clear();  // capacity survives for the next plan
-    const Time now = sim_.now();
-    for (const std::uint64_t index : framed_) {
-      const auto it = find_running(index);
-      if (it == running_.end() || it->second.end <= now) continue;
-      free_.adjust_capacity(now, it->second.end,
-                            -static_cast<std::int64_t>(it->second.q));
+  // Return an append-only scheduler's plan to the profile and forget it.
+  // The plan's commits are ordinary permanent commits, so each job still
+  // waiting under it gives its planned occupancy back by value; a planned
+  // start is never behind the clock, since every job planned at an instant
+  // starts at the dispatch there. Jobs that already started keep their
+  // occupancy: it is the world change, and it expires on its own.
+  // Called only when churn invalidates the plan; with no plan (always, for
+  // decision-only schedulers) this is a no-op.
+  void drop_plan() {
+    for (std::size_t j = 0; j < plan_.size(); ++j) {
+      const Time start = plan_[j];
+      RESCHED_CHECK_MSG(start >= now_, "a planned start fell behind the clock");
+      const ServiceJob& job = jobs_[waiting_[j]];
+      free_.adjust_capacity(start, checked_add(start, job.p),
+                            static_cast<std::int64_t>(job.q));
     }
-    framed_.clear();
+    result_.plan_frames_rewound += plan_.size();
+    plan_.clear();  // capacity survives for the next plan
   }
 
   // Window positions [from, k) of the waiting queue as a replan queue:
@@ -438,47 +475,38 @@ class ServiceLoop {
   }
 
   // Append-mode suffix repair: plan only the jobs that arrived since the
-  // retained plan, on the profile that still holds the prefix's frames.
-  // Valid exactly for append_only_replan schedulers (FCFS folds): the
-  // prefix's re-solve is bit-identical to the retained plan, so only the
+  // plan was built, on the profile that already holds the prefix's
+  // commits. Valid exactly for append_only_replan schedulers (FCFS folds):
+  // the prefix's re-solve is bit-identical to the kept plan, so only the
   // suffix is new work. `not_before` continues fcfs's non-overtaking chain.
   // With no plan (planned == 0) this is the full window solve.
   void append_suffix(Time now, std::size_t planned, std::size_t k) {
-    const Time floor = std::max(
-        now, retained_plan_.starts.empty() ? now
-                                           : retained_plan_.starts.back());
+    const Time floor = plan_.empty() ? now : std::max(now, plan_.back());
     const Schedule plan = scheduler_.replan(ReplanRequest{
         free_, fill_window(planned, k), m_, now, floor, &decision_arena_});
     for (std::size_t j = planned; j < k; ++j)
-      retained_plan_.starts.push_back(
-          plan.start(static_cast<JobId>(j - planned)));
+      plan_.push_back(plan.start(static_cast<JobId>(j - planned)));
     result_.suffix_jobs_replanned += k - planned;
   }
 
   // Incremental path: plan directly on the persistent absolute-time
   // profile and collect in head_ the window positions that start now.
-  //  * Append-only schedulers keep their plan frames open across decisions
-  //    (above a checkpoint taken when the plan was built) and replan only
-  //    the arrived suffix. settle() rebases the plan (drop + compact, after
-  //    the latency sample) once the compaction deadline passes, so the
-  //    frame stack and the dead history stay bounded and the next decision
-  //    here re-solves the full window.
+  //  * Append-only schedulers commit their whole plan permanently and keep
+  //    it across decisions: each job is planned once, when it enters the
+  //    window, and a job reaching its planned start simply starts on the
+  //    occupancy it already holds. Only churn drops the plan
+  //    (drop_plan()), and the next decision here re-solves the window.
   //  * Decision-only schedulers commit the jobs they start at now straight
-  //    onto the profile (plan recording is off, so those commits are the
-  //    world change) and leave every other job unscheduled. A later start
-  //    would be capacity no completion ever returns, so it is rejected.
+  //    onto the profile and leave every other job unscheduled. A later
+  //    start would be capacity no completion ever returns, so it is
+  //    rejected.
   void plan_incremental(Time now, std::size_t k) {
     if (append_replan_) {
-      if (!retained_live_) {
-        retained_plan_.base = free_.checkpoint();
-        retained_live_ = true;
-      }
-      const std::size_t planned = retained_plan_.starts.size();
-      RESCHED_CHECK_MSG(planned <= k,
-                        "retained plan outlived a queue shrink");
+      const std::size_t planned = plan_.size();
+      RESCHED_CHECK_MSG(planned <= k, "plan outlived a queue shrink");
       if (planned < k) append_suffix(now, planned, k);
       for (std::size_t j = 0; j < k; ++j)
-        if (retained_plan_.starts[j] == now) head_.push_back(j);
+        if (plan_[j] == now) head_.push_back(j);
       return;
     }
     const Schedule plan = scheduler_.replan(ReplanRequest{
@@ -494,7 +522,7 @@ class ServiceLoop {
   }
 
   // Oracle mode: a full re-solve per decision on the scratch path. An
-  // append-only plan must match it job by job -- with a retained plan the
+  // append-only plan must match it job by job -- with a kept plan the
   // strongest form of the append-equivalence claim, since the prefix
   // starts were computed at an earlier instant and must still match a
   // from-scratch solve at this one. A decision-only scheduler must start
@@ -505,7 +533,7 @@ class ServiceLoop {
     if (append_replan_) {
       for (std::size_t j = 0; j < k; ++j)
         RESCHED_CHECK_MSG(
-            retained_plan_.starts[j] ==
+            plan_[j] ==
                 checked_add(oracle.start(static_cast<JobId>(j)), now),
             "incremental replan diverged from the full re-solve oracle");
       return;
@@ -557,21 +585,16 @@ class ServiceLoop {
   // Re-plan on event: hand the scheduler the head of the waiting queue,
   // then commit exactly the jobs it placed at the current instant.
   void dispatch() {
-    const Time now = sim_.now();
+    const Time now = now_;
     if (waiting_.empty()) {
-      // Idle-time rebase: when a compaction is due (or due soon -- half
-      // the interval, so an arrival landing just past the deadline cannot
-      // force it into a timed decision) and there is nothing to plan,
-      // dropping the retained frames and compacting here is almost free,
-      // and the next arrival rebuilds a plan for a near-empty queue.
-      // Under sustained pressure the queue never empties and the
-      // post-decision rebase in settle() fires instead. This keeps
-      // the periodic rebase spike out of the sub-saturation decision tail.
+      // Idle-time compaction: when one is due (or due soon -- half the
+      // interval, so an arrival landing just past the deadline cannot
+      // force it next to a timed decision) and there is nothing to plan,
+      // compacting here costs no decision anything. Under sustained
+      // pressure the queue never empties and settle() compacts instead.
       if (use_replan_ && result_.decisions_incremental > 0 &&
-          compact_due(now, config_.compact_interval / 2)) {
-        drop_retained();
+          compact_due(now, config_.compact_interval / 2))
         compact_now(now);
-      }
       return;
     }
     // Same-tick completion drain: if any running job ends at this exact
@@ -612,13 +635,12 @@ class ServiceLoop {
     for (auto pos = head_.rbegin(); pos != head_.rend(); ++pos) {
       start_job(waiting_[*pos]);
       waiting_.erase(waiting_.begin() + static_cast<std::ptrdiff_t>(*pos));
-      // The retained plan tracks the queue: the started job leaves both.
-      // Its occupancy stays behind in its plan frame (see start_job), so
-      // the remaining starts are untouched -- a re-solve of the remaining
-      // queue sees the identical profile.
-      if (retained_live_)
-        retained_plan_.starts.erase(retained_plan_.starts.begin() +
-                                    static_cast<std::ptrdiff_t>(*pos));
+      // The plan tracks the queue: the started job leaves both. Its
+      // occupancy stays committed (see start_job), so the remaining starts
+      // are untouched -- a re-solve of the remaining queue sees the
+      // identical profile.
+      if (append_replan_)
+        plan_.erase(plan_.begin() + static_cast<std::ptrdiff_t>(*pos));
     }
 
     if (in_measure()) {
@@ -638,26 +660,17 @@ class ServiceLoop {
   // output is complete once the heads have started; compacting dead
   // history only prepares the profile for the NEXT decision, so it runs
   // after the latency sample (deferred reclamation -- respond first, clean
-  // up before the next event). Append-capable schedulers keep their plan
-  // and rebase here only when the compaction deadline has passed.
+  // up before the next event). Compaction touches only history behind the
+  // clock, so an append-only plan (all of it at or after now) stays as it
+  // is.
   void settle(Time now) {
     if (!use_replan_) return;
-    if (append_replan_) {
-      // The plan is kept across decisions; dropping it forces the next
-      // decision to re-solve the whole window, so rebase only at the
-      // compaction deadline.
-      // resched-lint: time-arith-audited(monotonic sim clock: now >= last_compact_)
-      if (now - last_compact_ < config_.compact_interval) return;
-      drop_retained();
-      compact_now(now);
-      return;
-    }
-    // Decision-only schedulers leave no plan behind: their commits are
-    // the started jobs. Compact as soon as any completion has stranded
-    // dead history (each completion leaves ~2 dead segments, and every
-    // live one drags the next decision's scans and splices; the compaction
-    // itself is a single untimed splice, far cheaper).
-    if (completions_since_compact_ > 0 ||
+    // Append-only schedulers compact at the deadline. Decision-only ones
+    // compact as soon as any completion has stranded dead history (each
+    // completion leaves ~2 dead segments, and every live one drags the
+    // next decision's scans and splices; the compaction itself is a single
+    // untimed splice, far cheaper).
+    if ((!append_replan_ && completions_since_compact_ > 0) ||
         // resched-lint: time-arith-audited(monotonic sim clock: now >= last_compact_)
         now - last_compact_ >= config_.compact_interval)
       compact_now(now);
@@ -669,44 +682,41 @@ class ServiceLoop {
     busy_ += job.q;
     RESCHED_CHECK_MSG(busy_ <= m_, "service dispatch exceeded capacity");
     if (job.phase == kMeasure)
-      result_.wait_ticks.record(checked_sub(sim_.now(), job.arrival));
-    const Time completion = checked_add(sim_.now(), job.p);
+      result_.wait_ticks.record(checked_sub(now_, job.arrival));
+    const Time completion = checked_add(now_, job.p);
     const auto at = std::lower_bound(
         running_.begin(), running_.end(), index,
         [](const auto& entry, std::uint64_t key) { return entry.first < key; });
     running_.insert(at, {index, RunningRec{completion, job.q}});
     // Occupancy [now, completion) leaves the profile by natural expiry, so
-    // a normal completion needs no mutation at all. A decision-only
-    // scheduler's replan() already committed it permanently.
-    if (retained_live_) {
-      // Started under a retained plan: the occupancy is already subtracted
-      // by the job's own plan frame, so the start mutates nothing.
-      // drop_retained() re-applies the remainder permanently when the plan
-      // eventually dies.
-      framed_.push_back(index);
-    } else if (!use_replan_ && maintain_profile_) {
-      // Scratch path with churn or windows: the start is the permanent
-      // world change.
-      free_.adjust_capacity(sim_.now(), completion,
+    // a normal completion needs no mutation at all. On the incremental path
+    // replan() already committed it permanently: an append-only plan when
+    // the job was planned, a decision-only pass just now. The scratch path
+    // with churn or windows applies the start here.
+    if (!use_replan_ && maintain_profile_)
+      free_.adjust_capacity(now_, completion,
                             -static_cast<std::int64_t>(job.q));
-    }
-    sim_.at(completion, [this, index](Simulation&) { on_complete(index); });
+    push_event(completion, EventKind::kCompletion, index);
   }
 
   const Scheduler& scheduler_;
   const ServiceConfig& config_;
   const ProcCount m_;
   const bool use_replan_;
-  // FCFS-fold schedulers (append_only_replan) keep plan frames open across
-  // decisions; pure-arrival dispatches then replan only the new suffix.
+  // FCFS-fold schedulers (append_only_replan) keep their plan across
+  // decisions; pure-arrival dispatches then plan only the new suffix.
   const bool append_replan_;
   // The persistent profile is maintained whenever the incremental path or
   // churn needs it; pure scratch steps skip the bookkeeping entirely.
   const bool maintain_profile_;
   LoadGen gen_;
-  Simulation sim_;
-  // Persistent absolute-time capacity; plan recording is on for append-only
-  // schedulers only.
+  // The step's clock and pending events. Arrivals and churn each keep one
+  // event in flight, so their drawn specs wait in the members below.
+  Time now_ = 0;
+  EventQueue<Event> events_;
+  ArrivalSpec pending_arrival_;
+  ChurnEvent pending_churn_;
+  // Persistent absolute-time capacity. Every commit on it is permanent.
   FreeProfile free_;
   std::optional<ChurnGen> churn_;
   std::vector<ChurnWindow> windows_;  // active/future availability drops
@@ -721,17 +731,10 @@ class ServiceLoop {
   Time measure_end_ = 0;
   Time last_compact_ = 0;
   std::uint64_t completions_since_compact_ = 0;
-  // The live plan of an append-capable scheduler: frames still open on
-  // free_, absolute starts aligned with waiting_[0..starts.size()).
-  // A persistent member guarded by retained_live_ rather than an optional:
-  // the starts buffer's capacity survives drop/retain cycles, so the
-  // steady-state decision never reallocates it.
-  struct RetainedPlan {
-    FreeProfile::Checkpoint base;
-    std::vector<Time> starts;
-  };
-  RetainedPlan retained_plan_;
-  bool retained_live_ = false;
+  // The plan of an append-capable scheduler: absolute starts aligned with
+  // waiting_[0..plan_.size()), each committed on free_. Its capacity
+  // survives drops, so the steady-state decision never reallocates it.
+  std::vector<Time> plan_;
   // Decision-scoped bump allocator handed to the scheduler through
   // ReplanRequest::scratch; reset (chunks kept) at each dispatch entry.
   Arena decision_arena_;
@@ -739,9 +742,6 @@ class ServiceLoop {
   // high-water capacity is reused so the timed window stays allocation-free.
   std::vector<std::size_t> head_;
   std::vector<Job> window_jobs_;
-  // Jobs started while a plan was retained: their occupancy lives in plan
-  // frames, not in the permanent profile, until drop_retained() rebases it.
-  std::vector<std::uint64_t> framed_;
   bool aborted_ = false;
   ServiceStepResult result_;
 };

@@ -1,13 +1,14 @@
 // Resident cluster service: schedulers under sustained open-loop traffic.
 //
 // Every other driver in the repo is batch-mode (build instance -> schedule
-// -> exit). This harness runs the cluster as a long-lived service on the
-// sim/des kernel: an open-loop LoadGen feeds arrivals, and the scheduler
-// under test is re-invoked on each arrival/completion/churn event over a
-// rolling window of the waiting queue. Jobs the scheduler places at "now"
-// start immediately; everything else keeps waiting for the next event. That
-// is exactly how EASY/conservative run in production batch systems --
-// re-plan on event, commit only the head of the plan.
+// -> exit). This harness runs the cluster as a long-lived service on a
+// typed event queue (sim/event_queue.hpp; plain {kind, job} events, so
+// queueing one never allocates): an open-loop LoadGen feeds arrivals, and
+// the scheduler under test is re-invoked on each arrival/completion/churn
+// event over a rolling window of the waiting queue. Jobs the scheduler
+// places at "now" start immediately; everything else keeps waiting for the
+// next event. That is exactly how EASY/conservative run in production
+// batch systems -- re-plan on event, commit only the head of the plan.
 //
 // ## Planning paths
 //
@@ -19,19 +20,23 @@
 //    adjustments. What a decision asks of replan() depends on the
 //    scheduler (see ReplanRequest in algorithms/scheduler.hpp):
 //     - append-only (append_only_replan; pure arrival-order folds: fcfs,
-//       conservative) -- the plan lives in retained plan frames above an
-//       O(1) checkpoint and is kept across decisions. A started job's
-//       occupancy simply stays in its frame, and a decision re-solves only
-//       the jobs that arrived since the plan was built (suffix repair).
+//       conservative) -- replan() commits the whole plan permanently, and
+//       the loop keeps its starts (a vector aligned with the waiting
+//       queue) across decisions. A decision plans only the jobs that
+//       entered the dispatch window since (suffix repair), so without
+//       churn each job is planned exactly once; a job reaching its planned
+//       start starts on the occupancy it already holds. Only churn drops
+//       the plan: each still-waiting job returns its planned occupancy by
+//       value, and the next decision re-solves the window.
 //     - decision-only (every other incremental scheduler: the event loops
 //       easy, lsrc, lsrc-lpt) -- replan() runs one pass at now and commits
-//       only the jobs that start now, permanently: plan recording is off,
-//       so those commits are the jobs starting, and no plan is left to
-//       rewind. Any start after now trips RESCHED_CHECK.
-//    Upkeep -- rewinding an append-only plan, making started-job occupancy
-//    permanent, compacting dead history -- runs AFTER the decision's
-//    latency sample (settle(): respond first, then reclaim), and
-//    preferentially at idle instants.
+//       only the jobs that start now, permanently: those commits are the
+//       jobs starting, and no plan is left behind. Any start after now
+//       trips RESCHED_CHECK.
+//    Compacting dead history runs AFTER the decision's latency sample
+//    (settle(): respond first, then reclaim), and preferentially at idle
+//    instants. It touches only history behind the clock, so it never
+//    disturbs an append-only plan.
 //  * scratch -- for every other scheduler (portfolio, local-search, lsrc
 //    with an explicit or random list), and as the incremental path's
 //    oracle: per decision, build an Instance (waiting window as jobs,
@@ -150,10 +155,10 @@ struct ServiceConfig {
   // this many simulated ticks pass -- or sooner, after a fixed completion
   // budget, since each completion strands ~2 dead segments -- keeping the
   // persistent profile O(active horizon) instead of O(jobs ever started).
-  // For append-capable schedulers this is also the retained plan's rebase
-  // cadence: dropping the plan forces one full window re-solve, so the
-  // interval bounds both the frame stack and the history drag. Compaction
-  // runs outside the timed decision window (at idle when possible).
+  // Compaction leaves an append-only plan in place (it lies at or after
+  // now), so the interval trades only history drag against compaction
+  // calls. It runs outside the timed decision window (at idle when
+  // possible).
   Time compact_interval = 256;
   // Optional churn stream; ChurnConfig{} (rate 0) disables it.
   ChurnConfig churn;
@@ -190,7 +195,9 @@ struct ServiceStepResult {
   std::uint64_t decisions_incremental = 0;  // decisions via replan()
   std::uint64_t decisions_scratch = 0;      // decisions via schedule()
   std::uint64_t suffix_jobs_replanned = 0;  // sum of re-solved window sizes
-  std::uint64_t plan_frames_rewound = 0;    // frames unwound by rewind_to
+  // Planned occupancies returned to the profile when churn drops an
+  // append-only plan (one per still-waiting planned job).
+  std::uint64_t plan_frames_rewound = 0;
   std::uint64_t history_compactions = 0;    // compact_history calls
   std::uint64_t compacted_segments = 0;     // segments they removed
   // Dispatches deferred because a same-tick completion had not drained yet

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "core/schedule.hpp"
+#include "util/prng.hpp"
+
 namespace resched {
 namespace {
 
@@ -102,6 +107,84 @@ TEST(Availability, BestAlphaOneForRigidOnly) {
   const auto alpha = best_alpha(instance);
   ASSERT_TRUE(alpha.has_value());
   EXPECT_EQ(*alpha, Rational(1));
+}
+
+// Random feasible reservation sets (U <= m everywhere), some windows
+// touching end to start.
+Instance random_reserved_instance(Prng& prng) {
+  const ProcCount m = static_cast<ProcCount>(prng.uniform_int(1, 16));
+  StepProfile free(m);
+  std::vector<Reservation> held;
+  const int count = static_cast<int>(prng.uniform_int(0, 8));
+  for (int r = 0; r < count; ++r) {
+    const Time start = !held.empty() && prng.uniform_int(0, 3) == 0
+                           ? held.back().end()  // touches the previous one
+                           : prng.uniform_int(0, 200);
+    const Time p = prng.uniform_int(1, 80);
+    const ProcCount q = static_cast<ProcCount>(prng.uniform_int(1, m));
+    if (free.min_in(start, start + p) < q) continue;
+    free.add(start, start + p, -q);
+    held.push_back(Reservation{static_cast<ReservationId>(held.size()), q, p,
+                               start, ""});
+  }
+  return Instance(m, {Job{0, 1, 1, 0, ""}}, held);
+}
+
+TEST(Availability, AvailableAreaMatchesTheProfileIntegral) {
+  Prng prng(2718);
+  for (int trial = 0; trial < 300; ++trial) {
+    const Instance instance = random_reserved_instance(prng);
+    const StepProfile m_t = availability_profile(instance);
+    // H = 0, a random horizon, every window boundary (touching windows
+    // included) and one past the last window.
+    std::vector<Time> horizons = {0, prng.uniform_int(1, 400), 1000};
+    for (const Reservation& resa : instance.reservations()) {
+      horizons.push_back(resa.start);
+      horizons.push_back(resa.end());
+      horizons.push_back(resa.end() + 1);
+    }
+    for (const Time horizon : horizons)
+      ASSERT_EQ(available_area(instance, horizon), m_t.integral(0, horizon))
+          << "trial " << trial << " horizon " << horizon;
+  }
+}
+
+TEST(Availability, AvailableAreaClipsWindowsToTheHorizon) {
+  // m = 10; 3 processors on [0, 8), 2 on [5, 8), and 4 on [20, 30), wholly
+  // past a horizon of 8.
+  const Instance instance(10, {Job{0, 4, 3, 0, ""}},
+                          {Reservation{0, 3, 8, 0, ""},
+                           Reservation{1, 2, 3, 5, ""},
+                           Reservation{2, 4, 10, 20, ""}});
+  EXPECT_EQ(available_area(instance, 0), 0);
+  EXPECT_EQ(available_area(instance, 5), 50 - 15);
+  EXPECT_EQ(available_area(instance, 8), 80 - 24 - 6);
+  EXPECT_EQ(available_area(instance, 20), 200 - 24 - 6);
+  EXPECT_EQ(available_area(instance, 25), 250 - 24 - 6 - 20);
+}
+
+TEST(Availability, ScheduleUtilizationReadsTheAvailableArea) {
+  // Schedules whose makespan ends before, at and inside reservation
+  // windows: utilization and idle area agree with the profile integral.
+  Prng prng(314);
+  for (int trial = 0; trial < 200; ++trial) {
+    const Instance base = random_reserved_instance(prng);
+    const Time p = prng.uniform_int(1, 300);
+    const Instance instance(base.m(), {Job{0, 1, p, 0, ""}},
+                            base.reservations());
+    Schedule schedule(1);
+    schedule.set_start(0, prng.uniform_int(0, 100));
+    const Time horizon = schedule.makespan(instance);
+    const std::int64_t available =
+        availability_profile(instance).integral(0, horizon);
+    EXPECT_EQ(schedule.idle_area(instance), available - p) << trial;
+    if (available > 0) {
+      EXPECT_DOUBLE_EQ(schedule.utilization(instance),
+                       static_cast<double>(p) /
+                           static_cast<double>(available))
+          << trial;
+    }
+  }
 }
 
 }  // namespace

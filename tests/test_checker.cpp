@@ -88,6 +88,57 @@ TEST(Checker, UsesExactOptimumWhenGiven) {
   EXPECT_EQ(report.compliance, Compliance::kProven);
 }
 
+TEST(Checker, FeasibleOnlyEntryMatchesTheValidatingOne) {
+  // Every feasible (instance, schedule, reference) case above: skipping
+  // the check must not change a single field of the report.
+  struct Case {
+    Instance instance;
+    std::optional<Time> exact;
+  };
+  const std::vector<Case> cases = {
+      {Instance(4, {Job{0, 2, 3, 0, ""}, Job{1, 2, 3, 0, ""}}), std::nullopt},
+      {Instance(4, {Job{0, 2, 3, 0, ""}, Job{1, 2, 3, 0, ""}}), Time{3}},
+      {Instance(8, {Job{0, 4, 3, 0, ""}, Job{1, 2, 5, 0, ""}},
+                {Reservation{0, 4, 10, 4, ""}}),
+       std::nullopt},
+      {Instance(2, {Job{0, 1, 2, 0, ""}}, {Reservation{0, 2, 5, 3, ""}}),
+       std::nullopt},
+      {Instance(8, {Job{0, 6, 3, 0, ""}}, {Reservation{0, 6, 4, 0, ""}}),
+       std::nullopt},
+      {Instance(2, {Job{0, 1, 10, 0, ""}}), Time{10}},
+      {Instance(2, {}), std::nullopt},
+  };
+  for (const Case& c : cases) {
+    const Schedule schedule = LsrcScheduler().schedule(c.instance).value();
+    const GuaranteeReport checked =
+        check_guarantee(c.instance, schedule, c.exact);
+    const GuaranteeReport unchecked =
+        guarantee_of_feasible(c.instance, schedule, c.exact);
+    EXPECT_EQ(checked.guarantee, unchecked.guarantee);
+    EXPECT_EQ(checked.bound, unchecked.bound);
+    EXPECT_EQ(checked.has_guarantee, unchecked.has_guarantee);
+    EXPECT_EQ(checked.makespan, unchecked.makespan);
+    EXPECT_EQ(checked.reference, unchecked.reference);
+    EXPECT_EQ(checked.reference_is_exact, unchecked.reference_is_exact);
+    EXPECT_EQ(checked.compliance, unchecked.compliance);
+    EXPECT_EQ(checked.detail, unchecked.detail);
+  }
+  // The hand-built terrible schedule of ExactReferenceEnablesViolation-
+  // Detection, whose verdict depends on the reference.
+  const Instance instance(2, {Job{0, 1, 10, 0, ""}});
+  Schedule late(1);
+  late.set_start(0, 100);
+  for (const std::optional<Time> exact : {std::optional<Time>{},
+                                          std::optional<Time>{Time{10}}}) {
+    const GuaranteeReport checked = check_guarantee(instance, late, exact);
+    const GuaranteeReport unchecked =
+        guarantee_of_feasible(instance, late, exact);
+    EXPECT_EQ(checked.compliance, unchecked.compliance);
+    EXPECT_EQ(checked.detail, unchecked.detail);
+    EXPECT_EQ(checked.makespan, unchecked.makespan);
+  }
+}
+
 TEST(Checker, ComplianceToString) {
   EXPECT_EQ(to_string(Compliance::kProven), "proven");
   EXPECT_EQ(to_string(Compliance::kInconclusive), "inconclusive");

@@ -162,9 +162,8 @@ TEST(ReplanOracle, ReplanMatchesScheduleOnRandomLiveStates) {
 
       FreeProfile free{capacity};
       if (scheduler->capabilities().append_only_replan) {
-        // Append-only: the whole plan, in frames the caller can rewind.
-        free.set_retain_accepted(true);
-        const FreeProfile::Checkpoint before = free.checkpoint();
+        // Append-only: the whole plan, committed permanently -- the
+        // service keeps it that way across decisions.
         const Schedule got =
             scheduler->replan(ReplanRequest{free, queue, kM, now});
         for (int j = 0; j < k; ++j) {
@@ -173,8 +172,16 @@ TEST(ReplanOracle, ReplanMatchesScheduleOnRandomLiveStates) {
               << name << " trial " << trial << " job " << j << " now "
               << now;
         }
-        // The plan must be fully rewindable: nothing escaped the frames.
-        free.rewind_to(before);
+        // The plan's occupancy is exactly its jobs': returning each job's
+        // (start, p, q) by value -- what the service does when churn
+        // drops the plan -- restores the profile exactly.
+        ASSERT_EQ(free.open_commits(), 0u) << name << " trial " << trial;
+        for (int j = 0; j < k; ++j) {
+          const Job& job = queue[static_cast<std::size_t>(j)];
+          const Time start = got.start(static_cast<JobId>(j));
+          free.adjust_capacity(start, start + job.p,
+                               static_cast<std::int64_t>(job.q));
+        }
         ASSERT_EQ(free.profile(), capacity) << name << " trial " << trial;
         continue;
       }
@@ -267,8 +274,8 @@ TEST(ChurnDifferential, ChurnStepsAreDeterministic) {
 
 TEST(ChurnDifferential, IncrementalDecisionsStayNearlyAllocationFreeUnderChurn) {
   // Allocation leg of the fuzz: even with aggressive churn forcing plan
-  // rewinds, capacity mutations and compactions, the pure incremental path
-  // must keep its timed decisions on the arena / pools / reused buffers.
+  // drops, capacity mutations and compactions, the pure incremental path
+  // must keep its timed decisions on the arena and reused buffers.
   // decision_allocs is deterministic (heap traffic is a function of the
   // simulated state), so this is a hard pin, not a flaky heuristic.
   for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {

@@ -48,11 +48,11 @@ TEST(ServiceSim, StepIsDeterministicForFixedSeed) {
 
 TEST(ServiceSim, SteadyStateDecisionsAreNearlyAllocationFree) {
   // The memory-subsystem claim: a steady-state incremental decision runs
-  // entirely on the decision arena, the frame pool and capacity-reusing
-  // member buffers. decision_allocs counts every heap event inside the
-  // timed measure-window decisions (operator-new hook + instrumented
-  // malloc sites); the residue is rare amortized capacity growth, far
-  // below one allocation per decision on average.
+  // entirely on the decision arena and capacity-reusing member buffers.
+  // decision_allocs counts every heap event inside the timed
+  // measure-window decisions (operator-new hook + instrumented malloc
+  // sites); the residue is rare amortized capacity growth, far below one
+  // allocation per decision on average.
   for (const char* name :
        {"easy", "conservative", "fcfs", "lsrc", "lsrc-lpt"}) {
     ServiceConfig config = small_config();
@@ -366,6 +366,63 @@ TEST(ServiceSim, HistoryCompactionKeepsTheProfileBounded) {
   EXPECT_EQ(step.completed, config.phases.total());
   EXPECT_GT(step.history_compactions, 0u);
   EXPECT_GT(step.compacted_segments, 0u);
+}
+
+// The conservative knee workload's shape: m = 128, runtimes up to 300, half
+// the machine at most per job, under the knee (110 jobs per kilotick).
+LoadGenConfig knee_load() {
+  LoadGenConfig load;
+  load.m = 128;
+  load.p_max = 300;
+  load.alpha = Rational(1, 2);
+  return load;
+}
+
+ServiceConfig knee_config(Time compact_interval) {
+  ServiceConfig config;
+  config.phases = ServicePhases{200, 2000, 200};
+  config.record_wall_latency = false;
+  config.verify_incremental = true;  // the kept plan matches a re-solve
+  config.compact_interval = compact_interval;
+  return config;
+}
+
+TEST(ServiceSim, AppendPlanIsSolvedOnce) {
+  // An append-only plan is committed permanently and kept: with no churn,
+  // compaction (however often) never drops it, so each job is planned
+  // exactly once, when it enters the dispatch window, and nothing is ever
+  // returned to the profile.
+  for (const char* name : {"conservative", "fcfs"}) {
+    for (const Time interval : {Time{1}, Time{256}}) {
+      const ServiceStepResult step = run_service_step(
+          *make_scheduler(name), knee_load(), 7, 110.0,
+          knee_config(interval));
+      ASSERT_EQ(step.arrivals, 2400u) << name << " interval " << interval;
+      EXPECT_EQ(step.completed, step.arrivals) << name;
+      EXPECT_EQ(step.suffix_jobs_replanned, step.arrivals)
+          << name << " interval " << interval;
+      EXPECT_EQ(step.plan_frames_rewound, 0u)
+          << name << " interval " << interval;
+      EXPECT_GT(step.history_compactions, 0u) << name;
+    }
+  }
+}
+
+TEST(ServiceSim, ChurnDropsTheAppendPlanAndTheOracleHolds) {
+  // Churn returns the waiting jobs' planned occupancy to the profile and
+  // the next decision re-solves the window; verify_incremental checks
+  // every decision against a full re-solve on the scratch path.
+  for (const char* name : {"conservative", "fcfs"}) {
+    ServiceConfig config = knee_config(256);
+    config.phases = ServicePhases{100, 600, 100};
+    config.churn.events_per_kilotick = 20.0;
+    const ServiceStepResult step = run_service_step(
+        *make_scheduler(name), knee_load(), 7, 100.0, config);
+    EXPECT_GT(step.churn_events, 0u) << name;
+    EXPECT_GT(step.plan_frames_rewound, 0u) << name;
+    EXPECT_GT(step.suffix_jobs_replanned, step.arrivals) << name;
+    EXPECT_EQ(step.decisions_scratch, step.decisions) << name;
+  }
 }
 
 TEST(ServiceSim, VerifyModeRequiresIncrementalCapability) {
