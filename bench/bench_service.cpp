@@ -135,6 +135,10 @@ void BM_ServiceStep(benchmark::State& state, const char* scheduler_name,
       static_cast<double>(last.plan_frames_rewound);
   state.counters["history_compactions"] =
       static_cast<double>(last.history_compactions);
+  // Dispatches deferred to a same-tick completion; deterministic, so a
+  // change to the service loop's event order shows here.
+  state.counters["deferred_dispatches"] =
+      static_cast<double>(last.deferred_dispatches);
   // Heap allocations per measure-window decision (global operator-new hook
   // plus the library's instrumented malloc sites). Deterministic; gated by
   // bench/alloc_budget.json in CI. Steady-state incremental paths target 0.

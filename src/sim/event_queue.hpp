@@ -30,6 +30,18 @@ class EventQueue {
     return heap_.top().time;
   }
 
+  // Sequence number of the earliest event: with next_time(), the key a
+  // caller merging this queue with events it keeps elsewhere compares.
+  [[nodiscard]] std::uint64_t next_seq() const {
+    RESCHED_REQUIRE(!heap_.empty());
+    return heap_.top().seq;
+  }
+
+  // Draws the next sequence number without queueing anything. An event the
+  // caller keeps in its own structure under (time, take_seq()) then orders
+  // against this queue's events exactly as if it had been pushed here.
+  [[nodiscard]] std::uint64_t take_seq() noexcept { return next_seq_++; }
+
   // Removes and returns the earliest event (FIFO among equal times).
   [[nodiscard]] std::pair<Time, Payload> pop() {
     RESCHED_REQUIRE(!heap_.empty());

@@ -5,7 +5,6 @@
 #include <climits>
 #include <cmath>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -51,12 +50,12 @@ struct ChurnWindow {
   ProcCount width = 0;
 };
 
-// A pending service event: what happens and, for arrivals and completions,
-// to which job (arrival index). Plain data, so queueing one never
-// allocates; equal-time events fire in insertion order (EventQueue).
+// A pending service event: what happens and, for arrivals, to which job
+// (arrival index). Plain data, so queueing one never allocates; equal-time
+// events fire in insertion order (EventQueue). Completions are not events:
+// the running jobs are their own queue (ServiceLoop::RunningRec).
 enum class EventKind : std::uint8_t {
   kArrival,
-  kCompletion,
   kWindowEnd,
   kQueueSample,
   kChurn,
@@ -65,6 +64,101 @@ enum class EventKind : std::uint8_t {
 struct Event {
   EventKind kind = EventKind::kArrival;
   std::uint64_t index = 0;
+};
+
+// The waiting queue in arrival order, carrying an append-only plan: its
+// first planned() entries hold their committed absolute starts. A vector
+// with a moving front, so the jobs a decision starts leave in one
+// compaction pass that moves only the entries before the last of them;
+// the dead prefix is reclaimed once it outgrows the live part.
+class WaitingQueue {
+ public:
+  struct Entry {
+    std::uint64_t index = 0;  // arrival index
+    Time start = 0;           // planned start; meaningful below planned()
+  };
+
+  [[nodiscard]] std::size_t size() const noexcept {
+    return entries_.size() - front_;
+  }
+  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
+  [[nodiscard]] const Entry& operator[](std::size_t j) const noexcept {
+    return entries_[front_ + j];
+  }
+
+  void push_back(std::uint64_t index) {
+    // Amortized O(1): the live entries moved here number at most the
+    // removals since the last reclaim.
+    if (front_ > 0 && front_ >= size()) {
+      entries_.erase(entries_.begin(),
+                     entries_.begin() + static_cast<std::ptrdiff_t>(front_));
+      front_ = 0;
+    }
+    entries_.push_back(Entry{index, 0});
+  }
+
+  // Churn only; the caller has dropped the plan.
+  void erase(std::size_t j) {
+    RESCHED_CHECK_MSG(planned_ == 0, "a queue edit under a kept plan");
+    entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(front_ + j));
+  }
+
+  // ---- the plan: starts of positions [0, planned()) --------------------
+
+  [[nodiscard]] std::size_t planned() const noexcept { return planned_; }
+  // Earliest planned start, kTimeInfinity without a plan.
+  [[nodiscard]] Time earliest_start() const noexcept { return earliest_; }
+
+  // Plans the next unplanned position.
+  void plan_next(Time start) {
+    entries_[front_ + planned_++].start = start;
+    earliest_ = std::min(earliest_, start);
+  }
+
+  void drop_plan() noexcept {
+    planned_ = 0;
+    earliest_ = kTimeInfinity;
+  }
+
+  // Appends to `heads` the planned positions starting at `now` (ascending)
+  // and re-derives the earliest start of the rest.
+  void collect_starts(Time now, std::vector<std::size_t>& heads) {
+    earliest_ = kTimeInfinity;
+    for (std::size_t j = 0; j < planned_; ++j) {
+      const Time start = entries_[front_ + j].start;
+      if (start == now)
+        heads.push_back(j);
+      else
+        earliest_ = std::min(earliest_, start);
+    }
+  }
+
+  // Removes the positions in `heads` (ascending), keeping the order of the
+  // rest and of the plan.
+  void remove(const std::vector<std::size_t>& heads) {
+    if (heads.empty()) return;
+    planned_ -= static_cast<std::size_t>(
+        std::lower_bound(heads.begin(), heads.end(), planned_) -
+        heads.begin());
+    // Walk back from the last head, sliding each survivor right over the
+    // heads passed so far; the front then moves past the vacated slots.
+    std::size_t dst = front_ + heads.back();
+    auto head = heads.rbegin() + 1;  // the next head below dst
+    for (std::size_t src = dst; src-- > front_;) {
+      if (head != heads.rend() && src == front_ + *head) {
+        ++head;
+        continue;
+      }
+      entries_[dst--] = entries_[src];
+    }
+    front_ += heads.size();
+  }
+
+ private:
+  std::vector<Entry> entries_;  // [front_, end) is the queue
+  std::size_t front_ = 0;
+  std::size_t planned_ = 0;
+  Time earliest_ = kTimeInfinity;
 };
 
 // One fixed-rate service step: owns the event queue, the waiting queue, the
@@ -99,16 +193,30 @@ class ServiceLoop {
       // the chain unscheduled; it dies when measurement closes.
       if (config_.phases.measure > 0) schedule_queue_sample();
       if (churn_.has_value()) schedule_next_churn();
-      while (!events_.empty()) {
-        const auto [time, event] = events_.pop();
-        RESCHED_CHECK_MSG(time >= now_, "event queue went back in time");
-        now_ = time;
-        fire(event);
+      // Merge the two queues by (time, seq): equal-tick completions and
+      // events fire in the order they were queued.
+      for (;;) {
+        if (!running_.empty() &&
+            (events_.empty() || completes_first(running_.front()))) {
+          std::pop_heap(running_.begin(), running_.end(), ends_later);
+          const RunningRec rec = running_.back();
+          running_.pop_back();
+          advance_to(rec.end);
+          on_complete(rec);
+        } else if (!events_.empty()) {
+          const auto [time, event] = events_.pop();
+          advance_to(time);
+          fire(event);
+        } else {
+          break;
+        }
       }
     }
     RESCHED_CHECK_MSG(busy_ == 0, "machines still busy after service drain");
     result_.end_queue_depth = waiting_.size();
-    result_.sim_end = now_;
+    // The step spans every job's booked end, also one canceled while
+    // running: a cancel never shortens sim_end.
+    result_.sim_end = std::max(now_, canceled_end_);
     result_.measured = measured_done_;
     if (measured_done_ > 0) {
       // resched-lint: time-arith-audited(phases keep measure_end_ >= measure_begin_)
@@ -132,25 +240,35 @@ class ServiceLoop {
  private:
   // resched-lint: determinism-audited(wall-latency percentiles only; sim time is the tick clock)
   using WallClock = std::chrono::steady_clock;
-  // Running jobs keyed by arrival index: cancellation erases the record and
-  // the stale completion event finds nothing. A sorted vector, not a map:
-  // the population is bounded by what fits on m processors, inserts happen
-  // inside the timed decision window (a map would pay one node allocation
-  // per started job there, a vector reuses its high-water capacity), and
-  // iteration stays in ascending key order -- the churn cancel pick and the
-  // scratch-path reservation order depend on exactly that.
+  // A running job, and its pending completion: running_ is a binary
+  // min-heap on (end, seq), so the running jobs are the completion queue.
+  // seq is drawn from the event queue's counter when the job starts, so a
+  // completion orders against events exactly as if it were one of them.
+  // The heap is a vector reusing its high-water capacity, so a start inside
+  // the timed decision window allocates nothing. A churn cancel removes the
+  // record outright: no stale completion is left behind.
   struct RunningRec {
     Time end = 0;
+    std::uint64_t seq = 0;
+    std::uint64_t index = 0;  // arrival index
     ProcCount q = 1;
   };
-  using RunningVec = std::vector<std::pair<std::uint64_t, RunningRec>>;
 
-  [[nodiscard]] RunningVec::iterator find_running(std::uint64_t index) {
-    const auto it = std::lower_bound(
-        running_.begin(), running_.end(), index,
-        [](const auto& entry, std::uint64_t key) { return entry.first < key; });
-    if (it != running_.end() && it->first == index) return it;
-    return running_.end();
+  // The heap order (std::*_heap keep the "largest" in front).
+  [[nodiscard]] static bool ends_later(const RunningRec& a,
+                                       const RunningRec& b) noexcept {
+    if (a.end != b.end) return a.end > b.end;
+    return a.seq > b.seq;
+  }
+
+  [[nodiscard]] bool completes_first(const RunningRec& rec) const {
+    const Time next = events_.next_time();
+    return rec.end < next || (rec.end == next && rec.seq < events_.next_seq());
+  }
+
+  void advance_to(Time time) {
+    RESCHED_CHECK_MSG(time >= now_, "event queue went back in time");
+    now_ = time;
   }
 
   [[nodiscard]] int phase_of(std::uint64_t index) const noexcept {
@@ -189,9 +307,6 @@ class ServiceLoop {
     switch (event.kind) {
       case EventKind::kArrival:
         on_arrival(event.index);
-        return;
-      case EventKind::kCompletion:
-        on_complete(event.index);
         return;
       case EventKind::kWindowEnd:
         if (!aborted_) dispatch();
@@ -250,13 +365,10 @@ class ServiceLoop {
     dispatch();
   }
 
-  void on_complete(std::uint64_t index) {
-    const auto it = find_running(index);
-    if (it == running_.end()) return;  // churn-canceled; stale event
-    const ServiceJob& job = jobs_[index];
+  void on_complete(const RunningRec& rec) {
+    const ServiceJob& job = jobs_[rec.index];
     // resched-lint: time-arith-audited(busy_ tracks admitted q; stays in [0, m])
-    busy_ -= job.q;
-    running_.erase(it);
+    busy_ -= rec.q;
     ++result_.completed;
     ++completions_since_compact_;
     if (job.phase == kMeasure) {
@@ -299,8 +411,8 @@ class ServiceLoop {
         if (waiting_.empty()) break;
         const std::size_t pos =
             static_cast<std::size_t>(event.pick % waiting_.size());
-        note_canceled(jobs_[waiting_[pos]]);
-        waiting_.erase(waiting_.begin() + static_cast<std::ptrdiff_t>(pos));
+        note_canceled(jobs_[waiting_[pos].index]);
+        waiting_.erase(pos);
         ++result_.churn_events;
         ++result_.churn_cancel_waiting;
         dispatch();  // repair: the queue suffix changed
@@ -308,22 +420,27 @@ class ServiceLoop {
       }
       case ChurnKind::kCancelRunning: {
         // Eligible: completion strictly in the future (a job ending at this
-        // exact tick is effectively done; its event fires this tick).
-        // Collected in ascending-key order (running_ is key-sorted), so the
-        // pick is bit-identical to the old std::map iteration.
+        // exact tick is effectively done; it completes this tick). The pick
+        // counts eligible jobs in ascending arrival index.
         // resched-lint: hot-path-alloc-audited(rare churn event, not per-decision)
         std::vector<std::size_t> eligible;
         for (std::size_t i = 0; i < running_.size(); ++i)
-          if (running_[i].second.end > now) eligible.push_back(i);
+          if (running_[i].end > now) eligible.push_back(i);
         if (eligible.empty()) break;
-        const auto it =
-            running_.begin() +
-            static_cast<std::ptrdiff_t>(eligible[event.pick % eligible.size()]);
-        const RunningRec rec = it->second;
-        note_canceled(jobs_[it->first]);
+        const auto nth = eligible.begin() +
+                         static_cast<std::ptrdiff_t>(event.pick %
+                                                     eligible.size());
+        std::nth_element(eligible.begin(), nth, eligible.end(),
+                         [this](std::size_t a, std::size_t b) {
+                           return running_[a].index < running_[b].index;
+                         });
+        const RunningRec rec = running_[*nth];
+        note_canceled(jobs_[rec.index]);
         // resched-lint: time-arith-audited(busy_ tracks admitted q; stays in [0, m])
         busy_ -= rec.q;
-        running_.erase(it);  // the pending completion event becomes a no-op
+        running_.erase(running_.begin() + static_cast<std::ptrdiff_t>(*nth));
+        std::make_heap(running_.begin(), running_.end(), ends_later);
+        canceled_end_ = std::max(canceled_end_, rec.end);
         if (maintain_profile_)
           free_.adjust_capacity(now, rec.end,
                                 static_cast<std::int64_t>(rec.q));
@@ -451,25 +568,30 @@ class ServiceLoop {
   // Called only when churn invalidates the plan; with no plan (always, for
   // decision-only schedulers) this is a no-op.
   void drop_plan() {
-    for (std::size_t j = 0; j < plan_.size(); ++j) {
-      const Time start = plan_[j];
+    const std::size_t planned = waiting_.planned();
+    for (std::size_t j = 0; j < planned; ++j) {
+      const Time start = waiting_[j].start;
       RESCHED_CHECK_MSG(start >= now_, "a planned start fell behind the clock");
-      const ServiceJob& job = jobs_[waiting_[j]];
+      const ServiceJob& job = jobs_[waiting_[j].index];
       free_.adjust_capacity(start, checked_add(start, job.p),
                             static_cast<std::int64_t>(job.q));
     }
-    result_.plan_frames_rewound += plan_.size();
-    plan_.clear();  // capacity survives for the next plan
+    result_.plan_frames_rewound += planned;
+    waiting_.drop_plan();
   }
 
   // Window positions [from, k) of the waiting queue as a replan queue:
-  // dense ids from 0, absolute arrival ticks as releases.
+  // dense ids from 0, absolute arrival ticks as releases. Filled in place:
+  // the names stay the empty strings the slots were built with.
   const std::vector<Job>& fill_window(std::size_t from, std::size_t k) {
-    window_jobs_.clear();
+    window_jobs_.resize(k - from);
     for (std::size_t j = from; j < k; ++j) {
-      const ServiceJob& job = jobs_[waiting_[j]];
-      window_jobs_.push_back(Job{static_cast<JobId>(j - from), job.q, job.p,
-                                 job.arrival, ""});
+      const ServiceJob& job = jobs_[waiting_[j].index];
+      Job& slot = window_jobs_[j - from];
+      slot.id = static_cast<JobId>(j - from);
+      slot.q = job.q;
+      slot.p = job.p;
+      slot.release = job.arrival;
     }
     return window_jobs_;
   }
@@ -481,11 +603,12 @@ class ServiceLoop {
   // suffix is new work. `not_before` continues fcfs's non-overtaking chain.
   // With no plan (planned == 0) this is the full window solve.
   void append_suffix(Time now, std::size_t planned, std::size_t k) {
-    const Time floor = plan_.empty() ? now : std::max(now, plan_.back());
+    const Time floor =
+        planned == 0 ? now : std::max(now, waiting_[planned - 1].start);
     const Schedule plan = scheduler_.replan(ReplanRequest{
         free_, fill_window(planned, k), m_, now, floor, &decision_arena_});
     for (std::size_t j = planned; j < k; ++j)
-      plan_.push_back(plan.start(static_cast<JobId>(j - planned)));
+      waiting_.plan_next(plan.start(static_cast<JobId>(j - planned)));
     result_.suffix_jobs_replanned += k - planned;
   }
 
@@ -502,11 +625,10 @@ class ServiceLoop {
   //    rejected.
   void plan_incremental(Time now, std::size_t k) {
     if (append_replan_) {
-      const std::size_t planned = plan_.size();
+      const std::size_t planned = waiting_.planned();
       RESCHED_CHECK_MSG(planned <= k, "plan outlived a queue shrink");
       if (planned < k) append_suffix(now, planned, k);
-      for (std::size_t j = 0; j < k; ++j)
-        if (plan_[j] == now) head_.push_back(j);
+      if (waiting_.earliest_start() == now) waiting_.collect_starts(now, head_);
       return;
     }
     const Schedule plan = scheduler_.replan(ReplanRequest{
@@ -533,7 +655,7 @@ class ServiceLoop {
     if (append_replan_) {
       for (std::size_t j = 0; j < k; ++j)
         RESCHED_CHECK_MSG(
-            plan_[j] ==
+            waiting_[j].start ==
                 checked_add(oracle.start(static_cast<JobId>(j)), now),
             "incremental replan diverged from the full re-solve oracle");
       return;
@@ -558,14 +680,21 @@ class ServiceLoop {
     std::vector<Job> window;
     window.reserve(k);
     for (std::size_t j = 0; j < k; ++j) {
-      const ServiceJob& job = jobs_[waiting_[j]];
+      const ServiceJob& job = jobs_[waiting_[j].index];
       window.push_back(Job{static_cast<JobId>(j), job.q, job.p, 0, ""});
     }
     // resched-lint: hot-path-alloc-audited(scratch full-solve, non-incremental schedulers only)
     std::vector<Reservation> held;
     held.reserve(running_.size() + windows_.size());
     ReservationId rid = 0;
-    for (const auto& [index, rec] : running_) {
+    // Running jobs in ascending arrival index, from a sorted copy of the
+    // heap.
+    running_by_index_.assign(running_.begin(), running_.end());
+    std::sort(running_by_index_.begin(), running_by_index_.end(),
+              [](const RunningRec& a, const RunningRec& b) {
+                return a.index < b.index;
+              });
+    for (const RunningRec& rec : running_by_index_) {
       // Strictly positive by the same-tick drain in dispatch(): a job
       // completing at this exact tick is never presented as a phantom
       // one-tick reservation.
@@ -597,22 +726,24 @@ class ServiceLoop {
         compact_now(now);
       return;
     }
-    // Same-tick completion drain: if any running job ends at this exact
-    // tick but its completion event has not fired yet, defer -- that event
-    // re-dispatches with the processors truly free. This removes both the
-    // phantom one-tick reservation and any transient over-busy planning.
-    for (const auto& [index, rec] : running_) {
-      if (rec.end == now) {
-        ++result_.deferred_dispatches;
-        return;
-      }
+    // Same-tick completion drain: if a running job ends at this exact tick
+    // but has not completed yet, defer -- its completion re-dispatches with
+    // the processors truly free. This removes both the phantom one-tick
+    // reservation and any transient over-busy planning. The heap's front is
+    // the earliest end, and no end lies behind the clock.
+    if (!running_.empty() && running_.front().end == now) {
+      ++result_.deferred_dispatches;
+      return;
     }
     // Scope reset: everything the previous decision bump-allocated is dead
     // by contract (ReplanRequest::scratch), so the arena rewinds to empty
     // while keeping its chunks -- steady-state decisions reuse warm memory.
     decision_arena_.reset();
-    const bool time_it = config_.record_wall_latency;
-    const std::uint64_t allocs_begin = alloc_count();
+    // Nothing inside a decision opens or closes the measure window, so it
+    // is read once; outside it the decision records nothing.
+    const bool measured = in_measure();
+    const bool time_it = measured && config_.record_wall_latency;
+    const std::uint64_t allocs_begin = measured ? alloc_count() : 0;
     const WallClock::time_point wall_begin =
         time_it ? WallClock::now() : WallClock::time_point{};
 
@@ -632,18 +763,17 @@ class ServiceLoop {
     }
     ++result_.decisions;
 
-    for (auto pos = head_.rbegin(); pos != head_.rend(); ++pos) {
-      start_job(waiting_[*pos]);
-      waiting_.erase(waiting_.begin() + static_cast<std::ptrdiff_t>(*pos));
-      // The plan tracks the queue: the started job leaves both. Its
-      // occupancy stays committed (see start_job), so the remaining starts
-      // are untouched -- a re-solve of the remaining queue sees the
-      // identical profile.
-      if (append_replan_)
-        plan_.erase(plan_.begin() + static_cast<std::ptrdiff_t>(*pos));
-    }
+    // Starts go last position first: that order fixes the completions'
+    // seq, hence the order of equal-tick completions. The started jobs then
+    // leave the queue, and with it the plan, in one pass. Their occupancy
+    // stays committed (see start_job), so the remaining starts are
+    // untouched -- a re-solve of the remaining queue sees the identical
+    // profile.
+    for (auto pos = head_.rbegin(); pos != head_.rend(); ++pos)
+      start_job(waiting_[*pos].index);
+    waiting_.remove(head_);
 
-    if (in_measure()) {
+    if (measured) {
       ++result_.decisions_measured;
       result_.decision_allocs += alloc_count() - allocs_begin;
       if (time_it) {
@@ -684,10 +814,9 @@ class ServiceLoop {
     if (job.phase == kMeasure)
       result_.wait_ticks.record(checked_sub(now_, job.arrival));
     const Time completion = checked_add(now_, job.p);
-    const auto at = std::lower_bound(
-        running_.begin(), running_.end(), index,
-        [](const auto& entry, std::uint64_t key) { return entry.first < key; });
-    running_.insert(at, {index, RunningRec{completion, job.q}});
+    running_.push_back(
+        RunningRec{completion, events_.take_seq(), index, job.q});
+    std::push_heap(running_.begin(), running_.end(), ends_later);
     // Occupancy [now, completion) leaves the profile by natural expiry, so
     // a normal completion needs no mutation at all. On the incremental path
     // replan() already committed it permanently: an append-only plan when
@@ -696,7 +825,6 @@ class ServiceLoop {
     if (!use_replan_ && maintain_profile_)
       free_.adjust_capacity(now_, completion,
                             -static_cast<std::int64_t>(job.q));
-    push_event(completion, EventKind::kCompletion, index);
   }
 
   const Scheduler& scheduler_;
@@ -720,9 +848,14 @@ class ServiceLoop {
   FreeProfile free_;
   std::optional<ChurnGen> churn_;
   std::vector<ChurnWindow> windows_;  // active/future availability drops
-  std::vector<ServiceJob> jobs_;      // indexed by arrival order
-  std::deque<std::uint64_t> waiting_;  // job indices, arrival order
-  RunningVec running_;
+  std::vector<ServiceJob> jobs_;  // indexed by arrival order
+  // Waiting jobs in arrival order; an append-capable scheduler's plan rides
+  // on its prefix, each start committed on free_. It grows only on
+  // arrival, so a decision never reallocates it.
+  WaitingQueue waiting_;
+  std::vector<RunningRec> running_;  // min-heap on (end, seq)
+  // Latest end of a job canceled while running (sim_end counts it).
+  Time canceled_end_ = 0;
   ProcCount busy_ = 0;
   std::uint64_t emitted_ = 0;
   std::uint64_t measured_done_ = 0;
@@ -731,10 +864,6 @@ class ServiceLoop {
   Time measure_end_ = 0;
   Time last_compact_ = 0;
   std::uint64_t completions_since_compact_ = 0;
-  // The plan of an append-capable scheduler: absolute starts aligned with
-  // waiting_[0..plan_.size()), each committed on free_. Its capacity
-  // survives drops, so the steady-state decision never reallocates it.
-  std::vector<Time> plan_;
   // Decision-scoped bump allocator handed to the scheduler through
   // ReplanRequest::scratch; reset (chunks kept) at each dispatch entry.
   Arena decision_arena_;
@@ -742,6 +871,7 @@ class ServiceLoop {
   // high-water capacity is reused so the timed window stays allocation-free.
   std::vector<std::size_t> head_;
   std::vector<Job> window_jobs_;
+  std::vector<RunningRec> running_by_index_;  // scratch path's sorted copy
   bool aborted_ = false;
   ServiceStepResult result_;
 };

@@ -1,14 +1,21 @@
 // Resident cluster service: schedulers under sustained open-loop traffic.
 //
 // Every other driver in the repo is batch-mode (build instance -> schedule
-// -> exit). This harness runs the cluster as a long-lived service on a
-// typed event queue (sim/event_queue.hpp; plain {kind, job} events, so
-// queueing one never allocates): an open-loop LoadGen feeds arrivals, and
-// the scheduler under test is re-invoked on each arrival/completion/churn
-// event over a rolling window of the waiting queue. Jobs the scheduler
-// places at "now" start immediately; everything else keeps waiting for the
-// next event. That is exactly how EASY/conservative run in production
-// batch systems -- re-plan on event, commit only the head of the plan.
+// -> exit). This harness runs the cluster as a long-lived service: an
+// open-loop LoadGen feeds arrivals, and the scheduler under test is
+// re-invoked on each arrival/completion/churn event over a rolling window
+// of the waiting queue. Jobs the scheduler places at "now" start
+// immediately; everything else keeps waiting for the next event. That is
+// exactly how EASY/conservative run in production batch systems -- re-plan
+// on event, commit only the head of the plan.
+//
+// Time advances over two queues merged by (time, seq). Completions live in
+// the running jobs themselves, a min-heap on (end, seq); everything else
+// (arrivals, availability-window ends, queue samples, churn) is a plain
+// {kind, job} event on a typed EventQueue (sim/event_queue.hpp), which
+// holds only a handful at any time. Both draw seq from the EventQueue's one
+// counter, so equal-tick events fire in the order they were queued, as on
+// a single queue. Neither allocates once warm.
 //
 // ## Planning paths
 //
@@ -21,10 +28,10 @@
 //    scheduler (see ReplanRequest in algorithms/scheduler.hpp):
 //     - append-only (append_only_replan; pure arrival-order folds: fcfs,
 //       conservative) -- replan() commits the whole plan permanently, and
-//       the loop keeps its starts (a vector aligned with the waiting
-//       queue) across decisions. A decision plans only the jobs that
-//       entered the dispatch window since (suffix repair), so without
-//       churn each job is planned exactly once; a job reaching its planned
+//       the loop keeps its starts on the waiting queue's entries across
+//       decisions. A decision plans only the jobs that entered the
+//       dispatch window since (suffix repair), so without churn each job
+//       is planned exactly once; a job reaching its planned
 //       start starts on the occupancy it already holds. Only churn drops
 //       the plan: each still-waiting job returns its planned occupancy by
 //       value, and the next decision re-solves the window.
@@ -201,7 +208,7 @@ struct ServiceStepResult {
   std::uint64_t history_compactions = 0;    // compact_history calls
   std::uint64_t compacted_segments = 0;     // segments they removed
   // Dispatches deferred because a same-tick completion had not drained yet
-  // (the completion event at this tick re-dispatches with true capacity).
+  // (that completion re-dispatches with true capacity).
   std::uint64_t deferred_dispatches = 0;
 
   // Planned availability windows applied at step start (the scenario

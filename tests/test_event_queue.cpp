@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 namespace resched {
@@ -69,6 +70,23 @@ TEST(EventQueue, BoundedDrainStopsAtHorizon) {
   EXPECT_EQ(drained, (std::vector<int>{50, 100, 101}));
   EXPECT_EQ(queue.size(), 2u);
   EXPECT_EQ(queue.next_time(), 20);
+}
+
+TEST(EventQueue, TakenSequenceNumbersInterleaveWithPushes) {
+  // An event kept outside the queue under (time, take_seq()) sorts against
+  // queued events exactly where a push at that moment would have put it.
+  EventQueue<int> queue;
+  queue.push(4, 0);                                // seq 0
+  const std::uint64_t outside = queue.take_seq();  // seq 1, also at 4
+  queue.push(4, 2);                                // seq 2
+  EXPECT_EQ(outside, 1u);
+  EXPECT_EQ(queue.next_time(), 4);
+  EXPECT_EQ(queue.next_seq(), 0u);
+  EXPECT_LT(queue.next_seq(), outside);
+  EXPECT_EQ(queue.pop().second, 0);
+  EXPECT_GT(queue.next_seq(), outside);
+  EXPECT_EQ(queue.pop().second, 2);
+  EXPECT_THROW((void)queue.next_seq(), std::invalid_argument);
 }
 
 TEST(EventQueue, MovesPayloads) {

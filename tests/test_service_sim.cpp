@@ -4,7 +4,10 @@
 
 #include <climits>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -458,6 +461,186 @@ TEST(ServiceSim, DecisionOnlyPlanMayOnlyStartJobsNow) {
           << name << ": " << error.what();
     }
   }
+}
+
+// Every deterministic field of a step result as "name=value" lines.
+// decision_allocs is left out (it counts the allocator's and the standard
+// library's heap traffic, not the simulation), and decision_ns is empty
+// with record_wall_latency off. Recorders enter through their count,
+// extremes, mean and a fixed set of percentiles.
+std::string deterministic_fields(const ServiceStepResult& r) {
+  std::ostringstream out;
+  out.precision(17);
+  const auto recorder = [&out](const char* name, const LatencyRecorder& rec) {
+    out << name << ".count=" << rec.count() << '\n';
+    if (rec.count() == 0) return;
+    out << name << ".min=" << rec.min() << '\n'
+        << name << ".max=" << rec.max() << '\n'
+        << name << ".mean=" << rec.mean() << '\n';
+    for (const double q : {0.1, 0.25, 0.5, 0.75, 0.9, 0.99})
+      out << name << ".p" << q << '=' << rec.percentile(q) << '\n';
+  };
+  out << "offered_rate=" << r.offered_rate << '\n'
+      << "arrivals=" << r.arrivals << '\n'
+      << "completed=" << r.completed << '\n'
+      << "canceled=" << r.canceled << '\n'
+      << "measured=" << r.measured << '\n'
+      << "decisions=" << r.decisions << '\n'
+      << "decisions_measured=" << r.decisions_measured << '\n'
+      << "peak_queue_depth=" << r.peak_queue_depth << '\n'
+      << "end_queue_depth=" << r.end_queue_depth << '\n'
+      << "sim_end=" << r.sim_end << '\n'
+      << "decisions_incremental=" << r.decisions_incremental << '\n'
+      << "decisions_scratch=" << r.decisions_scratch << '\n'
+      << "suffix_jobs_replanned=" << r.suffix_jobs_replanned << '\n'
+      << "plan_frames_rewound=" << r.plan_frames_rewound << '\n'
+      << "history_compactions=" << r.history_compactions << '\n'
+      << "compacted_segments=" << r.compacted_segments << '\n'
+      << "deferred_dispatches=" << r.deferred_dispatches << '\n'
+      << "scenario_windows=" << r.scenario_windows << '\n'
+      << "churn_events=" << r.churn_events << '\n'
+      << "churn_skipped=" << r.churn_skipped << '\n'
+      << "churn_cancel_waiting=" << r.churn_cancel_waiting << '\n'
+      << "churn_cancel_running=" << r.churn_cancel_running << '\n'
+      << "churn_drops=" << r.churn_drops << '\n'
+      << "churn_moves=" << r.churn_moves << '\n';
+  recorder("wait_ticks", r.wait_ticks);
+  recorder("response_ticks", r.response_ticks);
+  recorder("queue_depth", r.queue_depth);
+  recorder("decision_ns", r.decision_ns);
+  out << "sustained_rate=" << r.sustained_rate << '\n'
+      << "saturated=" << r.saturated << '\n';
+  return out.str();
+}
+
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+enum class PinCase { kPlain, kChurn, kWindows, kCanceledLast };
+
+const char* to_string(PinCase c) {
+  switch (c) {
+    case PinCase::kPlain: return "plain";
+    case PinCase::kChurn: return "churn";
+    case PinCase::kWindows: return "windows";
+    case PinCase::kCanceledLast: return "canceled-last";
+  }
+  return "?";
+}
+
+ServiceConfig pin_config(PinCase c) {
+  ServiceConfig config = small_config();
+  switch (c) {
+    case PinCase::kPlain:
+      break;
+    case PinCase::kChurn:  // all four kinds at the default weights
+      config.churn.events_per_kilotick = 40.0;
+      break;
+    case PinCase::kWindows:
+      config.availability = {AvailabilityWindow{50, 200, 4},
+                             AvailabilityWindow{150, 350, 6},
+                             AvailabilityWindow{400, 430, 16}};
+      break;
+    case PinCase::kCanceledLast:
+      // Cancellations only. At this seed a job canceled while running
+      // would have ended after every other event of the step, so its end
+      // is the step's last instant and sets sim_end.
+      config.churn.events_per_kilotick = 20.0;
+      config.churn.availability_drop_weight = 0.0;
+      config.churn.reservation_move_weight = 0.0;
+      break;
+  }
+  return config;
+}
+
+struct ServicePin {
+  const char* scheduler;
+  PinCase pin_case;
+  std::uint64_t seed;
+  Time sim_end;
+  std::uint64_t hash;  // fnv1a(deterministic_fields(result))
+};
+
+// Recorded from the service loop before its running jobs became the
+// completion heap and its waiting queue carried the plan; any change to
+// the loop's bookkeeping must leave every deterministic field as it was.
+// Regenerate only after an intended behavioral change: set
+// RESCHED_PRINT_SERVICE_PINS and run this binary; it prints the table and
+// fails.
+constexpr ServicePin kServicePins[] = {
+    {"fcfs", PinCase::kPlain, 42, 500, 0x849f43c193652aabull},
+    {"fcfs", PinCase::kChurn, 42, 715, 0xceae6424d546ee4cull},
+    {"fcfs", PinCase::kWindows, 42, 515, 0x8b6933c144b2498full},
+    {"fcfs", PinCase::kCanceledLast, 56, 423, 0x746e41f2c2c62069ull},
+    {"conservative", PinCase::kPlain, 42, 500, 0x1089a6895ef7d62full},
+    {"conservative", PinCase::kChurn, 42, 715, 0x503a477498eaa5f7ull},
+    {"conservative", PinCase::kWindows, 42, 500, 0x2da761cd593b45b2ull},
+    {"conservative", PinCase::kCanceledLast, 56, 423, 0xaa1d0970957bd23eull},
+    {"easy", PinCase::kPlain, 42, 500, 0x297e974f7aa13b79ull},
+    {"easy", PinCase::kChurn, 42, 715, 0x23a4f24132e7ac55ull},
+    {"easy", PinCase::kWindows, 42, 500, 0xcba3f3fe9d627abdull},
+    {"easy", PinCase::kCanceledLast, 56, 423, 0xcdc530ca9441955aull},
+    {"lsrc", PinCase::kPlain, 42, 500, 0xb4c6f09220862983ull},
+    {"lsrc", PinCase::kChurn, 42, 715, 0x0d0dfa8839cdd9a7ull},
+    {"lsrc", PinCase::kWindows, 42, 500, 0xedfed56f7fcb1cecull},
+    {"lsrc", PinCase::kCanceledLast, 56, 423, 0xc970c8b22f60e409ull},
+};
+
+TEST(ServiceSim, DeterministicResultsArePinned) {
+  const bool print = std::getenv("RESCHED_PRINT_SERVICE_PINS") != nullptr;
+  std::size_t checked = 0;
+  for (const char* name : {"fcfs", "conservative", "easy", "lsrc"}) {
+    for (const PinCase c : {PinCase::kPlain, PinCase::kChurn,
+                            PinCase::kWindows, PinCase::kCanceledLast}) {
+      // Loaded enough (about 2/3 of m busy) that the schedulers differ.
+      const std::uint64_t seed = c == PinCase::kCanceledLast ? 56 : 42;
+      const ServiceStepResult step = run_service_step(
+          *make_scheduler(name), small_load(), seed, 300.0, pin_config(c));
+      const std::string fields = deterministic_fields(step);
+      const std::uint64_t hash = fnv1a(fields);
+      if (print) {
+        std::printf("    {\"%s\", PinCase::k%s, %llu, %lld, 0x%016llxull},\n",
+                    name,
+                    c == PinCase::kPlain     ? "Plain"
+                    : c == PinCase::kChurn   ? "Churn"
+                    : c == PinCase::kWindows ? "Windows"
+                                             : "CanceledLast",
+                    static_cast<unsigned long long>(seed),
+                    static_cast<long long>(step.sim_end),
+                    static_cast<unsigned long long>(hash));
+        continue;
+      }
+      const ServicePin& pin = kServicePins[checked++];
+      ASSERT_EQ(std::string(pin.scheduler), name);
+      ASSERT_EQ(pin.pin_case, c);
+      ASSERT_EQ(pin.seed, seed);
+      EXPECT_EQ(step.sim_end, pin.sim_end) << name << ' ' << to_string(c);
+      EXPECT_EQ(hash, pin.hash) << name << ' ' << to_string(c) << ":\n"
+                                << fields;
+      // The cases cover what they claim to.
+      if (c == PinCase::kChurn) {
+        EXPECT_GT(step.churn_cancel_waiting, 0u) << name;
+        EXPECT_GT(step.churn_cancel_running, 0u) << name;
+        EXPECT_GT(step.churn_drops, 0u) << name;
+        EXPECT_GT(step.churn_moves, 0u) << name;
+      }
+      if (c == PinCase::kWindows) {
+        EXPECT_EQ(step.scenario_windows, 3u);
+      }
+      if (c == PinCase::kCanceledLast) {
+        EXPECT_GT(step.churn_cancel_running, 0u) << name;
+      }
+    }
+  }
+  ASSERT_FALSE(print)
+      << "RESCHED_PRINT_SERVICE_PINS is set: table printed, refusing to pass";
+  EXPECT_EQ(checked, sizeof(kServicePins) / sizeof(kServicePins[0]));
 }
 
 TEST(ServiceSim, EmptyPhasesAreANoOp) {
