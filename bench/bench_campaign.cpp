@@ -107,6 +107,7 @@ void BM_ScheduleAllocs(benchmark::State& state, const char* name) {
 BENCHMARK_CAPTURE(BM_ScheduleAllocs, easy, "easy");
 BENCHMARK_CAPTURE(BM_ScheduleAllocs, conservative, "conservative");
 BENCHMARK_CAPTURE(BM_ScheduleAllocs, fcfs, "fcfs");
+BENCHMARK_CAPTURE(BM_ScheduleAllocs, lsrc, "lsrc");
 
 Instance tail_instance(std::uint64_t seed) {
   WorkloadConfig workload;

@@ -23,11 +23,23 @@ void BackfillQueue::insert(JobId id, std::int64_t rank, ProcCount q, Time p) {
     buckets_.emplace_back(buckets_.get_allocator().arena());
     slot = static_cast<std::uint32_t>(buckets_.size());
   }
-  ScratchVec<Entry>& items = buckets_[slot - 1].items;
+  Bucket& bucket = buckets_[slot - 1];
+  ScratchVec<Entry>& items = bucket.items;
+  // Reclaim the dead prefix once it outgrows the live part: the live
+  // entries moved here number at most the jobs taken since the last
+  // reclaim, so each take pays O(1) for it.
+  if (bucket.front > 0 && bucket.front >= items.size() - bucket.front) {
+    items.erase(items.begin(),
+                items.begin() + static_cast<std::ptrdiff_t>(bucket.front));
+    bucket.front = 0;
+    bucket.read = 0;
+    bucket.write = 0;
+  }
   // Ranks arrive mostly in increasing order (release-sorted feeds), so the
   // binary search almost always lands at the back.
   const auto at = std::lower_bound(
-      items.begin(), items.end(), rank,
+      items.begin() + static_cast<std::ptrdiff_t>(bucket.front), items.end(),
+      rank,
       [](const Entry& entry, std::int64_t value) { return entry.rank < value; });
   items.insert(at, Entry{id, rank, q, p});
   ++size_;
@@ -39,9 +51,11 @@ void BackfillQueue::begin_pass() {
   current_ = kNoCandidate;
   ++epoch_;
   heap_.clear();
-  for (std::size_t b = 0; b < buckets_.size(); ++b)
-    if (!buckets_[b].items.empty())
-      heap_.push_back(Head{buckets_[b].items.front().rank, b});
+  for (std::size_t b = 0; b < buckets_.size(); ++b) {
+    const Bucket& bucket = buckets_[b];
+    if (bucket.front < bucket.items.size())
+      heap_.push_back(Head{bucket.items[bucket.front].rank, b});
+  }
   std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
 }
 
@@ -95,14 +109,18 @@ void BackfillQueue::end_pass() {
   RESCHED_REQUIRE_MSG(pass_open_ && current_ == kNoCandidate,
                       "end_pass with an unanswered candidate");
   for (Bucket& bucket : buckets_) {
-    // Survivors [0, write) were already compacted; shift the unexamined
-    // tail [read, end) down next to them.
-    if (bucket.write != bucket.read)
-      bucket.items.erase(
-          bucket.items.begin() + static_cast<std::ptrdiff_t>(bucket.write),
-          bucket.items.begin() + static_cast<std::ptrdiff_t>(bucket.read));
-    bucket.read = 0;
-    bucket.write = 0;
+    // Survivors [front, write) were already compacted; slide them up
+    // against the unexamined tail [read, end), past the taken jobs, and
+    // move the front with them: O(examined), whatever the bucket's length.
+    if (bucket.write != bucket.read) {
+      const auto begin = bucket.items.begin();
+      std::move_backward(begin + static_cast<std::ptrdiff_t>(bucket.front),
+                         begin + static_cast<std::ptrdiff_t>(bucket.write),
+                         begin + static_cast<std::ptrdiff_t>(bucket.read));
+      bucket.front += bucket.read - bucket.write;
+    }
+    bucket.read = bucket.front;
+    bucket.write = bucket.front;
   }
   heap_.clear();
   pass_open_ = false;

@@ -54,6 +54,17 @@
 // commit order therefore coincide, and by induction over events the whole
 // schedule does.
 //
+// Pass cost: every bucket is a vector with a moving front. A pass examines
+// a prefix of each bucket it wakes (cursor `read`) and compacts the jobs it
+// keeps behind it (cursor `write`), so closing it slides those survivors
+// up against the unexamined tail and advances the front past the taken
+// jobs: O(examined), independent of the bucket's length. Taking a
+// bucket's front job therefore costs O(1), not a shift of the whole
+// bucket. insert() reclaims the dead prefix once it is as long as the
+// live part, so a bucket that keeps receiving jobs holds at most about
+// twice its live jobs, and the reclaim's moves cost amortized O(1) per
+// taken job. begin_pass costs O(occupied demands).
+//
 // fit_deadline/backfill_deadline turn the schedulers' start tests into one
 // deadline per demand, so a pass reads the profile about once per start
 // and once per rejecting demand between starts, instead of once per
@@ -136,9 +147,12 @@ class BackfillQueue {
  private:
   struct Bucket {
     explicit Bucket(Arena* scratch) : items(ArenaAlloc<Entry>(scratch)) {}
-    ScratchVec<Entry> items;   // sorted by rank
-    // Pass cursors: next candidate / survivor slot. Both are 0 outside a
-    // pass, so begin_pass needs no per-bucket reset.
+    // [front, end) is the pending queue, sorted by rank; [0, front) is
+    // dead (taken jobs, or survivors' old slots).
+    ScratchVec<Entry> items;
+    std::size_t front = 0;
+    // Pass cursors: next candidate / survivor slot. Both equal front
+    // outside a pass, so begin_pass needs no per-bucket reset.
     std::size_t read = 0;
     std::size_t write = 0;
     // Exact rejecting limit, current while limit_epoch == epoch_.

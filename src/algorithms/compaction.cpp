@@ -28,14 +28,13 @@ CompactionResult compact_schedule(const Instance& instance,
   FreeProfile free = FreeProfile::for_instance(instance);
   for (const JobId id : order) {
     const Job& job = instance.job(id);
-    const Time start = free.earliest_fit(job.release, job.q, job.p);
+    const Time start = free.place(job.release, job.q, job.p);
     // Left shifts only: the original position is always available because
     // every job placed so far starts no later than it originally did, so
     // capacity at and after the original start can only have increased.
     RESCHED_CHECK_MSG(start <= schedule.start(id),
                       "compaction tried to move a job right");
     if (start < schedule.start(id)) ++result.moved_jobs;
-    free.commit_fitted(start, job.q, job.p);
     result.schedule.set_start(id, start);
   }
   result.makespan_after = result.schedule.makespan(instance);

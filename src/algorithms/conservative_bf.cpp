@@ -32,11 +32,7 @@ Schedule conservative_run(FreeProfile& free, const std::vector<Job>& jobs,
 
   for (const JobId id : queue) {
     const Job& job = jobs[static_cast<std::size_t>(id)];
-    const Time start =
-        free.earliest_fit(std::max(t0, job.release), job.q, job.p);
-    // The fit was just proven by earliest_fit; commit_fitted skips the
-    // redundant windowed-min recheck on this hot placement path.
-    free.commit_fitted(start, job.q, job.p);
+    const Time start = free.place(std::max(t0, job.release), job.q, job.p);
     schedule.set_start(id, start);
   }
   return schedule;

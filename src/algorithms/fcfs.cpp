@@ -38,8 +38,7 @@ Schedule fcfs_run(FreeProfile& free, const std::vector<Job>& jobs, Time t0,
   for (const JobId id : queue) {
     const Job& job = jobs[static_cast<std::size_t>(id)];
     const Time ready = std::max(previous_start, job.release);
-    const Time start = free.earliest_fit(ready, job.q, job.p);
-    free.commit_fitted(start, job.q, job.p);
+    const Time start = free.place(ready, job.q, job.p);
     schedule.set_start(id, start);
     previous_start = start;  // no later job may start before this one
   }

@@ -83,6 +83,9 @@ Schedule LsrcScheduler::run(const Instance& instance,
   if (instance.n() == 0) return schedule;
 
   FreeProfile free = FreeProfile::for_instance(instance);
+  // Indexed directly below: every id is in [0, n) by construction, so the
+  // hot sort and feed skip Instance::job's out-of-line bounds check.
+  const std::vector<Job>& jobs = instance.jobs();
 
   // Wake-up times: capacity increases (completions, reservation ends) and
   // job releases; EventTimes coalesces collisions.
@@ -90,7 +93,7 @@ Schedule LsrcScheduler::run(const Instance& instance,
   for (const Reservation& resa : instance.reservations())
     events.push(resa.end());
   Time t = kTimeInfinity;
-  for (const Job& job : instance.jobs()) {
+  for (const Job& job : jobs) {
     if (job.release > 0) events.push(job.release);
     t = std::min(t, job.release);
   }
@@ -106,8 +109,8 @@ Schedule LsrcScheduler::run(const Instance& instance,
   std::vector<JobId> by_release(instance.n());
   std::iota(by_release.begin(), by_release.end(), JobId{0});
   std::sort(by_release.begin(), by_release.end(), [&](JobId a, JobId b) {
-    const Time ra = instance.job(a).release;
-    const Time rb = instance.job(b).release;
+    const Time ra = jobs[static_cast<std::size_t>(a)].release;
+    const Time rb = jobs[static_cast<std::size_t>(b)].release;
     return ra != rb ? ra < rb : a < b;
   });
 
@@ -116,18 +119,19 @@ Schedule LsrcScheduler::run(const Instance& instance,
   std::size_t remaining = instance.n();
   while (remaining > 0) {
     while (next_release < by_release.size() &&
-           instance.job(by_release[next_release]).release <= t) {
-      const Job& job = instance.job(by_release[next_release++]);
+           jobs[static_cast<std::size_t>(by_release[next_release])].release <=
+               t) {
+      const Job& job =
+          jobs[static_cast<std::size_t>(by_release[next_release++])];
       pending.insert(job.id, rank_of[static_cast<std::size_t>(job.id)],
                      job.q, job.p);
     }
 
     // Single pass in priority order: start everything that fits now.
-    remaining -= lsrc_pass(free, instance.jobs(), pending, t,
-                           [&](const Job& job) {
-                             schedule.set_start(job.id, t);
-                             events.push(checked_add(t, job.p));
-                           });
+    remaining -= lsrc_pass(free, jobs, pending, t, [&](const Job& job) {
+      schedule.set_start(job.id, t);
+      events.push(checked_add(t, job.p));
+    });
     if (remaining == 0) break;
 
     // Advance to the next wake-up strictly after t.

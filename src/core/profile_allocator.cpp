@@ -48,6 +48,19 @@ Time FreeProfile::earliest_fit(Time t0, ProcCount q, Time p) const {
   return t;
 }
 
+Time FreeProfile::place(Time t0, ProcCount q, Time p) {
+  RESCHED_REQUIRE(t0 >= 0 && q >= 1 && p > 0);
+  RESCHED_REQUIRE_MSG(!retain_accepted_,
+                      "place is permanent: recording mode commits through "
+                      "commit_fitted");
+  RESCHED_REQUIRE_MSG(
+      profile_.final_value() >= q,
+      "job can never fit: q exceeds the eventual free capacity");
+  const Time t = profile_.take_first_fit(t0, p, q);
+  ++permanent_mutations_;
+  return t;
+}
+
 void FreeProfile::push_frame(Time t, ProcCount q, Time p) {
   OpenCommit frame;
   if (!frame_pool_.empty()) {

@@ -2,11 +2,21 @@
 //
 // Starts from the instance's availability m(t) = m - U(t) and is decremented
 // as jobs are committed. All list/backfilling algorithms are expressed with
-// three queries:
+// four operations:
 //
 //   fits_at(t, q, p)        -- can a (q, p) job run in [t, t+p)?
-//   earliest_fit(t0, q, p)  -- first start >= t0 where it can,
-//   commit_fitted(t, q, p)  -- allocate it there.
+//   earliest_fit(t0, q, p)  -- first start >= t0 where it can (read only),
+//   place(t0, q, p)         -- allocate it at that start, and return it,
+//   commit_fitted(t, q, p)  -- allocate it at a start already known to fit.
+//
+// Protocol: a scheduler that puts a job at its earliest fit calls place --
+// FCFS, conservative backfilling and compaction do, in the batch and the
+// service paths alike. A scheduler that decides the start itself calls
+// commit_fitted: LSRC and EASY start jobs at the event time t after their
+// own deadline tests, and branch-and-bound commits in recording mode after
+// reading earliest_fit (place is permanent, see Frames below).
+// earliest_fit serves the callers that only read: lower bounds, bnb's
+// prune, EASY's head reservation.
 //
 // Candidate-start lemma (used by earliest_fit and by LSRC's event loop):
 // for fixed committed capacity, the set {t : fits_at(t, q, p)} is a finite
@@ -21,10 +31,21 @@
 // why StepProfile::first_fit, which earliest_fit delegates to, may jump
 // from a dip straight to the end of its deficient run.
 //
-// Complexity: fits_at is an O(window) scan that stops at the first deficient
-// segment. earliest_fit is one forward walk over the profile
-// (StepProfile::first_fit) that visits each segment between t0 and the
-// answer's window end once, O(1) per segment.
+// Complexity, for a profile of n segments:
+//
+//   fits_at       -- one binary search, then an O(window) scan that stops
+//                    at the first deficient segment.
+//   earliest_fit  -- one binary search, then one forward walk
+//                    (StepProfile::first_fit) that visits each segment
+//                    between t0 and the answer's window end once, O(1) each.
+//   place         -- earliest_fit's search and walk, then the subtraction
+//                    from the indices the walk ends on
+//                    (StepProfile::take_first_fit): one binary search in
+//                    all, no overflow probe, plus the memmoves of at most
+//                    two edge splits and two coalesces.
+//   commit_fitted -- StepProfile::add: one binary search, an O(window)
+//                    overflow probe that also finds the window's right
+//                    edge, and the same edge memmoves.
 //
 // ## Frames (checkpoint / rewind)
 //
@@ -88,10 +109,18 @@ class FreeProfile {
   // job has ended), which holds for any valid job of the instance.
   [[nodiscard]] Time earliest_fit(Time t0, ProcCount q, Time p) const;
 
-  // Subtracts q over [t, t+p) for callers whose t was just produced by
+  // Earliest-fit placement: subtracts q over [t, t+p) at t =
+  // earliest_fit(t0, q, p) and returns t, with one walk over the profile
+  // (see the complexity notes). Same preconditions as earliest_fit, and
+  // permanent: it refuses recording mode, whose commits go through
+  // commit_fitted so that rewind_to can take them back.
+  Time place(Time t0, ProcCount q, Time p);
+
+  // Subtracts q over [t, t+p) for callers that decided t themselves -- an
+  // event time their own deadline test admitted, or a start just read from
   // earliest_fit (or an explicit fits_at): the precondition fits_at(t, q, p)
   // holds by construction, so its recheck is a Debug-only RESCHED_ASSERT.
-  // This is the schedulers' hot placement path; misuse is still caught
+  // This is LSRC's and EASY's hot placement path; misuse is still caught
   // downstream by Schedule::validate and the campaign oracle. Permanent,
   // except in recording mode (see set_retain_accepted).
   void commit_fitted(Time t, ProcCount q, Time p);
@@ -111,9 +140,10 @@ class FreeProfile {
   // Pops frames newest-first down to the checkpoint's depth, leaving the
   // profile bit-identical to its checkpoint state. Trips RESCHED_CHECK,
   // without mutating anything, if a permanent mutation (adjust_capacity,
-  // unrecorded commit, compact_history) happened since the checkpoint --
-  // those cannot be rewound -- or if the checkpoint is stale: the stack is
-  // below its depth, or the frame at its depth is not the one it saw.
+  // place, unrecorded commit, compact_history) happened since the
+  // checkpoint -- those cannot be rewound -- or if the checkpoint is stale:
+  // the stack is below its depth, or the frame at its depth is not the one
+  // it saw.
   void rewind_to(const Checkpoint& checkpoint);
 
   // Recording mode: while on, commit_fitted() opens a recorded frame (undo
@@ -186,7 +216,7 @@ class FreeProfile {
   // push_frame pool misses (see frame_misses()).
   std::uint64_t frame_misses_ = 0;
   std::uint64_t next_serial_ = 0;
-  // Count of non-rewindable mutations (adjust_capacity, non-retained
+  // Count of non-rewindable mutations (adjust_capacity, place, non-retained
   // commits, compact_history); rewind_to refuses to cross one.
   std::uint64_t permanent_mutations_ = 0;
   bool retain_accepted_ = false;

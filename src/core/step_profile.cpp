@@ -43,13 +43,6 @@ std::int64_t StepProfile::value_at(Time t) const {
   return steps_.value(index_of(t));
 }
 
-std::size_t StepProfile::split_at(Time t) {
-  const std::size_t i = index_of(t);
-  if (steps_.start(i) == t) return i;
-  steps_.insert(i + 1, t, steps_.value(i));
-  return i + 1;
-}
-
 void StepProfile::coalesce_at(std::size_t i) {
   if (i == 0 || i >= steps_.size()) return;
   if (steps_.value(i) == steps_.value(i - 1)) steps_.erase(i);
@@ -76,35 +69,50 @@ void StepProfile::add_impl(Time from, Time to, std::int64_t delta,
   // Strong exception guarantee: probe every affected segment's checked
   // addition before the first structural change. Without this, an overflow
   // mid-window would throw with partial deltas applied and the split
-  // breakpoints uncoalesced -- a silently non-canonical profile.
-  const std::size_t region = index_of(from);
-  for (std::size_t i = region; i < steps_.size() && steps_.start(i) < to; ++i)
-    (void)checked_add(steps_.value(i), delta);
+  // breakpoints uncoalesced -- a silently non-canonical profile. The probe
+  // stops at the first step at or after `to`, which is the window's right
+  // edge: one binary search locates the whole window. [from, kTimeInfinity)
+  // means "from `from` onwards", so such a window runs to the last step.
+  const std::size_t lo = index_of(from);
+  const bool unbounded = to >= kTimeInfinity;
+  std::size_t hi = lo;
+  for (; hi < steps_.size() && (unbounded || steps_.start(hi) < to); ++hi)
+    (void)checked_add(steps_.value(hi), delta);
+  shift_window(lo, hi, from, to, delta, undo);
+}
+
+void StepProfile::shift_window(std::size_t lo, std::size_t hi, Time from,
+                               Time to, std::int64_t delta, Undo* undo) {
+  // Finite windows split at `to` unless a step already starts there;
+  // [from, kTimeInfinity) shifts everything from `from` on.
+  const bool unbounded = to >= kTimeInfinity;
+  if (unbounded) hi = steps_.size();
+  const bool split_right =
+      !unbounded && (hi == steps_.size() || steps_.start(hi) != to);
   if (undo != nullptr) {
     // Everything the add can touch -- value shifts, the two edge splits and
     // the two edge coalesces -- lives in the steps whose start falls in
     // [window_lo, to], where window_lo is the start of the segment
-    // containing `from`; steps outside stay bit-identical. Record them.
+    // containing `from`; steps outside stay bit-identical. Record them:
+    // [lo, hi) plus the step starting exactly at `to`, if there is one.
     undo->from_ = from;
     undo->to_ = to;
     undo->delta_ = delta;
-    undo->window_lo_ = steps_.start(region);
-    undo->left_value_ = region > 0 ? steps_.value(region - 1) : 0;
-    const std::size_t prior_end =
-        (to >= kTimeInfinity) ? steps_.size() : index_of(to) + 1;
-    undo->steps_.assign_range(steps_, region, prior_end);
+    undo->window_lo_ = steps_.start(lo);
+    undo->left_value_ = lo > 0 ? steps_.value(lo - 1) : 0;
+    const std::size_t prior_end = (unbounded || split_right) ? hi : hi + 1;
+    undo->steps_.assign_range(steps_, lo, prior_end);
   }
-  // split_at(from), with the binary search already paid for by the probe.
-  std::size_t first = region;
-  if (steps_.start(region) != from) {
-    steps_.insert(region + 1, from, steps_.value(region));
-    first = region + 1;
+  // The segment hi - 1 contains `to` when a split is needed there.
+  if (split_right) steps_.insert(hi, to, steps_.value(hi - 1));
+  std::size_t first = lo;
+  std::size_t last = hi;
+  if (steps_.start(lo) != from) {
+    steps_.insert(lo + 1, from, steps_.value(lo));
+    first = lo + 1;
+    ++last;
   }
-  // Split the right edge only for finite windows; [from, kTimeInfinity)
-  // means "from `from` onwards".
-  const std::size_t last =
-      (to >= kTimeInfinity) ? steps_.size() : split_at(to);
-  // Validated above: the split pieces carry the same values that were probed.
+  // Validated by the caller: the split pieces carry the values it checked.
   for (std::size_t i = first; i < last; ++i) steps_.add_value(i, delta);
   // Interior neighbours shifted by the same delta stay distinct, so only the
   // two window edges can need merging. Right edge first: erasing there does
@@ -311,8 +319,8 @@ Time StepProfile::first_at_least(Time from, std::int64_t threshold) const {
   return scan_first_at_least_at(index_of(from), from, threshold);
 }
 
-Time StepProfile::first_fit(Time from, Time len,
-                            std::int64_t threshold) const {
+StepProfile::FitWindow StepProfile::find_fit(Time from, Time len,
+                                             std::int64_t threshold) const {
   RESCHED_REQUIRE(from >= 0 && len > 0);
   // One forward walk: the cursor t is always a candidate start (from, or
   // the right edge of a deficient run) and every start before it is known
@@ -327,15 +335,35 @@ Time StepProfile::first_fit(Time from, Time len,
   while (true) {
     const Time end = checked_add(t, len);
     if (values[j] >= threshold) {
+      const std::size_t lo = j;
       for (++j; j < n && times[j] < end && values[j] >= threshold; ++j) {
       }
-      if (j == n || times[j] >= end) return t;
+      if (j == n || times[j] >= end) return FitWindow{t, end, lo, j, true};
     }
     for (++j; j < n && values[j] < threshold; ++j) {
     }
-    if (j == n) return kTimeInfinity;  // the unbounded tail is deficient
+    if (j == n) return FitWindow{};  // the unbounded tail is deficient
     t = times[j];
   }
+}
+
+Time StepProfile::first_fit(Time from, Time len,
+                            std::int64_t threshold) const {
+  const FitWindow fit = find_fit(from, len, threshold);
+  return fit.found ? fit.start : kTimeInfinity;
+}
+
+Time StepProfile::take_first_fit(Time from, Time len, std::int64_t amount) {
+  RESCHED_REQUIRE(amount > 0);
+  RESCHED_REQUIRE_MSG(final_value() >= amount,
+                      "take_first_fit: the unbounded tail is below amount");
+  const FitWindow fit = find_fit(from, len, amount);
+  // A window starting in the unbounded last segment always fits.
+  RESCHED_CHECK_MSG(fit.found, "take_first_fit found no start");
+  // Every value over the window is >= amount > 0, so subtracting amount
+  // cannot overflow: no probe.
+  shift_window(fit.lo, fit.hi, fit.start, fit.end, -amount, nullptr);
+  return fit.start;
 }
 
 Time StepProfile::next_change_after(Time t) const {

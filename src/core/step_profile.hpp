@@ -84,9 +84,14 @@ class StepProfile {
 
   [[nodiscard]] std::int64_t value_at(Time t) const;
 
-  // Adds delta on [from, to); no-op when from >= to. Times must be >= 0.
-  // Strong exception guarantee: throws std::overflow_error with the profile
-  // unchanged when any affected segment's value would overflow.
+  // Adds delta on [from, to); no-op when from >= to. Times must be >= 0;
+  // to >= kTimeInfinity means "from `from` onwards". Strong exception
+  // guarantee: throws std::overflow_error with the profile unchanged when
+  // any affected segment's value would overflow. O(log n) for the one
+  // binary search locating `from`, plus O(window) for the validation walk,
+  // which stops at the first step at or after `to` and so also locates the
+  // right edge, plus the memmoves of at most two edge splits and two edge
+  // coalesces.
   void add(Time from, Time to, std::int64_t delta);
 
   // Opaque undo record for one recorded add (see the transactional-mutation
@@ -191,6 +196,14 @@ class StepProfile {
   [[nodiscard]] Time first_fit(Time from, Time len,
                                std::int64_t threshold) const;
 
+  // first_fit(from, len, amount) followed by add(t, t + len, -amount) at
+  // the start t it finds, in the same walk: the walk already holds the
+  // window's first and last segment, so the subtraction needs neither a
+  // second binary search nor add's overflow probe (every value in the
+  // window is >= amount > 0). Returns t. Requires amount > 0 and
+  // final_value() >= amount, which guarantee that a start exists.
+  Time take_first_fit(Time from, Time len, std::int64_t amount);
+
   // Smallest breakpoint strictly greater than t, or kTimeInfinity if the
   // function is constant after t.
   [[nodiscard]] Time next_change_after(Time t) const;
@@ -248,12 +261,30 @@ class StepProfile {
 
   // Position of the segment containing t (t >= 0).
   [[nodiscard]] std::size_t index_of(Time t) const noexcept;
-  // Ensures a breakpoint exists exactly at t; returns its index.
-  std::size_t split_at(Time t);
   // Erases the step at index i if it duplicates its left neighbour's value.
   void coalesce_at(std::size_t i);
   // Shared body of add()/add_recorded(); undo == nullptr means unrecorded.
   void add_impl(Time from, Time to, std::int64_t delta, Undo* undo);
+  // The structural half of an add of delta over [from, to), from < to, on
+  // a window already located: lo = index_of(from) and hi = the first index
+  // past lo whose start is >= to (size() if none). Records `undo` if
+  // non-null, splits the two edges, shifts, coalesces. The caller has
+  // validated every shifted value.
+  void shift_window(std::size_t lo, std::size_t hi, Time from, Time to,
+                    std::int64_t delta, Undo* undo);
+
+  // A first-fit window [start, end) over steps [lo, hi) in shift_window's
+  // terms; found is false when the unbounded tail is deficient.
+  struct FitWindow {
+    Time start = 0;
+    Time end = 0;
+    std::size_t lo = 0;
+    std::size_t hi = 0;
+    bool found = false;
+  };
+  // The forward walk behind first_fit and take_first_fit.
+  [[nodiscard]] FitWindow find_fit(Time from, Time len,
+                                   std::int64_t threshold) const;
 
   // The linear scans behind the windowed queries (exact over [from, to)
   // clipped to the function). Each takes the precomputed i = index_of(from).

@@ -116,6 +116,134 @@ void expect_pending_in_rank_order(BackfillQueue& queue,
   EXPECT_EQ(queue.size(), reference.size());
 }
 
+// One BackfillQueue and its reference, driven through the schedulers'
+// protocol with random arrivals, capacities and limits.
+class Driver {
+ public:
+  Driver(ProcCount m, Arena* arena, Prng& prng,
+         const std::vector<ProcCount>& widths)
+      : queue(m, arena),
+        m_(m),
+        prng_(prng),
+        widths_(widths),
+        emptied_(static_cast<std::size_t>(m) + 1, false),
+        limits_(static_cast<std::size_t>(m) + 1) {}
+
+  BackfillQueue queue;
+  ReferenceQueue reference;
+  int refills = 0;  // buckets that emptied and got a job again
+  int takes = 0;
+
+  // Up to max_jobs arrivals: ranks mostly increasing (release-sorted
+  // feeds) with some out-of-order stragglers.
+  void arrive(int max_jobs) {
+    for (int k = static_cast<int>(prng_.uniform_int(0, max_jobs)); k > 0;
+         --k) {
+      const ProcCount q = widths_[static_cast<std::size_t>(
+          prng_.uniform_int(0, static_cast<std::int64_t>(widths_.size()) - 1))];
+      const std::int64_t rank =
+          prng_.chance(0.2) ? prng_.uniform_int(0, 999) * 1024 + next_id_
+                            : 1'000'000'000 + next_id_;
+      const Time p = prng_.uniform_int(1, 40);
+      if (emptied_[static_cast<std::size_t>(q)]) {
+        ++refills;
+        emptied_[static_cast<std::size_t>(q)] = false;
+      }
+      queue.insert(next_id_, rank, q, p);
+      reference.insert(next_id_, rank, q, p);
+      ++next_id_;
+    }
+    ASSERT_EQ(queue.size(), reference.size());
+  }
+
+  // One pass at a free capacity drawn from [min_capacity, m): up to
+  // max_heads protected heads, then the gated candidates.
+  void pass(int max_heads, std::int64_t min_capacity) {
+    // The queue's limit callback, asked about a pending job: the table's
+    // exact limit when it rejects, and when it admits any bound >= p, as
+    // a deadline read over the job's own window may be.
+    const auto limit = [&](ProcCount q, Time p) {
+      EXPECT_TRUE(reference.has(q, p));
+      const Time exact = limits_[static_cast<std::size_t>(q)];
+      return p <= exact ? prng_.uniform_int(p, std::min(exact, p + 10))
+                        : exact;
+    };
+    std::int64_t capacity = prng_.uniform_int(min_capacity, m_);
+    for (Time& cap : limits_)
+      cap = prng_.chance(0.2) ? kTimeInfinity : prng_.uniform_int(0, 45);
+    queue.begin_pass();
+    reference.begin_pass();
+    // Phase 1: the protected head, popped whatever its demand.
+    for (int k = static_cast<int>(prng_.uniform_int(0, max_heads)); k > 0;
+         --k) {
+      const auto got = queue.next_head();
+      expect_same(got, reference.next_head());
+      if (!got) break;
+      if (prng_.chance(0.5) && got->q <= capacity) {
+        capacity -= got->q;
+        queue.take();
+        reference.take();
+        ++takes;
+      } else {
+        queue.keep();
+        reference.keep();
+        break;
+      }
+    }
+    // Phase 2: capacity- and limit-gated candidates; capacity only goes
+    // down, and limits shrink only after a take.
+    while (true) {
+      const auto got = queue.next(capacity, limit);
+      expect_same(got, reference.next(capacity, limits_));
+      if (!got) break;
+      if (prng_.chance(0.7)) {
+        capacity -= got->q;
+        queue.take();
+        reference.take();
+        ++takes;
+        for (Time& cap : limits_)
+          if (prng_.chance(0.3))
+            cap = cap == kTimeInfinity ? prng_.uniform_int(0, 45)
+                                       : cap - prng_.uniform_int(0, cap);
+      } else {
+        queue.keep();
+        reference.keep();
+      }
+      if (prng_.chance(0.1)) capacity -= prng_.uniform_int(0, 2);
+    }
+    queue.end_pass();
+    EXPECT_EQ(queue.size(), reference.size());
+    EXPECT_EQ(queue.empty(), reference.size() == 0);
+    // Skipped jobs are still pending, in rank order.
+    if (prng_.chance(0.3)) expect_pending_in_rank_order(queue, reference);
+    for (const ProcCount q : widths_)
+      if (reference.count(q) == 0) emptied_[static_cast<std::size_t>(q)] = true;
+  }
+
+  // Drain: what is left must come out in the same rank order.
+  void drain() {
+    expect_pending_in_rank_order(queue, reference);
+    queue.begin_pass();
+    reference.begin_pass();
+    while (const auto got = queue.next_head()) {
+      expect_same(got, reference.next_head());
+      queue.take();
+      reference.take();
+    }
+    EXPECT_FALSE(reference.next_head().has_value());
+    queue.end_pass();
+    EXPECT_TRUE(queue.empty());
+  }
+
+ private:
+  ProcCount m_;
+  Prng& prng_;
+  const std::vector<ProcCount>& widths_;
+  std::vector<bool> emptied_;
+  std::vector<Time> limits_;
+  JobId next_id_ = 0;
+};
+
 class BackfillQueueDifferential
     : public ::testing::TestWithParam<std::tuple<ProcCount, bool>> {};
 
@@ -132,106 +260,50 @@ TEST_P(BackfillQueueDifferential, MatchesTheLinearRescan) {
   int limit_skips = 0;
   for (int run = 0; run < 40; ++run) {
     if (arena_backed) arena.reset();
-    BackfillQueue queue(m, arena_backed ? &arena : nullptr);
-    ReferenceQueue reference;
-    std::vector<bool> emptied(static_cast<std::size_t>(m) + 1, false);
-    std::vector<Time> limits(static_cast<std::size_t>(m) + 1);
-    JobId next_id = 0;
-
-    // The queue's limit callback, asked about a pending job: the table's
-    // exact limit when it rejects, and when it admits any bound >= p, as
-    // a deadline read over the job's own window may be.
-    const auto limit = [&](ProcCount q, Time p) {
-      EXPECT_TRUE(reference.has(q, p));
-      const Time exact = limits[static_cast<std::size_t>(q)];
-      return p <= exact ? prng.uniform_int(p, std::min(exact, p + 10)) : exact;
-    };
-
+    Driver driver(m, arena_backed ? &arena : nullptr, prng, widths);
     for (int event = 0; event < 30; ++event) {
-      // Arrivals: ranks mostly increasing (release-sorted feeds) with some
-      // out-of-order stragglers.
-      for (int k = static_cast<int>(prng.uniform_int(0, 4)); k > 0; --k) {
-        const ProcCount q = widths[static_cast<std::size_t>(
-            prng.uniform_int(0, static_cast<std::int64_t>(widths.size()) - 1))];
-        const std::int64_t rank =
-            prng.chance(0.2) ? prng.uniform_int(0, 999) * 1024 + next_id
-                                : 1'000'000'000 + next_id;
-        const Time p = prng.uniform_int(1, 40);
-        if (emptied[static_cast<std::size_t>(q)]) {
-          ++refills;
-          emptied[static_cast<std::size_t>(q)] = false;
-        }
-        queue.insert(next_id, rank, q, p);
-        reference.insert(next_id, rank, q, p);
-        ++next_id;
-      }
-      ASSERT_EQ(queue.size(), reference.size());
-
-      std::int64_t capacity = prng.uniform_int(0, m);
-      for (Time& cap : limits)
-        cap = prng.chance(0.2) ? kTimeInfinity : prng.uniform_int(0, 45);
-      queue.begin_pass();
-      reference.begin_pass();
-      // Phase 1: the protected head, popped whatever its demand.
-      for (int k = static_cast<int>(prng.uniform_int(0, 2)); k > 0; --k) {
-        const auto got = queue.next_head();
-        expect_same(got, reference.next_head());
-        if (!got) break;
-        if (prng.chance(0.5) && got->q <= capacity) {
-          capacity -= got->q;
-          queue.take();
-          reference.take();
-        } else {
-          queue.keep();
-          reference.keep();
-          break;
-        }
-      }
-      // Phase 2: capacity- and limit-gated candidates; capacity only goes
-      // down, and limits shrink only after a take.
-      while (true) {
-        const auto got = queue.next(capacity, limit);
-        expect_same(got, reference.next(capacity, limits));
-        if (!got) break;
-        if (prng.chance(0.7)) {
-          capacity -= got->q;
-          queue.take();
-          reference.take();
-          for (Time& cap : limits)
-            if (prng.chance(0.3))
-              cap = cap == kTimeInfinity ? prng.uniform_int(0, 45)
-                                         : cap - prng.uniform_int(0, cap);
-        } else {
-          queue.keep();
-          reference.keep();
-        }
-        if (prng.chance(0.1)) capacity -= prng.uniform_int(0, 2);
-      }
-      queue.end_pass();
-      ASSERT_EQ(queue.size(), reference.size());
-      ASSERT_EQ(queue.empty(), reference.size() == 0);
-      // Skipped jobs are still pending, in rank order.
-      if (prng.chance(0.3)) expect_pending_in_rank_order(queue, reference);
-      for (const ProcCount q : widths)
-        if (reference.count(q) == 0) emptied[static_cast<std::size_t>(q)] = true;
+      driver.arrive(4);
+      driver.pass(2, 0);
     }
-    limit_skips += reference.limit_skips;
-
-    // Drain: what is left must come out in the same rank order.
-    expect_pending_in_rank_order(queue, reference);
-    queue.begin_pass();
-    reference.begin_pass();
-    while (const auto got = queue.next_head()) {
-      expect_same(got, reference.next_head());
-      queue.take();
-      reference.take();
-    }
-    EXPECT_FALSE(reference.next_head().has_value());
-    queue.end_pass();
-    EXPECT_TRUE(queue.empty());
+    refills += driver.refills;
+    limit_skips += driver.reference.limit_skips;
+    driver.drain();
   }
   EXPECT_GT(refills, 0) << "no bucket emptied and refilled across passes";
   EXPECT_GT(limit_skips, 100) << "the limit rarely rejected a candidate";
+}
+
+// A batch schedule keeps one queue for thousands of passes. Buckets whose
+// front jobs leave pass after pass accumulate a dead prefix, which an
+// insert reclaims once it outgrows the live part; the queue must keep
+// matching the rescan across every reclaim and the inserts after it.
+TEST_P(BackfillQueueDifferential, LongLivedQueueMatchesTheLinearRescan) {
+  const auto [m, arena_backed] = GetParam();
+  Arena arena;
+  Prng prng(static_cast<std::uint64_t>(m) * 2 + (arena_backed ? 1 : 0) +
+            1000);
+  std::vector<ProcCount> widths;
+  for (int i = 0; i < 3; ++i) widths.push_back(prng.uniform_int(1, m));
+  Driver driver(m, arena_backed ? &arena : nullptr, prng, widths);
+  // Cycles of a fill stretch (more arrivals than takes) and a drain at
+  // full capacity down to an empty queue. Every drain leaves each used
+  // bucket all dead prefix, so the next fill's first insert into it
+  // reclaims; the fills reclaim prefixes beside live jobs too.
+  int passes = 0;
+  int drains = 0;
+  while (passes < 1500) {
+    for (int k = 0; k < 40; ++k, ++passes) {
+      driver.arrive(4);
+      driver.pass(4, 0);
+    }
+    for (int k = 0; k < 2000 && !driver.queue.empty(); ++k, ++passes)
+      driver.pass(4, m);
+    ASSERT_TRUE(driver.queue.empty()) << "the drain stalled";
+    ++drains;
+  }
+  EXPECT_GE(drains, 5);
+  EXPECT_GT(driver.takes, 1000);
+  driver.drain();
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -176,6 +176,127 @@ TEST_P(EarliestFitRandomized, AgreesWithBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Seeds, EarliestFitRandomized,
                          ::testing::Values(10, 11, 12, 13, 14, 15));
 
+// Differential property: place(t0, q, p) is earliest_fit(t0, q, p)
+// followed by commit_fitted at that start -- the same start and the same
+// resulting profile, segment for segment -- on random profiles carrying a
+// sequence of placements. The draws aim t0 at breakpoints and p at the
+// next breakpoint, and the test checks that the rounds covered a start
+// inside a deficient run, windows starting and ending on a breakpoint and
+// windows reaching the final segment.
+class PlaceRandomized : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PlaceRandomized, EqualsEarliestFitThenCommit) {
+  constexpr Time kHorizon = 64;
+  Prng prng(GetParam());
+  int deficient_start = 0;
+  int starts_on_breakpoint = 0;
+  int ends_on_breakpoint = 0;
+  int reaches_final = 0;
+  for (int round = 0; round < 40; ++round) {
+    StepProfile profile(prng.uniform_int(3, 6));
+    for (int i = 0; i < 12; ++i) {
+      const Time a = prng.uniform_int(0, kHorizon - 1);
+      const Time len = prng.uniform_int(1, 16);
+      const std::int64_t delta = prng.uniform_int(-3, 2);
+      if (profile.min_in(a, a + len) + delta >= 0)
+        profile.add(a, a + len, delta);
+    }
+    FreeProfile placed{profile};
+    FreeProfile reference{profile};
+    for (int k = 0; k < 25; ++k) {
+      const StepProfile& now = reference.profile();
+      if (now.final_value() < 1) break;
+      const auto segments = now.segments();
+      const ProcCount q = prng.uniform_int(1, now.final_value());
+      const Time t0 =
+          prng.chance(0.5)
+              ? segments[static_cast<std::size_t>(prng.uniform_int(
+                             0, static_cast<std::int64_t>(segments.size()) -
+                                    1))]
+                    .start
+              : prng.uniform_int(0, kHorizon);
+      const Time next = now.next_change_after(t0);
+      const Time p = prng.chance(0.4) && next < kTimeInfinity
+                         ? next - t0
+                         : prng.uniform_int(1, 16);
+      const Time expected = reference.earliest_fit(t0, q, p);
+      if (reference.capacity_at(t0) < q) ++deficient_start;
+      if (expected > 0 && now.next_change_after(expected - 1) == expected)
+        ++starts_on_breakpoint;
+      if (now.next_change_after(expected + p - 1) == expected + p)
+        ++ends_on_breakpoint;
+      if (now.next_change_after(expected) == kTimeInfinity ||
+          now.next_change_after(expected + p - 1) == kTimeInfinity)
+        ++reaches_final;
+      reference.commit_fitted(expected, q, p);
+      ASSERT_EQ(placed.place(t0, q, p), expected)
+          << "q=" << q << " p=" << p << " t0=" << t0;
+      ASSERT_EQ(placed.profile(), reference.profile())
+          << "q=" << q << " p=" << p << " t0=" << t0;
+    }
+  }
+  EXPECT_GT(deficient_start, 0);
+  EXPECT_GT(starts_on_breakpoint, 0);
+  EXPECT_GT(ends_on_breakpoint, 0);
+  EXPECT_GT(reaches_final, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PlaceRandomized,
+                         ::testing::Values(20, 21, 22, 23, 24, 25));
+
+TEST(FreeProfile, PlaceCoalescesAtBothEdges) {
+  // [10, 20) carries 2 more than both neighbours; a q = 2 job placed there
+  // levels it, and both edges merge away.
+  StepProfile profile(3);
+  profile.add(10, 20, 2);
+  FreeProfile free{profile};
+  EXPECT_EQ(free.place(10, 2, 10), 10);
+  EXPECT_EQ(free.profile(), StepProfile(3));
+}
+
+TEST(FreeProfile, PlaceFromInsideADeficientRun) {
+  StepProfile profile(4);
+  profile.add(5, 9, -3);
+  profile.add(9, 12, -2);
+  FreeProfile free{profile};
+  // t0 = 6 is inside the deficient run [5, 12): the job starts at its end.
+  EXPECT_EQ(free.place(6, 3, 2), 12);
+  EXPECT_EQ(free.capacity_at(11), 2);
+  EXPECT_EQ(free.capacity_at(12), 1);
+  EXPECT_EQ(free.capacity_at(14), 4);
+}
+
+TEST(FreeProfile, PlaceAtTimeInfinity) {
+  // Capacity arrives only at kTimeInfinity, and the window reaching past
+  // it is unbounded: the placement lands exactly on the horizon and takes
+  // the capacity for good, as commit_fitted there would.
+  StepProfile profile(0);
+  profile.add(kTimeInfinity, kTimeInfinity + 1, 1);
+  FreeProfile placed{profile};
+  FreeProfile reference{profile};
+  EXPECT_EQ(placed.place(0, 1, 5), kTimeInfinity);
+  reference.commit_fitted(kTimeInfinity, 1, 5);
+  EXPECT_EQ(placed.profile(), reference.profile());
+  EXPECT_EQ(placed.profile(), StepProfile(0));
+}
+
+TEST(FreeProfile, PlaceContracts) {
+  FreeProfile free{StepProfile(2)};
+  EXPECT_THROW((void)free.place(0, 3, 1), std::invalid_argument);
+  EXPECT_THROW((void)free.place(-1, 1, 1), std::invalid_argument);
+  EXPECT_THROW((void)free.place(0, 1, 0), std::invalid_argument);
+  EXPECT_EQ(free.profile(), StepProfile(2));
+  // Permanent: recording mode commits through commit_fitted instead, and
+  // a placement cannot be rewound.
+  const FreeProfile::Checkpoint before = free.checkpoint();
+  EXPECT_EQ(free.place(0, 1, 4), 0);
+  EXPECT_ANY_THROW(free.rewind_to(before));
+  FreeProfile recording{StepProfile(2)};
+  recording.set_retain_accepted(true);
+  EXPECT_THROW((void)recording.place(0, 1, 1), std::invalid_argument);
+  EXPECT_EQ(recording.profile(), StepProfile(2));
+}
+
 TEST(FreeProfileVersioned, CheckpointRewindRestoresPlanState) {
   FreeProfile free{StepProfile(8)};
   free.set_retain_accepted(true);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "util/prng.hpp"
@@ -73,6 +75,60 @@ TEST(StepProfile, OverlappingAdds) {
   EXPECT_EQ(profile.value_at(10), 1);
   EXPECT_EQ(profile.value_at(14), 1);
   EXPECT_EQ(profile.value_at(15), 0);
+}
+
+// add() finds the window's right edge with its validation walk instead of
+// a second binary search; these pin the edge cases of that walk.
+using Segments = std::vector<StepProfile::Segment>;
+
+TEST(StepProfile, AddWithinOneSegmentSplitsBothEdges) {
+  StepProfile profile(5);
+  profile.add(10, 20, -1);
+  profile.add(12, 15, -2);  // from and to inside [10, 20)
+  EXPECT_EQ(profile.segments(),
+            (Segments{{0, 10, 5}, {10, 12, 4}, {12, 15, 2}, {15, 20, 4},
+                      {20, kTimeInfinity, 5}}));
+}
+
+TEST(StepProfile, AddEndingOnABreakpointAddsNoStep) {
+  StepProfile profile(5);
+  profile.add(10, 20, -1);
+  profile.add(4, 10, 3);  // to == 10 is a breakpoint already
+  EXPECT_EQ(profile.segments(), (Segments{{0, 4, 5},
+                                          {4, 10, 8},
+                                          {10, 20, 4},
+                                          {20, kTimeInfinity, 5}}));
+  // Ending on a breakpoint and coalescing at both edges: [10, 20) rises
+  // to the value of both neighbours.
+  profile.add(4, 10, -3);
+  profile.add(10, 20, 1);
+  EXPECT_EQ(profile, StepProfile(5));
+}
+
+TEST(StepProfile, AddReachingInfinityShiftsEveryLaterStep) {
+  StepProfile profile(5);
+  profile.add(10, 20, -1);
+  profile.add(30, 40, 2);
+  profile.add(15, kTimeInfinity + 3, 1);  // to >= kTimeInfinity: onwards
+  EXPECT_EQ(profile.segments(),
+            (Segments{{0, 10, 5}, {10, 15, 4}, {15, 20, 5}, {20, 30, 6},
+                      {30, 40, 8}, {40, kTimeInfinity, 6}}));
+}
+
+TEST(StepProfile, AddOverflowMidWindowLeavesTheProfileUnchanged) {
+  StepProfile profile(0);
+  profile.add(10, 20, std::numeric_limits<std::int64_t>::max() - 1);
+  profile.add(30, 40, 1);
+  const StepProfile before = profile;
+  const std::uint64_t version = profile.version();
+  // [5, 35) starts and ends in fine segments; the overflow sits inside.
+  EXPECT_THROW(profile.add(5, 35, 2), std::overflow_error);
+  EXPECT_EQ(profile, before);
+  EXPECT_EQ(profile.version(), version);
+  StepProfile::Undo undo;
+  EXPECT_THROW(profile.add_recorded(5, 35, 2, undo), std::overflow_error);
+  EXPECT_EQ(profile, before);
+  EXPECT_FALSE(undo.live());
 }
 
 TEST(StepProfile, MinMaxInWindow) {
