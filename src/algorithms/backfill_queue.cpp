@@ -20,7 +20,7 @@ void BackfillQueue::insert(JobId id, std::int64_t rank, ProcCount q, Time p) {
   RESCHED_REQUIRE(p > 0);
   std::uint32_t& slot = slot_[static_cast<std::size_t>(q)];
   if (slot == 0) {
-    buckets_.emplace_back(buckets_.get_allocator().arena());
+    buckets_.emplace_back(buckets_.get_allocator().arena(), q);
     slot = static_cast<std::uint32_t>(buckets_.size());
   }
   Bucket& bucket = buckets_[slot - 1];
@@ -45,18 +45,45 @@ void BackfillQueue::insert(JobId id, std::int64_t rank, ProcCount q, Time p) {
   ++size_;
 }
 
-void BackfillQueue::begin_pass() {
+void BackfillQueue::begin_pass(std::int64_t capacity) {
   RESCHED_REQUIRE_MSG(!pass_open_, "pass already open");
   pass_open_ = true;
+  pass_capacity_ = capacity;
   current_ = kNoCandidate;
+  gated_ = kNoCandidate;
+  gated_stale_ = false;
   ++epoch_;
   heap_.clear();
   for (std::size_t b = 0; b < buckets_.size(); ++b) {
     const Bucket& bucket = buckets_[b];
-    if (bucket.front < bucket.items.size())
-      heap_.push_back(Head{bucket.items[bucket.front].rank, b});
+    if (bucket.front == bucket.items.size()) continue;
+    const std::int64_t rank = bucket.items[bucket.front].rank;
+    // Gated out: nothing in it can start this pass, so it never enters the
+    // merge. Only next_head() may need its front, so keep the lowest.
+    if (bucket.q > capacity) {
+      if (gated_ == kNoCandidate || rank < front_rank(gated_)) gated_ = b;
+      continue;
+    }
+    heap_.push_back(Head{rank, b});
   }
   std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
+}
+
+std::int64_t BackfillQueue::front_rank(std::size_t b) const {
+  const Bucket& bucket = buckets_[b];
+  return bucket.items[bucket.read].rank;
+}
+
+void BackfillQueue::refresh_gated() {
+  gated_ = kNoCandidate;
+  for (std::size_t b = 0; b < buckets_.size(); ++b) {
+    const Bucket& bucket = buckets_[b];
+    if (bucket.q <= pass_capacity_ || bucket.read == bucket.items.size())
+      continue;
+    if (gated_ == kNoCandidate || front_rank(b) < front_rank(gated_))
+      gated_ = b;
+  }
+  gated_stale_ = false;
 }
 
 bool BackfillQueue::pop(Head& head) {
@@ -83,17 +110,35 @@ BackfillQueue::Entry BackfillQueue::surface(std::size_t b) {
 
 std::optional<BackfillQueue::Entry> BackfillQueue::next_head() {
   RESCHED_ASSERT(pass_open_ && current_ == kNoCandidate);
+  if (gated_stale_) refresh_gated();
+  // The lowest rank is the merge's front or the gated buckets' lowest
+  // front, whichever is lower.
+  if (gated_ != kNoCandidate &&
+      (heap_.empty() || front_rank(gated_) < heap_.front().rank)) {
+    current_gated_ = true;
+    return surface(gated_);
+  }
   Head head;
   if (!pop(head)) return std::nullopt;
   return surface(head.bucket);
+}
+
+void BackfillQueue::answered() {
+  // A gated bucket stays out of the merge; its lowest front is found again
+  // only if next_head() asks for it.
+  if (current_gated_)
+    gated_stale_ = true;
+  else
+    offer(current_);
+  current_gated_ = false;
+  current_ = kNoCandidate;
 }
 
 void BackfillQueue::keep() {
   RESCHED_ASSERT(pass_open_ && current_ != kNoCandidate);
   Bucket& bucket = buckets_[current_];
   bucket.items[bucket.write++] = bucket.items[bucket.read++];
-  offer(current_);
-  current_ = kNoCandidate;
+  answered();
 }
 
 void BackfillQueue::take() {
@@ -101,8 +146,7 @@ void BackfillQueue::take() {
   ++buckets_[current_].read;
   --size_;
   ++epoch_;
-  offer(current_);
-  current_ = kNoCandidate;
+  answered();
 }
 
 void BackfillQueue::end_pass() {
@@ -124,23 +168,6 @@ void BackfillQueue::end_pass() {
   }
   heap_.clear();
   pass_open_ = false;
-}
-
-Time fit_deadline(const StepProfile& free, Time t, ProcCount q, Time w) {
-  return free.first_below(t, checked_add(t, w), q);
-}
-
-Time backfill_deadline(const StepProfile& free, Time t, ProcCount q,
-                       Time w, const HeadReservation& head) {
-  const Time fit = fit_deadline(free, t, q, w);
-  // Jobs that fit end by min(fit, t + w), so only dips of the head's window
-  // before that matter; when it is at or before head.start the window is
-  // empty and G is free.
-  const Time last_end = std::min(fit, checked_add(t, w));
-  if (last_end <= head.start) return fit;
-  return std::min(fit, free.first_below(head.start,
-                                        std::min(head.end, last_end),
-                                        checked_add(head.q, q)));
 }
 
 }  // namespace resched

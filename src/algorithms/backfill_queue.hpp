@@ -18,26 +18,28 @@
 //     table, so opening and closing a pass costs O(occupied demands), not
 //     O(m) -- a service decision plans a handful of jobs in a few distinct
 //     widths on a machine with m in the hundreds;
-//   * a capacity event opens a *pass*: the buckets whose threshold the
-//     current free capacity reaches (q <= capacity at t) are merged
-//     rank-order through a small binary heap, so candidates come out in
-//     exactly the order the linear rescan would have examined them;
-//   * a bucket whose head surfaces with q > capacity is retired for the
-//     rest of the pass: the rescan would have probed each of its jobs only
-//     to fail fits_at immediately (capacity at t is the minimum over the
-//     job's window, so value-at-t below q already decides it). Capacity at
-//     t never rises within a pass -- the only mutations are commits, which
-//     subtract -- so retirement is permanent for the pass;
+//   * a capacity event opens a *pass* at the free capacity at t: only the
+//     buckets whose threshold it reaches (q <= capacity at t) enter the
+//     merge, a small binary heap that hands out candidates in exactly the
+//     order the linear rescan would have examined them. A bucket above it
+//     is gated out and never pushed: the rescan would have probed each of
+//     its jobs only to fail fits_at immediately (capacity at t is the
+//     minimum over the job's window, so value-at-t below q already decides
+//     it), and capacity at t never rises within a pass -- the only
+//     mutations are commits, which subtract;
+//   * for the same reason, a merged bucket whose head surfaces with
+//     q > capacity (capacity fell since the pass opened) is retired for
+//     the rest of the pass;
 //   * a bucket that survives the capacity gate asks the caller for the
 //     *limit* of its first unexamined job (q, p): the longest duration a
-//     demand-q job may have and still start now (for LSRC, fit_deadline(q)
-//     - t; for EASY, backfill_deadline(q) - t), read over that job's own
-//     window [t, t + p). If the job starts, it surfaces. If not, the dip
-//     that rejected it lies inside the window, so the limit is exact for
-//     the whole demand: every later job with p > limit is copied straight
-//     to the survivor slots without surfacing, and the bucket is
-//     re-offered to the merge at its first job with p <= limit, which
-//     starts without another read. Exact limits, like capacity, only
+//     demand-q job may have and still start now (for LSRC, F(q) - t; for
+//     EASY, D(q) - t, both read by FreeProfile::Cursor), read over that
+//     job's own window [t, t + p). If the job starts, it surfaces. If
+//     not, the dip that rejected it lies inside the window, so the limit
+//     is exact for the whole demand: every later job with p > limit is
+//     copied straight to the survivor slots without surfacing, and the
+//     bucket is re-offered to the merge at its first job with p <= limit,
+//     which starts without another read. Exact limits, like capacity, only
 //     shrink within a pass (commits only remove capacity, so every first
 //     dip the deadlines read can only move earlier), so a job skipped once
 //     would fail every later probe of the pass too. A rejecting limit is
@@ -48,11 +50,11 @@
 //
 // Equivalence sketch: a pass hands out precisely the pending jobs the
 // rescan would have started, in the same order, against the same
-// FreeProfile state; everything it skips (a retired bucket, a job past its
-// bucket's limit) provably fails the rescan's probe at the point the rescan
-// would reach it, and stays pending in rank order. Committed jobs and their
-// commit order therefore coincide, and by induction over events the whole
-// schedule does.
+// FreeProfile state; everything it skips (a gated-out or retired bucket, a
+// job past its bucket's limit) provably fails the rescan's probe at the
+// point the rescan would reach it, and stays pending in rank order.
+// Committed jobs and their commit order therefore coincide, and by
+// induction over events the whole schedule does.
 //
 // Pass cost: every bucket is a vector with a moving front. A pass examines
 // a prefix of each bucket it wakes (cursor `read`) and compacts the jobs it
@@ -63,12 +65,20 @@
 // bucket. insert() reclaims the dead prefix once it is as long as the
 // live part, so a bucket that keeps receiving jobs holds at most about
 // twice its live jobs, and the reclaim's moves cost amortized O(1) per
-// taken job. begin_pass costs O(occupied demands).
+// taken job.
 //
-// fit_deadline/backfill_deadline turn the schedulers' start tests into one
-// deadline per demand, so a pass reads the profile about once per start
-// and once per rejecting demand between starts, instead of once per
-// candidate.
+// Merge cost: begin_pass costs O(occupied demands) plus a heap build over
+// the buckets that can start. Gated-out buckets cost nothing after it --
+// no push, pop or retirement -- which matters most in the batch loops,
+// where a pass at a busy instant can start only narrow jobs. next_head()
+// still sees them: it compares the merge's front with the lowest-ranked
+// gated job, which begin_pass records.
+//
+// The cursor's fit_deadline/backfill_deadline turn the schedulers' start
+// tests into one deadline per demand, so a pass reads the profile about
+// once per start and once per rejecting demand between starts, instead of
+// once per candidate, and each read walks from the index of t that the
+// pass located once.
 //
 // EventTimes is the schedulers' wake-up queue: a binary min-heap over a
 // ScratchVec, so a push is a vector append with no per-node allocation.
@@ -85,7 +95,6 @@
 #include <vector>
 
 #include "core/arena.hpp"
-#include "core/step_profile.hpp"
 #include "core/types.hpp"
 #include "util/checked.hpp"
 #include "util/require.hpp"
@@ -113,17 +122,23 @@ class BackfillQueue {
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
-  // Pass protocol, one pass per capacity event:
-  //   queue.begin_pass();
+  // Pass protocol, one pass per capacity event t, on a pass cursor `at`
+  // (FreeProfile::at(t)):
+  //   queue.begin_pass(at.capacity());
   //   while (auto e = queue.next_head()) { ...; queue.keep() or take(); }
-  //   while (auto e = queue.next(capacity, limit)) { ...; queue.take(); }
+  //   while (auto e = queue.next(at.capacity(), limit)) {
+  //     ...; queue.take(); }
   //   queue.end_pass();
   // Every popped candidate must be answered with exactly one keep()/take()
   // before the next pop.
   //
+  // begin_pass(capacity) takes the free capacity at t as the pass opens.
+  // Buckets with q above it are gated out: they stay out of the merge for
+  // the whole pass, so next() never surfaces them.
+  //
   // next(capacity, limit) pops the lowest-ranked job with q <= capacity
-  // that starts now, where `capacity` is the caller-maintained free
-  // capacity at the event time (decremented by q on every commit) and
+  // that starts now, where `capacity` is the free capacity at t now (the
+  // opening capacity minus every demand started since) and
   // limit(q, p) -> Time decides the rest for the demand-q job of duration p
   // about to surface: it returns L with p <= L iff that job starts now, and
   // when it rejects (L < p), L is exact -- a demand-q job of any duration
@@ -134,8 +149,10 @@ class BackfillQueue {
   // stay pending in rank order.
   //
   // next_head() pops the globally lowest-ranked unexamined job whatever
-  // its demand and duration (EASY's protected head).
-  void begin_pass();
+  // its demand and duration (EASY's protected head). If it comes from a
+  // gated-out bucket, it cannot start at t (the capacity at t is below its
+  // q), and answering it leaves its bucket out of the merge.
+  void begin_pass(std::int64_t capacity);
   template <class Limit>
   [[nodiscard]] std::optional<Entry> next(std::int64_t capacity,
                                           Limit&& limit);
@@ -144,13 +161,20 @@ class BackfillQueue {
   void take();
   void end_pass();
 
+  // Buckets in the merge now (diagnostic: gated-out buckets never count).
+  [[nodiscard]] std::size_t merge_size() const noexcept {
+    return heap_.size();
+  }
+
  private:
   struct Bucket {
-    explicit Bucket(Arena* scratch) : items(ArenaAlloc<Entry>(scratch)) {}
+    Bucket(Arena* scratch, ProcCount demand)
+        : items(ArenaAlloc<Entry>(scratch)), q(demand) {}
     // [front, end) is the pending queue, sorted by rank; [0, front) is
     // dead (taken jobs, or survivors' old slots).
     ScratchVec<Entry> items;
     std::size_t front = 0;
+    ProcCount q;  // every job's demand
     // Pass cursors: next candidate / survivor slot. Both equal front
     // outside a pass, so begin_pass needs no per-bucket reset.
     std::size_t read = 0;
@@ -175,6 +199,13 @@ class BackfillQueue {
   // Pops the lowest-ranked live bucket into `head`; false once the merge is
   // drained.
   bool pop(Head& head);
+  // Rank of bucket b's current job.
+  [[nodiscard]] std::int64_t front_rank(std::size_t b) const;
+  // Finds the gated bucket with the lowest current job again.
+  void refresh_gated();
+  // Closes the popped candidate's turn: re-offers its bucket to the merge,
+  // unless the bucket is gated out.
+  void answered();
   // Re-offers bucket b to the merge if it still has unexamined jobs.
   void offer(std::size_t b);
   // Marks bucket b's current job as the popped candidate.
@@ -188,6 +219,13 @@ class BackfillQueue {
   ScratchVec<Head> heap_;               // std::push_heap/pop_heap, min by rank
   std::size_t size_ = 0;
   std::size_t current_ = kNoCandidate;  // bucket of the last popped candidate
+  // The pass's opening capacity; buckets with q above it are gated out.
+  std::int64_t pass_capacity_ = 0;
+  // The gated bucket whose current job ranks lowest (kNoCandidate if
+  // none), stale after a gated candidate is answered.
+  std::size_t gated_ = kNoCandidate;
+  bool gated_stale_ = false;
+  bool current_gated_ = false;  // the popped candidate is gated_'s
   // Advanced by begin_pass and take(), the points where limits may change.
   std::uint64_t epoch_ = 0;
   bool pass_open_ = false;
@@ -196,13 +234,15 @@ class BackfillQueue {
 template <class Limit>
 std::optional<BackfillQueue::Entry> BackfillQueue::next(std::int64_t capacity,
                                                         Limit&& limit) {
-  RESCHED_ASSERT(pass_open_ && current_ == kNoCandidate);
+  RESCHED_ASSERT(pass_open_ && current_ == kNoCandidate &&
+                 capacity <= pass_capacity_);
   Head head;
   while (pop(head)) {
     Bucket& bucket = buckets_[head.bucket];
     const Entry& first = bucket.items[bucket.read];
     // Retire the bucket for this pass: capacity at the event time cannot
     // come back up, so none of its jobs can start (see header sketch).
+    // Buckets above the opening capacity never got here.
     if (first.q > capacity) continue;
     if (bucket.limit_epoch != epoch_) {
       const Time verdict = limit(first.q, first.p);
@@ -225,32 +265,6 @@ std::optional<BackfillQueue::Entry> BackfillQueue::next(std::int64_t capacity,
   }
   return std::nullopt;
 }
-
-// The blocked head's reservation in an EASY pass: demand q over
-// [start, end).
-struct HeadReservation {
-  ProcCount q;
-  Time start;
-  Time end;
-};
-
-// F(q): the earliest instant in [t, t + w) at which `free` drops below q,
-// or kTimeInfinity. A demand-q job with p <= w fits at t iff t + p <= F(q):
-// F is the first dip of the wider window, so no dip before t + p means no
-// dip in [t, t + p). A finite F is the first dip after t outright, so it
-// then decides jobs of every duration.
-[[nodiscard]] Time fit_deadline(const StepProfile& free, Time t, ProcCount q,
-                                Time w);
-
-// D(q) = min(F(q), G(q)) for EASY's backfill at t with `head` blocked
-// (head.start > t), G(q) being the first dip below head.q + q in the
-// head's window up to the latest end min(F, t + w) of a fitting job: a
-// demand-q job with p <= w starts at t iff t + p <= D(q), i.e. iff it fits
-// at t and committing it keeps the head fitting at head.start. A D below
-// t + w is exact for every duration. Derivation in easy_bf.cpp.
-[[nodiscard]] Time backfill_deadline(const StepProfile& free, Time t,
-                                     ProcCount q, Time w,
-                                     const HeadReservation& head);
 
 // The limit a deadline D sets at t for BackfillQueue::next: the longest p
 // with t + p <= D. D == kTimeInfinity means "no dip" (the profile queries'

@@ -43,8 +43,10 @@ std::size_t easy_pass(FreeProfile& free, const std::vector<Job>& jobs,
                       BackfillQueue& waiting, Time t, HeadCache& cache,
                       OnStart&& on_start) {
   std::size_t started = 0;
-  std::int64_t capacity = free.capacity_at(t);
-  waiting.begin_pass();
+  // The pass's one search: every read, test and take at t below works from
+  // the index of t it locates.
+  FreeProfile::Cursor at = free.at(t);
+  waiting.begin_pass(at.capacity());
 
   // Phase 1: start the head (and successive heads) while they fit now.
   // The head is the globally lowest-ranked waiting job regardless of its
@@ -52,15 +54,12 @@ std::size_t easy_pass(FreeProfile& free, const std::vector<Job>& jobs,
   const Job* blocked = nullptr;
   while (const auto candidate = waiting.next_head()) {
     const Job& head = jobs[static_cast<std::size_t>(candidate->id)];
-    if (!free.fits_at(t, head.q, head.p)) {
+    if (!at.try_take(head.q, head.p)) {
       blocked = &head;
       waiting.keep();
       break;
     }
-    free.commit_fitted(t, head.q, head.p);
     on_start(head);
-    // resched-lint: time-arith-audited(admitted q keeps capacity in [0, m])
-    capacity -= head.q;
     waiting.take();
     ++started;
   }
@@ -74,10 +73,10 @@ std::size_t easy_pass(FreeProfile& free, const std::vector<Job>& jobs,
     std::optional<HeadReservation> reservation;
     const auto book_head = [&] {
       if (cache.id != head.id || cache.version != free.profile().version()) {
-        cache = HeadCache{head.id, free.earliest_fit(t, head.q, head.p),
+        cache = HeadCache{head.id, at.earliest_fit(head.q, head.p),
                           free.profile().version()};
       }
-      RESCHED_ASSERT(cache.start == free.earliest_fit(t, head.q, head.p));
+      RESCHED_ASSERT(cache.start == at.earliest_fit(head.q, head.p));
       return HeadReservation{head.q, cache.start,
                              checked_add(cache.start, head.p)};
     };
@@ -99,19 +98,18 @@ std::size_t easy_pass(FreeProfile& free, const std::vector<Job>& jobs,
     // dip inside the window, which makes D exact for every duration, so
     // BackfillQueue::next skips the demand's later rejects unseen. D is a
     // pure read of the uncommitted profile: a rejected candidate costs no
-    // frame, undo record or rollback.
+    // frame, undo record or rollback. F and G are both first points of the
+    // window [t, t + p) after t, so the cursor reads D in one forward walk
+    // from its index, stopping at whichever comes first.
     const auto limit = [&](ProcCount q, Time p) {
       if (!reservation) reservation = book_head();
-      return deadline_limit(
-          backfill_deadline(free.profile(), t, q, p, *reservation), t);
+      return deadline_limit(at.backfill_deadline(q, p, *reservation), t);
     };
-    while (const auto candidate = waiting.next(capacity, limit)) {
+    while (const auto candidate = waiting.next(at.capacity(), limit)) {
       const Job& job = jobs[static_cast<std::size_t>(candidate->id)];
-      free.commit_fitted(t, job.q, job.p);
+      at.take(job.q, job.p);
       RESCHED_ASSERT(free.fits_at(reservation->start, head.q, head.p));
       on_start(job);
-      // resched-lint: time-arith-audited(admitted q keeps capacity in [0, m])
-      capacity -= job.q;
       waiting.take();
       ++started;
     }

@@ -15,27 +15,27 @@ namespace {
 
 // One LSRC pass at instant t: in priority order, start every pending job
 // that fits for its whole duration from t, committing it on `free` and
-// reporting it through `on_start(job)`. Only buckets with q <= capacity
-// wake up, and a demand-q job (q, p) fits iff t + p <= F(q), the first dip
-// below q (fit_deadline). A rejected job's dip is the demand's exact
-// deadline until the next commit, so BackfillQueue::next skips the
-// demand's later rejects unseen. run() loops over passes at successive
-// events; replan() runs exactly one, at now.
+// reporting it through `on_start(job)`. The pass locates t once; its
+// reads and takes then work from that index (FreeProfile::Cursor). Only
+// buckets with q <= capacity at t wake up, and a demand-q job (q, p) fits
+// iff t + p <= F(q), the first dip below q (the cursor's fit_deadline). A
+// rejected job's dip is the demand's exact deadline until the next take,
+// so BackfillQueue::next skips the demand's later rejects unseen. run()
+// loops over passes at successive events; replan() runs exactly one, at
+// now.
 template <class OnStart>
 std::size_t lsrc_pass(FreeProfile& free, const std::vector<Job>& jobs,
                       BackfillQueue& pending, Time t, OnStart&& on_start) {
   std::size_t started = 0;
-  std::int64_t capacity = free.capacity_at(t);
+  FreeProfile::Cursor at = free.at(t);
   const auto limit = [&](ProcCount q, Time p) {
-    return deadline_limit(fit_deadline(free.profile(), t, q, p), t);
+    return deadline_limit(at.fit_deadline(q, p), t);
   };
-  pending.begin_pass();
-  while (const auto candidate = pending.next(capacity, limit)) {
+  pending.begin_pass(at.capacity());
+  while (const auto candidate = pending.next(at.capacity(), limit)) {
     const Job& job = jobs[static_cast<std::size_t>(candidate->id)];
-    free.commit_fitted(t, job.q, job.p);
+    at.take(job.q, job.p);
     on_start(job);
-    // resched-lint: time-arith-audited(admitted q keeps capacity in [0, m])
-    capacity -= job.q;
     ++started;
     pending.take();
   }

@@ -25,10 +25,6 @@ FreeProfile FreeProfile::for_instance(const Instance& instance) {
   return FreeProfile(availability_profile(instance));
 }
 
-ProcCount FreeProfile::capacity_at(Time t) const {
-  return profile_.value_at(t);
-}
-
 bool FreeProfile::fits_at(Time t, ProcCount q, Time p) const {
   RESCHED_REQUIRE(t >= 0 && q >= 1 && p > 0);
   // Equivalent to min_in(t, t+p) >= q, but bails out at the first deficient
@@ -38,14 +34,19 @@ bool FreeProfile::fits_at(Time t, ProcCount q, Time p) const {
 
 Time FreeProfile::earliest_fit(Time t0, ProcCount q, Time p) const {
   RESCHED_REQUIRE(t0 >= 0 && q >= 1 && p > 0);
+  return earliest_fit_from(profile_.index_of(t0), t0, q, p);
+}
+
+Time FreeProfile::earliest_fit_from(std::size_t index, Time t0, ProcCount q,
+                                    Time p) const {
   RESCHED_REQUIRE_MSG(
       profile_.final_value() >= q,
       "job can never fit: q exceeds the eventual free capacity");
-  // final_value() >= q makes the answer finite: every window that starts
-  // in the unbounded last segment fits.
-  const Time t = profile_.first_fit(t0, p, q);
-  RESCHED_CHECK_MSG(t != kTimeInfinity, "earliest_fit found no start");
-  return t;
+  // final_value() >= q guarantees a start: every window that starts in
+  // the unbounded last segment fits.
+  const StepProfile::FitWindow fit = profile_.find_fit(index, t0, p, q);
+  RESCHED_CHECK_MSG(fit.found, "earliest_fit found no start");
+  return fit.start;
 }
 
 Time FreeProfile::place(Time t0, ProcCount q, Time p) {
@@ -59,6 +60,52 @@ Time FreeProfile::place(Time t0, ProcCount q, Time p) {
   const Time t = profile_.take_first_fit(t0, p, q);
   ++permanent_mutations_;
   return t;
+}
+
+FreeProfile::Cursor FreeProfile::at(Time t) {
+  RESCHED_REQUIRE(t >= 0);
+  RESCHED_REQUIRE_MSG(!retain_accepted_,
+                      "a pass cursor's takes are permanent: recording mode "
+                      "commits through commit_fitted");
+  return Cursor(*this, t, profile_.index_of(t));
+}
+
+Time FreeProfile::Cursor::fit_deadline(ProcCount q, Time w) const {
+  check_current();
+  RESCHED_REQUIRE(w > 0);
+  return free_->profile_.scan_first_below_at(index_, t_, checked_add(t_, w),
+                                             q);
+}
+
+Time FreeProfile::Cursor::backfill_deadline(ProcCount q, Time w,
+                                            const HeadReservation& head) const {
+  check_current();
+  RESCHED_REQUIRE(w > 0);
+  return free_->profile_.scan_backfill_deadline_at(
+      index_, t_, checked_add(t_, w), q, head.start, head.end,
+      checked_add(head.q, q));
+}
+
+bool FreeProfile::Cursor::try_take(ProcCount q, Time p) {
+  check_current();
+  RESCHED_REQUIRE(q >= 1 && p > 0);
+  const std::size_t index =
+      free_->profile_.try_take_at(index_, t_, checked_add(t_, p), q);
+  if (index == StepProfile::kNoFit) return false;
+  took(index);
+  return true;
+}
+
+void FreeProfile::Cursor::take(ProcCount q, Time p) {
+  check_current();
+  RESCHED_REQUIRE(q >= 1 && p > 0);
+  took(free_->profile_.take_at(index_, t_, checked_add(t_, p), q));
+}
+
+Time FreeProfile::Cursor::earliest_fit(ProcCount q, Time p) const {
+  check_current();
+  RESCHED_REQUIRE(q >= 1 && p > 0);
+  return free_->earliest_fit_from(index_, t_, q, p);
 }
 
 void FreeProfile::push_frame(Time t, ProcCount q, Time p) {

@@ -2,21 +2,25 @@
 //
 // Starts from the instance's availability m(t) = m - U(t) and is decremented
 // as jobs are committed. All list/backfilling algorithms are expressed with
-// four operations:
+// these operations:
 //
 //   fits_at(t, q, p)        -- can a (q, p) job run in [t, t+p)?
 //   earliest_fit(t0, q, p)  -- first start >= t0 where it can (read only),
 //   place(t0, q, p)         -- allocate it at that start, and return it,
-//   commit_fitted(t, q, p)  -- allocate it at a start already known to fit.
+//   commit_fitted(t, q, p)  -- allocate it at a start already known to fit,
+//   at(t)                   -- a pass cursor: reads, tests and allocations
+//                              at one instant t (FreeProfile::Cursor).
 //
 // Protocol: a scheduler that puts a job at its earliest fit calls place --
 // FCFS, conservative backfilling and compaction do, in the batch and the
-// service paths alike. A scheduler that decides the start itself calls
-// commit_fitted: LSRC and EASY start jobs at the event time t after their
-// own deadline tests, and branch-and-bound commits in recording mode after
-// reading earliest_fit (place is permanent, see Frames below).
-// earliest_fit serves the callers that only read: lower bounds, bnb's
-// prune, EASY's head reservation.
+// service paths alike. The event-loop schedulers, LSRC and EASY, start
+// jobs only at the pass instant t, so a pass opens a cursor at t and does
+// everything at t through it: the capacity at t, the per-demand deadlines
+// F(q) and D(q), EASY's head test and its head reservation, and every
+// start. Branch-and-bound commits in recording mode through commit_fitted
+// after reading earliest_fit (place and the cursor are permanent, see
+// Frames below). earliest_fit serves the other callers that only read:
+// lower bounds and bnb's prune.
 //
 // Candidate-start lemma (used by earliest_fit and by LSRC's event loop):
 // for fixed committed capacity, the set {t : fits_at(t, q, p)} is a finite
@@ -28,15 +32,15 @@
 // Hence earliest_fit only ever returns t0 or an increase breakpoint, and a
 // scheduler that re-examines its queue at capacity-increase events (job
 // completions, reservation ends) never misses a feasible start. It is also
-// why StepProfile::first_fit, which earliest_fit delegates to, may jump
-// from a dip straight to the end of its deficient run.
+// why the walk behind StepProfile::first_fit, which earliest_fit shares,
+// may jump from a dip straight to the end of its deficient run.
 //
 // Complexity, for a profile of n segments:
 //
 //   fits_at       -- one binary search, then an O(window) scan that stops
 //                    at the first deficient segment.
-//   earliest_fit  -- one binary search, then one forward walk
-//                    (StepProfile::first_fit) that visits each segment
+//   earliest_fit  -- one binary search, then one forward walk (the one
+//                    behind StepProfile::first_fit) that visits each segment
 //                    between t0 and the answer's window end once, O(1) each.
 //   place         -- earliest_fit's search and walk, then the subtraction
 //                    from the indices the walk ends on
@@ -46,6 +50,16 @@
 //   commit_fitted -- StepProfile::add: one binary search, an O(window)
 //                    overflow probe that also finds the window's right
 //                    edge, and the same edge memmoves.
+//   at(t)         -- one binary search; the pass's only one. From the
+//                    index it holds, capacity() is O(1); fit_deadline and
+//                    backfill_deadline walk forward from t to the first
+//                    dip, O(segments before it); try_take walks the window
+//                    once to test and locate it, take walks it with no
+//                    test and no overflow probe, and both then pay the
+//                    edge memmoves; earliest_fit is earliest_fit's walk
+//                    without the search. Each take leaves the cursor on
+//                    the segment containing t (StepProfile::shift_window
+//                    returns it).
 //
 // ## Frames (checkpoint / rewind)
 //
@@ -80,7 +94,8 @@
 // empty frame stack, so a checkpoint can never span a permanent mutation
 // (rewind_to checks this and trips loudly). (EASY's backfill test needs no
 // frame at all: it reads the uncommitted profile, see
-// algorithms/easy_bf.cpp.)
+// algorithms/easy_bf.cpp.) A pass cursor's takes are permanent mutations
+// too, so at() refuses recording mode.
 #pragma once
 
 #include <cstdint>
@@ -88,18 +103,26 @@
 
 #include "core/instance.hpp"
 #include "core/step_profile.hpp"
+#include "util/require.hpp"
 
 namespace resched {
 
+// A blocked job's reservation in an EASY pass: demand q over [start, end).
+struct HeadReservation {
+  ProcCount q;
+  Time start;
+  Time end;
+};
+
 class FreeProfile {
  public:
+  class Cursor;
+
   // View over an explicit capacity profile (must be non-negative).
   explicit FreeProfile(StepProfile free_capacity);
 
   // Capacity view of an instance before any job is placed.
   [[nodiscard]] static FreeProfile for_instance(const Instance& instance);
-
-  [[nodiscard]] ProcCount capacity_at(Time t) const;
 
   // True iff min capacity over [t, t+p) is >= q. p > 0, q >= 1, t >= 0.
   [[nodiscard]] bool fits_at(Time t, ProcCount q, Time p) const;
@@ -116,14 +139,20 @@ class FreeProfile {
   // commit_fitted so that rewind_to can take them back.
   Time place(Time t0, ProcCount q, Time p);
 
-  // Subtracts q over [t, t+p) for callers that decided t themselves -- an
-  // event time their own deadline test admitted, or a start just read from
-  // earliest_fit (or an explicit fits_at): the precondition fits_at(t, q, p)
-  // holds by construction, so its recheck is a Debug-only RESCHED_ASSERT.
-  // This is LSRC's and EASY's hot placement path; misuse is still caught
-  // downstream by Schedule::validate and the campaign oracle. Permanent,
-  // except in recording mode (see set_retain_accepted).
+  // Subtracts q over [t, t+p) for callers that decided t themselves -- a
+  // start just read from earliest_fit (bnb) or an explicit fits_at: the
+  // precondition fits_at(t, q, p) holds by construction, so its recheck is
+  // a Debug-only RESCHED_ASSERT; misuse is still caught downstream by
+  // Schedule::validate and the campaign oracle. Permanent, except in
+  // recording mode (see set_retain_accepted). (LSRC and EASY start jobs
+  // through their pass cursor's take instead.)
   void commit_fitted(Time t, ProcCount q, Time p);
+
+  // Opens a pass at instant t: locates t once (the pass's only binary
+  // search) and returns the cursor that reads, tests and takes at t from
+  // that index. t >= 0. Its takes are permanent, so recording mode is
+  // refused, as place refuses it.
+  [[nodiscard]] Cursor at(Time t);
 
   // O(1) snapshot of the frame stack; see the header notes. A checkpoint
   // taken on one FreeProfile must only be passed back to that object.
@@ -196,6 +225,9 @@ class FreeProfile {
     StepProfile::Undo undo;
   };
 
+  // earliest_fit from index = index_of(t0), known to the caller.
+  [[nodiscard]] Time earliest_fit_from(std::size_t index, Time t0,
+                                       ProcCount q, Time p) const;
   // Pops the top frame, rolling the profile back and recycling its undo
   // buffer.
   void pop_frame();
@@ -220,6 +252,78 @@ class FreeProfile {
   // commits, compact_history); rewind_to refuses to cross one.
   std::uint64_t permanent_mutations_ = 0;
   bool retain_accepted_ = false;
+};
+
+// A pass's view of a FreeProfile at one fixed instant t: t and the index
+// of the segment that contains it, kept current across the cursor's own
+// takes (StepProfile::shift_window returns it). Every operation starts
+// from that index, so none of them searches. Any mutation of the profile
+// other than the cursor's own takes invalidates the cursor; in Debug, a
+// later use trips RESCHED_ASSERT (the cursor stamps the profile version).
+class FreeProfile::Cursor {
+ public:
+  // Index of the segment that contains t (diagnostic).
+  [[nodiscard]] std::size_t index() const noexcept { return index_; }
+
+  // Free capacity at t, O(1).
+  [[nodiscard]] ProcCount capacity() const {
+    check_current();
+    return free_->profile_.steps_.value(index_);
+  }
+
+  // F(q): the earliest instant in [t, t + w) at which the capacity drops
+  // below q, or kTimeInfinity; w > 0. A demand-q job with p <= w fits at t
+  // iff t + p <= F(q): F is the first dip of the wider window, so no dip
+  // before t + p means no dip in [t, t + p). A finite F is the first dip
+  // after t outright, so it then decides jobs of every duration.
+  [[nodiscard]] Time fit_deadline(ProcCount q, Time w) const;
+
+  // D(q) = min(F(q), G(q)) for EASY's backfill at t with `head` blocked
+  // (head.start > t), G(q) being the first dip below head.q + q in the
+  // head's window up to the latest end min(F, t + w) of a fitting job: a
+  // demand-q job with p <= w starts at t iff t + p <= D(q), i.e. iff it
+  // fits at t and committing it keeps the head fitting at head.start. A D
+  // below t + w is exact for every duration. Read in one forward walk from
+  // t that stops at the first point below q, or the first point inside
+  // the head's window below head.q + q. Derivation in easy_bf.cpp.
+  [[nodiscard]] Time backfill_deadline(ProcCount q, Time w,
+                                       const HeadReservation& head) const;
+
+  // If a (q, p) job fits at t, subtracts it over [t, t + p) and returns
+  // true; else returns false with the profile untouched. One walk over the
+  // window both tests and locates it.
+  [[nodiscard]] bool try_take(ProcCount q, Time p);
+
+  // Subtracts a (q, p) job over [t, t + p) that a deadline already admitted
+  // (fits at t holds by construction; a Debug-only RESCHED_ASSERT rechecks
+  // it). No search and no overflow probe: every value in the window is
+  // >= q > 0.
+  void take(ProcCount q, Time p);
+
+  // FreeProfile::earliest_fit(t, q, p), walked from the cursor's index.
+  [[nodiscard]] Time earliest_fit(ProcCount q, Time p) const;
+
+ private:
+  friend class FreeProfile;
+  Cursor(FreeProfile& free, Time t, std::size_t index)
+      : free_(&free), t_(t), index_(index),
+        version_(free.profile_.version()) {}
+
+  // Debug: the profile is still the one the cursor located t on.
+  void check_current() const {
+    RESCHED_ASSERT(free_->profile_.version() == version_);
+  }
+  // Re-locates after a take of the cursor's own.
+  void took(std::size_t index) {
+    index_ = index;
+    version_ = free_->profile_.version();
+    ++free_->permanent_mutations_;
+  }
+
+  FreeProfile* free_;
+  Time t_;
+  std::size_t index_;        // index_of(t_) on the current profile
+  std::uint64_t version_;    // profile version index_ was located on
 };
 
 }  // namespace resched

@@ -81,8 +81,9 @@ void StepProfile::add_impl(Time from, Time to, std::int64_t delta,
   shift_window(lo, hi, from, to, delta, undo);
 }
 
-void StepProfile::shift_window(std::size_t lo, std::size_t hi, Time from,
-                               Time to, std::int64_t delta, Undo* undo) {
+std::size_t StepProfile::shift_window(std::size_t lo, std::size_t hi,
+                                      Time from, Time to, std::int64_t delta,
+                                      Undo* undo) {
   // Finite windows split at `to` unless a step already starts there;
   // [from, kTimeInfinity) shifts everything from `from` on.
   const bool unbounded = to >= kTimeInfinity;
@@ -116,11 +117,14 @@ void StepProfile::shift_window(std::size_t lo, std::size_t hi, Time from,
   for (std::size_t i = first; i < last; ++i) steps_.add_value(i, delta);
   // Interior neighbours shifted by the same delta stay distinct, so only the
   // two window edges can need merging. Right edge first: erasing there does
-  // not move `first`.
+  // not move `first`. `first` starts at `from`; if it merges left, the
+  // neighbour that absorbs it now contains `from`.
   coalesce_at(last);
-  coalesce_at(first);
+  if (first > 0 && steps_.value(first) == steps_.value(first - 1))
+    steps_.erase(first--);
   if (undo != nullptr) undo->live_ = true;
   ++version_;
+  return first;
 }
 
 void StepProfile::rollback(Undo& undo) {
@@ -319,9 +323,11 @@ Time StepProfile::first_at_least(Time from, std::int64_t threshold) const {
   return scan_first_at_least_at(index_of(from), from, threshold);
 }
 
-StepProfile::FitWindow StepProfile::find_fit(Time from, Time len,
+StepProfile::FitWindow StepProfile::find_fit(std::size_t j, Time from,
+                                             Time len,
                                              std::int64_t threshold) const {
   RESCHED_REQUIRE(from >= 0 && len > 0);
+  RESCHED_ASSERT(j == index_of(from));
   // One forward walk: the cursor t is always a candidate start (from, or
   // the right edge of a deficient run) and every start before it is known
   // not to fit. A dip in t's window becomes the cursor; skipping the
@@ -330,7 +336,6 @@ StepProfile::FitWindow StepProfile::find_fit(Time from, Time len,
   const Time* times = steps_.times_data();
   const std::int64_t* values = steps_.values_data();
   const std::size_t n = steps_.size();
-  std::size_t j = index_of(from);
   Time t = from;
   while (true) {
     const Time end = checked_add(t, len);
@@ -349,7 +354,8 @@ StepProfile::FitWindow StepProfile::find_fit(Time from, Time len,
 
 Time StepProfile::first_fit(Time from, Time len,
                             std::int64_t threshold) const {
-  const FitWindow fit = find_fit(from, len, threshold);
+  RESCHED_REQUIRE(from >= 0);
+  const FitWindow fit = find_fit(index_of(from), from, len, threshold);
   return fit.found ? fit.start : kTimeInfinity;
 }
 
@@ -357,13 +363,64 @@ Time StepProfile::take_first_fit(Time from, Time len, std::int64_t amount) {
   RESCHED_REQUIRE(amount > 0);
   RESCHED_REQUIRE_MSG(final_value() >= amount,
                       "take_first_fit: the unbounded tail is below amount");
-  const FitWindow fit = find_fit(from, len, amount);
+  RESCHED_REQUIRE(from >= 0);
+  const FitWindow fit = find_fit(index_of(from), from, len, amount);
   // A window starting in the unbounded last segment always fits.
   RESCHED_CHECK_MSG(fit.found, "take_first_fit found no start");
   // Every value over the window is >= amount > 0, so subtracting amount
   // cannot overflow: no probe.
-  shift_window(fit.lo, fit.hi, fit.start, fit.end, -amount, nullptr);
+  (void)shift_window(fit.lo, fit.hi, fit.start, fit.end, -amount, nullptr);
   return fit.start;
+}
+
+Time StepProfile::scan_backfill_deadline_at(std::size_t i, Time from,
+                                            Time to, std::int64_t threshold,
+                                            Time head_start, Time head_end,
+                                            std::int64_t head_threshold) const {
+  RESCHED_ASSERT(i == index_of(from) && from < to);
+  const Time* times = steps_.times_data();
+  const std::int64_t* values = steps_.values_data();
+  const std::size_t n = steps_.size();
+  // Segment i covers [at, next); every point before `at` is above both
+  // thresholds where they apply, so the first point found is the minimum
+  // of F and G. F, if the segment is below threshold, is `at` itself; G
+  // is the segment's first point inside the head's window.
+  Time at = from;
+  while (true) {
+    if (values[i] < threshold) return at;
+    const Time next = i + 1 < n ? times[i + 1] : kTimeInfinity;
+    if (values[i] < head_threshold) {
+      const Time g = std::max(at, head_start);
+      if (g < next && g < head_end && g < to) return g;
+    }
+    if (++i == n || times[i] >= to) return kTimeInfinity;
+    at = times[i];
+  }
+}
+
+std::size_t StepProfile::take_at(std::size_t i, Time from, Time to,
+                                 std::int64_t amount) {
+  RESCHED_ASSERT(i == index_of(from) && from < to && amount > 0);
+  RESCHED_ASSERT(scan_min_at(i, to) >= amount);
+  const Time* times = steps_.times_data();
+  const std::size_t n = steps_.size();
+  std::size_t hi = i + 1;
+  for (; hi < n && times[hi] < to; ++hi) {
+  }
+  return shift_window(i, hi, from, to, -amount, nullptr);
+}
+
+std::size_t StepProfile::try_take_at(std::size_t i, Time from, Time to,
+                                     std::int64_t amount) {
+  RESCHED_ASSERT(i == index_of(from) && from < to && amount > 0);
+  const Time* times = steps_.times_data();
+  const std::int64_t* values = steps_.values_data();
+  const std::size_t n = steps_.size();
+  // Segment i starts at or before from < to, so it is in the window.
+  std::size_t hi = i;
+  for (; hi < n && times[hi] < to; ++hi)
+    if (values[hi] < amount) return kNoFit;
+  return shift_window(i, hi, from, to, -amount, nullptr);
 }
 
 Time StepProfile::next_change_after(Time t) const {

@@ -20,10 +20,14 @@
 // Windowed queries (min_in, max_in, first_below, first_at_least, first_fit,
 // integral, time_to_accumulate) are exact linear scans from index_of(from):
 // one binary search on the start array, then a contiguous walk over the
-// value array. Holding no cache, the profile mutates nothing in a const
-// method, so any number of threads may read one profile concurrently while
-// none writes it (standard-library container rules) -- which is what lets
-// CampaignRunner share one generated instance across its worker threads.
+// value array. The private walks take that index as an argument, and a
+// mutation at a located window (shift_window) returns the new index of
+// its start, so FreeProfile's pass cursor can read, test and subtract at
+// one instant many times on one search. Holding no cache, the profile
+// mutates nothing in a const method, so any number of threads may read
+// one profile concurrently while none writes it (standard-library
+// container rules) -- which is what lets CampaignRunner share one
+// generated instance across its worker threads.
 //
 // add() provides the strong exception guarantee: it validates every affected
 // segment's checked addition before the first structural change, so an
@@ -253,6 +257,12 @@ class StepProfile {
   // does.
   using Wide = __int128;
 
+  // FreeProfile::Cursor, a pass's view of the profile at one instant,
+  // works from the index it located through the index-taking primitives
+  // below (find_fit, scan_first_below_at, scan_backfill_deadline_at,
+  // take_at, try_take_at).
+  friend class FreeProfile;
+
   // Sorted by start; start(0) == 0; adjacent values distinct.
   SegStore steps_;
   // Mutation version (see version()). Plain integer: every increment site
@@ -269,9 +279,13 @@ class StepProfile {
   // a window already located: lo = index_of(from) and hi = the first index
   // past lo whose start is >= to (size() if none). Records `undo` if
   // non-null, splits the two edges, shifts, coalesces. The caller has
-  // validated every shifted value.
-  void shift_window(std::size_t lo, std::size_t hi, Time from, Time to,
-                    std::int64_t delta, Undo* undo);
+  // validated every shifted value. Returns index_of(from) of the mutated
+  // profile: lo + 1 when `from` split its segment, else lo -- one lower
+  // in either case when the shifted window coalesces into its left
+  // neighbour -- so a caller that keeps working at `from` needs no second
+  // search.
+  std::size_t shift_window(std::size_t lo, std::size_t hi, Time from, Time to,
+                           std::int64_t delta, Undo* undo);
 
   // A first-fit window [start, end) over steps [lo, hi) in shift_window's
   // terms; found is false when the unbounded tail is deficient.
@@ -282,9 +296,32 @@ class StepProfile {
     std::size_t hi = 0;
     bool found = false;
   };
-  // The forward walk behind first_fit and take_first_fit.
-  [[nodiscard]] FitWindow find_fit(Time from, Time len,
+  // The forward walk behind first_fit, take_first_fit and FreeProfile's
+  // earliest_fit (its own and its cursor's), started from
+  // j = index_of(from): the caller located it, with one binary search or
+  // from an index it already holds.
+  [[nodiscard]] FitWindow find_fit(std::size_t j, Time from, Time len,
                                    std::int64_t threshold) const;
+
+  // The cursor's start tests and takes at `from`, given i = index_of(from)
+  // and from < to (see FreeProfile::Cursor).
+  //
+  // D = min(F, G) in one forward walk: F is the first point of [from, to)
+  // below `threshold`, G the first point of [from, to) inside
+  // [head_start, head_end) below `head_threshold`; kTimeInfinity if
+  // neither exists. The walk stops at the first of them, or at `to`.
+  [[nodiscard]] Time scan_backfill_deadline_at(
+      std::size_t i, Time from, Time to, std::int64_t threshold,
+      Time head_start, Time head_end, std::int64_t head_threshold) const;
+  // Subtracts amount over [from, to), known to hold values >= amount > 0:
+  // walks to the window's right edge and shifts, with no search and no
+  // overflow probe. Returns the new index_of(from).
+  std::size_t take_at(std::size_t i, Time from, Time to, std::int64_t amount);
+  // take_at if every value over [from, to) is >= amount > 0, found in the
+  // same walk; kNoFit, with the profile untouched, if one is not.
+  static constexpr std::size_t kNoFit = static_cast<std::size_t>(-1);
+  std::size_t try_take_at(std::size_t i, Time from, Time to,
+                          std::int64_t amount);
 
   // The linear scans behind the windowed queries (exact over [from, to)
   // clipped to the function). Each takes the precomputed i = index_of(from).

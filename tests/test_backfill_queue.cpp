@@ -5,10 +5,13 @@
 // rank-ordered pending list walked once per pass, which hands out jobs with
 // q <= capacity and p <= limit(q) and, for next_head(), the lowest-ranked
 // job whatever its demand. Random insert / pass / keep / take sequences
-// drive both with the schedulers' protocol (capacity and limits never rise
-// within a pass, limits change only at a take, next_head() calls come
-// before the gated ones, as in EASY), for several machine sizes and with
-// heap- and arena-backed buffers.
+// drive both with the schedulers' protocol (a pass opens at a capacity,
+// capacity and limits never rise within it, limits change only at a take,
+// next_head() calls come before the gated ones, as in EASY), for several
+// machine sizes and with heap- and arena-backed buffers. The reference
+// also knows which buckets the opening capacity gates out, so the merge's
+// size is checked too: a gated bucket must stay out of it even after
+// next_head() hands out its job.
 //
 // EventTimes is checked against an ordered std::set<Time>: duplicates,
 // pushes at or before the current time, and kTimeInfinity once drained.
@@ -45,20 +48,27 @@ class ReferenceQueue {
     pending_.insert(at, Entry{id, rank, q, p});
   }
 
-  void begin_pass() { cursor_ = 0; }
+  void begin_pass(std::int64_t capacity) {
+    cursor_ = 0;
+    opening_ = capacity;
+  }
 
   std::optional<Entry> next_head() {
     if (cursor_ < pending_.size()) return pending_[cursor_];
     return std::nullopt;
   }
 
+  // True if the pass's opening capacity gates out e's demand.
+  [[nodiscard]] bool gated(const Entry& e) const { return e.q > opening_; }
+
   // Jobs the capacity gate lets through but the limit rejects are counted
   // in limit_skips.
   std::optional<Entry> next(std::int64_t capacity,
                             const std::vector<Time>& limits) {
+    EXPECT_LE(capacity, opening_);
     for (; cursor_ < pending_.size(); ++cursor_) {
       const Entry& e = pending_[cursor_];
-      if (e.q > capacity) continue;
+      if (gated(e) || e.q > capacity) continue;
       if (e.p <= limits[static_cast<std::size_t>(e.q)]) return e;
       ++limit_skips;
     }
@@ -77,6 +87,14 @@ class ReferenceQueue {
         std::count_if(pending_.begin(), pending_.end(),
                       [q](const Entry& e) { return e.q == q; }));
   }
+  // The buckets a merge holds before any next(): the demands the opening
+  // capacity admits among the unexamined jobs.
+  [[nodiscard]] std::size_t mergeable() const {
+    std::set<ProcCount> demands;
+    for (std::size_t i = cursor_; i < pending_.size(); ++i)
+      if (!gated(pending_[i])) demands.insert(pending_[i].q);
+    return demands.size();
+  }
   [[nodiscard]] bool has(ProcCount q, Time p) const {
     return std::any_of(pending_.begin(), pending_.end(), [&](const Entry& e) {
       return e.q == q && e.p == p;
@@ -88,6 +106,7 @@ class ReferenceQueue {
  private:
   std::vector<Entry> pending_;
   std::size_t cursor_ = 0;
+  std::int64_t opening_ = 0;
 };
 
 void expect_same(const std::optional<Entry>& got,
@@ -100,11 +119,13 @@ void expect_same(const std::optional<Entry>& got,
   EXPECT_EQ(got->p, want->p);
 }
 
-// Walks a fresh pass with next_head() + keep(): every pending job must
-// come out, in rank order, and the walk must leave the queue unchanged.
+// Walks a fresh pass opened at `capacity` with next_head() + keep(): every
+// pending job must come out, in rank order, gated or not, and the walk must
+// leave the queue unchanged.
 void expect_pending_in_rank_order(BackfillQueue& queue,
-                                  const ReferenceQueue& reference) {
-  queue.begin_pass();
+                                  const ReferenceQueue& reference,
+                                  std::int64_t capacity) {
+  queue.begin_pass(capacity);
   std::size_t i = 0;
   while (const auto got = queue.next_head()) {
     ASSERT_LT(i, reference.pending().size());
@@ -133,6 +154,7 @@ class Driver {
   ReferenceQueue reference;
   int refills = 0;  // buckets that emptied and got a job again
   int takes = 0;
+  int gated_heads = 0;  // next_head() answers from a gated-out bucket
 
   // Up to max_jobs arrivals: ranks mostly increasing (release-sorted
   // feeds) with some out-of-order stragglers.
@@ -171,14 +193,18 @@ class Driver {
     std::int64_t capacity = prng_.uniform_int(min_capacity, m_);
     for (Time& cap : limits_)
       cap = prng_.chance(0.2) ? kTimeInfinity : prng_.uniform_int(0, 45);
-    queue.begin_pass();
-    reference.begin_pass();
-    // Phase 1: the protected head, popped whatever its demand.
+    queue.begin_pass(capacity);
+    reference.begin_pass(capacity);
+    // Phase 1: the protected head, popped whatever its demand. A head from
+    // a gated-out bucket cannot start; EASY keeps it and stops, and the
+    // driver sometimes asks for the next head anyway.
     for (int k = static_cast<int>(prng_.uniform_int(0, max_heads)); k > 0;
          --k) {
       const auto got = queue.next_head();
-      expect_same(got, reference.next_head());
+      const auto want = reference.next_head();
+      expect_same(got, want);
       if (!got) break;
+      if (reference.gated(*want)) ++gated_heads;
       if (prng_.chance(0.5) && got->q <= capacity) {
         capacity -= got->q;
         queue.take();
@@ -187,9 +213,10 @@ class Driver {
       } else {
         queue.keep();
         reference.keep();
-        break;
+        if (prng_.chance(0.7)) break;
       }
     }
+    EXPECT_EQ(queue.merge_size(), reference.mergeable());
     // Phase 2: capacity- and limit-gated candidates; capacity only goes
     // down, and limits shrink only after a take.
     while (true) {
@@ -214,17 +241,20 @@ class Driver {
     queue.end_pass();
     EXPECT_EQ(queue.size(), reference.size());
     EXPECT_EQ(queue.empty(), reference.size() == 0);
-    // Skipped jobs are still pending, in rank order.
-    if (prng_.chance(0.3)) expect_pending_in_rank_order(queue, reference);
+    // Skipped jobs are still pending, in rank order, whatever the opening
+    // capacity gates out.
+    if (prng_.chance(0.3))
+      expect_pending_in_rank_order(queue, reference,
+                                   prng_.uniform_int(0, m_));
     for (const ProcCount q : widths_)
       if (reference.count(q) == 0) emptied_[static_cast<std::size_t>(q)] = true;
   }
 
   // Drain: what is left must come out in the same rank order.
   void drain() {
-    expect_pending_in_rank_order(queue, reference);
-    queue.begin_pass();
-    reference.begin_pass();
+    expect_pending_in_rank_order(queue, reference, 0);
+    queue.begin_pass(m_);
+    reference.begin_pass(m_);
     while (const auto got = queue.next_head()) {
       expect_same(got, reference.next_head());
       queue.take();
@@ -258,6 +288,7 @@ TEST_P(BackfillQueueDifferential, MatchesTheLinearRescan) {
 
   int refills = 0;
   int limit_skips = 0;
+  int gated_heads = 0;
   for (int run = 0; run < 40; ++run) {
     if (arena_backed) arena.reset();
     Driver driver(m, arena_backed ? &arena : nullptr, prng, widths);
@@ -267,10 +298,14 @@ TEST_P(BackfillQueueDifferential, MatchesTheLinearRescan) {
     }
     refills += driver.refills;
     limit_skips += driver.reference.limit_skips;
+    gated_heads += driver.gated_heads;
     driver.drain();
   }
   EXPECT_GT(refills, 0) << "no bucket emptied and refilled across passes";
   EXPECT_GT(limit_skips, 100) << "the limit rarely rejected a candidate";
+  if (m > 1) {
+    EXPECT_GT(gated_heads, 50) << "the global head was rarely gated out";
+  }
 }
 
 // A batch schedule keeps one queue for thousands of passes. Buckets whose
@@ -303,6 +338,9 @@ TEST_P(BackfillQueueDifferential, LongLivedQueueMatchesTheLinearRescan) {
   }
   EXPECT_GE(drains, 5);
   EXPECT_GT(driver.takes, 1000);
+  if (m > 1) {
+    EXPECT_GT(driver.gated_heads, 50);
+  }
   driver.drain();
 }
 
@@ -326,8 +364,9 @@ TEST(BackfillQueue, RetiredBucketSitsOutTheRestOfThePass) {
   queue.insert(0, 0, 6, 1);
   queue.insert(1, 1, 2, 1);
   queue.insert(2, 2, 6, 1);
-  queue.begin_pass();
-  // Capacity 4: the q=6 bucket retires at its head; only job 1 surfaces.
+  queue.begin_pass(8);
+  // Capacity fell to 4: the q=6 bucket retires at its head; only job 1
+  // surfaces.
   const auto first = queue.next(4, unlimited);
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->id, 1);
@@ -335,7 +374,7 @@ TEST(BackfillQueue, RetiredBucketSitsOutTheRestOfThePass) {
   EXPECT_FALSE(queue.next(2, unlimited).has_value());
   queue.end_pass();
   // Retired jobs stay pending, in rank order.
-  queue.begin_pass();
+  queue.begin_pass(8);
   const auto head = queue.next(8, unlimited);
   ASSERT_TRUE(head.has_value());
   EXPECT_EQ(head->id, 0);
@@ -346,6 +385,46 @@ TEST(BackfillQueue, RetiredBucketSitsOutTheRestOfThePass) {
   queue.keep();
   queue.end_pass();
   EXPECT_EQ(queue.size(), 2u);
+}
+
+TEST(BackfillQueue, GatedHeadLeadsButStaysOutOfTheMerge) {
+  BackfillQueue queue(8);
+  queue.insert(0, 0, 6, 1);
+  queue.insert(1, 1, 2, 1);
+  queue.insert(2, 2, 6, 1);
+  queue.insert(3, 3, 3, 1);
+  // Opening capacity 4 gates the q=6 bucket out: only q=2 and q=3 merge.
+  queue.begin_pass(4);
+  EXPECT_EQ(queue.merge_size(), 2u);
+  // The global head is still job 0, from the gated bucket.
+  auto got = queue.next_head();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->id, 0);
+  queue.keep();
+  EXPECT_EQ(queue.merge_size(), 2u) << "keep() re-offered a gated bucket";
+  // The gated bucket's next job is the head only once it ranks lowest.
+  got = queue.next_head();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->id, 1);
+  queue.take();
+  got = queue.next_head();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->id, 2);
+  queue.keep();
+  EXPECT_EQ(queue.merge_size(), 1u);
+  got = queue.next(2, unlimited);
+  EXPECT_FALSE(got.has_value());
+  queue.end_pass();
+  EXPECT_EQ(queue.size(), 3u);
+  // Every job is still pending, in rank order.
+  queue.begin_pass(8);
+  for (const JobId id : {0, 2, 3}) {
+    got = queue.next(8, unlimited);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->id, id);
+    queue.keep();
+  }
+  queue.end_pass();
 }
 
 TEST(BackfillQueue, LimitSkipsLongJobsAndReoffersTheBucket) {
@@ -361,7 +440,7 @@ TEST(BackfillQueue, LimitSkipsLongJobsAndReoffersTheBucket) {
     EXPECT_EQ(p, q == 1 ? 9 : 1);  // asked about each bucket's first job
     return Time{3};
   };
-  queue.begin_pass();
+  queue.begin_pass(4);
   // Job 0 (p=9 > 3) is rejected and stays pending; the q=1 bucket comes
   // back at job 1, which the memoised limit admits.
   auto got = queue.next(4, limit);
@@ -382,7 +461,7 @@ TEST(BackfillQueue, LimitSkipsLongJobsAndReoffersTheBucket) {
   // rejecting limit, and the take leaves that bucket empty.
   EXPECT_EQ(calls, 2);
   // The skipped job is still pending, ahead of the others.
-  queue.begin_pass();
+  queue.begin_pass(4);
   got = queue.next_head();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->id, 0);

@@ -11,7 +11,8 @@
 // which is what branch-and-bound backtracking assumes (undo is LIFO by
 // contract: checkpoints rewind newest-first), and that the schedulers'
 // read-only start tests -- the per-demand deadlines behind LSRC's and
-// EASY's passes -- agree with committing and re-querying.
+// EASY's passes, read by FreeProfile::Cursor -- agree with committing and
+// re-querying, and with their definitions as two windowed searches.
 #include "core/profile_allocator.hpp"
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 
 #include "algorithms/backfill_queue.hpp"
 #include "core/step_profile.hpp"
+#include "util/checked.hpp"
 #include "util/prng.hpp"
 
 namespace resched {
@@ -137,6 +139,26 @@ TEST(FreeProfileLemma, CommitThenRequeryNeverFindsEarlierStart) {
   }
 }
 
+// F(q) and D(q) as defined, with two windowed searches each: the oracles
+// for FreeProfile::Cursor's one-walk reads.
+Time fit_deadline_oracle(const StepProfile& free, Time t, ProcCount q,
+                         Time w) {
+  return free.first_below(t, checked_add(t, w), q);
+}
+
+Time backfill_deadline_oracle(const StepProfile& free, Time t, ProcCount q,
+                              Time w, const HeadReservation& head) {
+  const Time fit = fit_deadline_oracle(free, t, q, w);
+  // Jobs that fit end by min(fit, t + w), so only dips of the head's window
+  // before that matter; when it is at or before head.start the window is
+  // empty and G is free.
+  const Time last_end = std::min(fit, checked_add(t, w));
+  if (last_end <= head.start) return fit;
+  return std::min(fit, free.first_below(head.start,
+                                        std::min(head.end, last_end),
+                                        checked_add(head.q, q)));
+}
+
 // EASY's verdict for a candidate (q, p) at t with the head blocked and
 // reserved at head.start, computed the slow way: the candidate fits, and
 // committing it on a copy leaves the head's earliest start where it was.
@@ -151,7 +173,8 @@ bool easy_admits(const FreeProfile& free, Time t, ProcCount q, Time p,
 
 TEST(FreeProfileLemma, BackfillDeadlineMatchesFitAndHeadCheck) {
   // The schedulers' one-deadline-per-demand test (algorithms/
-  // backfill_queue.hpp): read over a window w, for every p <= w,
+  // backfill_queue.hpp), as the pass cursor reads it and as the oracles
+  // define it: read over a window w, for every p <= w,
   // t + p <= F(q) iff the job fits at t, and t + p <= D(q) = min(F, G) iff
   // it fits and does not push the blocked head back; and a deadline below
   // t + w is the one an unbounded window reads (the exactness the queue's
@@ -192,16 +215,19 @@ TEST(FreeProfileLemma, BackfillDeadlineMatchesFitAndHeadCheck) {
       const HeadReservation head{head_q, head_start, head_start + head_p};
       const Time grid_p = head.end - t + 8;
       const Time unbounded = 4 * kHorizon;
+      const FreeProfile::Cursor at = free.at(t);
       for (ProcCount q = 1; q <= m + 1; ++q) {
         const Time w = prng.chance(0.5) ? grid_p : prng.uniform_int(1, grid_p);
-        const Time f = fit_deadline(free.profile(), t, q, w);
-        const Time d = backfill_deadline(free.profile(), t, q, w, head);
+        const Time f = at.fit_deadline(q, w);
+        const Time d = at.backfill_deadline(q, w, head);
+        ASSERT_EQ(f, fit_deadline_oracle(free.profile(), t, q, w));
+        ASSERT_EQ(d, backfill_deadline_oracle(free.profile(), t, q, w, head))
+            << "t=" << t << " q=" << q << " w=" << w;
         if (f < t + w) {
-          ASSERT_EQ(f, fit_deadline(free.profile(), t, q, unbounded));
+          ASSERT_EQ(f, at.fit_deadline(q, unbounded));
         }
         if (d < t + w) {
-          ASSERT_EQ(d,
-                    backfill_deadline(free.profile(), t, q, unbounded, head));
+          ASSERT_EQ(d, at.backfill_deadline(q, unbounded, head));
           ++exact_below_window;
         }
         if (f == kTimeInfinity) ++f_infinite;
@@ -209,7 +235,7 @@ TEST(FreeProfileLemma, BackfillDeadlineMatchesFitAndHeadCheck) {
             free.profile().first_below(head.start, head.end, head.q + q) ==
                 kTimeInfinity)
           ++g_infinite;
-        if (q > free.capacity_at(t)) ++over_capacity;
+        if (q > at.capacity()) ++over_capacity;
         for (Time p = 1; p <= w; ++p) {
           const bool fits = free.fits_at(t, q, p);
           const bool admits = easy_admits(free, t, q, p, head);

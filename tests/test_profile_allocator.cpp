@@ -76,30 +76,30 @@ TEST(FreeProfile, RecordedCommitSubtractsAndRewindRestores) {
   const FreeProfile::Checkpoint before = free.checkpoint();
   free.commit_fitted(2, 3, 5);
   EXPECT_EQ(free.open_commits(), 1u);
-  EXPECT_EQ(free.capacity_at(2), 1);
-  EXPECT_EQ(free.capacity_at(6), 1);
-  EXPECT_EQ(free.capacity_at(7), 4);
+  EXPECT_EQ(free.profile().value_at(2), 1);
+  EXPECT_EQ(free.profile().value_at(6), 1);
+  EXPECT_EQ(free.profile().value_at(7), 4);
   EXPECT_FALSE(free.fits_at(0, 2, 5));
   free.rewind_to(before);
-  EXPECT_EQ(free.capacity_at(2), 4);
+  EXPECT_EQ(free.profile().value_at(2), 4);
   EXPECT_EQ(free.open_commits(), 0u);
 }
 
 TEST(FreeProfile, RewindKeepsUnrecordedCommits) {
   FreeProfile free{StepProfile(4)};
   free.commit_fitted(0, 2, 10);
-  EXPECT_EQ(free.capacity_at(5), 2);
+  EXPECT_EQ(free.profile().value_at(5), 2);
   EXPECT_EQ(free.open_commits(), 0u);
 
   free.set_retain_accepted(true);
   const FreeProfile::Checkpoint before = free.checkpoint();
   free.commit_fitted(3, 2, 4);
-  EXPECT_EQ(free.capacity_at(4), 0);
+  EXPECT_EQ(free.profile().value_at(4), 0);
   free.rewind_to(before);
-  EXPECT_EQ(free.capacity_at(4), 2);
+  EXPECT_EQ(free.profile().value_at(4), 2);
   // The unrecorded commit stays in effect.
-  EXPECT_EQ(free.capacity_at(9), 2);
-  EXPECT_EQ(free.capacity_at(10), 4);
+  EXPECT_EQ(free.profile().value_at(9), 2);
+  EXPECT_EQ(free.profile().value_at(10), 4);
 }
 
 TEST(FreeProfile, StaleCheckpointIsRejected) {
@@ -121,7 +121,7 @@ TEST(FreeProfile, StaleCheckpointIsRejected) {
   // The live checkpoint still works.
   free.commit_fitted(1, 3, 4);
   free.rewind_to(empty);
-  EXPECT_EQ(free.capacity_at(2), 8);
+  EXPECT_EQ(free.profile().value_at(2), 8);
   EXPECT_EQ(free.open_commits(), 0u);
 }
 
@@ -129,9 +129,9 @@ TEST(FreeProfile, ForInstanceUsesAvailability) {
   const Instance instance(6, {Job{0, 1, 1, 0, ""}},
                           {Reservation{0, 4, 5, 2, ""}});
   const FreeProfile free = FreeProfile::for_instance(instance);
-  EXPECT_EQ(free.capacity_at(0), 6);
-  EXPECT_EQ(free.capacity_at(2), 2);
-  EXPECT_EQ(free.capacity_at(7), 6);
+  EXPECT_EQ(free.profile().value_at(0), 6);
+  EXPECT_EQ(free.profile().value_at(2), 2);
+  EXPECT_EQ(free.profile().value_at(7), 6);
 }
 
 // Differential property: earliest_fit agrees with a brute-force scan over
@@ -220,7 +220,7 @@ TEST_P(PlaceRandomized, EqualsEarliestFitThenCommit) {
                          ? next - t0
                          : prng.uniform_int(1, 16);
       const Time expected = reference.earliest_fit(t0, q, p);
-      if (reference.capacity_at(t0) < q) ++deficient_start;
+      if (reference.profile().value_at(t0) < q) ++deficient_start;
       if (expected > 0 && now.next_change_after(expected - 1) == expected)
         ++starts_on_breakpoint;
       if (now.next_change_after(expected + p - 1) == expected + p)
@@ -261,9 +261,9 @@ TEST(FreeProfile, PlaceFromInsideADeficientRun) {
   FreeProfile free{profile};
   // t0 = 6 is inside the deficient run [5, 12): the job starts at its end.
   EXPECT_EQ(free.place(6, 3, 2), 12);
-  EXPECT_EQ(free.capacity_at(11), 2);
-  EXPECT_EQ(free.capacity_at(12), 1);
-  EXPECT_EQ(free.capacity_at(14), 4);
+  EXPECT_EQ(free.profile().value_at(11), 2);
+  EXPECT_EQ(free.profile().value_at(12), 1);
+  EXPECT_EQ(free.profile().value_at(14), 4);
 }
 
 TEST(FreeProfile, PlaceAtTimeInfinity) {
@@ -274,6 +274,8 @@ TEST(FreeProfile, PlaceAtTimeInfinity) {
   profile.add(kTimeInfinity, kTimeInfinity + 1, 1);
   FreeProfile placed{profile};
   FreeProfile reference{profile};
+  // earliest_fit reads the same start; a fit found there is not "no fit".
+  EXPECT_EQ(reference.earliest_fit(0, 1, 5), kTimeInfinity);
   EXPECT_EQ(placed.place(0, 1, 5), kTimeInfinity);
   reference.commit_fitted(kTimeInfinity, 1, 5);
   EXPECT_EQ(placed.profile(), reference.profile());
@@ -307,14 +309,14 @@ TEST(FreeProfileVersioned, CheckpointRewindRestoresPlanState) {
   free.commit_fitted(5, 2, 4);
   free.commit_fitted(12, 8, 2);
   EXPECT_EQ(free.open_commits(), 3u);
-  EXPECT_EQ(free.capacity_at(6), 3);
-  EXPECT_EQ(free.capacity_at(12), 0);
+  EXPECT_EQ(free.profile().value_at(6), 3);
+  EXPECT_EQ(free.profile().value_at(12), 0);
 
   free.rewind_to(before);
   EXPECT_EQ(free.open_commits(), 0u);
-  EXPECT_EQ(free.capacity_at(0), 8);
-  EXPECT_EQ(free.capacity_at(6), 8);
-  EXPECT_EQ(free.capacity_at(12), 8);
+  EXPECT_EQ(free.profile().value_at(0), 8);
+  EXPECT_EQ(free.profile().value_at(6), 8);
+  EXPECT_EQ(free.profile().value_at(12), 8);
   // Rewinding to the same checkpoint again is a no-op, not an error.
   free.rewind_to(before);
 }
@@ -325,9 +327,9 @@ TEST(FreeProfileVersioned, RewindToMidPlanCheckpointUnwindsOnlyTheSuffix) {
   free.commit_fitted(0, 2, 10);
   const FreeProfile::Checkpoint mid = free.checkpoint();
   free.commit_fitted(0, 4, 5);
-  EXPECT_EQ(free.capacity_at(0), 2);
+  EXPECT_EQ(free.profile().value_at(0), 2);
   free.rewind_to(mid);
-  EXPECT_EQ(free.capacity_at(0), 6) << "prefix frame must survive";
+  EXPECT_EQ(free.profile().value_at(0), 6) << "prefix frame must survive";
   EXPECT_EQ(free.open_commits(), 1u);
 }
 
@@ -343,7 +345,7 @@ TEST(FreeProfileVersioned, ToggleRetainRequiresEmptyStack) {
   free.set_retain_accepted(false);
   free.commit_fitted(0, 1, 1);
   EXPECT_EQ(free.open_commits(), 0u) << "recording is off";
-  EXPECT_EQ(free.capacity_at(0), 3);
+  EXPECT_EQ(free.profile().value_at(0), 3);
 }
 
 TEST(FreeProfileVersioned, RewindRefusesToCrossPermanentMutations) {
@@ -352,7 +354,7 @@ TEST(FreeProfileVersioned, RewindRefusesToCrossPermanentMutations) {
   const FreeProfile::Checkpoint before = free.checkpoint();
   free.adjust_capacity(0, 10, -3);  // the world moved: not a plan frame
   EXPECT_THROW(free.rewind_to(before), std::logic_error);
-  EXPECT_EQ(free.capacity_at(5), 5) << "failed rewind must not mutate";
+  EXPECT_EQ(free.profile().value_at(5), 5) << "failed rewind must not mutate";
 }
 
 TEST(FreeProfileVersioned, AdjustCapacityContracts) {
@@ -360,11 +362,11 @@ TEST(FreeProfileVersioned, AdjustCapacityContracts) {
   // Withdrawals must stay within the window's minimum free capacity.
   EXPECT_THROW(free.adjust_capacity(0, 10, -5), std::invalid_argument);
   free.adjust_capacity(2, 6, -4);
-  EXPECT_EQ(free.capacity_at(3), 0);
+  EXPECT_EQ(free.profile().value_at(3), 0);
   EXPECT_THROW(free.adjust_capacity(0, 4, -1), std::invalid_argument);
   // Restores lift the window back; a cancellation refund.
   free.adjust_capacity(2, 6, 4);
-  EXPECT_EQ(free.capacity_at(3), 4);
+  EXPECT_EQ(free.profile().value_at(3), 4);
   // Plans must be rewound before the world moves.
   free.set_retain_accepted(true);
   const FreeProfile::Checkpoint before = free.checkpoint();
@@ -378,21 +380,21 @@ TEST(FreeProfileVersioned, CompactHistoryPreservesTheLiveSuffix) {
   FreeProfile free{StepProfile(16)};
   for (Time t = 0; t < 100; t += 10) free.adjust_capacity(t, t + 5, -1);
   const std::size_t segments_before = free.profile().segment_count();
-  const ProcCount at_now = free.capacity_at(52);
-  const ProcCount later = free.capacity_at(75);
+  const ProcCount at_now = free.profile().value_at(52);
+  const ProcCount later = free.profile().value_at(75);
   const std::size_t removed = free.compact_history(52);
   EXPECT_GT(removed, 0u);
   EXPECT_LT(free.profile().segment_count(), segments_before);
-  EXPECT_EQ(free.capacity_at(52), at_now);
-  EXPECT_EQ(free.capacity_at(75), later);
-  EXPECT_EQ(free.capacity_at(1000), 16);
+  EXPECT_EQ(free.profile().value_at(52), at_now);
+  EXPECT_EQ(free.profile().value_at(75), later);
+  EXPECT_EQ(free.profile().value_at(1000), 16);
   // A checkpoint taken before a compaction is no longer rewindable: the
   // coalescing is a permanent mutation.
   free.set_retain_accepted(true);
   const FreeProfile::Checkpoint before = free.checkpoint();
   ASSERT_GT(free.compact_history(60), 0u);
   EXPECT_THROW(free.rewind_to(before), std::logic_error);
-  EXPECT_EQ(free.capacity_at(75), later);
+  EXPECT_EQ(free.profile().value_at(75), later);
 }
 
 // Differential twin fuzz: a long random interleaving of plan frames,
@@ -448,7 +450,7 @@ TEST(FreeProfileVersioned, CheckpointRewindTwinFuzz) {
     for (const Op& op : permanent) twin.add(op.from, op.to, op.delta);
     for (const Op& op : frames) twin.add(op.from, op.to, op.delta);
     for (Time t = 0; t <= 450; ++t)
-      ASSERT_EQ(free.capacity_at(t), twin.value_at(t))
+      ASSERT_EQ(free.profile().value_at(t), twin.value_at(t))
           << "round " << round << " t=" << t;
   }
 }

@@ -407,7 +407,7 @@ TEST(PropIndexedProfile, FreeProfileOpsMatchDenseModelAndKeepCanonicalForm) {
         const ProcCount q = prng.uniform_int(1, m);
         const Time p = prng.uniform_int(1, 64);
         ASSERT_EQ(free.fits_at(t, q, p), model.min_in(t, t + p) >= q);
-        ASSERT_EQ(free.capacity_at(t), model.value_at(t));
+        ASSERT_EQ(free.profile().value_at(t), model.value_at(t));
         const Time f = prng.uniform_int(0, kHorizon / 2);
         const Time to = prng.uniform_int(kHorizon, 2 * kHorizon);
         ASSERT_EQ(free.profile().first_below(f, to, q),

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -442,6 +443,65 @@ TEST(ServiceSim, VerifyModeRequiresIncrementalCapability) {
       run_service_step(*portfolio, small_load(), 1, 10.0, config);
   EXPECT_EQ(step.decisions_incremental, 0u);
   EXPECT_EQ(step.decisions_scratch, step.decisions);
+}
+
+// Test decorator: forwards to a registry scheduler and counts the calls to
+// each planning entry point.
+class CountingScheduler final : public Scheduler {
+ public:
+  explicit CountingScheduler(const std::string& name)
+      : inner_(make_scheduler(name)) {}
+  [[nodiscard]] ScheduleOutcome schedule(
+      const Instance& instance) const override {
+    ++schedules;
+    return inner_->schedule(instance);
+  }
+  [[nodiscard]] Schedule replan(const ReplanRequest& request) const override {
+    ++replans;
+    return inner_->replan(request);
+  }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] Capabilities capabilities() const override {
+    return inner_->capabilities();
+  }
+
+  mutable std::uint64_t schedules = 0;
+  mutable std::uint64_t replans = 0;
+
+ private:
+  std::unique_ptr<Scheduler> inner_;
+};
+
+TEST(ServiceSim, DecisionOnlyPathNeverRunsTheBatchSolve) {
+  // EASY and LSRC decide through one replan() pass per decision; the batch
+  // schedule() (for lsrc, LsrcScheduler::run) runs on the service path only
+  // as verify_incremental's oracle, once per decision. Churn included: it
+  // perturbs the profile but never sends a decision-only scheduler to the
+  // scratch path.
+  for (const char* name : {"easy", "lsrc"}) {
+    for (const double churn : {0.0, 20.0}) {
+      ServiceConfig config = small_config();
+      config.churn.events_per_kilotick = churn;
+      CountingScheduler plain(name);
+      const ServiceStepResult step =
+          run_service_step(plain, small_load(), 42, 50.0, config);
+      EXPECT_GT(step.decisions, 0u) << name;
+      EXPECT_EQ(plain.schedules, 0u) << name << " churn " << churn;
+      EXPECT_EQ(plain.replans, step.decisions) << name << " churn " << churn;
+
+      config.verify_incremental = true;
+      CountingScheduler verified(name);
+      const ServiceStepResult checked =
+          run_service_step(verified, small_load(), 42, 50.0, config);
+      EXPECT_EQ(verified.schedules, checked.decisions)
+          << name << " churn " << churn;
+      EXPECT_EQ(verified.replans, checked.decisions)
+          << name << " churn " << churn;
+      if (churn > 0) {
+        EXPECT_GT(checked.churn_events, 0u) << name;
+      }
+    }
+  }
 }
 
 TEST(ServiceSim, DecisionOnlyPlanMayOnlyStartJobsNow) {
