@@ -153,11 +153,8 @@ BENCHMARK(BM_EarliestFitHoles)->Arg(8)->Arg(64)->Arg(512)->Arg(4096);
 
 void BM_BackfillChurn(benchmark::State& state) {
   // Branch-and-bound-shaped probe loop (exact/bnb.cpp's DFS): commit a
-  // candidate as a recorded frame, run a wide windowed query, rewind. The
-  // undo log reverts in O(touched).
+  // candidate, run a wide windowed query, give the capacity back by value.
   FreeProfile free(busy_profile(state.range(0), 6));
-  free.set_retain_accepted(true);
-  const FreeProfile::Checkpoint before = free.checkpoint();
   Prng prng(21);
   std::uint64_t allocs = 0;
   std::uint64_t probes = 0;
@@ -168,12 +165,12 @@ void BM_BackfillChurn(benchmark::State& state) {
     const std::uint64_t allocs_begin = alloc_count();
     free.commit_fitted(t, q, 300);
     benchmark::DoNotOptimize(free.profile().min_in(0, 100'000));
-    free.rewind_to(before);
+    free.adjust_capacity(t, t + 300, q);
     allocs += alloc_count() - allocs_begin;
     ++probes;
   }
-  // Steady-state commit/probe/rewind cycles should be allocation-free:
-  // undo frames come from the spare pool, segment edits reuse capacity.
+  // Steady-state commit/probe/return cycles should be allocation-free:
+  // segment edits reuse the store's capacity.
   state.counters["allocs_per_probe"] =
       probes > 0 ? static_cast<double>(allocs) / static_cast<double>(probes)
                  : 0.0;

@@ -97,10 +97,10 @@ std::size_t easy_pass(FreeProfile& free, const std::vector<Job>& jobs,
     // start iff t + p <= D(q) = min(F, G). A rejected candidate has its
     // dip inside the window, which makes D exact for every duration, so
     // BackfillQueue::next skips the demand's later rejects unseen. D is a
-    // pure read of the uncommitted profile: a rejected candidate costs no
-    // frame, undo record or rollback. F and G are both first points of the
-    // window [t, t + p) after t, so the cursor reads D in one forward walk
-    // from its index, stopping at whichever comes first.
+    // pure read of the uncommitted profile: a rejected candidate mutates
+    // nothing, so nothing has to be given back. F and G are both first
+    // points of the window [t, t + p) after t, so the cursor reads D in one
+    // forward walk from its index, stopping at whichever comes first.
     const auto limit = [&](ProcCount q, Time p) {
       if (!reservation) reservation = book_head();
       return deadline_limit(at.backfill_deadline(q, p, *reservation), t);

@@ -17,9 +17,8 @@
 // jobs only at the pass instant t, so a pass opens a cursor at t and does
 // everything at t through it: the capacity at t, the per-demand deadlines
 // F(q) and D(q), EASY's head test and its head reservation, and every
-// start. Branch-and-bound commits in recording mode through commit_fitted
-// after reading earliest_fit (place and the cursor are permanent, see
-// Frames below). earliest_fit serves the other callers that only read:
+// start. Branch-and-bound commits through commit_fitted after reading
+// earliest_fit. earliest_fit serves the other callers that only read:
 // lower bounds and bnb's prune.
 //
 // Candidate-start lemma (used by earliest_fit and by LSRC's event loop):
@@ -61,45 +60,14 @@
 //                    the segment containing t (StepProfile::shift_window
 //                    returns it).
 //
-// ## Frames (checkpoint / rewind)
-//
-// One caller places work speculatively and takes it back: branch-and-bound
-// (exact/bnb.cpp) places a job, recurses, and on backtrack removes the
-// placement. (The resident service keeps its long-lived profile without
-// frames: an append-only plan is committed permanently, and when churn
-// drops it each waiting job's occupancy is returned by value through
-// adjust_capacity.) Frames take three pieces:
-//
-//   set_retain_accepted(on) -- recording mode: commit_fitted opens a frame
-//                              (an undo record in StepProfile's undo log)
-//                              instead of mutating permanently.
-//   checkpoint()            -- O(1) snapshot of the frame stack: its depth,
-//                              its top frame's serial and the count of
-//                              permanent mutations so far.
-//   rewind_to(checkpoint)   -- pops frames newest-first down to the
-//                              checkpoint's depth, O(touched segments) per
-//                              frame: no re-run of add's split/coalesce
-//                              path, so deep DFS probe loops and long plans
-//                              pay only for the segments they touch.
-//
-// Frames are strictly nested (LIFO). bnb takes a checkpoint before each
-// placement and rewinds to it after the recursion, so its frames nest by
-// construction. rewind_to refuses (RESCHED_CHECK, profile untouched) a
-// checkpoint that no longer describes the stack: the frame it saw on top
-// was popped, or the stack is shallower than its depth.
-//
-// Permanent world changes (a job actually starting, churn: cancellations
-// freeing capacity, availability drops, reservation moves, a dropped plan
-// returning its occupancy) go through adjust_capacity(), which requires an
-// empty frame stack, so a checkpoint can never span a permanent mutation
-// (rewind_to checks this and trips loudly). (EASY's backfill test needs no
-// frame at all: it reads the uncommitted profile, see
-// algorithms/easy_bf.cpp.) A pass cursor's takes are permanent mutations
-// too, so at() refuses recording mode.
+// A caller that takes work back -- bnb on backtrack, the resident service
+// when churn drops its plan -- returns the occupancy by value through
+// adjust_capacity(from, to, +q). Additions commute and a canonical
+// StepProfile is unique for its function, so returns restore the profile
+// bit for bit, in any order.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "core/instance.hpp"
 #include "core/step_profile.hpp"
@@ -134,124 +102,51 @@ class FreeProfile {
 
   // Earliest-fit placement: subtracts q over [t, t+p) at t =
   // earliest_fit(t0, q, p) and returns t, with one walk over the profile
-  // (see the complexity notes). Same preconditions as earliest_fit, and
-  // permanent: it refuses recording mode, whose commits go through
-  // commit_fitted so that rewind_to can take them back.
+  // (see the complexity notes). Same preconditions as earliest_fit.
   Time place(Time t0, ProcCount q, Time p);
 
   // Subtracts q over [t, t+p) for callers that decided t themselves -- a
   // start just read from earliest_fit (bnb) or an explicit fits_at: the
   // precondition fits_at(t, q, p) holds by construction, so its recheck is
   // a Debug-only RESCHED_ASSERT; misuse is still caught downstream by
-  // Schedule::validate and the campaign oracle. Permanent, except in
-  // recording mode (see set_retain_accepted). (LSRC and EASY start jobs
+  // Schedule::validate and the campaign oracle. (LSRC and EASY start jobs
   // through their pass cursor's take instead.)
   void commit_fitted(Time t, ProcCount q, Time p);
 
   // Opens a pass at instant t: locates t once (the pass's only binary
   // search) and returns the cursor that reads, tests and takes at t from
-  // that index. t >= 0. Its takes are permanent, so recording mode is
-  // refused, as place refuses it.
+  // that index. t >= 0.
   [[nodiscard]] Cursor at(Time t);
 
-  // O(1) snapshot of the frame stack; see the header notes. A checkpoint
-  // taken on one FreeProfile must only be passed back to that object.
-  struct Checkpoint {
-    std::uint64_t top = 0;        // serial of the top frame, 0 if none
-    std::size_t depth = 0;        // frame-stack depth
-    std::uint64_t permanent = 0;  // permanent mutations seen so far
-  };
-  [[nodiscard]] Checkpoint checkpoint() const noexcept {
-    return Checkpoint{open_.empty() ? 0 : open_.back().serial, open_.size(),
-                      permanent_mutations_};
-  }
-
-  // Pops frames newest-first down to the checkpoint's depth, leaving the
-  // profile bit-identical to its checkpoint state. Trips RESCHED_CHECK,
-  // without mutating anything, if a permanent mutation (adjust_capacity,
-  // place, unrecorded commit, compact_history) happened since the
-  // checkpoint -- those cannot be rewound -- or if the checkpoint is stale:
-  // the stack is below its depth, or the frame at its depth is not the one
-  // it saw.
-  void rewind_to(const Checkpoint& checkpoint);
-
-  // Recording mode: while on, commit_fitted() opens a recorded frame (undo
-  // intact) instead of mutating permanently, so rewind_to can unwind the
-  // placements. Toggling requires an empty stack.
-  void set_retain_accepted(bool on);
-
-  // Permanent capacity mutation (a job starting for real; churn events:
+  // Capacity change (a job starting for real; churn events:
   // cancellation refunds, availability drops, reservation moves; a dropped
-  // plan's occupancy coming back). delta < 0 withdraws capacity over
-  // [from, to), delta > 0 restores it. Requires an empty frame stack and,
-  // for withdrawals, that the window can afford it (min capacity over the
-  // window stays >= 0).
+  // plan's occupancy coming back; bnb's backtrack). delta < 0 withdraws
+  // capacity over [from, to), delta > 0 restores it. Withdrawals require
+  // that the window can afford it (min capacity over the window stays
+  // >= 0).
   void adjust_capacity(Time from, Time to, std::int64_t delta);
 
   // Forwards StepProfile::compact_before: coalesces dead history strictly
-  // before t (the service loop's monotone clock). Requires an empty frame
-  // stack. Returns the number of segments removed.
+  // before t (the service loop's monotone clock). Returns the number of
+  // segments removed.
   std::size_t compact_history(Time t);
 
-  // Number of open frames (recorded commit_fitted calls not yet rewound).
-  [[nodiscard]] std::size_t open_commits() const noexcept {
-    return open_.size();
-  }
-
-  // Heap blocks attributable to this view: the segment store's spills plus
-  // every frame the pool failed to recycle (frame_misses). A steady-state
-  // probe/plan loop on a warmed-up profile must keep this flat -- the
-  // bench-smoke budget gate and the fuzz suites assert exactly that.
-  [[nodiscard]] std::uint64_t alloc_count() const noexcept {
-    return profile_.alloc_count() + frame_misses_;
-  }
-
-  // Frames push_frame constructed from scratch because the recycle pool was
-  // empty (diagnostic; the adaptive pool keeps this at the warm-up cost:
-  // one per unit of peak frame-stack depth).
-  [[nodiscard]] std::uint64_t frame_misses() const noexcept {
-    return frame_misses_;
-  }
+  // Always 0: FreeProfile keeps no frames. Kept only because
+  // e2ebench/resched_e2e.cpp still reports it as core.frames_per_call; the
+  // accessor and that metric go together at the next change to the
+  // benchmark.
+  [[nodiscard]] std::size_t open_commits() const noexcept { return 0; }
 
   [[nodiscard]] const StepProfile& profile() const noexcept {
     return profile_;
   }
 
  private:
-  // One open frame: its serial (checkpoints name the top frame by it) plus
-  // the undo record that reverts it.
-  struct OpenCommit {
-    std::uint64_t serial = 0;
-    StepProfile::Undo undo;
-  };
-
   // earliest_fit from index = index_of(t0), known to the caller.
   [[nodiscard]] Time earliest_fit_from(std::size_t index, Time t0,
                                        ProcCount q, Time p) const;
-  // Pops the top frame, rolling the profile back and recycling its undo
-  // buffer.
-  void pop_frame();
-  // Opens a recorded frame for a validated allocation (recording-mode
-  // commit_fitted).
-  void push_frame(Time t, ProcCount q, Time p);
 
   StepProfile profile_;
-  std::vector<OpenCommit> open_;
-  // Retired frames, kept whole (undo buffer included) so probe and
-  // backtrack loops stop allocating once warm. Capped adaptively at
-  // max(kMinPoolFrames, peak open-stack depth): a full rewind of the
-  // deepest stack this profile has ever carried can recycle every frame,
-  // while a shallow prober never hoards more than a handful.
-  std::vector<OpenCommit> frame_pool_;
-  // High-water mark of open_.size(); sets the pool cap.
-  std::size_t open_high_water_ = 0;
-  // push_frame pool misses (see frame_misses()).
-  std::uint64_t frame_misses_ = 0;
-  std::uint64_t next_serial_ = 0;
-  // Count of non-rewindable mutations (adjust_capacity, place, non-retained
-  // commits, compact_history); rewind_to refuses to cross one.
-  std::uint64_t permanent_mutations_ = 0;
-  bool retain_accepted_ = false;
 };
 
 // A pass's view of a FreeProfile at one fixed instant t: t and the index
@@ -317,7 +212,6 @@ class FreeProfile::Cursor {
   void took(std::size_t index) {
     index_ = index;
     version_ = free_->profile_.version();
-    ++free_->permanent_mutations_;
   }
 
   FreeProfile* free_;

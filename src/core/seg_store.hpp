@@ -5,16 +5,13 @@
 // value} pairs:
 //
 //  * SoA -- the profile hot paths are asymmetric: binary searches
-//    (index_of, rollback's lower_bound) touch only starts, while the
-//    scan-heavy walks of the windowed queries stream mostly values.
-//    Splitting the arrays halves the cache traffic of both.
+//    (index_of) touch only starts, while the scan-heavy walks of the
+//    windowed queries stream mostly values. Splitting the arrays halves
+//    the cache traffic of both.
 //  * SBO -- profiles of up to kInlineSegments segments live entirely inside
-//    the object: the thousands of short-lived profiles churn repair and
-//    backfill probes create never touch the heap. The inline capacity was
-//    picked by instrumentation (see BUILDING.md "Memory subsystem"): the
-//    service workloads' undo records are nearly always <= 6 segments, while
-//    persistent profiles spill immediately regardless of N -- so N covers
-//    the undo/probe population without bloating every profile.
+//    the object, so small profiles (the availability of an instance with a
+//    few reservations, a small instance's schedule usage) never touch the
+//    heap, while long-lived profiles spill once and then keep their block.
 //
 // Heap spills allocate with std::malloc + note_alloc(), never operator new,
 // so binaries with the global alloc hook (bench/alloc_hook.cpp) count each
@@ -41,15 +38,15 @@ namespace resched {
 
 class SegStore {
  public:
-  // Inline capacity, sized from measurement (see the header comment).
+  // Inline capacity (see the header comment).
   static constexpr std::size_t kInlineSegments = 8;
 
   SegStore() noexcept = default;
 
-  SegStore(const SegStore& other) { assign_range(other, 0, other.size_); }
+  SegStore(const SegStore& other) { assign(other); }
 
   SegStore& operator=(const SegStore& other) {
-    if (this != &other) assign_range(other, 0, other.size_);
+    if (this != &other) assign(other);
     return *this;
   }
 
@@ -124,40 +121,10 @@ class SegStore {
     size_ -= hi - lo;
   }
 
-  // Replaces contents with src's [lo, hi) slice. Reuses capacity.
-  void assign_range(const SegStore& src, std::size_t lo, std::size_t hi) {
-    const std::size_t n = hi - lo;
-    if (n > cap_) grow(n);
-    std::memcpy(times_, src.times_ + lo, n * sizeof(Time));
-    std::memcpy(values_, src.values_ + lo, n * sizeof(std::int64_t));
-    size_ = n;
-  }
-
-  // Splices src (all of it) over this store's [lo, hi): one capacity check
-  // plus at most one memmove per array. The rollback primitive.
-  void replace_range(std::size_t lo, std::size_t hi, const SegStore& src) {
-    const std::size_t n = src.size_;
-    const std::size_t new_size = size_ - (hi - lo) + n;
-    if (new_size > cap_) grow(new_size);
-    const std::size_t tail = size_ - hi;
-    std::memmove(times_ + lo + n, times_ + hi, tail * sizeof(Time));
-    std::memmove(values_ + lo + n, values_ + hi,
-                 tail * sizeof(std::int64_t));
-    std::memcpy(times_ + lo, src.times_, n * sizeof(Time));
-    std::memcpy(values_ + lo, src.values_, n * sizeof(std::int64_t));
-    size_ = new_size;
-  }
-
   // First index whose start is > t (== std::upper_bound on the starts).
   [[nodiscard]] std::size_t upper_bound_start(Time t) const noexcept {
     return static_cast<std::size_t>(
         std::upper_bound(times_, times_ + size_, t) - times_);
-  }
-
-  // First index whose start is >= t (== std::lower_bound on the starts).
-  [[nodiscard]] std::size_t lower_bound_start(Time t) const noexcept {
-    return static_cast<std::size_t>(
-        std::lower_bound(times_, times_ + size_, t) - times_);
   }
 
   // Heap blocks this store has allocated (diagnostic: copies start at zero,
@@ -174,6 +141,14 @@ class SegStore {
  private:
   [[nodiscard]] bool inline_store() const noexcept {
     return times_ == inline_times_;
+  }
+
+  // Replaces contents with src's. Reuses capacity.
+  void assign(const SegStore& src) {
+    if (src.size_ > cap_) grow(src.size_);
+    std::memcpy(times_, src.times_, src.size_ * sizeof(Time));
+    std::memcpy(values_, src.values_, src.size_ * sizeof(std::int64_t));
+    size_ = src.size_;
   }
 
   void release() noexcept {

@@ -49,22 +49,7 @@ void StepProfile::coalesce_at(std::size_t i) {
 }
 
 void StepProfile::add(Time from, Time to, std::int64_t delta) {
-  add_impl(from, to, delta, nullptr);
-}
-
-void StepProfile::add_recorded(Time from, Time to, std::int64_t delta,
-                               Undo& undo) {
-  add_impl(from, to, delta, &undo);
-}
-
-void StepProfile::add_impl(Time from, Time to, std::int64_t delta,
-                           Undo* undo) {
   RESCHED_REQUIRE_MSG(from >= 0, "profile add with negative start");
-  if (undo != nullptr) {
-    // Disarm first: on a no-op or a thrown overflow the record stays dead.
-    undo->live_ = false;
-    undo->steps_.clear();
-  }
   if (from >= to || delta == 0) return;
   // Strong exception guarantee: probe every affected segment's checked
   // addition before the first structural change. Without this, an overflow
@@ -78,32 +63,18 @@ void StepProfile::add_impl(Time from, Time to, std::int64_t delta,
   std::size_t hi = lo;
   for (; hi < steps_.size() && (unbounded || steps_.start(hi) < to); ++hi)
     (void)checked_add(steps_.value(hi), delta);
-  shift_window(lo, hi, from, to, delta, undo);
+  shift_window(lo, hi, from, to, delta);
 }
 
 std::size_t StepProfile::shift_window(std::size_t lo, std::size_t hi,
-                                      Time from, Time to, std::int64_t delta,
-                                      Undo* undo) {
+                                      Time from, Time to,
+                                      std::int64_t delta) {
   // Finite windows split at `to` unless a step already starts there;
   // [from, kTimeInfinity) shifts everything from `from` on.
   const bool unbounded = to >= kTimeInfinity;
   if (unbounded) hi = steps_.size();
   const bool split_right =
       !unbounded && (hi == steps_.size() || steps_.start(hi) != to);
-  if (undo != nullptr) {
-    // Everything the add can touch -- value shifts, the two edge splits and
-    // the two edge coalesces -- lives in the steps whose start falls in
-    // [window_lo, to], where window_lo is the start of the segment
-    // containing `from`; steps outside stay bit-identical. Record them:
-    // [lo, hi) plus the step starting exactly at `to`, if there is one.
-    undo->from_ = from;
-    undo->to_ = to;
-    undo->delta_ = delta;
-    undo->window_lo_ = steps_.start(lo);
-    undo->left_value_ = lo > 0 ? steps_.value(lo - 1) : 0;
-    const std::size_t prior_end = (unbounded || split_right) ? hi : hi + 1;
-    undo->steps_.assign_range(steps_, lo, prior_end);
-  }
   // The segment hi - 1 contains `to` when a split is needed there.
   if (split_right) steps_.insert(hi, to, steps_.value(hi - 1));
   std::size_t first = lo;
@@ -122,75 +93,8 @@ std::size_t StepProfile::shift_window(std::size_t lo, std::size_t hi,
   coalesce_at(last);
   if (first > 0 && steps_.value(first) == steps_.value(first - 1))
     steps_.erase(first--);
-  if (undo != nullptr) undo->live_ = true;
   ++version_;
   return first;
-}
-
-void StepProfile::rollback(Undo& undo) {
-  RESCHED_CHECK_MSG(undo.live_, "rollback of a dead or spent undo record");
-  // Locate the recorded region in the current store. The first step with
-  // start >= window_lo begins it (the step at window_lo itself may have
-  // been coalesced away by the recorded add); the first step with
-  // start > to ends it.
-  const std::size_t lo = steps_.lower_bound_start(undo.window_lo_);
-  const std::size_t hi =
-      (undo.to_ >= kTimeInfinity) ? steps_.size() : index_of(undo.to_) + 1;
-  // The region must be exactly what the recorded add left there: anything
-  // else means a later overlapping mutation is still in effect (or the
-  // record belongs to another profile) and "reverting" would corrupt the
-  // function -- the silent capacity inflation this layer exists to kill.
-  // Verified by replaying the add's transformation of the few recorded
-  // steps (split at the window edges, shift by delta, coalesce into the
-  // recorded left neighbour) against the current region. The left
-  // neighbour's value is checked against the record first: it anchors the
-  // coalesce replay, and a later mutation that changed it (e.g. one that
-  // coalesced across this record's window_lo boundary) would otherwise
-  // make the replay accept -- and splice back -- a non-canonical region.
-  // A failed rollback consumes nothing: undo the blocking mutation first
-  // and the record is usable again.
-  const SegStore& prior = undo.steps_;
-  bool matches = hi >= lo && hi <= steps_.size();
-  const bool have_left = undo.window_lo_ > 0;
-  if (have_left)
-    matches = matches && lo > 0 && steps_.value(lo - 1) == undo.left_value_;
-  else
-    matches = matches && lo == 0;
-  std::size_t cursor = lo;
-  bool left_known = have_left;
-  std::int64_t left_value = undo.left_value_;
-  const auto expect = [&](Time start, std::int64_t value) {
-    if (left_known && value == left_value) return;  // coalesced left
-    if (cursor >= hi || steps_.start(cursor) != start ||
-        steps_.value(cursor) != value) {
-      matches = false;
-      return;
-    }
-    ++cursor;
-    left_known = true;
-    left_value = value;
-  };
-  // Leading unmodified piece of the split segment containing `from`.
-  if (undo.from_ > undo.window_lo_) expect(prior.start(0), prior.value(0));
-  // The shifted pieces over [from, to).
-  for (std::size_t j = 0; j < prior.size() && matches; ++j) {
-    if (prior.start(j) >= undo.to_) break;
-    expect(std::max(prior.start(j), undo.from_),
-        // resched-lint: time-arith-audited(verify-mode replay of a checked-path delta)
-           prior.value(j) + undo.delta_);
-  }
-  // Trailing unmodified piece from `to` on (the last recorded step is the
-  // one containing -- or starting at -- `to`).
-  if (undo.to_ < kTimeInfinity) expect(undo.to_, prior.back_value());
-  if (cursor != hi) matches = false;
-  RESCHED_CHECK_MSG(matches,
-                    "rollback does not reverse the newest mutation of its "
-                    "region");
-  undo.live_ = false;
-  // Splice the prior steps back in: one capacity check plus one memmove per
-  // array (SegStore::replace_range), never add's probe/split/coalesce path.
-  steps_.replace_range(lo, hi, prior);
-  ++version_;
 }
 
 std::size_t StepProfile::compact_before(Time t) {
@@ -369,7 +273,7 @@ Time StepProfile::take_first_fit(Time from, Time len, std::int64_t amount) {
   RESCHED_CHECK_MSG(fit.found, "take_first_fit found no start");
   // Every value over the window is >= amount > 0, so subtracting amount
   // cannot overflow: no probe.
-  (void)shift_window(fit.lo, fit.hi, fit.start, fit.end, -amount, nullptr);
+  (void)shift_window(fit.lo, fit.hi, fit.start, fit.end, -amount);
   return fit.start;
 }
 
@@ -407,7 +311,7 @@ std::size_t StepProfile::take_at(std::size_t i, Time from, Time to,
   std::size_t hi = i + 1;
   for (; hi < n && times[hi] < to; ++hi) {
   }
-  return shift_window(i, hi, from, to, -amount, nullptr);
+  return shift_window(i, hi, from, to, -amount);
 }
 
 std::size_t StepProfile::try_take_at(std::size_t i, Time from, Time to,
@@ -420,7 +324,7 @@ std::size_t StepProfile::try_take_at(std::size_t i, Time from, Time to,
   std::size_t hi = i;
   for (; hi < n && times[hi] < to; ++hi)
     if (values[hi] < amount) return kNoFit;
-  return shift_window(i, hi, from, to, -amount, nullptr);
+  return shift_window(i, hi, from, to, -amount);
 }
 
 Time StepProfile::next_change_after(Time t) const {

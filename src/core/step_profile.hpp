@@ -32,25 +32,6 @@
 // add() provides the strong exception guarantee: it validates every affected
 // segment's checked addition before the first structural change, so an
 // overflowing add throws with the profile (and its canonical form) intact.
-//
-// Transactional mutation (undo log): add_recorded() performs an add and
-// fills an opaque Undo record with the touched region -- the segments that
-// existed over [window, to] before the add. rollback() then restores the
-// region with a single splice in O(touched), *without* re-running add's
-// probe/split/coalesce machinery, after verifying against a replay of the
-// add that it really is reversing that mutation (a stale or out-of-order
-// rollback trips RESCHED_CHECK instead of silently corrupting the
-// function). A recorded probe sequence (add_recorded -> queries ->
-// rollback) is therefore structurally net-zero. Undo records unwind
-// newest-first (strict nesting: the shape of FreeProfile's checkpoint /
-// rewind_to frames, which branch-and-bound's backtracking produces).
-// Records whose *checked state* -- the closed region [window_lo, to] plus
-// the value of the step immediately left of it -- was not touched by any
-// still-live later mutation may also unwind out of order; anything else
-// trips the rollback check. Note the checked state is slightly wider than
-// the mutation window [from, to): a later add that merely coalesces across
-// this record's region boundary, or shifts the region's trailing piece at
-// `to`, blocks this record until it unwinds.
 #pragma once
 
 #include <cstddef>
@@ -98,52 +79,6 @@ class StepProfile {
   // coalesces.
   void add(Time from, Time to, std::int64_t delta);
 
-  // Opaque undo record for one recorded add (see the transactional-mutation
-  // notes in the header comment). Default-constructed records are dead;
-  // add_recorded arms them, rollback (or a fresh add_recorded) spends them.
-  // Copy/move keep the usual value semantics; destroying a live record
-  // simply makes its mutation permanent.
-  class Undo {
-   public:
-    Undo() = default;
-    [[nodiscard]] bool live() const noexcept { return live_; }
-
-   private:
-    friend class StepProfile;
-    Time from_ = 0;
-    Time to_ = 0;
-    std::int64_t delta_ = 0;
-    Time window_lo_ = 0;          // start of the segment containing from_
-    // Value of the step left of window_lo_ at record time (valid iff
-    // window_lo_ > 0). Anchors the coalesce replay in rollback(): if a
-    // later mutation changed it, the rollback trips instead of splicing a
-    // non-canonical (or wrong) region back.
-    std::int64_t left_value_ = 0;
-    bool live_ = false;
-    // The steps that covered [window_lo_, to_] before the add -- everything
-    // the add could touch. The post-state is not stored: rollback replays
-    // the add's transformation of these few steps to verify it is reversing
-    // the right mutation, which keeps the recording cost on the (hot,
-    // usually accepted) commit path to one small copy. A SegStore: undo
-    // windows are nearly always a handful of segments, so the record stays
-    // entirely inline (no heap traffic on the probe path).
-    SegStore steps_;
-  };
-
-  // add() that additionally fills `undo` so rollback() can revert it in
-  // O(touched). Reuses undo's buffer capacity, so a caller cycling one
-  // record through a probe loop allocates only on its first (or widest)
-  // commit. Same strong exception guarantee as add(): on overflow, throws
-  // with the profile unchanged and `undo` left dead.
-  void add_recorded(Time from, Time to, std::int64_t delta, Undo& undo);
-
-  // Reverts the recorded add: splices the prior segments back (O(touched)
-  // plus the vector shift), after RESCHED_CHECK-ing that the current
-  // region still matches the recorded post-state -- reversing anything
-  // other than the newest overlapping mutation is a caller bug, surfaced
-  // loudly instead of corrupting the function.
-  void rollback(Undo& undo);
-
   // Always 0: the profile builds no query index. Kept only because the
   // end-to-end benchmark driver still reports it as
   // core.index_builds_per_call; the accessor and that metric go together at
@@ -159,12 +94,13 @@ class StepProfile {
   }
 
   // Monotone mutation version: incremented by every successful state change
-  // (add, add_recorded, rollback, compact_before, copy assignment). The O(1)
-  // checkpoint primitive of the incremental-replan layer: two equal versions
-  // of one live object guarantee no mutation happened in between, so a
-  // caller holding a version can tell whether its derived state (plans,
-  // deltas, caches) is still current without comparing segments. Copies
-  // start at zero (a copy is a new history); moves carry the version.
+  // (add, take_first_fit, a cursor's take, compact_before, copy
+  // assignment). Two equal versions of one live object guarantee no
+  // mutation happened in between, so a caller holding a version (a
+  // FreeProfile pass cursor, EASY's head-reservation cache) can tell
+  // whether its derived state is still current without comparing
+  // segments. Copies start at zero (a copy is a new history); moves carry
+  // the version.
   [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
 
   // Collapses every segment boundary strictly before t into one leading
@@ -273,19 +209,17 @@ class StepProfile {
   [[nodiscard]] std::size_t index_of(Time t) const noexcept;
   // Erases the step at index i if it duplicates its left neighbour's value.
   void coalesce_at(std::size_t i);
-  // Shared body of add()/add_recorded(); undo == nullptr means unrecorded.
-  void add_impl(Time from, Time to, std::int64_t delta, Undo* undo);
   // The structural half of an add of delta over [from, to), from < to, on
   // a window already located: lo = index_of(from) and hi = the first index
-  // past lo whose start is >= to (size() if none). Records `undo` if
-  // non-null, splits the two edges, shifts, coalesces. The caller has
+  // past lo whose start is >= to (size() if none). Splits the two edges,
+  // shifts, coalesces. The caller has
   // validated every shifted value. Returns index_of(from) of the mutated
   // profile: lo + 1 when `from` split its segment, else lo -- one lower
   // in either case when the shifted window coalesces into its left
   // neighbour -- so a caller that keeps working at `from` needs no second
   // search.
   std::size_t shift_window(std::size_t lo, std::size_t hi, Time from, Time to,
-                           std::int64_t delta, Undo* undo);
+                           std::int64_t delta);
 
   // A first-fit window [start, end) over steps [lo, hi) in shift_window's
   // terms; found is false when the unbounded tail is deficient.

@@ -125,10 +125,9 @@ void dfs(SearchState& state) {
     const Time completion = checked_add(start, job.p);
     if (completion >= state.best) continue;  // placing it can't improve
 
-    // Recorded commit: rewinding to `before` reverts the placement in
-    // O(touched) on backtrack. Frames nest with the DFS, so the LIFO
-    // discipline holds by construction.
-    const FreeProfile::Checkpoint before = state.free.checkpoint();
+    // The backtrack below gives the capacity back by value, which restores
+    // the profile bit for bit (a canonical profile is unique for its
+    // function).
     state.free.commit_fitted(start, job.q, job.p);
     state.placed[static_cast<std::size_t>(id)] = true;
     state.starts[static_cast<std::size_t>(id)] = start;
@@ -139,7 +138,7 @@ void dfs(SearchState& state) {
 
     state.current_makespan = saved_makespan;
     state.placed[static_cast<std::size_t>(id)] = false;
-    state.free.rewind_to(before);
+    state.free.adjust_capacity(start, completion, job.q);
     if (state.aborted) break;
   }
   state.scratch.rewind(frame);
@@ -158,7 +157,6 @@ BnbResult branch_and_bound(const Instance& instance,
   SearchState state;
   state.instance = &instance;
   state.free = FreeProfile::for_instance(instance);
-  state.free.set_retain_accepted(true);
   state.placed.assign(instance.n(), false);
   state.starts.assign(instance.n(), 0);
   state.node_limit = options.node_limit;

@@ -1,10 +1,9 @@
 // Memory-subsystem tests: the decision arena (scope reset, marker rewind,
 // alignment, chunk reuse), the arena-aware allocator (heap fallback, copy
-// vs move semantics), the SoA/SBO segment store underneath StepProfile, and
-// the FreeProfile frame pool. The steady-state legs pin the core claim --
-// a warm commit/rewind cycle performs zero heap allocations --
-// via the process-wide resched::alloc_count() counter (operator-new hook
-// plus the library's instrumented malloc sites).
+// vs move semantics) and the SoA/SBO segment store underneath StepProfile.
+// The steady-state legs pin the core claim -- a warm arena cycle performs
+// zero heap allocations -- via the process-wide resched::alloc_count()
+// counter (operator-new hook plus the library's instrumented malloc sites).
 #include <cstdint>
 #include <numeric>
 #include <utility>
@@ -13,9 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "core/arena.hpp"
-#include "core/profile_allocator.hpp"
 #include "core/seg_store.hpp"
-#include "core/step_profile.hpp"
 
 namespace resched {
 namespace {
@@ -142,29 +139,11 @@ TEST(SegStore, InsertEraseAndBounds) {
   EXPECT_EQ(store.start(1), 5);
   EXPECT_EQ(store.value(1), 4);
   EXPECT_EQ(store.upper_bound_start(5), 2u);
-  EXPECT_EQ(store.lower_bound_start(5), 1u);
   store.erase(1);
   EXPECT_EQ(store.start(1), 10);
   store.erase(0, 2);  // drop [0, 2): only t=20 remains
   ASSERT_EQ(store.size(), 1u);
   EXPECT_EQ(store.start(0), 20);
-}
-
-TEST(SegStore, ReplaceRangeSplicesLikeEraseInsert) {
-  SegStore store;
-  for (Time t = 0; t < 10; ++t)
-    store.push_back(t * 10, static_cast<std::int64_t>(t));
-  SegStore patch;
-  patch.push_back(25, 100);
-  patch.push_back(26, 101);
-  patch.push_back(27, 102);
-  // Replace segments [2, 5) with the 3-segment patch.
-  store.replace_range(2, 5, patch);
-  ASSERT_EQ(store.size(), 10u);
-  EXPECT_EQ(store.start(2), 25);
-  EXPECT_EQ(store.value(4), 102);
-  EXPECT_EQ(store.start(5), 50);  // suffix intact
-  EXPECT_EQ(store.value(9), 9);
 }
 
 TEST(SegStore, CopyAndMoveSemantics) {
@@ -178,64 +157,6 @@ TEST(SegStore, CopyAndMoveSemantics) {
   EXPECT_TRUE(moved == copy);
   copy.set_value(0, -1);
   EXPECT_FALSE(moved == copy) << "copy must be deep";
-}
-
-// ---- FreeProfile frame pool ------------------------------------------------
-
-TEST(FramePool, SteadyStateCommitRewindIsAllocationFree) {
-  FreeProfile free{StepProfile(64)};
-  free.set_retain_accepted(true);
-  const FreeProfile::Checkpoint base = free.checkpoint();
-  // Warm-up: grow the profile store, the frame pool and every undo buffer
-  // to its high-water capacity.
-  for (int cycle = 0; cycle < 4; ++cycle) {
-    for (Time t = 0; t < 16; ++t) free.commit_fitted(t * 3, 2, 5);
-    free.rewind_to(base);
-  }
-  const std::uint64_t warm = alloc_count();
-  const std::uint64_t warm_misses = free.frame_misses();
-  for (int cycle = 0; cycle < 100; ++cycle) {
-    for (Time t = 0; t < 16; ++t) free.commit_fitted(t * 3, 2, 5);
-    free.rewind_to(base);
-  }
-  EXPECT_EQ(free.frame_misses(), warm_misses)
-      << "warm frame pool must recycle every frame";
-  EXPECT_EQ(alloc_count(), warm)
-      << "steady-state commit/rewind must be zero-allocation";
-}
-
-TEST(FramePool, RecyclesAcrossCommitRewindInterleavings) {
-  FreeProfile free{StepProfile(32)};
-  free.set_retain_accepted(true);
-  // Interleave nested commits and rewinds so recycled frames carry undos
-  // of different windows; the profile must stay consistent throughout.
-  for (int round = 0; round < 50; ++round) {
-    const FreeProfile::Checkpoint base = free.checkpoint();
-    free.commit_fitted(round * 7, 4, 10);
-    const FreeProfile::Checkpoint after_a = free.checkpoint();
-    free.commit_fitted(round * 7 + 2, 8, 5);
-    free.rewind_to(after_a);
-    free.commit_fitted(round * 7 + 1, 2, 3);
-    free.rewind_to(after_a);
-    free.rewind_to(base);
-  }
-  EXPECT_EQ(free.open_commits(), 0u);
-  // Fully rewound: the profile is flat free capacity again.
-  EXPECT_EQ(free.profile().min_in(0, 1000), 32);
-  EXPECT_EQ(free.profile().max_in(0, 1000), 32);
-}
-
-TEST(FramePool, AllocCountDiagnosticCombinesProfileAndMisses) {
-  FreeProfile free{StepProfile(16)};
-  EXPECT_EQ(free.alloc_count(), free.profile().alloc_count() +
-                                    free.frame_misses());
-  free.set_retain_accepted(true);
-  const FreeProfile::Checkpoint before = free.checkpoint();
-  free.commit_fitted(0, 4, 4);
-  free.rewind_to(before);
-  EXPECT_GE(free.frame_misses(), 1u) << "cold pool counts its misses";
-  EXPECT_EQ(free.alloc_count(), free.profile().alloc_count() +
-                                    free.frame_misses());
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "algorithms/lsrc.hpp"
+#include "generators/reservations.hpp"
 #include "generators/workload.hpp"
 
 namespace resched {
@@ -78,18 +79,46 @@ TEST(Bnb, ScheduleAchievesReportedOptimum) {
 }
 
 TEST(Bnb, SearchOrderIsPinned) {
-  // Node count and optimum of one mid-sized search. Any change to the
-  // branching order, the pruning or the backtracking undo shows up here as
-  // a different count, not only as a different running time.
-  WorkloadConfig config;
-  config.n = 9;
-  config.m = 4;
-  config.p_max = 9;
-  const Instance instance = random_workload(config, 6);
-  const BnbResult result = branch_and_bound(instance);
-  EXPECT_TRUE(result.proven);
-  EXPECT_EQ(result.nodes, 5993u);
-  EXPECT_EQ(result.optimal, 32);
+  // Node count and optimum of mid-sized searches. Any change to the
+  // branching order, the pruning or how a backtrack gives capacity back
+  // shows up here as a different count, not only as a different running
+  // time. Odd seeds add reservations capped at (1 - alpha)m with
+  // alpha = 1/2, so the search also backtracks across reservation edges.
+  struct Pinned {
+    std::size_t n;
+    std::uint64_t seed;
+    std::uint64_t nodes;
+    Time optimal;
+  };
+  const Pinned table[] = {
+      {9, 6, 5993, 32},    //
+      {8, 7, 777, 46},     // reservations
+      {9, 8, 5989, 23},    //
+      {9, 14, 12573, 24},  //
+      {9, 29, 3627, 35},   // reservations
+  };
+  for (const Pinned& row : table) {
+    WorkloadConfig config;
+    config.n = row.n;
+    config.m = 4;
+    config.p_max = 9;
+    Instance instance = random_workload(config, row.seed);
+    if (row.seed % 2 == 1) {
+      AlphaReservationConfig reservations;
+      reservations.count = 3;
+      reservations.horizon = 30;
+      reservations.max_duration = 10;
+      instance =
+          with_alpha_restricted_reservations(instance, reservations, row.seed);
+    }
+    const BnbResult result = branch_and_bound(instance);
+    EXPECT_TRUE(result.proven) << "seed " << row.seed;
+    EXPECT_EQ(result.nodes, row.nodes) << "seed " << row.seed;
+    EXPECT_EQ(result.optimal, row.optimal) << "seed " << row.seed;
+    if (row.seed % 2 == 1) {
+      EXPECT_FALSE(instance.reservations().empty()) << "seed " << row.seed;
+    }
+  }
 }
 
 TEST(Bnb, NodeLimitReportsUnproven) {

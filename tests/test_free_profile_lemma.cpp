@@ -7,10 +7,10 @@
 // capacity-increase events, so a counterexample here is a missed-start bug
 // in every list/backfilling algorithm at once.
 //
-// Also checks that recorded commits rewind to the bit-identical profile,
-// which is what branch-and-bound backtracking assumes (undo is LIFO by
-// contract: checkpoints rewind newest-first), and that the schedulers'
-// read-only start tests -- the per-demand deadlines behind LSRC's and
+// Also checks that commits given back by value, in any order, restore the
+// bit-identical profile, which is what branch-and-bound backtracking and
+// the service's plan drops assume, and that the schedulers' read-only
+// start tests -- the per-demand deadlines behind LSRC's and
 // EASY's passes, read by FreeProfile::Cursor -- agree with committing and
 // re-querying, and with their definitions as two windowed searches.
 #include "core/profile_allocator.hpp"
@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <vector>
 
 #include "algorithms/backfill_queue.hpp"
@@ -82,39 +83,56 @@ TEST(FreeProfileLemma, EarliestFitReturnsT0OrCapacityIncreaseBreakpoint) {
   }
 }
 
-TEST(FreeProfileLemma, RecordedCommitsRewindToIdenticalProfile) {
+TEST(FreeProfileLemma, ReturnedCommitsRestoreIdenticalProfileInAnyOrder) {
   Prng prng(9091);
   for (int round = 0; round < 120; ++round) {
     const ProcCount m = prng.uniform_int(2, 8);
-    FreeProfile free(random_capacity(prng, m));
-    free.set_retain_accepted(true);
-    const StepProfile snapshot = free.profile();
+    const StepProfile snapshot = random_capacity(prng, m);
+    FreeProfile free(snapshot);
 
-    // Stack a random batch of recorded commits at their earliest fits, one
-    // checkpoint before each (exactly the branch-and-bound shape), then
-    // rewind newest-first; the profile must come back bit-identical.
-    std::vector<FreeProfile::Checkpoint> placed;
-    const int jobs = static_cast<int>(prng.uniform_int(1, 10));
-    for (int i = 0; i < jobs; ++i) {
-      const ProcCount q = prng.uniform_int(1, m);
-      const Time p = prng.uniform_int(1, 30);
-      const Time t0 = prng.uniform_int(0, kHorizon);
-      if (free.profile().final_value() < q) continue;
-      const Time t = free.earliest_fit(t0, q, p);
-      placed.push_back(free.checkpoint());
-      free.commit_fitted(t, q, p);
+    // Commit jobs at their earliest fits and give random live ones back by
+    // value through adjust_capacity, interleaved. After every step the
+    // profile must equal the snapshot minus exactly the live commits,
+    // applied afresh in commit order -- whatever order the returns took.
+    struct Placed {
+      Time t;
+      ProcCount q;
+      Time p;
+    };
+    std::vector<Placed> live;
+    const auto expect_snapshot_minus_live = [&] {
+      StepProfile expected = snapshot;
+      for (const Placed& job : live) expected.add(job.t, job.t + job.p, -job.q);
+      ASSERT_EQ(free.profile(), expected);
+    };
+    const auto give_back_random = [&] {
+      const std::size_t k = static_cast<std::size_t>(
+          prng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+      const Placed job = live[k];
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+      free.adjust_capacity(job.t, job.t + job.p, job.q);
+    };
+    const int ops = static_cast<int>(prng.uniform_int(1, 20));
+    for (int op = 0; op < ops; ++op) {
+      if (live.empty() || prng.chance(0.6)) {
+        const ProcCount q = prng.uniform_int(1, m);
+        const Time p = prng.uniform_int(1, 30);
+        const Time t0 = prng.uniform_int(0, kHorizon);
+        if (free.profile().final_value() < q) continue;
+        const Time t = free.earliest_fit(t0, q, p);
+        free.commit_fitted(t, q, p);
+        live.push_back(Placed{t, q, p});
+      } else {
+        give_back_random();
+      }
+      ASSERT_GE(free.profile().min_value(), 0)
+          << "commit drove free capacity negative";
+      ASSERT_NO_FATAL_FAILURE(expect_snapshot_minus_live());
     }
-    ASSERT_GE(free.profile().min_value(), 0)
-        << "commit drove free capacity negative";
-    ASSERT_EQ(free.open_commits(), placed.size());
 
-    while (!placed.empty()) {
-      free.rewind_to(placed.back());
-      placed.pop_back();
-      ASSERT_EQ(free.open_commits(), placed.size());
-    }
-    ASSERT_EQ(free.profile(), snapshot)
-        << "recorded commits did not round-trip";
+    // Give the rest back in a random order.
+    while (!live.empty()) give_back_random();
+    ASSERT_EQ(free.profile(), snapshot) << "returns did not round-trip";
   }
 }
 

@@ -178,10 +178,9 @@ TEST_P(PassCursorRandomized, AgreesWithTheStatelessOperations) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PassCursorRandomized,
                          ::testing::Values(30, 31, 32, 33, 34, 35));
 
-TEST(PassCursor, TakesArePermanentAndRecordingModeIsRefused) {
+TEST(PassCursor, TakeContracts) {
   FreeProfile free{StepProfile(4)};
   EXPECT_THROW((void)free.at(-1), std::invalid_argument);
-  const FreeProfile::Checkpoint before = free.checkpoint();
   FreeProfile::Cursor at = free.at(2);
   EXPECT_THROW(at.take(1, 0), std::invalid_argument);
   EXPECT_THROW((void)at.fit_deadline(1, 0), std::invalid_argument);
@@ -190,10 +189,6 @@ TEST(PassCursor, TakesArePermanentAndRecordingModeIsRefused) {
   EXPECT_TRUE(at.try_take(1, 1));
   EXPECT_EQ(at.capacity(), 0);
   EXPECT_EQ(free.profile().value_at(7), 4);
-  EXPECT_ANY_THROW(free.rewind_to(before));
-  FreeProfile recording{StepProfile(4)};
-  recording.set_retain_accepted(true);
-  EXPECT_THROW((void)recording.at(0), std::invalid_argument);
 }
 
 #ifndef NDEBUG

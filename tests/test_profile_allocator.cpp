@@ -70,59 +70,15 @@ TEST(FreeProfile, EarliestFitImpossibleWidthThrows) {
   EXPECT_THROW((void)free.earliest_fit(0, 3, 1), std::invalid_argument);
 }
 
-TEST(FreeProfile, RecordedCommitSubtractsAndRewindRestores) {
+TEST(FreeProfile, CommitSubtractsAndAReturnByValueRestores) {
   FreeProfile free{StepProfile(4)};
-  free.set_retain_accepted(true);
-  const FreeProfile::Checkpoint before = free.checkpoint();
   free.commit_fitted(2, 3, 5);
-  EXPECT_EQ(free.open_commits(), 1u);
   EXPECT_EQ(free.profile().value_at(2), 1);
   EXPECT_EQ(free.profile().value_at(6), 1);
   EXPECT_EQ(free.profile().value_at(7), 4);
   EXPECT_FALSE(free.fits_at(0, 2, 5));
-  free.rewind_to(before);
-  EXPECT_EQ(free.profile().value_at(2), 4);
-  EXPECT_EQ(free.open_commits(), 0u);
-}
-
-TEST(FreeProfile, RewindKeepsUnrecordedCommits) {
-  FreeProfile free{StepProfile(4)};
-  free.commit_fitted(0, 2, 10);
-  EXPECT_EQ(free.profile().value_at(5), 2);
-  EXPECT_EQ(free.open_commits(), 0u);
-
-  free.set_retain_accepted(true);
-  const FreeProfile::Checkpoint before = free.checkpoint();
-  free.commit_fitted(3, 2, 4);
-  EXPECT_EQ(free.profile().value_at(4), 0);
-  free.rewind_to(before);
-  EXPECT_EQ(free.profile().value_at(4), 2);
-  // The unrecorded commit stays in effect.
-  EXPECT_EQ(free.profile().value_at(9), 2);
-  EXPECT_EQ(free.profile().value_at(10), 4);
-}
-
-TEST(FreeProfile, StaleCheckpointIsRejected) {
-  FreeProfile free{StepProfile(8)};
-  free.set_retain_accepted(true);
-  const FreeProfile::Checkpoint empty = free.checkpoint();
-  free.commit_fitted(0, 2, 4);
-  const FreeProfile::Checkpoint one = free.checkpoint();
-  free.rewind_to(empty);
-  // A different frame now sits at `one`'s depth: `one` names a popped frame.
-  free.commit_fitted(1, 3, 4);
-  const StepProfile with_second = free.profile();
-  EXPECT_THROW(free.rewind_to(one), std::logic_error);
-  EXPECT_EQ(free.profile(), with_second) << "failed rewind must not mutate";
-  EXPECT_EQ(free.open_commits(), 1u);
-  // A checkpoint deeper than the stack is stale too.
-  free.rewind_to(empty);
-  EXPECT_THROW(free.rewind_to(one), std::logic_error);
-  // The live checkpoint still works.
-  free.commit_fitted(1, 3, 4);
-  free.rewind_to(empty);
-  EXPECT_EQ(free.profile().value_at(2), 8);
-  EXPECT_EQ(free.open_commits(), 0u);
+  free.adjust_capacity(2, 7, 3);
+  EXPECT_EQ(free.profile(), StepProfile(4));
 }
 
 TEST(FreeProfile, ForInstanceUsesAvailability) {
@@ -288,73 +244,6 @@ TEST(FreeProfile, PlaceContracts) {
   EXPECT_THROW((void)free.place(-1, 1, 1), std::invalid_argument);
   EXPECT_THROW((void)free.place(0, 1, 0), std::invalid_argument);
   EXPECT_EQ(free.profile(), StepProfile(2));
-  // Permanent: recording mode commits through commit_fitted instead, and
-  // a placement cannot be rewound.
-  const FreeProfile::Checkpoint before = free.checkpoint();
-  EXPECT_EQ(free.place(0, 1, 4), 0);
-  EXPECT_ANY_THROW(free.rewind_to(before));
-  FreeProfile recording{StepProfile(2)};
-  recording.set_retain_accepted(true);
-  EXPECT_THROW((void)recording.place(0, 1, 1), std::invalid_argument);
-  EXPECT_EQ(recording.profile(), StepProfile(2));
-}
-
-TEST(FreeProfileVersioned, CheckpointRewindRestoresPlanState) {
-  FreeProfile free{StepProfile(8)};
-  free.set_retain_accepted(true);
-  const FreeProfile::Checkpoint before = free.checkpoint();
-
-  // A plan in recording mode: permanent-API commits become frames too.
-  free.commit_fitted(0, 3, 10);
-  free.commit_fitted(5, 2, 4);
-  free.commit_fitted(12, 8, 2);
-  EXPECT_EQ(free.open_commits(), 3u);
-  EXPECT_EQ(free.profile().value_at(6), 3);
-  EXPECT_EQ(free.profile().value_at(12), 0);
-
-  free.rewind_to(before);
-  EXPECT_EQ(free.open_commits(), 0u);
-  EXPECT_EQ(free.profile().value_at(0), 8);
-  EXPECT_EQ(free.profile().value_at(6), 8);
-  EXPECT_EQ(free.profile().value_at(12), 8);
-  // Rewinding to the same checkpoint again is a no-op, not an error.
-  free.rewind_to(before);
-}
-
-TEST(FreeProfileVersioned, RewindToMidPlanCheckpointUnwindsOnlyTheSuffix) {
-  FreeProfile free{StepProfile(8)};
-  free.set_retain_accepted(true);
-  free.commit_fitted(0, 2, 10);
-  const FreeProfile::Checkpoint mid = free.checkpoint();
-  free.commit_fitted(0, 4, 5);
-  EXPECT_EQ(free.profile().value_at(0), 2);
-  free.rewind_to(mid);
-  EXPECT_EQ(free.profile().value_at(0), 6) << "prefix frame must survive";
-  EXPECT_EQ(free.open_commits(), 1u);
-}
-
-TEST(FreeProfileVersioned, ToggleRetainRequiresEmptyStack) {
-  FreeProfile free{StepProfile(4)};
-  free.set_retain_accepted(true);
-  const FreeProfile::Checkpoint before = free.checkpoint();
-  free.commit_fitted(0, 1, 1);
-  EXPECT_THROW(free.set_retain_accepted(false), std::invalid_argument);
-  free.commit_fitted(1, 1, 1);
-  EXPECT_EQ(free.open_commits(), 2u) << "the failed toggle left recording on";
-  free.rewind_to(before);
-  free.set_retain_accepted(false);
-  free.commit_fitted(0, 1, 1);
-  EXPECT_EQ(free.open_commits(), 0u) << "recording is off";
-  EXPECT_EQ(free.profile().value_at(0), 3);
-}
-
-TEST(FreeProfileVersioned, RewindRefusesToCrossPermanentMutations) {
-  FreeProfile free{StepProfile(8)};
-  free.set_retain_accepted(true);
-  const FreeProfile::Checkpoint before = free.checkpoint();
-  free.adjust_capacity(0, 10, -3);  // the world moved: not a plan frame
-  EXPECT_THROW(free.rewind_to(before), std::logic_error);
-  EXPECT_EQ(free.profile().value_at(5), 5) << "failed rewind must not mutate";
 }
 
 TEST(FreeProfileVersioned, AdjustCapacityContracts) {
@@ -367,12 +256,6 @@ TEST(FreeProfileVersioned, AdjustCapacityContracts) {
   // Restores lift the window back; a cancellation refund.
   free.adjust_capacity(2, 6, 4);
   EXPECT_EQ(free.profile().value_at(3), 4);
-  // Plans must be rewound before the world moves.
-  free.set_retain_accepted(true);
-  const FreeProfile::Checkpoint before = free.checkpoint();
-  free.commit_fitted(0, 1, 1);
-  EXPECT_THROW(free.adjust_capacity(0, 1, -1), std::logic_error);
-  free.rewind_to(before);
   EXPECT_THROW(free.adjust_capacity(3, 3, -1), std::invalid_argument);
 }
 
@@ -388,71 +271,6 @@ TEST(FreeProfileVersioned, CompactHistoryPreservesTheLiveSuffix) {
   EXPECT_EQ(free.profile().value_at(52), at_now);
   EXPECT_EQ(free.profile().value_at(75), later);
   EXPECT_EQ(free.profile().value_at(1000), 16);
-  // A checkpoint taken before a compaction is no longer rewindable: the
-  // coalescing is a permanent mutation.
-  free.set_retain_accepted(true);
-  const FreeProfile::Checkpoint before = free.checkpoint();
-  ASSERT_GT(free.compact_history(60), 0u);
-  EXPECT_THROW(free.rewind_to(before), std::logic_error);
-  EXPECT_EQ(free.profile().value_at(75), later);
-}
-
-// Differential twin fuzz: a long random interleaving of plan frames,
-// checkpoints, rewinds and permanent mutations stays bit-identical to a
-// naive twin that re-derives the profile from the surviving operations.
-TEST(FreeProfileVersioned, CheckpointRewindTwinFuzz) {
-  Prng prng(777);
-  for (int round = 0; round < 20; ++round) {
-    FreeProfile free{StepProfile(32)};
-    free.set_retain_accepted(true);
-    // The twin records every operation that is still in effect.
-    struct Op {
-      Time from = 0, to = 0;
-      std::int64_t delta = 0;
-    };
-    std::vector<Op> permanent;
-    std::vector<Op> frames;
-    struct Mark {
-      FreeProfile::Checkpoint cp;
-      std::size_t frame_count = 0;
-    };
-    std::vector<Mark> marks;
-
-    for (int step = 0; step < 120; ++step) {
-      const int roll = static_cast<int>(prng.uniform_int(0, 9));
-      const Time t = prng.uniform_int(0, 400);
-      const ProcCount q = prng.uniform_int(1, 8);
-      const Time p = prng.uniform_int(1, 40);
-      if (roll < 4) {
-        if (!free.fits_at(t, q, p)) continue;
-        free.commit_fitted(t, q, p);
-        frames.push_back(Op{t, t + p, -static_cast<std::int64_t>(q)});
-      } else if (roll < 6) {
-        marks.push_back(Mark{free.checkpoint(), frames.size()});
-      } else if (roll < 8 && !marks.empty()) {
-        const std::size_t pick = static_cast<std::size_t>(
-            prng.uniform_int(0, static_cast<std::int64_t>(marks.size()) - 1));
-        const Mark mark = marks[pick];
-        free.rewind_to(mark.cp);
-        frames.resize(mark.frame_count);
-        marks.resize(pick + 1);
-      } else if (frames.empty()) {
-        // Permanent mutations require an empty frame stack; only attempt
-        // one between plans.
-        if (free.profile().min_in(t, t + p) < q) continue;
-        free.adjust_capacity(t, t + p, -static_cast<std::int64_t>(q));
-        permanent.push_back(Op{t, t + p, -static_cast<std::int64_t>(q)});
-        marks.clear();  // checkpoints cannot cross a permanent mutation
-      }
-    }
-
-    StepProfile twin(32);
-    for (const Op& op : permanent) twin.add(op.from, op.to, op.delta);
-    for (const Op& op : frames) twin.add(op.from, op.to, op.delta);
-    for (Time t = 0; t <= 450; ++t)
-      ASSERT_EQ(free.profile().value_at(t), twin.value_at(t))
-          << "round " << round << " t=" << t;
-  }
 }
 
 }  // namespace

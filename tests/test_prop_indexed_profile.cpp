@@ -8,9 +8,9 @@
 // model after every mutation.
 //
 // Also re-asserts the candidate-start lemma of profile_allocator.hpp on
-// fragmented profiles, checks canonical form after every commit/rollback
-// interleaving, and pins the strong exception guarantee of add(): an
-// overflow mid-window must leave the profile untouched (the seed
+// fragmented profiles, checks canonical form after every interleaving of
+// commits and returns by value, and pins the strong exception guarantee of
+// add(): an overflow mid-window must leave the profile untouched (the seed
 // implementation applied partial deltas and left equal-value neighbours
 // unmerged).
 #include "core/profile_allocator.hpp"
@@ -319,7 +319,7 @@ TEST(PropIndexedProfile, OverflowMidWindowLeavesProfileUntouchedAndCanonical) {
   const StepProfile snapshot = profile;
   // [20, 30) overflows; [0, 10) and [10, 20) were affected first. The seed
   // implementation applied partial deltas and left the split at t=30
-  // unmerged; the strong guarantee requires a perfect rollback-free abort.
+  // unmerged; the strong guarantee requires an abort that changes nothing.
   EXPECT_THROW(profile.add(0, 40, 10), std::overflow_error);
   EXPECT_EQ(profile, snapshot);
   ASSERT_NO_FATAL_FAILURE(ExpectCanonical(profile));
@@ -353,15 +353,13 @@ TEST(PropIndexedProfile, FreeProfileOpsMatchDenseModelAndKeepCanonicalForm) {
       model.add(a, b, -carve);
     }
     FreeProfile free(capacity);
-    free.set_retain_accepted(true);
 
     struct Placed {
       Time t;
       ProcCount q;
       Time p;
-      FreeProfile::Checkpoint before;  // taken just before the commit
     };
-    std::vector<Placed> live;  // open recorded commits, oldest first
+    std::vector<Placed> live;  // commits not yet given back
     for (int op = 0; op < 40; ++op) {
       const double roll = prng.uniform_real();
       if (roll < 0.5) {
@@ -392,14 +390,18 @@ TEST(PropIndexedProfile, FreeProfileOpsMatchDenseModelAndKeepCanonicalForm) {
             << t0 << " t=" << t << ")";
         ASSERT_TRUE(free.fits_at(t, q, p));
 
-        live.push_back(Placed{t, q, p, free.checkpoint()});
+        live.push_back(Placed{t, q, p});
         free.commit_fitted(t, q, p);
         model.add(t, t + p, -q);
       } else if (roll < 0.75 && !live.empty()) {
-        // Revoke the newest open commit (undo is LIFO by contract).
-        const Placed job = live.back();
+        // Give back a random live commit by value: returns commute, so any
+        // order is exact.
+        const std::size_t k = static_cast<std::size_t>(
+            prng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+        const Placed job = live[k];
+        live[k] = live.back();
         live.pop_back();
-        free.rewind_to(job.before);
+        free.adjust_capacity(job.t, job.t + job.p, job.q);
         model.add(job.t, job.t + job.p, job.q);
       } else {
         // Pure queries.
@@ -417,12 +419,10 @@ TEST(PropIndexedProfile, FreeProfileOpsMatchDenseModelAndKeepCanonicalForm) {
       ASSERT_GE(free.profile().min_value(), 0);
     }
 
-    // Unwinding every open commit newest-first drains back to the starting
-    // profile bit-identically.
-    while (!live.empty()) {
-      free.rewind_to(live.back().before);
-      live.pop_back();
-    }
+    // Giving every live commit back drains to the starting profile
+    // bit-identically.
+    for (const Placed& job : live)
+      free.adjust_capacity(job.t, job.t + job.p, job.q);
     ASSERT_EQ(free.profile(), capacity);
   }
 }
@@ -624,192 +624,6 @@ TEST(PropIndexedProfile, FirstFitWalksWithoutBuildingTheIndex) {
   // Past the 5-tick hole, a 5-tick job's first fit lies after the
   // pattern, ~1000 segments out.
   EXPECT_EQ(profile.first_fit(801, 5, 5), 4800);
-}
-
-// ---------------------------------------------------------------------------
-// Undo log: recorded add -> rollback differential fuzz vs a never-touched
-// twin (segments AND every query answer must come back bit-identical).
-// ---------------------------------------------------------------------------
-
-TEST(PropIndexedProfile, RecordedAddRollbackMatchesNeverTouchedTwin) {
-  constexpr Time kHorizon = 4096;
-  Prng prng(20260727);
-  for (int round = 0; round < 6; ++round) {
-    const std::int64_t initial = prng.uniform_int(4, 12);
-    StepProfile subject(initial);
-    StepProfile twin(initial);
-    DenseModel model(kHorizon, initial);
-    // Fragment both identically; the twin never sees a recorded add.
-    for (int i = 0; i < 500; ++i) {
-      const Time a = prng.uniform_int(0, kHorizon - 2);
-      const Time b = a + prng.uniform_int(1, 24);
-      const std::int64_t delta = prng.uniform_int(-2, 3);
-      subject.add(a, b, delta);
-      twin.add(a, b, delta);
-      model.add(a, b, delta);
-    }
-    ASSERT_GT(subject.segment_count(), 256u);
-    ASSERT_EQ(subject.min_in(0, kTimeInfinity), twin.min_in(0, kTimeInfinity));
-
-    const auto expect_observably_identical = [&](int episode) {
-      ASSERT_EQ(subject, twin) << "segments diverged, episode " << episode;
-      for (int query = 0; query < 6; ++query) {
-        const Time f = prng.uniform_int(0, kHorizon / 2);
-        const Time t = prng.chance(0.25)
-                           ? kTimeInfinity
-                           : prng.uniform_int(3 * kHorizon / 4, kHorizon + 64);
-        ASSERT_EQ(subject.min_in(f, t), twin.min_in(f, t));
-        ASSERT_EQ(subject.max_in(f, t), twin.max_in(f, t));
-        const std::int64_t threshold = prng.uniform_int(-2, 14);
-        ASSERT_EQ(subject.first_below(f, t, threshold),
-                  twin.first_below(f, t, threshold));
-        ASSERT_EQ(subject.first_at_least(f, threshold),
-                  twin.first_at_least(f, threshold));
-        if (t < kTimeInfinity) {
-          ASSERT_EQ(subject.integral(f, t), twin.integral(f, t));
-        }
-        const std::int64_t target = prng.uniform_int(0, 4000);
-        ASSERT_EQ(subject.time_to_accumulate(f, target),
-                  twin.time_to_accumulate(f, target));
-      }
-    };
-
-    for (int episode = 0; episode < 60; ++episode) {
-      // Stack up to 4 recorded adds (nested, the backtracking shape),
-      // querying the subject against the dense model while they are live,
-      // then unwind newest-first.
-      struct Recorded {
-        Time a;
-        Time b;
-        std::int64_t delta;
-        StepProfile::Undo undo;
-      };
-      std::vector<Recorded> stack;
-      const int depth = static_cast<int>(prng.uniform_int(1, 4));
-      for (int level = 0; level < depth; ++level) {
-        Recorded rec;
-        rec.a = prng.uniform_int(0, kHorizon - 2);
-        // Occasionally an unbounded window: the kTimeInfinity clamp of the
-        // right edge must survive recording and rollback.
-        rec.b = prng.chance(0.15) ? kTimeInfinity
-                                  : rec.a + prng.uniform_int(1, 64);
-        rec.delta = prng.uniform_int(-3, 3);
-        subject.add_recorded(rec.a, rec.b, rec.delta, rec.undo);
-        model.add(rec.a, rec.b, rec.delta);
-        ASSERT_EQ(rec.undo.live(), rec.delta != 0);
-        stack.push_back(std::move(rec));
-
-        // Wide query while tentative state is live.
-        const Time f = prng.uniform_int(0, kHorizon / 2);
-        const Time t = prng.uniform_int(3 * kHorizon / 4, kHorizon + 64);
-        ASSERT_EQ(subject.min_in(f, t), model.min_in(f, t))
-            << "round " << round << " episode " << episode;
-        const std::int64_t threshold = prng.uniform_int(-2, 14);
-        ASSERT_EQ(subject.first_below(f, t, threshold),
-                  model.first_below(f, t, threshold));
-      }
-      while (!stack.empty()) {
-        Recorded rec = std::move(stack.back());
-        stack.pop_back();
-        if (rec.undo.live()) subject.rollback(rec.undo);
-        model.add(rec.a, rec.b, -rec.delta);
-        ASSERT_FALSE(rec.undo.live());
-      }
-      ASSERT_NO_FATAL_FAILURE(ExpectCanonical(subject));
-      if (episode % 10 == 0) {
-        ASSERT_NO_FATAL_FAILURE(expect_observably_identical(episode));
-      }
-    }
-    ASSERT_NO_FATAL_FAILURE(expect_observably_identical(-1));
-  }
-}
-
-TEST(PropIndexedProfile, RollbackOutOfOrderTripsOnOverlapOnly) {
-  StepProfile profile(10);
-  for (Time t = 0; t < 2000; t += 10) profile.add(t, t + 5, (t / 10) % 4);
-
-  // Non-overlapping recorded adds may unwind in any order.
-  const StepProfile base = profile;
-  StepProfile::Undo left;
-  StepProfile::Undo right;
-  profile.add_recorded(100, 200, -3, left);
-  profile.add_recorded(1000, 1100, -2, right);
-  profile.rollback(left);
-  profile.rollback(right);
-  EXPECT_EQ(profile, base);
-
-  // Overlapping ones must unwind newest-first; reversing the older one
-  // while the newer is live would corrupt the function, so it trips.
-  StepProfile::Undo older;
-  StepProfile::Undo newer;
-  profile.add_recorded(100, 300, -1, older);
-  profile.add_recorded(250, 400, -1, newer);
-  EXPECT_THROW(profile.rollback(older), std::logic_error);
-  // A failed rollback consumes nothing and mutates nothing: unwind the
-  // blocking mutation and the older record works again.
-  EXPECT_TRUE(older.live());
-  profile.rollback(newer);
-  profile.rollback(older);
-  EXPECT_EQ(profile, base);
-
-  // A dead record cannot roll back.
-  EXPECT_THROW(profile.rollback(newer), std::logic_error);
-}
-
-TEST(PropIndexedProfile, RollbackTripsOnBoundaryInterferenceInsteadOfCorrupting) {
-  // The checked state of a record is slightly wider than its mutation
-  // window: the closed region [window_lo, to] plus the left neighbour's
-  // value. Window-disjoint later mutations that touch only those
-  // boundaries must trip the rollback loudly -- the alternative is a
-  // silently non-canonical (or wrong) splice.
-
-  {
-    // A later add whose right edge coalesces across the record's
-    // window_lo boundary: without the recorded-left-value anchor the
-    // replay would accept and splice back an adjacent-equal pair.
-    StepProfile profile(5);
-    profile.add(50, kTimeInfinity, 4);   // {0:5},{50:9}
-    profile.add(100, kTimeInfinity, -2); // {0:5},{50:9},{100:7}
-    StepProfile::Undo undo;
-    profile.add_recorded(150, 200, -2, undo);  // window_lo = 100
-    profile.add(50, 100, -2);  // {50:7} now coalesces with {100:7}
-    EXPECT_THROW(profile.rollback(undo), std::logic_error);
-    EXPECT_TRUE(undo.live());
-    // Unwind the interference and the record works again, canonically.
-    profile.add(50, 100, 2);
-    profile.rollback(undo);
-    EXPECT_EQ(profile.value_at(160), 7);
-    EXPECT_EQ(profile.segment_count(), 3u);
-  }
-
-  {
-    // A later add starting exactly at the record's `to`: it shifts the
-    // region's trailing piece, so the record is blocked until it unwinds.
-    StepProfile profile(9);
-    StepProfile::Undo undo;
-    profile.add_recorded(150, 200, -2, undo);
-    profile.add(200, 300, -1);
-    EXPECT_THROW(profile.rollback(undo), std::logic_error);
-    EXPECT_TRUE(undo.live());
-    profile.add(200, 300, 1);
-    profile.rollback(undo);
-    EXPECT_EQ(profile, StepProfile(9));
-  }
-
-  {
-    // A later add ending at the record's window_lo that changes the left
-    // neighbour to the region's original leading value: splicing would
-    // recreate an adjacent-equal pair, so it must trip.
-    StepProfile profile(5);
-    profile.add(100, kTimeInfinity, -2);  // {0:5},{100:3}
-    StepProfile::Undo undo;
-    profile.add_recorded(100, 200, -1, undo);  // {0:5},{100:2},{200:3}
-    profile.add(0, 100, -2);                   // left neighbour 5 -> 3
-    EXPECT_THROW(profile.rollback(undo), std::logic_error);
-    profile.add(0, 100, 2);
-    profile.rollback(undo);
-    EXPECT_EQ(profile.value_at(150), 3);
-  }
 }
 
 }  // namespace

@@ -125,10 +125,6 @@ TEST(StepProfile, AddOverflowMidWindowLeavesTheProfileUnchanged) {
   EXPECT_THROW(profile.add(5, 35, 2), std::overflow_error);
   EXPECT_EQ(profile, before);
   EXPECT_EQ(profile.version(), version);
-  StepProfile::Undo undo;
-  EXPECT_THROW(profile.add_recorded(5, 35, 2, undo), std::overflow_error);
-  EXPECT_EQ(profile, before);
-  EXPECT_FALSE(undo.live());
 }
 
 TEST(StepProfile, MinMaxInWindow) {
