@@ -109,6 +109,28 @@ BENCHMARK_CAPTURE(BM_ScheduleAllocs, conservative, "conservative");
 BENCHMARK_CAPTURE(BM_ScheduleAllocs, fcfs, "fcfs");
 BENCHMARK_CAPTURE(BM_ScheduleAllocs, lsrc, "lsrc");
 
+// Many distinct demands: uniform widths up to m/2 give the schedulers'
+// BackfillQueue up to m/2 buckets, where power-of-two widths on m = 128
+// give at most 7. n = 2048, offline; Arg = m.
+void BM_ScheduleManyDemands(benchmark::State& state, const char* name) {
+  const auto scheduler = make_scheduler(name);
+  WorkloadConfig workload;
+  workload.n = 2048;
+  workload.m = state.range(0);
+  workload.p_max = 500;
+  workload.width = WidthDistribution::kUniform;
+  workload.alpha = Rational(1, 2);
+  const Instance instance = random_workload(workload, 7);
+  for (auto _ : state) {
+    const ScheduleOutcome outcome = scheduler->schedule(instance);
+    benchmark::DoNotOptimize(outcome.ok());
+  }
+}
+BENCHMARK_CAPTURE(BM_ScheduleManyDemands, easy, "easy")
+    ->Arg(128)->Arg(1024)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ScheduleManyDemands, lsrc, "lsrc")
+    ->Arg(128)->Arg(1024)->Unit(benchmark::kMillisecond);
+
 Instance tail_instance(std::uint64_t seed) {
   WorkloadConfig workload;
   workload.n = 120;

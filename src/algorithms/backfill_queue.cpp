@@ -9,9 +9,11 @@ namespace resched {
 BackfillQueue::BackfillQueue(ProcCount max_q, Arena* scratch)
     : slot_(ArenaAlloc<std::uint32_t>(scratch)),
       buckets_(ArenaAlloc<Bucket>(scratch)),
-      heap_(ArenaAlloc<Head>(scratch)) {
+      fronts_(ArenaAlloc<Front>(scratch)) {
   RESCHED_REQUIRE_MSG(max_q >= 1, "backfill queue needs max_q >= 1");
   slot_.assign(static_cast<std::size_t>(max_q) + 1, 0);
+  // At most one bucket per demand, so the fronts never reallocate.
+  fronts_.reserve(static_cast<std::size_t>(max_q));
 }
 
 void BackfillQueue::insert(JobId id, std::int64_t rank, ProcCount q, Time p) {
@@ -20,7 +22,8 @@ void BackfillQueue::insert(JobId id, std::int64_t rank, ProcCount q, Time p) {
   RESCHED_REQUIRE(p > 0);
   std::uint32_t& slot = slot_[static_cast<std::size_t>(q)];
   if (slot == 0) {
-    buckets_.emplace_back(buckets_.get_allocator().arena(), q);
+    buckets_.emplace_back(buckets_.get_allocator().arena());
+    fronts_.push_back(Front{kNoRank, q});
     slot = static_cast<std::uint32_t>(buckets_.size());
   }
   Bucket& bucket = buckets_[slot - 1];
@@ -50,56 +53,15 @@ void BackfillQueue::begin_pass(std::int64_t capacity) {
   pass_open_ = true;
   pass_capacity_ = capacity;
   current_ = kNoCandidate;
-  gated_ = kNoCandidate;
-  gated_stale_ = false;
   ++epoch_;
-  heap_.clear();
-  for (std::size_t b = 0; b < buckets_.size(); ++b) {
-    const Bucket& bucket = buckets_[b];
-    if (bucket.front == bucket.items.size()) continue;
-    const std::int64_t rank = bucket.items[bucket.front].rank;
-    // Gated out: nothing in it can start this pass, so it never enters the
-    // merge. Only next_head() may need its front, so keep the lowest.
-    if (bucket.q > capacity) {
-      if (gated_ == kNoCandidate || rank < front_rank(gated_)) gated_ = b;
-      continue;
-    }
-    heap_.push_back(Head{rank, b});
-  }
-  std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  for (std::size_t b = 0; b < buckets_.size(); ++b) refresh(b);
 }
 
-std::int64_t BackfillQueue::front_rank(std::size_t b) const {
+void BackfillQueue::refresh(std::size_t b) {
   const Bucket& bucket = buckets_[b];
-  return bucket.items[bucket.read].rank;
-}
-
-void BackfillQueue::refresh_gated() {
-  gated_ = kNoCandidate;
-  for (std::size_t b = 0; b < buckets_.size(); ++b) {
-    const Bucket& bucket = buckets_[b];
-    if (bucket.q <= pass_capacity_ || bucket.read == bucket.items.size())
-      continue;
-    if (gated_ == kNoCandidate || front_rank(b) < front_rank(gated_))
-      gated_ = b;
-  }
-  gated_stale_ = false;
-}
-
-bool BackfillQueue::pop(Head& head) {
-  if (heap_.empty()) return false;
-  std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  head = heap_.back();
-  heap_.pop_back();
-  return true;
-}
-
-void BackfillQueue::offer(std::size_t b) {
-  const Bucket& bucket = buckets_[b];
-  if (bucket.read < bucket.items.size()) {
-    heap_.push_back(Head{bucket.items[bucket.read].rank, b});
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  }
+  fronts_[b].rank = bucket.read < bucket.items.size()
+                        ? bucket.items[bucket.read].rank
+                        : kNoRank;
 }
 
 BackfillQueue::Entry BackfillQueue::surface(std::size_t b) {
@@ -110,35 +72,17 @@ BackfillQueue::Entry BackfillQueue::surface(std::size_t b) {
 
 std::optional<BackfillQueue::Entry> BackfillQueue::next_head() {
   RESCHED_ASSERT(pass_open_ && current_ == kNoCandidate);
-  if (gated_stale_) refresh_gated();
-  // The lowest rank is the merge's front or the gated buckets' lowest
-  // front, whichever is lower.
-  if (gated_ != kNoCandidate &&
-      (heap_.empty() || front_rank(gated_) < heap_.front().rank)) {
-    current_gated_ = true;
-    return surface(gated_);
-  }
-  Head head;
-  if (!pop(head)) return std::nullopt;
-  return surface(head.bucket);
-}
-
-void BackfillQueue::answered() {
-  // A gated bucket stays out of the merge; its lowest front is found again
-  // only if next_head() asks for it.
-  if (current_gated_)
-    gated_stale_ = true;
-  else
-    offer(current_);
-  current_gated_ = false;
-  current_ = kNoCandidate;
+  const std::size_t b = lowest(kNoRank);
+  if (b == kNoCandidate) return std::nullopt;
+  return surface(b);
 }
 
 void BackfillQueue::keep() {
   RESCHED_ASSERT(pass_open_ && current_ != kNoCandidate);
   Bucket& bucket = buckets_[current_];
   bucket.items[bucket.write++] = bucket.items[bucket.read++];
-  answered();
+  refresh(current_);
+  current_ = kNoCandidate;
 }
 
 void BackfillQueue::take() {
@@ -146,7 +90,8 @@ void BackfillQueue::take() {
   ++buckets_[current_].read;
   --size_;
   ++epoch_;
-  answered();
+  refresh(current_);
+  current_ = kNoCandidate;
 }
 
 void BackfillQueue::end_pass() {
@@ -166,7 +111,6 @@ void BackfillQueue::end_pass() {
     bucket.read = bucket.front;
     bucket.write = bucket.front;
   }
-  heap_.clear();
   pass_open_ = false;
 }
 

@@ -18,31 +18,28 @@
 //     table, so opening and closing a pass costs O(occupied demands), not
 //     O(m) -- a service decision plans a handful of jobs in a few distinct
 //     widths on a machine with m in the hundreds;
-//   * a capacity event opens a *pass* at the free capacity at t: only the
-//     buckets whose threshold it reaches (q <= capacity at t) enter the
-//     merge, a small binary heap that hands out candidates in exactly the
-//     order the linear rescan would have examined them. A bucket above it
-//     is gated out and never pushed: the rescan would have probed each of
-//     its jobs only to fail fits_at immediately (capacity at t is the
-//     minimum over the job's window, so value-at-t below q already decides
-//     it), and capacity at t never rises within a pass -- the only
-//     mutations are commits, which subtract;
-//   * for the same reason, a merged bucket whose head surfaces with
-//     q > capacity (capacity fell since the pass opened) is retired for
-//     the rest of the pass;
-//   * a bucket that survives the capacity gate asks the caller for the
-//     *limit* of its first unexamined job (q, p): the longest duration a
+//   * a capacity event opens a *pass* at the free capacity at t, and each
+//     candidate is the lowest-ranked current job among the buckets whose
+//     demand the free capacity at t still reaches (q <= capacity at t) --
+//     exactly the job the linear rescan would examine next and could
+//     start. A bucket above it is passed over: the rescan would have
+//     probed each of its jobs only to fail fits_at immediately (capacity
+//     at t is the minimum over the job's window, so value-at-t below q
+//     already decides it), and capacity at t never rises within a pass --
+//     the only mutations are commits, which subtract;
+//   * a bucket that the capacity admits asks the caller for the *limit*
+//     of its first unexamined job (q, p): the longest duration a
 //     demand-q job may have and still start now (for LSRC, F(q) - t; for
 //     EASY, D(q) - t, both read by FreeProfile::Cursor), read over that
 //     job's own window [t, t + p). If the job starts, it surfaces. If
 //     not, the dip that rejected it lies inside the window, so the limit
 //     is exact for the whole demand: every later job with p > limit is
 //     copied straight to the survivor slots without surfacing, and the
-//     bucket is re-offered to the merge at its first job with p <= limit,
-//     which starts without another read. Exact limits, like capacity, only
-//     shrink within a pass (commits only remove capacity, so every first
-//     dip the deadlines read can only move earlier), so a job skipped once
-//     would fail every later probe of the pass too. A rejecting limit is
+//     bucket competes again at its first job with p <= limit, which starts
+//     without another read. Exact limits, like capacity, only shrink
+//     within a pass (commits only remove capacity, so every first dip the
+//     deadlines read can only move earlier), so a job skipped once would
+//     fail every later probe of the pass too. A rejecting limit is
 //     memoised in the bucket until the next take(): within a pass t is
 //     fixed and a take is the only point where the caller's profile
 //     changes, so (pass, takes) keys the memo exactly as (t, profile
@@ -50,7 +47,7 @@
 //
 // Equivalence sketch: a pass hands out precisely the pending jobs the
 // rescan would have started, in the same order, against the same
-// FreeProfile state; everything it skips (a gated-out or retired bucket, a
+// FreeProfile state; everything it skips (a bucket above the capacity, a
 // job past its bucket's limit) provably fails the rescan's probe at the
 // point the rescan would reach it, and stays pending in rank order.
 // Committed jobs and their commit order therefore coincide, and by
@@ -67,12 +64,14 @@
 // twice its live jobs, and the reclaim's moves cost amortized O(1) per
 // taken job.
 //
-// Merge cost: begin_pass costs O(occupied demands) plus a heap build over
-// the buckets that can start. Gated-out buckets cost nothing after it --
-// no push, pop or retirement -- which matters most in the batch loops,
-// where a pass at a busy instant can start only narrow jobs. next_head()
-// still sees them: it compares the merge's front with the lowest-ranked
-// gated job, which begin_pass records.
+// Candidate cost: fronts_ holds each bucket's current rank and demand in
+// one contiguous array, and a candidate is one scan over it, O(B) for B
+// occupied demands. Every end-to-end benchmark workload draws power-of-two
+// widths <= 64 on m = 128, so B <= 7 there. Many demands (BM_ScheduleManyDemands:
+// uniform widths up to m/2, n = 2048; medians of 6 runs alternating with
+// the binary-heap merge the scan replaced, 4-vCPU host, Release):
+//   m = 128  (up to 64 buckets):  LSRC 3.45 -> 1.19 ms, EASY 4.84 -> 3.00 ms
+//   m = 1024 (up to 512 buckets): LSRC 26.1 -> 8.5 ms,  EASY 31.0 -> 25.9 ms
 //
 // The cursor's fit_deadline/backfill_deadline turn the schedulers' start
 // tests into one deadline per demand, so a pass reads the profile about
@@ -112,7 +111,7 @@ class BackfillQueue {
 
   // max_q: largest processor demand that will ever be inserted (the
   // instance's machine count). With a scratch arena, every internal buffer
-  // (slot table, buckets, merge heap) is bump-allocated from it -- the
+  // (slot table, buckets, fronts) is bump-allocated from it -- the
   // replan hot path; null = plain counted heap (batch schedule()).
   explicit BackfillQueue(ProcCount max_q, Arena* scratch = nullptr);
 
@@ -132,9 +131,8 @@ class BackfillQueue {
   // Every popped candidate must be answered with exactly one keep()/take()
   // before the next pop.
   //
-  // begin_pass(capacity) takes the free capacity at t as the pass opens.
-  // Buckets with q above it are gated out: they stay out of the merge for
-  // the whole pass, so next() never surfaces them.
+  // begin_pass(capacity) takes the free capacity at t as the pass opens;
+  // every later next() capacity is at most this.
   //
   // next(capacity, limit) pops the lowest-ranked job with q <= capacity
   // that starts now, where `capacity` is the free capacity at t now (the
@@ -149,9 +147,9 @@ class BackfillQueue {
   // stay pending in rank order.
   //
   // next_head() pops the globally lowest-ranked unexamined job whatever
-  // its demand and duration (EASY's protected head). If it comes from a
-  // gated-out bucket, it cannot start at t (the capacity at t is below its
-  // q), and answering it leaves its bucket out of the merge.
+  // its demand and duration (EASY's protected head). If its q is above
+  // the opening capacity, it cannot start at t, and next() never surfaces
+  // its bucket.
   void begin_pass(std::int64_t capacity);
   template <class Limit>
   [[nodiscard]] std::optional<Entry> next(std::int64_t capacity,
@@ -161,20 +159,13 @@ class BackfillQueue {
   void take();
   void end_pass();
 
-  // Buckets in the merge now (diagnostic: gated-out buckets never count).
-  [[nodiscard]] std::size_t merge_size() const noexcept {
-    return heap_.size();
-  }
-
  private:
   struct Bucket {
-    Bucket(Arena* scratch, ProcCount demand)
-        : items(ArenaAlloc<Entry>(scratch)), q(demand) {}
+    explicit Bucket(Arena* scratch) : items(ArenaAlloc<Entry>(scratch)) {}
     // [front, end) is the pending queue, sorted by rank; [0, front) is
     // dead (taken jobs, or survivors' old slots).
     ScratchVec<Entry> items;
     std::size_t front = 0;
-    ProcCount q;  // every job's demand
     // Pass cursors: next candidate / survivor slot. Both equal front
     // outside a pass, so begin_pass needs no per-bucket reset.
     std::size_t read = 0;
@@ -184,48 +175,45 @@ class BackfillQueue {
     Time limit = 0;
   };
 
-  // Heap item: the head rank of a live bucket. Min-heap by rank (ranks are
-  // unique, so the bucket index never tiebreaks).
-  struct Head {
+  // A bucket's current job during a pass: its rank, or kNoRank once the
+  // pass has examined the whole bucket, and the demand of every job in it.
+  struct Front {
     std::int64_t rank;
-    std::size_t bucket;  // index into buckets_
-    friend bool operator>(const Head& a, const Head& b) {
-      return a.rank > b.rank;
-    }
+    ProcCount q;
   };
 
   static constexpr std::size_t kNoCandidate = static_cast<std::size_t>(-1);
+  static constexpr std::int64_t kNoRank =
+      std::numeric_limits<std::int64_t>::max();
 
-  // Pops the lowest-ranked live bucket into `head`; false once the merge is
-  // drained.
-  bool pop(Head& head);
-  // Rank of bucket b's current job.
-  [[nodiscard]] std::int64_t front_rank(std::size_t b) const;
-  // Finds the gated bucket with the lowest current job again.
-  void refresh_gated();
-  // Closes the popped candidate's turn: re-offers its bucket to the merge,
-  // unless the bucket is gated out.
-  void answered();
-  // Re-offers bucket b to the merge if it still has unexamined jobs.
-  void offer(std::size_t b);
+  // The bucket whose current job ranks lowest among those with
+  // q <= capacity, or kNoCandidate if every such bucket is examined.
+  [[nodiscard]] std::size_t lowest(std::int64_t capacity) const {
+    std::size_t best = kNoCandidate;
+    std::int64_t best_rank = kNoRank;
+    for (std::size_t b = 0; b < fronts_.size(); ++b) {
+      if (fronts_[b].q <= capacity && fronts_[b].rank < best_rank) {
+        best = b;
+        best_rank = fronts_[b].rank;
+      }
+    }
+    return best;
+  }
+  // Records bucket b's current job in fronts_.
+  void refresh(std::size_t b);
   // Marks bucket b's current job as the popped candidate.
   Entry surface(std::size_t b);
 
   // slot_[q] = 1 + index of q's bucket in buckets_, or 0 if q never
-  // arrived. Buckets are never removed: one that empties simply sits out
-  // the merge until an insert refills it.
+  // arrived. Buckets are never removed: one that empties simply has no
+  // front until an insert refills it.
   ScratchVec<std::uint32_t> slot_;
   ScratchVec<Bucket> buckets_;          // occupied demands, first-insert order
-  ScratchVec<Head> heap_;               // std::push_heap/pop_heap, min by rank
+  ScratchVec<Front> fronts_;            // one per bucket, same order
   std::size_t size_ = 0;
   std::size_t current_ = kNoCandidate;  // bucket of the last popped candidate
-  // The pass's opening capacity; buckets with q above it are gated out.
+  // The pass's opening capacity: the cap on every next() capacity.
   std::int64_t pass_capacity_ = 0;
-  // The gated bucket whose current job ranks lowest (kNoCandidate if
-  // none), stale after a gated candidate is answered.
-  std::size_t gated_ = kNoCandidate;
-  bool gated_stale_ = false;
-  bool current_gated_ = false;  // the popped candidate is gated_'s
   // Advanced by begin_pass and take(), the points where limits may change.
   std::uint64_t epoch_ = 0;
   bool pass_open_ = false;
@@ -236,32 +224,26 @@ std::optional<BackfillQueue::Entry> BackfillQueue::next(std::int64_t capacity,
                                                         Limit&& limit) {
   RESCHED_ASSERT(pass_open_ && current_ == kNoCandidate &&
                  capacity <= pass_capacity_);
-  Head head;
-  while (pop(head)) {
-    Bucket& bucket = buckets_[head.bucket];
+  // Buckets with q above the capacity are passed over: capacity at the
+  // event time cannot come back up, so none of their jobs can start (see
+  // header sketch).
+  for (std::size_t b = lowest(capacity); b != kNoCandidate;
+       b = lowest(capacity)) {
+    Bucket& bucket = buckets_[b];
     const Entry& first = bucket.items[bucket.read];
-    // Retire the bucket for this pass: capacity at the event time cannot
-    // come back up, so none of its jobs can start (see header sketch).
-    // Buckets above the opening capacity never got here.
-    if (first.q > capacity) continue;
     if (bucket.limit_epoch != epoch_) {
       const Time verdict = limit(first.q, first.p);
-      if (first.p <= verdict) return surface(head.bucket);
+      if (first.p <= verdict) return surface(b);
       bucket.limit = verdict;
       bucket.limit_epoch = epoch_;
+    } else if (first.p <= bucket.limit) {
+      return surface(b);
     }
     // Skip what the limit rejects: straight to the survivor slots.
     while (bucket.read < bucket.items.size() &&
            bucket.items[bucket.read].p > bucket.limit)
       bucket.items[bucket.write++] = bucket.items[bucket.read++];
-    if (bucket.read == bucket.items.size()) continue;
-    // Re-offer at the first acceptable rank unless it still leads.
-    if (bucket.items[bucket.read].rank != head.rank && !heap_.empty() &&
-        heap_.front().rank < bucket.items[bucket.read].rank) {
-      offer(head.bucket);
-      continue;
-    }
-    return surface(head.bucket);
+    refresh(b);
   }
   return std::nullopt;
 }

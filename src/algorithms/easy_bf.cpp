@@ -1,11 +1,11 @@
 #include "algorithms/easy_bf.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <optional>
 #include <vector>
 
 #include "algorithms/backfill_queue.hpp"
+#include "algorithms/list_order.hpp"
 #include "core/arena.hpp"
 #include "core/profile_allocator.hpp"
 #include "util/checked.hpp"
@@ -132,18 +132,7 @@ ScheduleOutcome EasyBackfillScheduler::schedule(
   for (const Reservation& resa : instance.reservations())
     events.push(resa.end());
 
-  ScratchVec<JobId> arrival(jobs.size(), JobId{0},
-                            ArenaAlloc<JobId>(nullptr));
-  std::iota(arrival.begin(), arrival.end(), JobId{0});
-  // (release, id) is a total order, so this in-place sort produces exactly
-  // the permutation a stable sort by release would -- without stable_sort's
-  // unconditional heap-allocated merge buffer.
-  std::sort(arrival.begin(), arrival.end(), [&](JobId a, JobId b) {
-    const Time ra = jobs[static_cast<std::size_t>(a)].release;
-    const Time rb = jobs[static_cast<std::size_t>(b)].release;
-    if (ra != rb) return ra < rb;
-    return a < b;
-  });
+  const ScratchVec<JobId> arrival = release_order(jobs, nullptr);
 
   Time t = jobs[static_cast<std::size_t>(arrival[0])].release;
   for (const Job& job : jobs)

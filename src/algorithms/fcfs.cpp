@@ -1,9 +1,9 @@
 #include "algorithms/fcfs.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <vector>
 
+#include "algorithms/list_order.hpp"
 #include "core/arena.hpp"
 #include "core/profile_allocator.hpp"
 #include "util/require.hpp"
@@ -22,20 +22,8 @@ namespace {
 Schedule fcfs_run(FreeProfile& free, const std::vector<Job>& jobs, Time t0,
                   Time floor, Arena* scratch) {
   Schedule schedule(jobs.size(), scratch);
-  ScratchVec<JobId> queue(jobs.size(), JobId{0}, ArenaAlloc<JobId>(scratch));
-  std::iota(queue.begin(), queue.end(), JobId{0});
-  // (release, id) is a total order, so this in-place sort produces exactly
-  // the permutation a stable sort by release would -- without stable_sort's
-  // unconditional heap-allocated merge buffer (one alloc per decision).
-  std::sort(queue.begin(), queue.end(), [&](JobId a, JobId b) {
-    const Time ra = jobs[static_cast<std::size_t>(a)].release;
-    const Time rb = jobs[static_cast<std::size_t>(b)].release;
-    if (ra != rb) return ra < rb;
-    return a < b;
-  });
-
   Time previous_start = std::max(t0, floor);
-  for (const JobId id : queue) {
+  for (const JobId id : release_order(jobs, scratch)) {
     const Job& job = jobs[static_cast<std::size_t>(id)];
     const Time ready = std::max(previous_start, job.release);
     const Time start = free.place(ready, job.q, job.p);

@@ -50,6 +50,18 @@ std::int64_t list_key(ListOrder order, const Job& job) {
                               to_string(order));
 }
 
+ScratchVec<JobId> release_order(const std::vector<Job>& jobs,
+                                Arena* scratch) {
+  ScratchVec<JobId> order(jobs.size(), JobId{0}, ArenaAlloc<JobId>(scratch));
+  std::iota(order.begin(), order.end(), JobId{0});
+  std::sort(order.begin(), order.end(), [&](JobId a, JobId b) {
+    const Time ra = jobs[static_cast<std::size_t>(a)].release;
+    const Time rb = jobs[static_cast<std::size_t>(b)].release;
+    return ra != rb ? ra < rb : a < b;
+  });
+  return order;
+}
+
 std::vector<JobId> make_list(const Instance& instance, ListOrder order,
                              std::uint64_t seed) {
   std::vector<JobId> ids(instance.n());

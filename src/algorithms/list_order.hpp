@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "core/arena.hpp"
 #include "core/instance.hpp"
 
 namespace resched {
@@ -36,6 +37,13 @@ enum class ListOrder {
 [[nodiscard]] std::vector<JobId> make_list(const Instance& instance,
                                            ListOrder order,
                                            std::uint64_t seed = 0);
+
+// Indices into `jobs` in arrival order: ascending (release, index), on the
+// scratch arena (null = plain counted heap). (release, index) is a total
+// order, so the in-place sort gives exactly the permutation a stable sort
+// by release would, without stable_sort's heap-allocated merge buffer.
+[[nodiscard]] ScratchVec<JobId> release_order(const std::vector<Job>& jobs,
+                                              Arena* scratch);
 
 // Sort key of a deterministic order: make_list lists the jobs by ascending
 // (list_key(order, job), id). Requires order != kRandom.

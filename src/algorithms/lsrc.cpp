@@ -106,13 +106,7 @@ Schedule LsrcScheduler::run(const Instance& instance,
   std::vector<std::int64_t> rank_of(instance.n());
   for (std::size_t r = 0; r < list.size(); ++r)
     rank_of[static_cast<std::size_t>(list[r])] = static_cast<std::int64_t>(r);
-  std::vector<JobId> by_release(instance.n());
-  std::iota(by_release.begin(), by_release.end(), JobId{0});
-  std::sort(by_release.begin(), by_release.end(), [&](JobId a, JobId b) {
-    const Time ra = jobs[static_cast<std::size_t>(a)].release;
-    const Time rb = jobs[static_cast<std::size_t>(b)].release;
-    return ra != rb ? ra < rb : a < b;
-  });
+  const ScratchVec<JobId> by_release = release_order(jobs, nullptr);
 
   BackfillQueue pending(instance.m());
   std::size_t next_release = 0;

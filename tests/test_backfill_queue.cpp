@@ -8,10 +8,11 @@
 // drive both with the schedulers' protocol (a pass opens at a capacity,
 // capacity and limits never rise within it, limits change only at a take,
 // next_head() calls come before the gated ones, as in EASY), for several
-// machine sizes and with heap- and arena-backed buffers. The reference
-// also knows which buckets the opening capacity gates out, so the merge's
-// size is checked too: a gated bucket must stay out of it even after
-// next_head() hands out its job.
+// machine sizes, with heap- and arena-backed buffers, and with a few
+// demands (as a service decision sees) or many (so every candidate scans
+// dozens of buckets that the falling capacity keeps filtering). The
+// reference also knows which jobs the opening capacity gates out: a gated
+// job may lead next_head() but must never surface from next().
 //
 // EventTimes is checked against an ordered std::set<Time>: duplicates,
 // pushes at or before the current time, and kTimeInfinity once drained.
@@ -87,14 +88,6 @@ class ReferenceQueue {
         std::count_if(pending_.begin(), pending_.end(),
                       [q](const Entry& e) { return e.q == q; }));
   }
-  // The buckets a merge holds before any next(): the demands the opening
-  // capacity admits among the unexamined jobs.
-  [[nodiscard]] std::size_t mergeable() const {
-    std::set<ProcCount> demands;
-    for (std::size_t i = cursor_; i < pending_.size(); ++i)
-      if (!gated(pending_[i])) demands.insert(pending_[i].q);
-    return demands.size();
-  }
   [[nodiscard]] bool has(ProcCount q, Time p) const {
     return std::any_of(pending_.begin(), pending_.end(), [&](const Entry& e) {
       return e.q == q && e.p == p;
@@ -154,7 +147,7 @@ class Driver {
   ReferenceQueue reference;
   int refills = 0;  // buckets that emptied and got a job again
   int takes = 0;
-  int gated_heads = 0;  // next_head() answers from a gated-out bucket
+  int oversized_heads = 0;  // next_head() answers from a gated-out bucket
 
   // Up to max_jobs arrivals: ranks mostly increasing (release-sorted
   // feeds) with some out-of-order stragglers.
@@ -204,7 +197,7 @@ class Driver {
       const auto want = reference.next_head();
       expect_same(got, want);
       if (!got) break;
-      if (reference.gated(*want)) ++gated_heads;
+      if (reference.gated(*want)) ++oversized_heads;
       if (prng_.chance(0.5) && got->q <= capacity) {
         capacity -= got->q;
         queue.take();
@@ -216,7 +209,6 @@ class Driver {
         if (prng_.chance(0.7)) break;
       }
     }
-    EXPECT_EQ(queue.merge_size(), reference.mergeable());
     // Phase 2: capacity- and limit-gated candidates; capacity only goes
     // down, and limits shrink only after a take.
     while (true) {
@@ -274,21 +266,38 @@ class Driver {
   JobId next_id_ = 0;
 };
 
+// The demands a test draws its jobs from.
+enum class Widths {
+  kFew,   // a handful of random ones, so buckets empty and refill
+  kMany,  // min(m, 40) distinct ones: every width on a small machine
+};
+
+std::vector<ProcCount> draw_widths(Widths set, ProcCount m, int few,
+                                   Prng& prng) {
+  std::vector<ProcCount> widths;
+  if (set == Widths::kFew) {
+    for (int i = 0; i < few; ++i) widths.push_back(prng.uniform_int(1, m));
+    return widths;
+  }
+  std::set<ProcCount> distinct;
+  while (distinct.size() < static_cast<std::size_t>(std::min<ProcCount>(m, 40)))
+    distinct.insert(prng.uniform_int(1, m));
+  widths.assign(distinct.begin(), distinct.end());
+  return widths;
+}
+
 class BackfillQueueDifferential
-    : public ::testing::TestWithParam<std::tuple<ProcCount, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<ProcCount, bool, Widths>> {};
 
 TEST_P(BackfillQueueDifferential, MatchesTheLinearRescan) {
-  const auto [m, arena_backed] = GetParam();
+  const auto [m, arena_backed, width_set] = GetParam();
   Arena arena;
   Prng prng(static_cast<std::uint64_t>(m) * 2 + (arena_backed ? 1 : 0));
-  // A handful of demands per run, as a service decision sees, so buckets
-  // empty and refill across passes.
-  std::vector<ProcCount> widths;
-  for (int i = 0; i < 4; ++i) widths.push_back(prng.uniform_int(1, m));
+  const std::vector<ProcCount> widths = draw_widths(width_set, m, 4, prng);
 
   int refills = 0;
   int limit_skips = 0;
-  int gated_heads = 0;
+  int oversized_heads = 0;
   for (int run = 0; run < 40; ++run) {
     if (arena_backed) arena.reset();
     Driver driver(m, arena_backed ? &arena : nullptr, prng, widths);
@@ -298,13 +307,13 @@ TEST_P(BackfillQueueDifferential, MatchesTheLinearRescan) {
     }
     refills += driver.refills;
     limit_skips += driver.reference.limit_skips;
-    gated_heads += driver.gated_heads;
+    oversized_heads += driver.oversized_heads;
     driver.drain();
   }
   EXPECT_GT(refills, 0) << "no bucket emptied and refilled across passes";
   EXPECT_GT(limit_skips, 100) << "the limit rarely rejected a candidate";
   if (m > 1) {
-    EXPECT_GT(gated_heads, 50) << "the global head was rarely gated out";
+    EXPECT_GT(oversized_heads, 50) << "the global head was rarely gated out";
   }
 }
 
@@ -313,12 +322,11 @@ TEST_P(BackfillQueueDifferential, MatchesTheLinearRescan) {
 // insert reclaims once it outgrows the live part; the queue must keep
 // matching the rescan across every reclaim and the inserts after it.
 TEST_P(BackfillQueueDifferential, LongLivedQueueMatchesTheLinearRescan) {
-  const auto [m, arena_backed] = GetParam();
+  const auto [m, arena_backed, width_set] = GetParam();
   Arena arena;
   Prng prng(static_cast<std::uint64_t>(m) * 2 + (arena_backed ? 1 : 0) +
             1000);
-  std::vector<ProcCount> widths;
-  for (int i = 0; i < 3; ++i) widths.push_back(prng.uniform_int(1, m));
+  const std::vector<ProcCount> widths = draw_widths(width_set, m, 3, prng);
   Driver driver(m, arena_backed ? &arena : nullptr, prng, widths);
   // Cycles of a fill stretch (more arrivals than takes) and a drain at
   // full capacity down to an empty queue. Every drain leaves each used
@@ -339,7 +347,7 @@ TEST_P(BackfillQueueDifferential, LongLivedQueueMatchesTheLinearRescan) {
   EXPECT_GE(drains, 5);
   EXPECT_GT(driver.takes, 1000);
   if (m > 1) {
-    EXPECT_GT(driver.gated_heads, 50);
+    EXPECT_GT(driver.oversized_heads, 50);
   }
   driver.drain();
 }
@@ -348,7 +356,12 @@ INSTANTIATE_TEST_SUITE_P(
     MachineSizes, BackfillQueueDifferential,
     ::testing::Combine(::testing::Values(ProcCount{1}, ProcCount{7},
                                          ProcCount{128}),
-                       ::testing::Bool()));
+                       ::testing::Bool(), ::testing::Values(Widths::kFew)));
+
+INSTANTIATE_TEST_SUITE_P(
+    ManyDemands, BackfillQueueDifferential,
+    ::testing::Combine(::testing::Values(ProcCount{7}, ProcCount{128}),
+                       ::testing::Bool(), ::testing::Values(Widths::kMany)));
 
 TEST(BackfillQueue, RejectsDemandsOutsideTheMachine) {
   BackfillQueue queue(4);
@@ -365,8 +378,8 @@ TEST(BackfillQueue, RetiredBucketSitsOutTheRestOfThePass) {
   queue.insert(1, 1, 2, 1);
   queue.insert(2, 2, 6, 1);
   queue.begin_pass(8);
-  // Capacity fell to 4: the q=6 bucket retires at its head; only job 1
-  // surfaces.
+  // Capacity fell to 4: the q=6 bucket is passed over for the rest of the
+  // pass; only job 1 surfaces.
   const auto first = queue.next(4, unlimited);
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->id, 1);
@@ -387,21 +400,19 @@ TEST(BackfillQueue, RetiredBucketSitsOutTheRestOfThePass) {
   EXPECT_EQ(queue.size(), 2u);
 }
 
-TEST(BackfillQueue, GatedHeadLeadsButStaysOutOfTheMerge) {
+TEST(BackfillQueue, GatedHeadLeadsNextHeadButNeverSurfacesFromNext) {
   BackfillQueue queue(8);
   queue.insert(0, 0, 6, 1);
   queue.insert(1, 1, 2, 1);
   queue.insert(2, 2, 6, 1);
   queue.insert(3, 3, 3, 1);
-  // Opening capacity 4 gates the q=6 bucket out: only q=2 and q=3 merge.
+  // Opening capacity 4 gates the q=6 bucket out of next().
   queue.begin_pass(4);
-  EXPECT_EQ(queue.merge_size(), 2u);
   // The global head is still job 0, from the gated bucket.
   auto got = queue.next_head();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->id, 0);
   queue.keep();
-  EXPECT_EQ(queue.merge_size(), 2u) << "keep() re-offered a gated bucket";
   // The gated bucket's next job is the head only once it ranks lowest.
   got = queue.next_head();
   ASSERT_TRUE(got.has_value());
@@ -411,9 +422,13 @@ TEST(BackfillQueue, GatedHeadLeadsButStaysOutOfTheMerge) {
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->id, 2);
   queue.keep();
-  EXPECT_EQ(queue.merge_size(), 1u);
-  got = queue.next(2, unlimited);
-  EXPECT_FALSE(got.has_value());
+  // next() at the opening capacity hands out job 3 but never the gated
+  // bucket's jobs.
+  got = queue.next(4, unlimited);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->id, 3);
+  queue.keep();
+  EXPECT_FALSE(queue.next(4, unlimited).has_value());
   queue.end_pass();
   EXPECT_EQ(queue.size(), 3u);
   // Every job is still pending, in rank order.
