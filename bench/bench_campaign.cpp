@@ -111,7 +111,9 @@ BENCHMARK_CAPTURE(BM_ScheduleAllocs, lsrc, "lsrc");
 
 // Many distinct demands: uniform widths up to m/2 give the schedulers'
 // BackfillQueue up to m/2 buckets, where power-of-two widths on m = 128
-// give at most 7. n = 2048, offline; Arg = m.
+// give at most 7, and reach every width class of conservative's dominance
+// floors (at m = 1024, past the table's last row). n = 2048, offline;
+// Arg = m.
 void BM_ScheduleManyDemands(benchmark::State& state, const char* name) {
   const auto scheduler = make_scheduler(name);
   WorkloadConfig workload;
@@ -129,6 +131,8 @@ void BM_ScheduleManyDemands(benchmark::State& state, const char* name) {
 BENCHMARK_CAPTURE(BM_ScheduleManyDemands, easy, "easy")
     ->Arg(128)->Arg(1024)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ScheduleManyDemands, lsrc, "lsrc")
+    ->Arg(128)->Arg(1024)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ScheduleManyDemands, conservative, "conservative")
     ->Arg(128)->Arg(1024)->Unit(benchmark::kMillisecond);
 
 Instance tail_instance(std::uint64_t seed) {

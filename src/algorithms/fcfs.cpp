@@ -23,13 +23,13 @@ Schedule fcfs_run(FreeProfile& free, const std::vector<Job>& jobs, Time t0,
                   Time floor, Arena* scratch) {
   Schedule schedule(jobs.size(), scratch);
   Time previous_start = std::max(t0, floor);
-  for (const JobId id : release_order(jobs, scratch)) {
+  for_each_by_release(jobs, scratch, [&](JobId id) {
     const Job& job = jobs[static_cast<std::size_t>(id)];
     const Time ready = std::max(previous_start, job.release);
     const Time start = free.place(ready, job.q, job.p);
     schedule.set_start(id, start);
     previous_start = start;  // no later job may start before this one
-  }
+  });
   return schedule;
 }
 

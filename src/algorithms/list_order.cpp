@@ -50,10 +50,18 @@ std::int64_t list_key(ListOrder order, const Job& job) {
                               to_string(order));
 }
 
+bool released_in_order(const std::vector<Job>& jobs) {
+  return std::is_sorted(jobs.begin(), jobs.end(),
+                        [](const Job& a, const Job& b) {
+                          return a.release < b.release;
+                        });
+}
+
 ScratchVec<JobId> release_order(const std::vector<Job>& jobs,
                                 Arena* scratch) {
   ScratchVec<JobId> order(jobs.size(), JobId{0}, ArenaAlloc<JobId>(scratch));
   std::iota(order.begin(), order.end(), JobId{0});
+  if (released_in_order(jobs)) return order;
   std::sort(order.begin(), order.end(), [&](JobId a, JobId b) {
     const Time ra = jobs[static_cast<std::size_t>(a)].release;
     const Time rb = jobs[static_cast<std::size_t>(b)].release;

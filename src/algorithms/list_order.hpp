@@ -38,12 +38,31 @@ enum class ListOrder {
                                            ListOrder order,
                                            std::uint64_t seed = 0);
 
+// True iff the releases of `jobs` are non-decreasing in index order, so
+// that index order is their arrival order. O(n). It holds on every service
+// call (the queue is kept in arrival order) and every generated instance.
+[[nodiscard]] bool released_in_order(const std::vector<Job>& jobs);
+
 // Indices into `jobs` in arrival order: ascending (release, index), on the
 // scratch arena (null = plain counted heap). (release, index) is a total
 // order, so the in-place sort gives exactly the permutation a stable sort
-// by release would, without stable_sort's heap-allocated merge buffer.
+// by release would, without stable_sort's heap-allocated merge buffer. A
+// feed released in order gets the identity, with no sort.
 [[nodiscard]] ScratchVec<JobId> release_order(const std::vector<Job>& jobs,
                                               Arena* scratch);
+
+// Calls visit(id) for every index of `jobs` in release_order's order. A
+// feed released in order is visited by index, and no order is built.
+template <class Visit>
+void for_each_by_release(const std::vector<Job>& jobs, Arena* scratch,
+                         Visit&& visit) {
+  if (released_in_order(jobs)) {
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+      visit(static_cast<JobId>(i));
+    return;
+  }
+  for (const JobId id : release_order(jobs, scratch)) visit(id);
+}
 
 // Sort key of a deterministic order: make_list lists the jobs by ascending
 // (list_key(order, job), id). Requires order != kRandom.

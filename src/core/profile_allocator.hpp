@@ -102,7 +102,12 @@ class FreeProfile {
 
   // Earliest-fit placement: subtracts q over [t, t+p) at t =
   // earliest_fit(t0, q, p) and returns t, with one walk over the profile
-  // (see the complexity notes). Same preconditions as earliest_fit.
+  // (see the complexity notes). Same preconditions as earliest_fit. The
+  // walk covers the segments from t0 to the answer's window end. Raising
+  // t0 to any instant no later than the answer returns the same t over a
+  // shorter walk, so a caller that knows a lower bound on the answer
+  // passes it as t0: conservative backfilling calls place from a
+  // dominance floor (conservative_bf.hpp).
   Time place(Time t0, ProcCount q, Time p);
 
   // Subtracts q over [t, t+p) for callers that decided t themselves -- a

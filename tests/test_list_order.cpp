@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <utility>
+#include <vector>
+
+#include "util/prng.hpp"
 
 namespace resched {
 namespace {
@@ -80,6 +85,51 @@ TEST(ListOrder, StringRoundTrip) {
 TEST(ListOrder, EmptyInstance) {
   const Instance empty(4, {});
   EXPECT_TRUE(make_list(empty, ListOrder::kLpt).empty());
+}
+
+TEST(ReleaseOrder, MatchesTheSortOnSortedTiedAndShuffledFeeds) {
+  // Oracle: the job indices sorted by (release, index).
+  const auto oracle = [](const std::vector<Job>& jobs) {
+    std::vector<JobId> ids(jobs.size());
+    for (std::size_t i = 0; i < ids.size(); ++i)
+      ids[i] = static_cast<JobId>(i);
+    std::sort(ids.begin(), ids.end(), [&](JobId a, JobId b) {
+      const Time ra = jobs[static_cast<std::size_t>(a)].release;
+      const Time rb = jobs[static_cast<std::size_t>(b)].release;
+      return ra != rb ? ra < rb : a < b;
+    });
+    return ids;
+  };
+  const auto feed = [](std::initializer_list<Time> releases) {
+    std::vector<Job> jobs;
+    for (const Time release : releases)
+      jobs.push_back(Job{static_cast<JobId>(jobs.size()), 1, 1, release, ""});
+    return jobs;
+  };
+  std::vector<Job> shuffled = feed({0, 0, 1, 1, 1, 2, 3, 5, 5, 8, 13, 13});
+  Prng prng(17);
+  prng.shuffle(std::span<Job>(shuffled));
+  const std::vector<std::pair<std::vector<Job>, bool>> cases = {
+      {feed({}), true},
+      {feed({7}), true},
+      {feed({0, 1, 2, 3, 4, 9}), true},         // sorted
+      {feed({0, 0, 4, 4, 4, 6, 6}), true},      // sorted with ties
+      {feed({3, 3, 3, 3}), true},               // one tie class
+      {feed({5, 4, 3, 2, 1}), false},           // reversed
+      {feed({0, 2, 2, 1, 3, 3}), false},        // one descent among ties
+      {shuffled, false},
+  };
+  for (const auto& [jobs, in_order] : cases) {
+    EXPECT_EQ(released_in_order(jobs), in_order);
+    const std::vector<JobId> expected = oracle(jobs);
+    const ScratchVec<JobId> order = release_order(jobs, nullptr);
+    EXPECT_TRUE(std::equal(order.begin(), order.end(), expected.begin(),
+                           expected.end()));
+    std::vector<JobId> visited;
+    for_each_by_release(jobs, nullptr,
+                        [&](JobId id) { visited.push_back(id); });
+    EXPECT_EQ(visited, expected);
+  }
 }
 
 }  // namespace
