@@ -6,45 +6,58 @@
 
 namespace resched {
 
-BackfillQueue::BackfillQueue(ProcCount max_q, Arena* scratch)
+BackfillQueue::BackfillQueue(ProcCount max_q, std::span<const Job> jobs,
+                             Arena* scratch)
     : slot_(ArenaAlloc<std::uint32_t>(scratch)),
       buckets_(ArenaAlloc<Bucket>(scratch)),
-      fronts_(ArenaAlloc<Front>(scratch)) {
+      fronts_(ArenaAlloc<Front>(scratch)),
+      entries_(jobs.size(), Entry{}, ArenaAlloc<Entry>(scratch)) {
   RESCHED_REQUIRE_MSG(max_q >= 1, "backfill queue needs max_q >= 1");
   slot_.assign(static_cast<std::size_t>(max_q) + 1, 0);
-  // At most one bucket per demand, so the fronts never reallocate.
-  fronts_.reserve(static_cast<std::size_t>(max_q));
+  // At most one bucket per demand and per job, so neither array grows.
+  const std::size_t most =
+      std::min(static_cast<std::size_t>(max_q), jobs.size());
+  buckets_.reserve(most);
+  fronts_.reserve(most);
+  // Count each demand's jobs into its bucket's `last`...
+  for (const Job& job : jobs) {
+    RESCHED_REQUIRE(job.q >= 1 && job.q <= max_q);
+    std::uint32_t& slot = slot_[static_cast<std::size_t>(job.q)];
+    if (slot == 0) {
+      buckets_.emplace_back();
+      fronts_.push_back(Front{kNoRank, job.q});
+      slot = static_cast<std::uint32_t>(buckets_.size());
+    }
+    ++buckets_[slot - 1].last;
+  }
+  // ...then split the entry block into consecutive ranges of those sizes.
+  std::size_t begin = 0;
+  for (Bucket& bucket : buckets_) {
+    bucket.front = bucket.end = bucket.read = bucket.write = begin;
+    begin += bucket.last;
+    bucket.last = begin;
+  }
 }
 
 void BackfillQueue::insert(JobId id, std::int64_t rank, ProcCount q, Time p) {
   RESCHED_REQUIRE_MSG(!pass_open_, "insert during an open pass");
   RESCHED_REQUIRE(q >= 1 && static_cast<std::size_t>(q) < slot_.size());
   RESCHED_REQUIRE(p > 0);
-  std::uint32_t& slot = slot_[static_cast<std::size_t>(q)];
-  if (slot == 0) {
-    buckets_.emplace_back(buckets_.get_allocator().arena());
-    fronts_.push_back(Front{kNoRank, q});
-    slot = static_cast<std::uint32_t>(buckets_.size());
-  }
+  const std::uint32_t slot = slot_[static_cast<std::size_t>(q)];
+  RESCHED_REQUIRE_MSG(slot != 0, "insert of a demand the queue has no jobs of");
   Bucket& bucket = buckets_[slot - 1];
-  ScratchVec<Entry>& items = bucket.items;
-  // Reclaim the dead prefix once it outgrows the live part: the live
-  // entries moved here number at most the jobs taken since the last
-  // reclaim, so each take pays O(1) for it.
-  if (bucket.front > 0 && bucket.front >= items.size() - bucket.front) {
-    items.erase(items.begin(),
-                items.begin() + static_cast<std::ptrdiff_t>(bucket.front));
-    bucket.front = 0;
-    bucket.read = 0;
-    bucket.write = 0;
-  }
+  RESCHED_REQUIRE_MSG(bucket.end < bucket.last,
+                      "more inserts of a demand than the queue has jobs of it");
   // Ranks arrive mostly in increasing order (release-sorted feeds), so the
   // binary search almost always lands at the back.
+  const auto begin = entries_.begin();
+  const auto end = begin + static_cast<std::ptrdiff_t>(bucket.end);
   const auto at = std::lower_bound(
-      items.begin() + static_cast<std::ptrdiff_t>(bucket.front), items.end(),
-      rank,
+      begin + static_cast<std::ptrdiff_t>(bucket.front), end, rank,
       [](const Entry& entry, std::int64_t value) { return entry.rank < value; });
-  items.insert(at, Entry{id, rank, q, p});
+  std::move_backward(at, end, end + 1);
+  *at = Entry{id, rank, q, p};
+  ++bucket.end;
   ++size_;
 }
 
@@ -59,15 +72,13 @@ void BackfillQueue::begin_pass(std::int64_t capacity) {
 
 void BackfillQueue::refresh(std::size_t b) {
   const Bucket& bucket = buckets_[b];
-  fronts_[b].rank = bucket.read < bucket.items.size()
-                        ? bucket.items[bucket.read].rank
-                        : kNoRank;
+  fronts_[b].rank =
+      bucket.read < bucket.end ? entries_[bucket.read].rank : kNoRank;
 }
 
 BackfillQueue::Entry BackfillQueue::surface(std::size_t b) {
   current_ = b;
-  const Bucket& bucket = buckets_[b];
-  return bucket.items[bucket.read];
+  return entries_[buckets_[b].read];
 }
 
 std::optional<BackfillQueue::Entry> BackfillQueue::next_head() {
@@ -80,7 +91,7 @@ std::optional<BackfillQueue::Entry> BackfillQueue::next_head() {
 void BackfillQueue::keep() {
   RESCHED_ASSERT(pass_open_ && current_ != kNoCandidate);
   Bucket& bucket = buckets_[current_];
-  bucket.items[bucket.write++] = bucket.items[bucket.read++];
+  entries_[bucket.write++] = entries_[bucket.read++];
   refresh(current_);
   current_ = kNoCandidate;
 }
@@ -102,7 +113,7 @@ void BackfillQueue::end_pass() {
     // against the unexamined tail [read, end), past the taken jobs, and
     // move the front with them: O(examined), whatever the bucket's length.
     if (bucket.write != bucket.read) {
-      const auto begin = bucket.items.begin();
+      const auto begin = entries_.begin();
       std::move_backward(begin + static_cast<std::ptrdiff_t>(bucket.front),
                          begin + static_cast<std::ptrdiff_t>(bucket.write),
                          begin + static_cast<std::ptrdiff_t>(bucket.read));

@@ -13,9 +13,12 @@
 // test_prop_scheduler_equiv pin this):
 //
 //   * pending jobs live in buckets keyed by their processor demand q, each
-//     bucket sorted by the scheduler's rank. Only demands that were ever
-//     inserted own a bucket: a dense bucket array plus a q -> bucket slot
-//     table, so opening and closing a pass costs O(occupied demands), not
+//     bucket sorted by the scheduler's rank. Every caller knows the whole
+//     set of jobs it will ever insert before the first insert (the
+//     instance, or the replan's queue), so the queue is sized from that
+//     set once: a counting pass gives each demand in it a bucket and a
+//     range of one contiguous entry block, and the q -> bucket slot table
+//     finds it. Opening and closing a pass costs O(occupied demands), not
 //     O(m) -- a service decision plans a handful of jobs in a few distinct
 //     widths on a machine with m in the hundreds;
 //   * a capacity event opens a *pass* at the free capacity at t, and each
@@ -53,16 +56,20 @@
 // Committed jobs and their commit order therefore coincide, and by
 // induction over events the whole schedule does.
 //
-// Pass cost: every bucket is a vector with a moving front. A pass examines
-// a prefix of each bucket it wakes (cursor `read`) and compacts the jobs it
-// keeps behind it (cursor `write`), so closing it slides those survivors
-// up against the unexamined tail and advances the front past the taken
-// jobs: O(examined), independent of the bucket's length. Taking a
-// bucket's front job therefore costs O(1), not a shift of the whole
-// bucket. insert() reclaims the dead prefix once it is as long as the
-// live part, so a bucket that keeps receiving jobs holds at most about
-// twice its live jobs, and the reclaim's moves cost amortized O(1) per
-// taken job.
+// Pass cost: every bucket is a range of the entry block with a moving
+// front. A pass examines a prefix of each bucket it wakes (cursor `read`)
+// and compacts the jobs it keeps behind it (cursor `write`), so closing it
+// slides those survivors up against the unexamined tail and advances the
+// front past the taken jobs: O(examined), independent of the bucket's
+// length. Taking a bucket's front job therefore costs O(1), not a shift of
+// the whole bucket. insert() places a job in rank order inside its
+// bucket's range, shifting the later jobs of the bucket back by one; it
+// never allocates, grows or reclaims.
+//
+// Memory: n entries for n sized jobs, one block per queue, plus the slot
+// table (max_q + 1 words) and one bucket and front per distinct demand.
+// A taken job's entry is never reused: the range holds room for every job
+// of its demand in the set, so the dead prefix needs no reclaim.
 //
 // Candidate cost: fronts_ holds each bucket's current rank and demand in
 // one contiguous array, and a candidate is one scan over it, O(B) for B
@@ -91,9 +98,11 @@
 #include <functional>
 #include <limits>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/arena.hpp"
+#include "core/job.hpp"
 #include "core/types.hpp"
 #include "util/checked.hpp"
 #include "util/require.hpp"
@@ -109,13 +118,18 @@ class BackfillQueue {
     Time p;
   };
 
-  // max_q: largest processor demand that will ever be inserted (the
-  // instance's machine count). With a scratch arena, every internal buffer
-  // (slot table, buckets, fronts) is bump-allocated from it -- the
-  // replan hot path; null = plain counted heap (batch schedule()).
-  explicit BackfillQueue(ProcCount max_q, Arena* scratch = nullptr);
+  // Sizes the queue for `jobs`, the set every later insert() draws from.
+  // max_q: the largest processor demand a job may have (the machine
+  // count); every job's demand must be in [1, max_q]. With a scratch
+  // arena, every internal buffer (slot table, buckets, fronts, entries) is
+  // bump-allocated from it -- the replan hot path; null = plain counted
+  // heap (batch schedule()).
+  BackfillQueue(ProcCount max_q, std::span<const Job> jobs,
+                Arena* scratch = nullptr);
 
-  // Inserts a pending job. Must not be called while a pass is open.
+  // Inserts a pending job. Its demand must be one the sized set holds, and
+  // the demand's jobs inserted so far fewer than the set holds. Must not
+  // be called while a pass is open.
   void insert(JobId id, std::int64_t rank, ProcCount q, Time p);
 
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
@@ -160,12 +174,13 @@ class BackfillQueue {
   void end_pass();
 
  private:
+  // A demand's range of entries_. [front, end) is the pending queue,
+  // sorted by rank; before front is dead (taken jobs, or survivors' old
+  // slots); [end, last) is room for the demand's jobs not inserted yet.
   struct Bucket {
-    explicit Bucket(Arena* scratch) : items(ArenaAlloc<Entry>(scratch)) {}
-    // [front, end) is the pending queue, sorted by rank; [0, front) is
-    // dead (taken jobs, or survivors' old slots).
-    ScratchVec<Entry> items;
     std::size_t front = 0;
+    std::size_t end = 0;
+    std::size_t last = 0;
     // Pass cursors: next candidate / survivor slot. Both equal front
     // outside a pass, so begin_pass needs no per-bucket reset.
     std::size_t read = 0;
@@ -204,12 +219,13 @@ class BackfillQueue {
   // Marks bucket b's current job as the popped candidate.
   Entry surface(std::size_t b);
 
-  // slot_[q] = 1 + index of q's bucket in buckets_, or 0 if q never
-  // arrived. Buckets are never removed: one that empties simply has no
-  // front until an insert refills it.
+  // slot_[q] = 1 + index of q's bucket in buckets_, or 0 if no sized job
+  // has demand q. A bucket that empties simply has no front until an
+  // insert refills it.
   ScratchVec<std::uint32_t> slot_;
-  ScratchVec<Bucket> buckets_;          // occupied demands, first-insert order
-  ScratchVec<Front> fronts_;            // one per bucket, same order
+  ScratchVec<Bucket> buckets_;  // sized demands, first-appearance order
+  ScratchVec<Front> fronts_;    // one per bucket, same order
+  ScratchVec<Entry> entries_;   // one per sized job, split into buckets
   std::size_t size_ = 0;
   std::size_t current_ = kNoCandidate;  // bucket of the last popped candidate
   // The pass's opening capacity: the cap on every next() capacity.
@@ -230,7 +246,7 @@ std::optional<BackfillQueue::Entry> BackfillQueue::next(std::int64_t capacity,
   for (std::size_t b = lowest(capacity); b != kNoCandidate;
        b = lowest(capacity)) {
     Bucket& bucket = buckets_[b];
-    const Entry& first = bucket.items[bucket.read];
+    const Entry& first = entries_[bucket.read];
     if (bucket.limit_epoch != epoch_) {
       const Time verdict = limit(first.q, first.p);
       if (first.p <= verdict) return surface(b);
@@ -240,9 +256,8 @@ std::optional<BackfillQueue::Entry> BackfillQueue::next(std::int64_t capacity,
       return surface(b);
     }
     // Skip what the limit rejects: straight to the survivor slots.
-    while (bucket.read < bucket.items.size() &&
-           bucket.items[bucket.read].p > bucket.limit)
-      bucket.items[bucket.write++] = bucket.items[bucket.read++];
+    while (bucket.read < bucket.end && entries_[bucket.read].p > bucket.limit)
+      entries_[bucket.write++] = entries_[bucket.read++];
     refresh(b);
   }
   return std::nullopt;

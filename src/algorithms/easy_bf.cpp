@@ -132,7 +132,7 @@ ScheduleOutcome EasyBackfillScheduler::schedule(
   for (const Reservation& resa : instance.reservations())
     events.push(resa.end());
 
-  const ScratchVec<JobId> arrival = release_order(jobs, nullptr);
+  const ReleaseFeed arrival(jobs, nullptr);
 
   Time t = jobs[static_cast<std::size_t>(arrival[0])].release;
   for (const Job& job : jobs)
@@ -141,12 +141,12 @@ ScheduleOutcome EasyBackfillScheduler::schedule(
   // Waiting jobs, event-indexed by processor demand; rank = arrival-order
   // position, so passes examine candidates in exactly the FCFS order the
   // seed's deque walk used.
-  BackfillQueue waiting(instance.m());
+  BackfillQueue waiting(instance.m(), jobs);
   HeadCache head_cache;
   std::size_t next_arrival = 0;
   std::size_t started = 0;
   while (started < jobs.size()) {
-    while (next_arrival < arrival.size() &&
+    while (next_arrival < jobs.size() &&
            jobs[static_cast<std::size_t>(arrival[next_arrival])].release <=
                t) {
       const Job& job = jobs[static_cast<std::size_t>(arrival[next_arrival])];
@@ -174,7 +174,7 @@ Schedule EasyBackfillScheduler::replan(const ReplanRequest& request) const {
   Schedule schedule(jobs.size(), request.scratch);
   // Every queued job is released by now and the queue is in FCFS order, so
   // rank = id is exactly the arrival order the batch loop sorts into.
-  BackfillQueue waiting(request.m, request.scratch);
+  BackfillQueue waiting(request.m, jobs, request.scratch);
   for (const Job& job : jobs)
     waiting.insert(job.id, static_cast<std::int64_t>(job.id), job.q, job.p);
   HeadCache head_cache;

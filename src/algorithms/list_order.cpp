@@ -61,7 +61,6 @@ ScratchVec<JobId> release_order(const std::vector<Job>& jobs,
                                 Arena* scratch) {
   ScratchVec<JobId> order(jobs.size(), JobId{0}, ArenaAlloc<JobId>(scratch));
   std::iota(order.begin(), order.end(), JobId{0});
-  if (released_in_order(jobs)) return order;
   std::sort(order.begin(), order.end(), [&](JobId a, JobId b) {
     const Time ra = jobs[static_cast<std::size_t>(a)].release;
     const Time rb = jobs[static_cast<std::size_t>(b)].release;

@@ -46,22 +46,37 @@ enum class ListOrder {
 // Indices into `jobs` in arrival order: ascending (release, index), on the
 // scratch arena (null = plain counted heap). (release, index) is a total
 // order, so the in-place sort gives exactly the permutation a stable sort
-// by release would, without stable_sort's heap-allocated merge buffer. A
-// feed released in order gets the identity, with no sort.
+// by release would, without stable_sort's heap-allocated merge buffer.
+// The schedulers call it only on feeds that are not released in order
+// (ReleaseFeed, for_each_by_release).
 [[nodiscard]] ScratchVec<JobId> release_order(const std::vector<Job>& jobs,
                                               Arena* scratch);
+
+// release_order(jobs) read position by position, for a caller that feeds
+// jobs in step with a clock. A feed released in order reads position i as
+// job i, and no order is built.
+class ReleaseFeed {
+ public:
+  ReleaseFeed(const std::vector<Job>& jobs, Arena* scratch)
+      : sorted_(ArenaAlloc<JobId>(scratch)) {
+    if (!released_in_order(jobs)) sorted_ = release_order(jobs, scratch);
+  }
+
+  [[nodiscard]] JobId operator[](std::size_t i) const {
+    return sorted_.empty() ? static_cast<JobId>(i) : sorted_[i];
+  }
+
+ private:
+  ScratchVec<JobId> sorted_;  // empty when released in order
+};
 
 // Calls visit(id) for every index of `jobs` in release_order's order. A
 // feed released in order is visited by index, and no order is built.
 template <class Visit>
 void for_each_by_release(const std::vector<Job>& jobs, Arena* scratch,
                          Visit&& visit) {
-  if (released_in_order(jobs)) {
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-      visit(static_cast<JobId>(i));
-    return;
-  }
-  for (const JobId id : release_order(jobs, scratch)) visit(id);
+  const ReleaseFeed feed(jobs, scratch);
+  for (std::size_t i = 0; i < jobs.size(); ++i) visit(feed[i]);
 }
 
 // Sort key of a deterministic order: make_list lists the jobs by ascending

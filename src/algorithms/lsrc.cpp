@@ -106,13 +106,13 @@ Schedule LsrcScheduler::run(const Instance& instance,
   std::vector<std::int64_t> rank_of(instance.n());
   for (std::size_t r = 0; r < list.size(); ++r)
     rank_of[static_cast<std::size_t>(list[r])] = static_cast<std::int64_t>(r);
-  const ScratchVec<JobId> by_release = release_order(jobs, nullptr);
+  const ReleaseFeed by_release(jobs, nullptr);
 
-  BackfillQueue pending(instance.m());
+  BackfillQueue pending(instance.m(), jobs);
   std::size_t next_release = 0;
   std::size_t remaining = instance.n();
   while (remaining > 0) {
-    while (next_release < by_release.size() &&
+    while (next_release < jobs.size() &&
            jobs[static_cast<std::size_t>(by_release[next_release])].release <=
                t) {
       const Job& job =
@@ -163,7 +163,7 @@ Schedule LsrcScheduler::replan(const ReplanRequest& request) const {
       return ka != kb ? ka < kb : a < b;
     });
   }
-  BackfillQueue pending(request.m, request.scratch);
+  BackfillQueue pending(request.m, jobs, request.scratch);
   for (std::size_t r = 0; r < list.size(); ++r) {
     const Job& job = jobs[static_cast<std::size_t>(list[r])];
     pending.insert(job.id, static_cast<std::int64_t>(r), job.q, job.p);

@@ -132,7 +132,11 @@ class StepProfile {
   // walk over the segments from index_of(from), in which a dip in the
   // cursor's window becomes the cursor and the end of the deficient run
   // after it becomes the next candidate. It visits each segment between
-  // from and the answer's window end once, O(1) each.
+  // from and the answer's window end once, O(1) each. No scheduler calls
+  // it: take_first_fit and FreeProfile::Cursor run the same walk
+  // (find_fit) and mutate. It is kept as that walk's read-only oracle
+  // surface: test_prop_indexed_profile checks it against a dense model,
+  // query by query, so a walk bug shows without a take in the way.
   [[nodiscard]] Time first_fit(Time from, Time len,
                                std::int64_t threshold) const;
 
@@ -150,7 +154,11 @@ class StepProfile {
 
   // Integral of the function over [from, to); throws std::overflow_error
   // when the (exact, 128-bit-accumulated) result does not fit in int64.
-  // Requires from <= to and to < kTimeInfinity.
+  // Requires from <= to and to < kTimeInfinity. No scheduler calls it. It
+  // is kept as an oracle: test_availability checks available_area and the
+  // idle-area metrics against it, and bench_profile_ops sizes
+  // BM_TimeToAccumulate's target with it and times its scan
+  // (BM_ProfileIntegral).
   [[nodiscard]] std::int64_t integral(Time from, Time to) const;
 
   // Earliest T >= from such that integral(from, T) >= target (target >= 0),

@@ -10,9 +10,13 @@
 // next_head() calls come before the gated ones, as in EASY), for several
 // machine sizes, with heap- and arena-backed buffers, and with a few
 // demands (as a service decision sees) or many (so every candidate scans
-// dozens of buckets that the falling capacity keeps filtering). The
-// reference also knows which jobs the opening capacity gates out: a gated
-// job may lead next_head() but must never surface from next().
+// dozens of buckets that the falling capacity keeps filtering). Each queue
+// is sized from the jobs its driver draws before the first insert, and
+// every one of them is inserted by the end, so every bucket fills its
+// range exactly; ranks are random and non-monotone, so inserts shift jobs
+// in the middle of a bucket. The reference also knows which jobs the
+// opening capacity gates out: a gated job may lead next_head() but must
+// never surface from next().
 //
 // EventTimes is checked against an ordered std::set<Time>: duplicates,
 // pushes at or before the current time, and kTimeInfinity once drained.
@@ -22,6 +26,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <iterator>
 #include <optional>
 #include <set>
@@ -29,6 +34,7 @@
 #include <vector>
 
 #include "core/arena.hpp"
+#include "core/job.hpp"
 #include "util/prng.hpp"
 
 namespace resched {
@@ -130,13 +136,31 @@ void expect_pending_in_rank_order(BackfillQueue& queue,
   EXPECT_EQ(queue.size(), reference.size());
 }
 
+// `n` jobs drawn from `widths`, ids 0..n-1, with durations in [1, 40].
+std::vector<Job> draw_jobs(std::size_t n, const std::vector<ProcCount>& widths,
+                           Prng& prng) {
+  std::vector<Job> jobs(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    jobs[i].id = static_cast<JobId>(i);
+    jobs[i].q = widths[static_cast<std::size_t>(
+        prng.uniform_int(0, static_cast<std::int64_t>(widths.size()) - 1))];
+    jobs[i].p = prng.uniform_int(1, 40);
+  }
+  return jobs;
+}
+
 // One BackfillQueue and its reference, driven through the schedulers'
-// protocol with random arrivals, capacities and limits.
+// protocol with random arrivals, capacities and limits. The `n` jobs that
+// will arrive are drawn up front and size the queue.
 class Driver {
+  // Declared before `queue`, which is sized from it.
+  std::vector<Job> jobs_;
+
  public:
   Driver(ProcCount m, Arena* arena, Prng& prng,
-         const std::vector<ProcCount>& widths)
-      : queue(m, arena),
+         const std::vector<ProcCount>& widths, std::size_t n)
+      : jobs_(draw_jobs(n, widths, prng)),
+        queue(m, jobs_, arena),
         m_(m),
         prng_(prng),
         widths_(widths),
@@ -149,24 +173,22 @@ class Driver {
   int takes = 0;
   int oversized_heads = 0;  // next_head() answers from a gated-out bucket
 
-  // Up to max_jobs arrivals: ranks mostly increasing (release-sorted
-  // feeds) with some out-of-order stragglers.
+  // Up to max_jobs arrivals, the next jobs drawn: ranks mostly increasing
+  // (release-sorted feeds) with some out-of-order stragglers.
   void arrive(int max_jobs) {
-    for (int k = static_cast<int>(prng_.uniform_int(0, max_jobs)); k > 0;
-         --k) {
-      const ProcCount q = widths_[static_cast<std::size_t>(
-          prng_.uniform_int(0, static_cast<std::int64_t>(widths_.size()) - 1))];
-      const std::int64_t rank =
-          prng_.chance(0.2) ? prng_.uniform_int(0, 999) * 1024 + next_id_
-                            : 1'000'000'000 + next_id_;
-      const Time p = prng_.uniform_int(1, 40);
-      if (emptied_[static_cast<std::size_t>(q)]) {
+    for (int k = static_cast<int>(prng_.uniform_int(0, max_jobs));
+         k > 0 && next_job_ < jobs_.size(); --k) {
+      const Job& job = jobs_[next_job_++];
+      const auto n = static_cast<std::int64_t>(jobs_.size());
+      const std::int64_t rank = prng_.chance(0.2)
+                                    ? prng_.uniform_int(0, 999) * n + job.id
+                                    : 1000 * n + job.id;
+      if (emptied_[static_cast<std::size_t>(job.q)]) {
         ++refills;
-        emptied_[static_cast<std::size_t>(q)] = false;
+        emptied_[static_cast<std::size_t>(job.q)] = false;
       }
-      queue.insert(next_id_, rank, q, p);
-      reference.insert(next_id_, rank, q, p);
-      ++next_id_;
+      queue.insert(job.id, rank, job.q, job.p);
+      reference.insert(job.id, rank, job.q, job.p);
     }
     ASSERT_EQ(queue.size(), reference.size());
   }
@@ -242,8 +264,14 @@ class Driver {
       if (reference.count(q) == 0) emptied_[static_cast<std::size_t>(q)] = true;
   }
 
-  // Drain: what is left must come out in the same rank order.
+  // Drain: the jobs that have not arrived yet arrive, which leaves every
+  // bucket's range full, and what is left must come out in the same rank
+  // order.
   void drain() {
+    while (next_job_ < jobs_.size()) arrive(4);
+    for (const Job& job : jobs_)
+      EXPECT_THROW(queue.insert(job.id, job.id, job.q, job.p),
+                   std::invalid_argument);
     expect_pending_in_rank_order(queue, reference, 0);
     queue.begin_pass(m_);
     reference.begin_pass(m_);
@@ -263,7 +291,7 @@ class Driver {
   const std::vector<ProcCount>& widths_;
   std::vector<bool> emptied_;
   std::vector<Time> limits_;
-  JobId next_id_ = 0;
+  std::size_t next_job_ = 0;
 };
 
 // The demands a test draws its jobs from.
@@ -300,7 +328,8 @@ TEST_P(BackfillQueueDifferential, MatchesTheLinearRescan) {
   int oversized_heads = 0;
   for (int run = 0; run < 40; ++run) {
     if (arena_backed) arena.reset();
-    Driver driver(m, arena_backed ? &arena : nullptr, prng, widths);
+    // About as many jobs as 30 arrivals of up to 4 bring on average.
+    Driver driver(m, arena_backed ? &arena : nullptr, prng, widths, 60);
     for (int event = 0; event < 30; ++event) {
       driver.arrive(4);
       driver.pass(2, 0);
@@ -318,20 +347,20 @@ TEST_P(BackfillQueueDifferential, MatchesTheLinearRescan) {
 }
 
 // A batch schedule keeps one queue for thousands of passes. Buckets whose
-// front jobs leave pass after pass accumulate a dead prefix, which an
-// insert reclaims once it outgrows the live part; the queue must keep
-// matching the rescan across every reclaim and the inserts after it.
+// front jobs leave pass after pass accumulate a dead prefix that is never
+// reclaimed: each bucket's range has room for all of its demand's jobs, so
+// inserts keep landing behind the front, and the queue must keep matching
+// the rescan however far the fronts have moved.
 TEST_P(BackfillQueueDifferential, LongLivedQueueMatchesTheLinearRescan) {
   const auto [m, arena_backed, width_set] = GetParam();
   Arena arena;
   Prng prng(static_cast<std::uint64_t>(m) * 2 + (arena_backed ? 1 : 0) +
             1000);
   const std::vector<ProcCount> widths = draw_widths(width_set, m, 3, prng);
-  Driver driver(m, arena_backed ? &arena : nullptr, prng, widths);
+  Driver driver(m, arena_backed ? &arena : nullptr, prng, widths, 3000);
   // Cycles of a fill stretch (more arrivals than takes) and a drain at
   // full capacity down to an empty queue. Every drain leaves each used
-  // bucket all dead prefix, so the next fill's first insert into it
-  // reclaims; the fills reclaim prefixes beside live jobs too.
+  // bucket all dead prefix, and the next fill inserts behind it.
   int passes = 0;
   int drains = 0;
   while (passes < 1500) {
@@ -363,8 +392,21 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(ProcCount{7}, ProcCount{128}),
                        ::testing::Bool(), ::testing::Values(Widths::kMany)));
 
+// Jobs of the given demands, ids 0..n-1, to size a queue with.
+std::vector<Job> with_demands(std::initializer_list<ProcCount> demands) {
+  std::vector<Job> jobs(demands.size());
+  std::size_t i = 0;
+  for (const ProcCount q : demands) {
+    jobs[i].id = static_cast<JobId>(i);
+    jobs[i++].q = q;
+  }
+  return jobs;
+}
+
 TEST(BackfillQueue, RejectsDemandsOutsideTheMachine) {
-  BackfillQueue queue(4);
+  EXPECT_THROW(BackfillQueue(4, with_demands({2, 5})), std::invalid_argument);
+  EXPECT_THROW(BackfillQueue(4, with_demands({0})), std::invalid_argument);
+  BackfillQueue queue(4, with_demands({4}));
   EXPECT_THROW(queue.insert(0, 0, 0, 1), std::invalid_argument);
   EXPECT_THROW(queue.insert(0, 0, 5, 1), std::invalid_argument);
   EXPECT_THROW(queue.insert(0, 0, 4, 0), std::invalid_argument);
@@ -372,8 +414,35 @@ TEST(BackfillQueue, RejectsDemandsOutsideTheMachine) {
   EXPECT_EQ(queue.size(), 1u);
 }
 
+TEST(BackfillQueue, RejectsADemandItWasNotSizedFor) {
+  BackfillQueue queue(8, with_demands({2, 6}));
+  EXPECT_THROW(queue.insert(0, 0, 3, 1), std::invalid_argument);
+  EXPECT_THROW(queue.insert(0, 0, 8, 1), std::invalid_argument);
+  EXPECT_TRUE(queue.empty());
+  queue.insert(0, 0, 2, 1);
+  queue.insert(1, 1, 6, 1);
+  EXPECT_EQ(queue.size(), 2u);
+}
+
+TEST(BackfillQueue, RejectsMoreJobsOfADemandThanItWasSized) {
+  BackfillQueue queue(8, with_demands({2, 3, 2}));
+  queue.insert(0, 5, 2, 1);
+  queue.insert(2, 1, 2, 1);
+  EXPECT_THROW(queue.insert(3, 0, 2, 1), std::invalid_argument);
+  // Taking a demand-2 job frees no room: a taken slot is never reused.
+  queue.begin_pass(8);
+  ASSERT_TRUE(queue.next_head().has_value());
+  queue.take();
+  queue.end_pass();
+  EXPECT_THROW(queue.insert(3, 0, 2, 1), std::invalid_argument);
+  // The full bucket leaves the other demand's room alone.
+  queue.insert(1, 3, 3, 1);
+  EXPECT_THROW(queue.insert(4, 4, 3, 1), std::invalid_argument);
+  EXPECT_EQ(queue.size(), 2u);
+}
+
 TEST(BackfillQueue, RetiredBucketSitsOutTheRestOfThePass) {
-  BackfillQueue queue(8);
+  BackfillQueue queue(8, with_demands({6, 2, 6}));
   queue.insert(0, 0, 6, 1);
   queue.insert(1, 1, 2, 1);
   queue.insert(2, 2, 6, 1);
@@ -401,7 +470,7 @@ TEST(BackfillQueue, RetiredBucketSitsOutTheRestOfThePass) {
 }
 
 TEST(BackfillQueue, GatedHeadLeadsNextHeadButNeverSurfacesFromNext) {
-  BackfillQueue queue(8);
+  BackfillQueue queue(8, with_demands({6, 2, 6, 3}));
   queue.insert(0, 0, 6, 1);
   queue.insert(1, 1, 2, 1);
   queue.insert(2, 2, 6, 1);
@@ -443,7 +512,7 @@ TEST(BackfillQueue, GatedHeadLeadsNextHeadButNeverSurfacesFromNext) {
 }
 
 TEST(BackfillQueue, LimitSkipsLongJobsAndReoffersTheBucket) {
-  BackfillQueue queue(4);
+  BackfillQueue queue(4, with_demands({1, 1, 2, 1}));
   // Demand 1: ranks 0 (p=9), 2 (p=3), 4 (p=2); demand 2: rank 3 (p=1).
   queue.insert(0, 0, 1, 9);
   queue.insert(1, 2, 1, 3);

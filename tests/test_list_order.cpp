@@ -129,6 +129,9 @@ TEST(ReleaseOrder, MatchesTheSortOnSortedTiedAndShuffledFeeds) {
     for_each_by_release(jobs, nullptr,
                         [&](JobId id) { visited.push_back(id); });
     EXPECT_EQ(visited, expected);
+    const ReleaseFeed by_position(jobs, nullptr);
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+      EXPECT_EQ(by_position[i], expected[i]) << "position " << i;
   }
 }
 
