@@ -273,11 +273,15 @@ std::optional<BackfillQueue::Entry> BackfillQueue::next(std::int64_t capacity,
 
 // Min-queue of wake-up times for event-driven schedulers: a binary heap on
 // a ScratchVec (arena-backed with a scratch arena, plain counted heap when
-// null). Duplicates are kept and consumed together by next_after.
+// null). Duplicates are kept and consumed together by next_after. A caller
+// that knows how many wake-ups it will push passes that count as capacity,
+// and the heap is sized once instead of growing by doubling.
 class EventTimes {
  public:
-  explicit EventTimes(Arena* scratch = nullptr)
-      : heap_(ArenaAlloc<Time>(scratch)) {}
+  explicit EventTimes(std::size_t capacity = 0, Arena* scratch = nullptr)
+      : heap_(ArenaAlloc<Time>(scratch)) {
+    heap_.reserve(capacity);
+  }
 
   // Records a wake-up.
   void push(Time t) {

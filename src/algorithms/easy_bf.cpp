@@ -128,13 +128,16 @@ ScheduleOutcome EasyBackfillScheduler::schedule(
   Schedule schedule(jobs.size());
   if (jobs.empty()) return schedule;
   FreeProfile free = FreeProfile::for_instance(instance);
-  EventTimes events;
+  const ReleaseFeed arrival(jobs, nullptr);
+  Time t = jobs[static_cast<std::size_t>(arrival[0])].release;
+
+  // Wake-ups: reservation ends, later releases and one completion per job.
+  const auto released_later = static_cast<std::size_t>(
+      std::count_if(jobs.begin(), jobs.end(),
+                    [t](const Job& job) { return job.release > t; }));
+  EventTimes events(instance.n_reservations() + released_later + jobs.size());
   for (const Reservation& resa : instance.reservations())
     events.push(resa.end());
-
-  const ReleaseFeed arrival(jobs, nullptr);
-
-  Time t = jobs[static_cast<std::size_t>(arrival[0])].release;
   for (const Job& job : jobs)
     if (job.release > t) events.push(job.release);
 

@@ -89,7 +89,10 @@ Schedule LsrcScheduler::run(const Instance& instance,
 
   // Wake-up times: capacity increases (completions, reservation ends) and
   // job releases; EventTimes coalesces collisions.
-  EventTimes events;
+  const auto released_later = static_cast<std::size_t>(
+      std::count_if(jobs.begin(), jobs.end(),
+                    [](const Job& job) { return job.release > 0; }));
+  EventTimes events(instance.n_reservations() + released_later + jobs.size());
   for (const Reservation& resa : instance.reservations())
     events.push(resa.end());
   Time t = kTimeInfinity;

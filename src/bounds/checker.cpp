@@ -1,10 +1,10 @@
 #include "bounds/checker.hpp"
 
 #include <algorithm>
-#include <set>
 #include <vector>
 
 #include "core/availability.hpp"
+#include "core/load_sweep.hpp"
 #include "bounds/guarantees.hpp"
 #include "bounds/lower_bounds.hpp"
 #include "util/checked.hpp"
@@ -118,39 +118,45 @@ Lemma1Report check_lemma1(const Instance& instance, const Schedule& schedule) {
   const Time p_max = instance.p_max();
   if (makespan <= p_max) return report;  // no admissible pair (t, t')
 
-  const StepProfile usage = schedule.usage_profile(instance);
-
-  // r(t) + min_{t' in [t + p_max, C)} r(t') >= m + 1 must hold for every
-  // t in [0, C - p_max). Both r(t) and the suffix minimum are step functions
-  // of t; their breakpoints are the usage breakpoints and the usage
-  // breakpoints shifted left by p_max. Checking every such candidate t
-  // covers all of [0, C - p_max).
-  std::set<Time> candidates{0};
-  for (const auto& segment : usage.segments_in(0, makespan)) {
-    const Time window_end = checked_sub(makespan, p_max);
-    if (segment.start < window_end) candidates.insert(segment.start);
-    const Time shifted = checked_sub(segment.start, p_max);
-    if (shifted >= 0 && shifted < window_end) candidates.insert(shifted);
+  // r as steps over [0, C): segment k is [r[k].tick, r[k + 1].tick), and
+  // the last step is the 0 at C. Without reservations the load is r.
+  std::vector<LoadStep> r =
+      load_steps(instance, sweep_events(instance, schedule));
+  if (r.front().tick > 0) r.insert(r.begin(), LoadStep{0, 0});
+  // suffix_min[k] = min of r over [r[k].tick, C).
+  const std::size_t segments = r.size() - 1;
+  std::vector<std::int64_t> suffix_min(segments);
+  std::int64_t low = r[segments - 1].load;
+  for (std::size_t k = segments; k-- > 0;) {
+    low = std::min(low, r[k].load);
+    suffix_min[k] = low;
   }
 
-  for (const Time t : candidates) {
-    const std::int64_t r_t = usage.value_at(t);
+  // r(t) + min_{t' in [t + p_max, C)} r(t') >= m + 1 must hold for every
+  // t in [0, C - p_max). Both terms are step functions of t; their
+  // breakpoints are r's and r's shifted left by p_max. Walking the merge of
+  // the two in order, with one segment cursor for t and one for t + p_max,
+  // visits every candidate t, the earliest violation first.
+  const Time window_end = checked_sub(makespan, p_max);
+  std::size_t at = 0;     // segment holding t
+  std::size_t ahead = 0;  // segment holding t + p_max
+  for (Time t = 0; t < window_end;) {
+    while (r[at + 1].tick <= t) ++at;
     const Time window_start = checked_add(t, p_max);
-    const std::int64_t suffix_min = usage.min_in(window_start, makespan);
-    if (checked_add(r_t, suffix_min) <= instance.m()) {
+    while (r[ahead + 1].tick <= window_start) ++ahead;
+    const std::int64_t sum = checked_add(r[at].load, suffix_min[ahead]);
+    if (sum <= instance.m()) {
       report.holds = false;
       report.t = t;
-      // Recover a witness t': the first point achieving the suffix minimum.
-      report.t_prime = window_start;
-      for (const auto& segment : usage.segments_in(window_start, makespan)) {
-        if (segment.value == suffix_min) {
-          report.t_prime = segment.start;
-          break;
-        }
-      }
-      report.r_sum = checked_add(r_t, suffix_min);
+      // Witness t': the first point at or after t + p_max attaining the
+      // suffix minimum.
+      std::size_t k = ahead;
+      while (r[k].load != suffix_min[ahead]) ++k;
+      report.t_prime = k == ahead ? window_start : r[k].tick;
+      report.r_sum = sum;
       return report;
     }
+    t = std::min(r[at + 1].tick, checked_sub(r[ahead + 1].tick, p_max));
   }
   return report;
 }

@@ -4,47 +4,16 @@
 #include <map>
 #include <set>
 
+#include "core/load_sweep.hpp"
 #include "util/checked.hpp"
 #include "util/require.hpp"
 
 namespace resched {
 
-namespace {
-
-struct Event {
-  Time time;
-  bool is_release;     // releases processed before acquisitions at equal time
-  bool is_reservation; // reservations acquire before jobs at equal time
-  std::int32_t id;
-
-  bool operator<(const Event& other) const {
-    if (time != other.time) return time < other.time;
-    if (is_release != other.is_release) return is_release;  // releases first
-    if (is_reservation != other.is_reservation)
-      return is_reservation;  // reservations acquire first
-    return id < other.id;
-  }
-};
-
-}  // namespace
-
 MachineAssignment assign_machines(const Instance& instance,
                                   const Schedule& schedule) {
   const ValidationResult valid = schedule.validate(instance);
   RESCHED_REQUIRE_MSG(valid.ok, "cannot assign machines: " + valid.error);
-
-  std::vector<Event> events;
-  events.reserve(2 * (instance.n() + instance.n_reservations()));
-  for (const Reservation& resa : instance.reservations()) {
-    events.push_back({resa.start, false, true, resa.id});
-    events.push_back({resa.end(), true, true, resa.id});
-  }
-  for (const Job& job : instance.jobs()) {
-    const Time start = schedule.start(job.id);
-    events.push_back({start, false, false, job.id});
-    events.push_back({checked_add(start, job.p), true, false, job.id});
-  }
-  std::sort(events.begin(), events.end());
 
   std::set<MachineIndex> free;
   for (ProcCount r = 0; r < instance.m(); ++r)
@@ -54,25 +23,19 @@ MachineAssignment assign_machines(const Instance& instance,
   out.job_machines.resize(instance.n());
   out.reservation_machines.resize(instance.n_reservations());
 
-  auto machines_of = [&](const Event& ev) -> std::vector<MachineIndex>& {
-    return ev.is_reservation
-               ? out.reservation_machines[static_cast<std::size_t>(ev.id)]
-               : out.job_machines[static_cast<std::size_t>(ev.id)];
-  };
-
-  for (const Event& ev : events) {
-    if (ev.is_release) {
-      for (const MachineIndex machine : machines_of(ev)) free.insert(machine);
+  for (const LoadEvent& ev : sweep_events(instance, schedule)) {
+    auto& target =
+        ev.is_reservation()
+            ? out.reservation_machines[static_cast<std::size_t>(ev.id())]
+            : out.job_machines[static_cast<std::size_t>(ev.id())];
+    if (!ev.is_start()) {
+      for (const MachineIndex machine : target) free.insert(machine);
       continue;
     }
-    const ProcCount need = ev.is_reservation
-                               ? instance.reservation(ev.id).q
-                               : instance.job(ev.id).q;
+    const ProcCount need = demand(instance, ev);
     RESCHED_CHECK_MSG(static_cast<ProcCount>(free.size()) >= need,
                       "machine sweep ran out of processors despite a "
                       "capacity-feasible schedule");
-    auto& target = machines_of(ev);
-    target.clear();
     auto it = free.begin();
     for (ProcCount taken = 0; taken < need; ++taken) {
       target.push_back(*it);

@@ -3,10 +3,10 @@
 // The model deliberately ignores contiguity (paper section 2.1): processors
 // are identical and fully connected, so a schedule is feasible iff the
 // *count* constraint holds at every instant. This module constructively
-// proves that claim for every schedule we produce: a left-to-right sweep over
-// events always finds enough free machine indices, yielding an explicit
-// machine set per job and per reservation. The assignment is what the Gantt
-// renderers and the cluster simulator consume.
+// proves that claim for every schedule we produce: a left-to-right walk over
+// the load sweep's events always finds enough free machine indices,
+// yielding an explicit machine set per job and per reservation. The
+// assignment is what the Gantt renderers and the cluster simulator consume.
 #pragma once
 
 #include <cstdint>
@@ -27,8 +27,9 @@ struct MachineAssignment {
 };
 
 // Requires schedule.validate(instance). Deterministic: machines are assigned
-// smallest-index-first in event order (ties: releases before acquisitions,
-// reservations before jobs, lower id first).
+// smallest-index-first in load-sweep order (core/load_sweep.hpp: at equal
+// ticks, releases before acquisitions, reservations before jobs, lower id
+// first).
 [[nodiscard]] MachineAssignment assign_machines(const Instance& instance,
                                                 const Schedule& schedule);
 

@@ -1,12 +1,10 @@
 #include "core/schedule.hpp"
 
 #include <algorithm>
-#include <array>
-#include <bit>
-#include <cstdint>
 #include <vector>
 
 #include "core/availability.hpp"
+#include "core/load_sweep.hpp"
 #include "util/checked.hpp"
 #include "util/require.hpp"
 
@@ -52,57 +50,6 @@ Time Schedule::makespan(const Instance& instance) const {
   return result;
 }
 
-StepProfile Schedule::usage_profile(const Instance& instance) const {
-  RESCHED_REQUIRE(starts_.size() == instance.n());
-  StepProfile usage(0);
-  for (std::size_t i = 0; i < starts_.size(); ++i) {
-    if (!starts_[i].has_value()) continue;
-    const Job& job = instance.jobs()[i];
-    usage.add(*starts_[i], checked_add(*starts_[i], job.p), job.q);
-  }
-  return usage;
-}
-
-namespace {
-
-// A step of the load r(t) + U(t). key is 2 * end for an end and
-// 2 * start + 1 for a start: ticks lie in [0, INT64_MAX], so every key fits
-// in 64 bits, and at equal ticks ends sort before starts, as the half-open
-// [start, end) windows require.
-struct LoadEvent {
-  std::uint64_t key;
-  std::int64_t delta;
-};
-
-void push_window(std::vector<LoadEvent>& events, Time start, Time p,
-                 std::int64_t q) {
-  const auto from = static_cast<std::uint64_t>(start);
-  const auto to = static_cast<std::uint64_t>(checked_add(start, p));
-  events.push_back({2 * from + 1, q});
-  events.push_back({2 * to, -q});
-}
-
-// Stable LSD radix sort over 8-bit digits, one pass per digit of max_key.
-void radix_sort(std::vector<LoadEvent>& events, std::uint64_t max_key) {
-  std::vector<LoadEvent> sorted(events.size());
-  const int bits = static_cast<int>(std::bit_width(max_key));
-  for (int shift = 0; shift < bits; shift += 8) {
-    std::array<std::size_t, 256> offset{};
-    for (const LoadEvent& e : events) ++offset[(e.key >> shift) & 0xff];
-    std::size_t sum = 0;
-    for (std::size_t& slot : offset) {
-      const std::size_t count = slot;
-      slot = sum;
-      sum += count;
-    }
-    for (const LoadEvent& e : events)
-      sorted[offset[(e.key >> shift) & 0xff]++] = e;
-    events.swap(sorted);
-  }
-}
-
-}  // namespace
-
 ValidationResult Schedule::validate(const Instance& instance) const {
   if (starts_.size() != instance.n())
     return {false, "schedule covers " + std::to_string(starts_.size()) +
@@ -116,38 +63,18 @@ ValidationResult Schedule::validate(const Instance& instance) const {
                          std::to_string(*starts_[i]) + " before its release " +
                          std::to_string(job.release)};
   }
-  // Capacity: usage + unavailability must never exceed m. Sweep the sorted
-  // window events; the load after a tick's whole group holds until the
-  // next group's tick.
-  std::vector<LoadEvent> events;
-  events.reserve(2 * (starts_.size() + instance.n_reservations()));
-  for (std::size_t i = 0; i < starts_.size(); ++i)
-    push_window(events, *starts_[i], instance.jobs()[i].p,
-                instance.jobs()[i].q);
-  for (const Reservation& r : instance.reservations())
-    push_window(events, r.start, r.p, r.q);
-  std::uint64_t max_key = 0;
-  for (const LoadEvent& e : events) max_key = std::max(max_key, e.key);
-  radix_sort(events, max_key);
-
-  std::int64_t load = 0;
-  std::optional<Time> overload_start;
-  for (std::size_t k = 0; k < events.size();) {
-    const std::uint64_t tick = events[k].key / 2;
-    std::int64_t next = load;
-    for (; k < events.size() && events[k].key / 2 == tick; ++k)
-      next = checked_add(next, events[k].delta);
-    // An overloaded run ends at the first tick that changes its load.
-    if (overload_start.has_value() && next != load)
-      return {false, "capacity exceeded: " + std::to_string(load) +
-                         " > m = " + std::to_string(instance.m()) +
-                         " during [" + std::to_string(*overload_start) +
-                         ", " + std::to_string(tick) + ")"};
-    if (!overload_start.has_value() && next > instance.m())
-      overload_start = static_cast<Time>(tick);
-    load = next;
+  // Capacity: usage + unavailability must never exceed m. Each load step
+  // holds until the next one, so an overloaded run ends at the next step.
+  const std::vector<LoadStep> steps =
+      load_steps(instance, sweep_events(instance, *this));
+  for (std::size_t k = 0; k < steps.size(); ++k) {
+    if (steps[k].load <= instance.m()) continue;
+    // The last step closes every window, so an overload is never last.
+    return {false, "capacity exceeded: " + std::to_string(steps[k].load) +
+                       " > m = " + std::to_string(instance.m()) +
+                       " during [" + std::to_string(steps[k].tick) + ", " +
+                       std::to_string(steps[k + 1].tick) + ")"};
   }
-  // The last group closes every window, so an overload always ends above.
   return {true, ""};
 }
 

@@ -3,12 +3,8 @@
 // The schedule stores sigma_i per job; feasibility means
 //   forall t:  sum_{i running at t} q_i  <=  m - U(t)
 // and sigma_i >= release_i. Validation recomputes everything from scratch
-// and shares no code with StepProfile, the structure the schedulers plan on
-// (defence in depth): every job and reservation window becomes a +q event
-// at its start and a -q event at its end, an LSD radix sort over 8-bit
-// digits orders the events, and one sweep sums the load. Its cost is
-// O((n + n') * passes), where passes = ceil(bits(2 * latest end) / 8): two
-// while every window ends before tick 32768, three below 2^23.
+// on the load sweep (core/load_sweep.hpp), which shares no code with
+// StepProfile, the structure the schedulers plan on (defence in depth).
 #pragma once
 
 #include <optional>
@@ -17,7 +13,6 @@
 
 #include "core/arena.hpp"
 #include "core/instance.hpp"
-#include "core/step_profile.hpp"
 
 namespace resched {
 
@@ -51,9 +46,6 @@ class Schedule {
   // C_max = max_i (sigma_i + p_i); 0 when nothing is scheduled. Reservations
   // do not count toward the makespan (they are constraints, not work).
   [[nodiscard]] Time makespan(const Instance& instance) const;
-
-  // r(t): processors used by scheduled jobs at time t (the appendix's r).
-  [[nodiscard]] StepProfile usage_profile(const Instance& instance) const;
 
   // Full feasibility check; explains the first violation found. Checks run
   // in order: size mismatch, then per job (by id) unscheduled and start

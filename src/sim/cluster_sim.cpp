@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <ostream>
 
-#include "sim/des.hpp"
+#include "core/load_sweep.hpp"
 #include "util/checked.hpp"
 #include "util/require.hpp"
 
@@ -24,82 +24,44 @@ const char* kind_name(TraceEntry::Kind kind) {
 SimulationResult simulate_cluster(const Instance& instance,
                                   const Schedule& schedule) {
   SimulationResult result;
-  result.metrics = compute_metrics(instance, schedule);
+  // assign_machines validates the schedule: an infeasible one throws
+  // std::invalid_argument there, before anything is replayed.
   result.assignment = assign_machines(instance, schedule);
+  result.metrics = metrics_of_feasible(instance, schedule);
   const ValidationResult assignment_ok =
       validate_assignment(instance, schedule, result.assignment);
   RESCHED_CHECK_MSG(assignment_ok.ok, assignment_ok.error);
 
-  // Live machine state: which occupant (if any) holds each machine.
+  // Live machine state: whether each machine is held by an occupant.
   std::vector<bool> busy(static_cast<std::size_t>(instance.m()), false);
   ProcCount busy_count = 0;
-
-  Simulation sim;
-  auto acquire = [&](const std::vector<MachineIndex>& machines,
-                     TraceEntry::Kind kind, std::int32_t id, Time when) {
-    result.trace.push_back({when, kind, id});
+  const std::vector<LoadEvent> events = sweep_events(instance, schedule);
+  result.trace.reserve(events.size());
+  for (const LoadEvent& ev : events) {
+    const auto index = static_cast<std::size_t>(ev.id());
+    const std::vector<MachineIndex>& machines =
+        ev.is_reservation() ? result.assignment.reservation_machines[index]
+                            : result.assignment.job_machines[index];
+    using Kind = TraceEntry::Kind;
+    const Kind kind = ev.is_reservation()
+                          ? (ev.is_start() ? Kind::kReservationStart
+                                           : Kind::kReservationEnd)
+                          : (ev.is_start() ? Kind::kJobStart : Kind::kJobEnd);
+    result.trace.push_back({ev.tick(), kind, ev.id()});
     for (const MachineIndex machine : machines) {
-      RESCHED_CHECK_MSG(!busy[static_cast<std::size_t>(machine)],
-                        "machine acquired twice");
-      busy[static_cast<std::size_t>(machine)] = true;
+      const auto slot = static_cast<std::size_t>(machine);
+      if (ev.is_start())
+        RESCHED_CHECK_MSG(!busy[slot], "machine acquired twice");
+      else
+        RESCHED_CHECK_MSG(busy[slot], "idle machine released");
+      busy[slot] = ev.is_start();
     }
-    // resched-lint: time-arith-audited(counts distinct machines; bounded by m)
-    busy_count += static_cast<ProcCount>(machines.size());
+    const auto count = static_cast<ProcCount>(machines.size());
+    busy_count = ev.is_start() ? checked_add(busy_count, count)
+                               : checked_sub(busy_count, count);
     result.peak_busy = std::max(result.peak_busy, busy_count);
-  };
-  auto release = [&](const std::vector<MachineIndex>& machines,
-                     TraceEntry::Kind kind, std::int32_t id, Time when) {
-    result.trace.push_back({when, kind, id});
-    for (const MachineIndex machine : machines) {
-      RESCHED_CHECK_MSG(busy[static_cast<std::size_t>(machine)],
-                        "idle machine released");
-      busy[static_cast<std::size_t>(machine)] = false;
-    }
-    // resched-lint: time-arith-audited(counts distinct machines; bounded by m)
-    busy_count -= static_cast<ProcCount>(machines.size());
-  };
-
-  // Order within one instant: releases fire before acquisitions; the event
-  // queue is FIFO among equal (time, phase), so we schedule ends with an
-  // earlier insertion phase by posting all ends first per entity.
-  for (const Reservation& resa : instance.reservations()) {
-    const auto& machines =
-        result.assignment.reservation_machines[static_cast<std::size_t>(
-            resa.id)];
-    sim.at(resa.end(), [&, machines, id = resa.id](Simulation& s) {
-      release(machines, TraceEntry::Kind::kReservationEnd, id, s.now());
-    });
   }
-  for (const Job& job : instance.jobs()) {
-    const Time end = checked_add(schedule.start(job.id), job.p);
-    const auto& machines =
-        result.assignment.job_machines[static_cast<std::size_t>(job.id)];
-    sim.at(end, [&, machines, id = job.id](Simulation& s) {
-      release(machines, TraceEntry::Kind::kJobEnd, id, s.now());
-    });
-  }
-  for (const Reservation& resa : instance.reservations()) {
-    const auto& machines =
-        result.assignment.reservation_machines[static_cast<std::size_t>(
-            resa.id)];
-    sim.at(resa.start, [&, machines, id = resa.id](Simulation& s) {
-      acquire(machines, TraceEntry::Kind::kReservationStart, id, s.now());
-    });
-  }
-  for (const Job& job : instance.jobs()) {
-    const auto& machines =
-        result.assignment.job_machines[static_cast<std::size_t>(job.id)];
-    sim.at(schedule.start(job.id), [&, machines, id = job.id](Simulation& s) {
-      acquire(machines, TraceEntry::Kind::kJobStart, id, s.now());
-    });
-  }
-  sim.run();
-
   RESCHED_CHECK_MSG(busy_count == 0, "machines still busy after simulation");
-  std::stable_sort(result.trace.begin(), result.trace.end(),
-                   [](const TraceEntry& a, const TraceEntry& b) {
-                     return a.time < b.time;
-                   });
   return result;
 }
 

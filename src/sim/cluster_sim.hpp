@@ -1,12 +1,13 @@
 // Cluster execution simulator.
 //
-// Replays a schedule on a concrete cluster through the DES kernel: machines
-// are acquired at job starts and returned at completions, reservations pin
-// their machines over their windows, and every acquisition is re-checked
-// against the live machine state (defence in depth -- this is a third,
-// independent validation of feasibility after Schedule::validate and the
-// machine-assignment sweep). Produces a per-job execution trace for the
-// examples and the online experiments.
+// Replays a schedule on a concrete cluster: it walks the load sweep
+// (core/load_sweep.hpp), acquiring each job's and reservation's assigned
+// machines at its start and returning them at its end. The replay shares
+// its event order with Schedule::validate and assign_machines; what it
+// checks on its own is per-machine occupancy, against the live machine
+// state: no machine is acquired while held or released while idle, and
+// every machine is idle at the end. Produces a per-job execution trace for
+// the examples and the online experiments.
 #pragma once
 
 #include <iosfwd>
@@ -27,15 +28,18 @@ struct TraceEntry {
 };
 
 struct SimulationResult {
-  std::vector<TraceEntry> trace;  // time-ordered
+  // In load-sweep order: by time; at equal times ends before starts,
+  // reservations before jobs, lower id first.
+  std::vector<TraceEntry> trace;
   ScheduleMetrics metrics;
   MachineAssignment assignment;
   // Highest simultaneous machine usage observed (jobs + reservations).
   ProcCount peak_busy = 0;
 };
 
-// Requires a fully scheduled, feasible schedule; throws on any internal
-// inconsistency (double acquisition, release of an idle machine).
+// Requires a fully scheduled, feasible schedule: throws
+// std::invalid_argument otherwise, and throws on any internal inconsistency
+// (double acquisition, release of an idle machine).
 [[nodiscard]] SimulationResult simulate_cluster(const Instance& instance,
                                                 const Schedule& schedule);
 

@@ -1,4 +1,4 @@
-// Stable time-ordered event queue for the discrete-event kernel.
+// Stable time-ordered event queue for the resident service's event loop.
 //
 // Events at equal times fire in insertion order (a monotone sequence number
 // breaks ties), which makes simulations deterministic regardless of heap

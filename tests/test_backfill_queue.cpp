@@ -576,7 +576,7 @@ TEST_P(EventTimesDifferential, MatchesAnOrderedSet) {
   int drained = 0;
   for (int run = 0; run < 200; ++run) {
     if (arena_backed) arena.reset();
-    EventTimes events(arena_backed ? &arena : nullptr);
+    EventTimes events(0, arena_backed ? &arena : nullptr);
     std::set<Time> reference;
     Time t = prng.uniform_int(0, 20);
     for (int step = 0; step < 60; ++step) {

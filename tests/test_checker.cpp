@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <tuple>
+#include <vector>
+
 #include "algorithms/fcfs.hpp"
 #include "algorithms/lsrc.hpp"
 #include "exact/bnb.hpp"
 #include "generators/adversarial.hpp"
 #include "generators/workload.hpp"
+#include "util/prng.hpp"
 
 namespace resched {
 namespace {
@@ -203,6 +208,76 @@ TEST_P(Lemma1Property, HoldsForAllOrders) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Lemma1Property,
                          ::testing::Values(301, 302, 303, 304, 305));
+
+// Dense oracle for check_lemma1: r(t) tick by tick, the earliest t in
+// [0, C - p_max) whose r(t) plus the minimum of r over [t + p_max, C) is at
+// most m, and the first t' there that attains the minimum.
+Lemma1Report dense_lemma1(const Instance& instance, const Schedule& schedule) {
+  const Time makespan = schedule.makespan(instance);
+  const Time p_max = instance.p_max();
+  std::vector<std::int64_t> r(static_cast<std::size_t>(makespan), 0);
+  for (const Job& job : instance.jobs())
+    for (Time t = schedule.start(job.id); t < schedule.start(job.id) + job.p;
+         ++t)
+      r[static_cast<std::size_t>(t)] += job.q;
+  for (Time t = 0; t + p_max < makespan; ++t) {
+    Time arg_min = t + p_max;
+    for (Time u = t + p_max; u < makespan; ++u)
+      if (r[static_cast<std::size_t>(u)] < r[static_cast<std::size_t>(arg_min)])
+        arg_min = u;
+    const std::int64_t sum = r[static_cast<std::size_t>(t)] +
+                             r[static_cast<std::size_t>(arg_min)];
+    if (sum <= instance.m()) return {false, t, arg_min, sum};
+  }
+  return {};
+}
+
+// The fields a report is compared on.
+auto fields(const Lemma1Report& report) {
+  return std::tuple(report.holds, report.t, report.t_prime, report.r_sum);
+}
+
+// Differential: check_lemma1 against the dense oracle on small rigid
+// instances (m <= 8, C <= 200), on LSRC schedules, where the lemma holds,
+// and on the same schedules with one job pushed right, which open gaps.
+TEST(Lemma1, MatchesDenseOracle) {
+  std::size_t violations = 0;
+  for (std::uint64_t seed = 1; seed <= 150; ++seed) {
+    Prng prng(seed);
+    WorkloadConfig config;
+    config.n = static_cast<std::size_t>(prng.uniform_int(1, 8));
+    config.m = prng.uniform_int(1, 8);
+    config.p_max = prng.uniform_int(1, 20);
+    config.width = WidthDistribution::kUniform;
+    const Instance instance = random_workload(config, seed);
+    const Schedule lsrc = LsrcScheduler().schedule(instance).value();
+    ASSERT_LE(lsrc.makespan(instance), 200);
+    const Lemma1Report list_report = check_lemma1(instance, lsrc);
+    EXPECT_TRUE(list_report.holds) << "seed " << seed;
+    EXPECT_EQ(fields(list_report), fields(dense_lemma1(instance, lsrc)))
+        << "seed " << seed;
+
+    // Push one job right: by a random amount when that stays feasible,
+    // else past the makespan, where nothing else runs.
+    Schedule pushed = lsrc;
+    const JobId victim = static_cast<JobId>(
+        prng.uniform_int(0, static_cast<std::int64_t>(instance.n()) - 1));
+    pushed.set_start(victim,
+                     lsrc.start(victim) + prng.uniform_int(1, config.p_max));
+    if (!pushed.validate(instance).ok)
+      pushed.set_start(victim, lsrc.makespan(instance) +
+                                   prng.uniform_int(0, config.p_max));
+    ASSERT_TRUE(pushed.validate(instance).ok) << "seed " << seed;
+    ASSERT_LE(pushed.makespan(instance), 200);
+    const Lemma1Report pushed_report = check_lemma1(instance, pushed);
+    EXPECT_EQ(fields(pushed_report), fields(dense_lemma1(instance, pushed)))
+        << "seed " << seed;
+    if (!pushed_report.holds) ++violations;
+  }
+  // The pushed schedules must exercise the violation path, not only the
+  // vacuous one.
+  EXPECT_GE(violations, 30u);
+}
 
 }  // namespace
 }  // namespace resched

@@ -59,6 +59,32 @@ TEST(ClusterSim, BackToBackReuseIsClean) {
   EXPECT_EQ(result.peak_busy, 2);
 }
 
+TEST(ClusterSim, TraceOrderAtEqualTicksIsPinned) {
+  // At t = 4 a job and a reservation end while another reservation and two
+  // jobs start: ends come before starts, reservations before jobs, and
+  // lower ids first.
+  const Instance instance(6,
+                          {Job{0, 2, 4, 0, ""}, Job{1, 1, 2, 0, ""},
+                           Job{2, 2, 3, 0, ""}, Job{3, 1, 10, 0, ""}},
+                          {Reservation{0, 1, 4, 0, ""},
+                           Reservation{1, 2, 3, 4, ""}});
+  Schedule schedule(4);
+  schedule.set_start(0, 0);
+  schedule.set_start(1, 4);
+  schedule.set_start(2, 4);
+  schedule.set_start(3, 0);
+  const SimulationResult result = simulate_cluster(instance, schedule);
+  std::ostringstream csv;
+  write_trace_csv(result.trace, csv);
+  EXPECT_EQ(csv.str(),
+            "time,event,id\n"
+            "0,resa_start,0\n0,job_start,0\n0,job_start,3\n"
+            "4,resa_end,0\n4,job_end,0\n"
+            "4,resa_start,1\n4,job_start,1\n4,job_start,2\n"
+            "6,job_end,1\n7,resa_end,1\n7,job_end,2\n10,job_end,3\n");
+  EXPECT_EQ(result.peak_busy, 6);
+}
+
 TEST(ClusterSim, RejectsInfeasible) {
   const Instance instance(1, {Job{0, 1, 2, 0, ""}, Job{1, 1, 2, 0, ""}});
   Schedule schedule(2);

@@ -54,9 +54,9 @@ TEST(EventQueue, RejectsNegativeTime) {
 }
 
 TEST(EventQueue, BoundedDrainStopsAtHorizon) {
-  // The pop-while-next_time()-fits pattern Simulation::run uses for bounded
-  // runs: everything at or before the horizon drains in (time, FIFO) order,
-  // later events stay queued untouched.
+  // A bounded drain, popping while next_time() fits: everything at or
+  // before the horizon drains in (time, FIFO) order, later events stay
+  // queued untouched.
   EventQueue<int> queue;
   queue.push(5, 50);
   queue.push(30, 300);

@@ -3,7 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "bounds/checker.hpp"
-#include "core/availability.hpp"
+#include "core/load_sweep.hpp"
+#include "core/step_profile.hpp"
 #include "generators/workload.hpp"
 
 namespace resched {
@@ -119,7 +120,7 @@ TEST(Lsrc, NameReflectsOrder) {
 // The defining greedy property of a list schedule (used in Lemma 1's proof):
 // at any time t < sigma_i, job i does not fit together with the jobs then
 // running. Checked directly on random instances: for every job i and every
-// usage-profile breakpoint t in [0, sigma_i), the job must not fit at t
+// load-step breakpoint t in [0, sigma_i), the job must not fit at t
 // against availability minus the usage of jobs with sigma_j <= t < C_j.
 class LsrcGreedyProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -132,9 +133,12 @@ TEST_P(LsrcGreedyProperty, NoFeasibleEarlierStartAtAnyEvent) {
   const Schedule schedule = LsrcScheduler().schedule(instance).value();
   ASSERT_TRUE(schedule.validate(instance).ok);
 
-  const StepProfile usage = schedule.usage_profile(instance);
-  const StepProfile availability = availability_profile(instance);
-  const StepProfile free = availability.minus(usage);
+  // Free processors m - U(t) - r(t), from the load sweep's steps.
+  const std::vector<LoadStep> steps =
+      load_steps(instance, sweep_events(instance, schedule));
+  StepProfile free(instance.m());
+  for (std::size_t k = 0; k + 1 < steps.size(); ++k)
+    free.add(steps[k].tick, steps[k + 1].tick, -steps[k].load);
 
   for (const Job& job : instance.jobs()) {
     const Time sigma = schedule.start(job.id);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "algorithms/conservative_bf.hpp"
 #include "algorithms/lsrc.hpp"
 #include "generators/reservations.hpp"
 #include "generators/workload.hpp"
@@ -110,6 +114,51 @@ TEST_P(AssignmentProperty, LsrcSchedulesAlwaysAssignable) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AssignmentProperty,
                          ::testing::Values(100, 101, 102, 103, 104));
+
+// FNV-1a over the bytes of x.
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t x) {
+  for (int byte = 0; byte < 8; ++byte)
+    h = (h ^ ((x >> (8 * byte)) & 0xffu)) * 1099511628211ull;
+  return h;
+}
+
+// Golden: every machine list of LSRC and conservative schedules on seeded
+// alpha-restricted instances. Pins assign_machines' event order (ends
+// before starts, reservations before jobs, lower id first) and its
+// smallest-free-index choice; any change here changes the Gantt charts and
+// the cluster traces.
+TEST(MachineAssignment, GoldenHashOverSeededSchedules) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const std::uint64_t seed : {11u, 12u, 13u, 14u, 15u, 16u}) {
+    WorkloadConfig config;
+    config.n = 60;
+    config.m = 16;
+    config.alpha = Rational(1, 2);
+    config.mean_interarrival = seed % 2 == 0 ? 4.0 : 0.0;
+    const Instance base = random_workload(config, seed);
+    AlphaReservationConfig resa;
+    resa.alpha = Rational(1, 2);
+    resa.count = 8;
+    const Instance instance =
+        with_alpha_restricted_reservations(base, resa, seed + 1);
+    for (const bool conservative : {false, true}) {
+      const Schedule schedule =
+          conservative
+              ? ConservativeBackfillScheduler().schedule(instance).value()
+              : LsrcScheduler().schedule(instance).value();
+      const MachineAssignment assignment = assign_machines(instance, schedule);
+      ASSERT_TRUE(validate_assignment(instance, schedule, assignment).ok);
+      for (const auto* lists :
+           {&assignment.job_machines, &assignment.reservation_machines})
+        for (const std::vector<MachineIndex>& machines : *lists) {
+          h = fnv1a(h, machines.size());
+          for (const MachineIndex machine : machines)
+            h = fnv1a(h, static_cast<std::uint64_t>(machine));
+        }
+    }
+  }
+  EXPECT_EQ(h, 15823853870344323809ull);
+}
 
 }  // namespace
 }  // namespace resched

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "core/load_sweep.hpp"
 #include "util/prng.hpp"
 
 namespace resched {
@@ -55,16 +56,14 @@ TEST(Schedule, MakespanIgnoresReservations) {
   EXPECT_EQ(schedule.makespan(instance), 2);
 }
 
-TEST(Schedule, UsageProfile) {
+TEST(Schedule, LoadSteps) {
   const Instance instance = two_job_instance();
   Schedule schedule(2);
   schedule.set_start(0, 0);
   schedule.set_start(1, 1);
-  const StepProfile usage = schedule.usage_profile(instance);
-  EXPECT_EQ(usage.value_at(0), 2);
-  EXPECT_EQ(usage.value_at(1), 4);  // both running on [1,3)
-  EXPECT_EQ(usage.value_at(3), 2);
-  EXPECT_EQ(usage.value_at(4), 0);
+  // Both jobs run on [1, 3).
+  EXPECT_EQ(load_steps(instance, sweep_events(instance, schedule)),
+            (std::vector<LoadStep>{{0, 2}, {1, 4}, {3, 2}, {4, 0}}));
 }
 
 TEST(Schedule, ValidateAcceptsFeasible) {
