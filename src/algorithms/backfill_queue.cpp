@@ -1,6 +1,7 @@
 #include "algorithms/backfill_queue.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "util/require.hpp"
 
@@ -48,15 +49,22 @@ void BackfillQueue::insert(JobId id, std::int64_t rank, ProcCount q, Time p) {
   Bucket& bucket = buckets_[slot - 1];
   RESCHED_REQUIRE_MSG(bucket.end < bucket.last,
                       "more inserts of a demand than the queue has jobs of it");
-  // Ranks arrive mostly in increasing order (release-sorted feeds), so the
-  // binary search almost always lands at the back.
   const auto begin = entries_.begin();
+  const auto front = begin + static_cast<std::ptrdiff_t>(bucket.front);
   const auto end = begin + static_cast<std::ptrdiff_t>(bucket.end);
-  const auto at = std::lower_bound(
-      begin + static_cast<std::ptrdiff_t>(bucket.front), end, rank,
-      [](const Entry& entry, std::int64_t value) { return entry.rank < value; });
-  std::move_backward(at, end, end + 1);
-  *at = Entry{id, rank, q, p};
+  // The batch loops feed jobs in rank order, so a job usually ranks after
+  // every pending job of its bucket and is appended with no search.
+  if (end != front && std::prev(end)->rank > rank) {
+    const auto at = std::lower_bound(
+        front, end, rank,
+        [](const Entry& entry, std::int64_t value) {
+          return entry.rank < value;
+        });
+    std::move_backward(at, end, std::next(end));
+    *at = Entry{id, rank, q, p};
+  } else {
+    *end = Entry{id, rank, q, p};
+  }
   ++bucket.end;
   ++size_;
 }

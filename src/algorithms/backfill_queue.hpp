@@ -63,8 +63,10 @@
 // front past the taken jobs: O(examined), independent of the bucket's
 // length. Taking a bucket's front job therefore costs O(1), not a shift of
 // the whole bucket. insert() places a job in rank order inside its
-// bucket's range, shifting the later jobs of the bucket back by one; it
-// never allocates, grows or reclaims.
+// bucket's range, shifting the later jobs of the bucket back by one; a
+// job that ranks after every pending job of its bucket -- every insert
+// of the batch loops, which feed jobs in rank order -- is an O(1) append.
+// insert() never allocates, grows or reclaims.
 //
 // Memory: n entries for n sized jobs, one block per queue, plus the slot
 // table (max_q + 1 words) and one bucket and front per distinct demand.
@@ -85,17 +87,9 @@
 // once per start and once per rejecting demand between starts, instead of
 // once per candidate, and each read walks from the index of t that the
 // pass located once.
-//
-// EventTimes is the schedulers' wake-up queue: a binary min-heap over a
-// ScratchVec, so a push is a vector append with no per-node allocation.
-// Release/completion collisions are not deduplicated on insert: each
-// duplicate costs one pop when the clock reaches it, and one advance
-// consumes the whole stale prefix.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <optional>
 #include <span>
@@ -270,42 +264,5 @@ std::optional<BackfillQueue::Entry> BackfillQueue::next(std::int64_t capacity,
   return deadline == kTimeInfinity ? std::numeric_limits<Time>::max()
                                    : checked_sub(deadline, t);
 }
-
-// Min-queue of wake-up times for event-driven schedulers: a binary heap on
-// a ScratchVec (arena-backed with a scratch arena, plain counted heap when
-// null). Duplicates are kept and consumed together by next_after. A caller
-// that knows how many wake-ups it will push passes that count as capacity,
-// and the heap is sized once instead of growing by doubling.
-class EventTimes {
- public:
-  explicit EventTimes(std::size_t capacity = 0, Arena* scratch = nullptr)
-      : heap_(ArenaAlloc<Time>(scratch)) {
-    heap_.reserve(capacity);
-  }
-
-  // Records a wake-up.
-  void push(Time t) {
-    heap_.push_back(t);
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  }
-
-  // Smallest recorded time strictly greater than t, or kTimeInfinity.
-  // Consumes everything up to and including the returned time.
-  Time next_after(Time t) {
-    while (!heap_.empty() && heap_.front() <= t) pop();
-    if (heap_.empty()) return kTimeInfinity;
-    const Time next = heap_.front();
-    while (!heap_.empty() && heap_.front() == next) pop();
-    return next;
-  }
-
- private:
-  void pop() {
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    heap_.pop_back();
-  }
-
-  ScratchVec<Time> heap_;  // min-heap
-};
 
 }  // namespace resched

@@ -30,22 +30,22 @@ struct HeadCache {
   std::uint64_t version = 0;
 };
 
-// One EASY pass at instant t over the released waiting jobs: start heads
-// while they fit, then reserve the blocked head's earliest start and
-// backfill at t whatever neither fails to fit nor pushes that reservation
-// back. Every start is committed on `free` and reported through
-// `on_start(job)`. schedule() loops over passes at successive events;
-// replan() runs exactly one, at now -- the first pass alone decides every
-// job that starts at its instant, so the two agree on the starts at t0 by
-// construction.
+// One EASY pass at the cursor's instant t over the released waiting jobs:
+// start heads while they fit, then reserve the blocked head's earliest
+// start and backfill at t whatever neither fails to fit nor pushes that
+// reservation back. Every start is committed through the cursor and
+// reported through `on_start(job)`; every read, test and take works from
+// the index the cursor holds. schedule() walks one cursor over passes at
+// successive wake-ups; replan() runs exactly one pass, at now -- the first
+// pass alone decides every job that starts at its instant, so the two
+// agree on the starts at t0 by construction.
 template <class OnStart>
-std::size_t easy_pass(FreeProfile& free, const std::vector<Job>& jobs,
-                      BackfillQueue& waiting, Time t, HeadCache& cache,
+std::size_t easy_pass(FreeProfile::Cursor& at, const std::vector<Job>& jobs,
+                      BackfillQueue& waiting, HeadCache& cache,
                       OnStart&& on_start) {
   std::size_t started = 0;
-  // The pass's one search: every read, test and take at t below works from
-  // the index of t it locates.
-  FreeProfile::Cursor at = free.at(t);
+  const Time t = at.instant();
+  const FreeProfile& free = at.free_profile();
   waiting.begin_pass(at.capacity());
 
   // Phase 1: start the head (and successive heads) while they fit now.
@@ -129,17 +129,16 @@ ScheduleOutcome EasyBackfillScheduler::schedule(
   if (jobs.empty()) return schedule;
   FreeProfile free = FreeProfile::for_instance(instance);
   const ReleaseFeed arrival(jobs, nullptr);
-  Time t = jobs[static_cast<std::size_t>(arrival[0])].release;
+  const auto release_at = [&](std::size_t position) {
+    return jobs[static_cast<std::size_t>(arrival[position])].release;
+  };
 
-  // Wake-ups: reservation ends, later releases and one completion per job.
-  const auto released_later = static_cast<std::size_t>(
-      std::count_if(jobs.begin(), jobs.end(),
-                    [t](const Job& job) { return job.release > t; }));
-  EventTimes events(instance.n_reservations() + released_later + jobs.size());
-  for (const Reservation& resa : instance.reservations())
-    events.push(resa.end());
-  for (const Job& job : jobs)
-    if (job.release > t) events.push(job.release);
+  // One cursor, opened at the first arrival, walks from pass to pass: the
+  // next pass is at the profile's next capacity rise or the next release,
+  // whichever comes first. A pass anywhere else would start nothing: the
+  // blocked head and every rejected backfill candidate still meet a dip
+  // there (the no-rise corollary, profile_allocator.hpp).
+  FreeProfile::Cursor at = free.at(release_at(0));
 
   // Waiting jobs, event-indexed by processor demand; rank = arrival-order
   // position, so passes examine candidates in exactly the FCFS order the
@@ -149,25 +148,24 @@ ScheduleOutcome EasyBackfillScheduler::schedule(
   std::size_t next_arrival = 0;
   std::size_t started = 0;
   while (started < jobs.size()) {
-    while (next_arrival < jobs.size() &&
-           jobs[static_cast<std::size_t>(arrival[next_arrival])].release <=
-               t) {
+    const Time t = at.instant();
+    while (next_arrival < jobs.size() && release_at(next_arrival) <= t) {
       const Job& job = jobs[static_cast<std::size_t>(arrival[next_arrival])];
       waiting.insert(job.id, static_cast<std::int64_t>(next_arrival), job.q,
                      job.p);
       ++next_arrival;
     }
-    started += easy_pass(free, jobs, waiting, t, head_cache,
-                         [&](const Job& job) {
-                           schedule.set_start(job.id, t);
-                           events.push(checked_add(t, job.p));
-                         });
+    started += easy_pass(at, jobs, waiting, head_cache, [&](const Job& job) {
+      schedule.set_start(job.id, t);
+    });
     if (started == jobs.size()) break;
 
-    const Time next = events.next_after(t);
+    Time next = at.next_rise();
+    if (next_arrival < jobs.size())
+      next = std::min(next, release_at(next_arrival));
     RESCHED_CHECK_MSG(next < kTimeInfinity,
                       "EASY stalled: waiting jobs but no future event");
-    t = next;
+    at.advance_to(next);
   }
   return schedule;
 }
@@ -181,10 +179,10 @@ Schedule EasyBackfillScheduler::replan(const ReplanRequest& request) const {
   for (const Job& job : jobs)
     waiting.insert(job.id, static_cast<std::int64_t>(job.id), job.q, job.p);
   HeadCache head_cache;
-  (void)easy_pass(request.free, jobs, waiting, request.now, head_cache,
-                  [&](const Job& job) {
-                    schedule.set_start(job.id, request.now);
-                  });
+  FreeProfile::Cursor at = request.free.at(request.now);
+  (void)easy_pass(at, jobs, waiting, head_cache, [&](const Job& job) {
+    schedule.set_start(job.id, request.now);
+  });
   return schedule;
 }
 

@@ -8,6 +8,12 @@
 // repeatedly), less aggressive than LSRC (which protects nobody). The
 // bench/bench_online experiment shows the resulting ladder:
 // FCFS >= conservative ~ EASY >= LSRC on trap instances.
+//
+// The batch loop passes at the profile's capacity rises and at releases
+// only. Its starts are those of a pass at every completion, reservation
+// end and release: in between, the blocked head and every rejected
+// backfill candidate still meet a dip (the no-rise corollary,
+// core/profile_allocator.hpp).
 #pragma once
 
 #include "algorithms/scheduler.hpp"

@@ -7,27 +7,26 @@
 #include "algorithms/backfill_queue.hpp"
 #include "core/arena.hpp"
 #include "core/profile_allocator.hpp"
-#include "util/checked.hpp"
 #include "util/require.hpp"
 
 namespace resched {
 namespace {
 
-// One LSRC pass at instant t: in priority order, start every pending job
-// that fits for its whole duration from t, committing it on `free` and
-// reporting it through `on_start(job)`. The pass locates t once; its
-// reads and takes then work from that index (FreeProfile::Cursor). Only
-// buckets with q <= capacity at t wake up, and a demand-q job (q, p) fits
-// iff t + p <= F(q), the first dip below q (the cursor's fit_deadline). A
+// One LSRC pass at the cursor's instant t: in priority order, start every
+// pending job that fits for its whole duration from t, committing it
+// through the cursor and reporting it through `on_start(job)`. Every read
+// and take works from the index the cursor holds. Only buckets with
+// q <= capacity at t wake up, and a demand-q job (q, p) fits iff
+// t + p <= F(q), the first dip below q (the cursor's fit_deadline). A
 // rejected job's dip is the demand's exact deadline until the next take,
 // so BackfillQueue::next skips the demand's later rejects unseen. run()
-// loops over passes at successive events; replan() runs exactly one, at
-// now.
+// walks one cursor over passes at successive wake-ups; replan() runs
+// exactly one pass, at now.
 template <class OnStart>
-std::size_t lsrc_pass(FreeProfile& free, const std::vector<Job>& jobs,
-                      BackfillQueue& pending, Time t, OnStart&& on_start) {
+std::size_t lsrc_pass(FreeProfile::Cursor& at, const std::vector<Job>& jobs,
+                      BackfillQueue& pending, OnStart&& on_start) {
   std::size_t started = 0;
-  FreeProfile::Cursor at = free.at(t);
+  const Time t = at.instant();
   const auto limit = [&](ProcCount q, Time p) {
     return deadline_limit(at.fit_deadline(q, p), t);
   };
@@ -87,20 +86,6 @@ Schedule LsrcScheduler::run(const Instance& instance,
   // hot sort and feed skip Instance::job's out-of-line bounds check.
   const std::vector<Job>& jobs = instance.jobs();
 
-  // Wake-up times: capacity increases (completions, reservation ends) and
-  // job releases; EventTimes coalesces collisions.
-  const auto released_later = static_cast<std::size_t>(
-      std::count_if(jobs.begin(), jobs.end(),
-                    [](const Job& job) { return job.release > 0; }));
-  EventTimes events(instance.n_reservations() + released_later + jobs.size());
-  for (const Reservation& resa : instance.reservations())
-    events.push(resa.end());
-  Time t = kTimeInfinity;
-  for (const Job& job : jobs) {
-    if (job.release > 0) events.push(job.release);
-    t = std::min(t, job.release);
-  }
-
   // Pending jobs, event-indexed by processor demand; rank = priority-list
   // position, so a pass examines them in exactly the list order the seed's
   // linear rescan used. Unreleased jobs stay out of the queue entirely (the
@@ -110,14 +95,21 @@ Schedule LsrcScheduler::run(const Instance& instance,
   for (std::size_t r = 0; r < list.size(); ++r)
     rank_of[static_cast<std::size_t>(list[r])] = static_cast<std::int64_t>(r);
   const ReleaseFeed by_release(jobs, nullptr);
+  const auto release_at = [&](std::size_t position) {
+    return jobs[static_cast<std::size_t>(by_release[position])].release;
+  };
 
+  // One cursor, opened at the first release, walks from pass to pass: the
+  // next pass is at the profile's next capacity rise or the next release,
+  // whichever comes first. A pass anywhere else would start nothing (the
+  // no-rise corollary, profile_allocator.hpp).
+  FreeProfile::Cursor at = free.at(release_at(0));
   BackfillQueue pending(instance.m(), jobs);
   std::size_t next_release = 0;
   std::size_t remaining = instance.n();
   while (remaining > 0) {
-    while (next_release < jobs.size() &&
-           jobs[static_cast<std::size_t>(by_release[next_release])].release <=
-               t) {
+    const Time t = at.instant();
+    while (next_release < jobs.size() && release_at(next_release) <= t) {
       const Job& job =
           jobs[static_cast<std::size_t>(by_release[next_release++])];
       pending.insert(job.id, rank_of[static_cast<std::size_t>(job.id)],
@@ -125,18 +117,18 @@ Schedule LsrcScheduler::run(const Instance& instance,
     }
 
     // Single pass in priority order: start everything that fits now.
-    remaining -= lsrc_pass(free, jobs, pending, t, [&](const Job& job) {
+    remaining -= lsrc_pass(at, jobs, pending, [&](const Job& job) {
       schedule.set_start(job.id, t);
-      events.push(checked_add(t, job.p));
     });
     if (remaining == 0) break;
 
-    // Advance to the next wake-up strictly after t.
-    const Time next = events.next_after(t);
+    Time next = at.next_rise();
+    if (next_release < jobs.size())
+      next = std::min(next, release_at(next_release));
     RESCHED_CHECK_MSG(next < kTimeInfinity,
                       "LSRC stalled: pending jobs but no future event -- "
                       "instance must be infeasible");
-    t = next;
+    at.advance_to(next);
   }
   return schedule;
 }
@@ -171,10 +163,10 @@ Schedule LsrcScheduler::replan(const ReplanRequest& request) const {
     const Job& job = jobs[static_cast<std::size_t>(list[r])];
     pending.insert(job.id, static_cast<std::int64_t>(r), job.q, job.p);
   }
-  (void)lsrc_pass(request.free, jobs, pending, request.now,
-                  [&](const Job& job) {
-                    schedule.set_start(job.id, request.now);
-                  });
+  FreeProfile::Cursor at = request.free.at(request.now);
+  (void)lsrc_pass(at, jobs, pending, [&](const Job& job) {
+    schedule.set_start(job.id, request.now);
+  });
   return schedule;
 }
 

@@ -17,9 +17,14 @@
 // a single in-order pass per event is enough (starting one job can never make
 // a previously skipped job fit). By the candidate-start lemma
 // (profile_allocator.hpp), fits can only appear at capacity-increase
-// breakpoints = completions and reservation ends, which are exactly the
-// events the loop wakes on; release times are additional wake-ups in the
-// online extension.
+// breakpoints, and those lie at completions and reservation ends; release
+// times are additional wake-ups in the online extension. The loop wakes at
+// the profile's next rise or the next release, whichever is first, by
+// walking one pass cursor forward. It skips the completions and
+// reservation ends where capacity does not rise, and the starts are still
+// bit-identical to a pass at every completion, reservation end and
+// release: a pass at an instant with no rise since the last pass starts
+// nothing (the no-rise corollary, profile_allocator.hpp).
 //
 // The resident service (sim/service_sim.hpp) runs the same pass through
 // replan(): at each event it asks only who starts now, so one pass over the

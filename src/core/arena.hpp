@@ -27,8 +27,8 @@
 //    is the vector alias used at call sites.
 //
 // Deallocation through ArenaAlloc is a no-op when arena-backed; memory is
-// reclaimed wholesale by reset(). A vector that grows (e.g. the EventTimes
-// heap) therefore strands each outgrown buffer until the reset -- together
+// reclaimed wholesale by reset(). A vector that grows past its capacity
+// therefore strands each outgrown buffer until the reset -- together
 // smaller than its final buffer, so bounded per decision scope, and exactly
 // the point: no heap traffic inside the timed window.
 #pragma once

@@ -56,6 +56,22 @@ FreeProfile::Cursor FreeProfile::at(Time t) {
   return Cursor(*this, t, profile_.index_of(t));
 }
 
+Time FreeProfile::Cursor::next_rise() const {
+  check_current();
+  const SegStore& steps = free_->profile_.steps_;
+  for (std::size_t i = index_ + 1; i < steps.size(); ++i)
+    if (steps.value(i) > steps.value(i - 1)) return steps.start(i);
+  return kTimeInfinity;
+}
+
+void FreeProfile::Cursor::advance_to(Time u) {
+  check_current();
+  RESCHED_REQUIRE(u >= t_);
+  const SegStore& steps = free_->profile_.steps_;
+  while (index_ + 1 < steps.size() && steps.start(index_ + 1) <= u) ++index_;
+  t_ = u;
+}
+
 Time FreeProfile::Cursor::fit_deadline(ProcCount q, Time w) const {
   check_current();
   RESCHED_REQUIRE(w > 0);

@@ -9,19 +9,23 @@
 //   place(t0, q, p)         -- allocate it at that start, and return it,
 //   commit_fitted(t, q, p)  -- allocate it at a start already known to fit,
 //   at(t)                   -- a pass cursor: reads, tests and allocations
-//                              at one instant t (FreeProfile::Cursor).
+//                              at one instant t, which walks forward to
+//                              the next pass (FreeProfile::Cursor).
 //
 // Protocol: a scheduler that puts a job at its earliest fit calls place --
 // FCFS, conservative backfilling and compaction do, in the batch and the
 // service paths alike. The event-loop schedulers, LSRC and EASY, start
-// jobs only at the pass instant t, so a pass opens a cursor at t and does
-// everything at t through it: the capacity at t, the per-demand deadlines
-// F(q) and D(q), EASY's head test and its head reservation, and every
-// start. Branch-and-bound commits through commit_fitted after reading
+// jobs only at the pass instant t, so a pass does everything at t through
+// a cursor at t: the capacity at t, the per-demand deadlines F(q) and
+// D(q), EASY's head test and its head reservation, and every start. A
+// batch schedule opens one cursor at its first release and walks it from
+// pass to pass with next_rise and advance_to; a service decision opens
+// one at now for its single pass. Branch-and-bound commits through commit_fitted after reading
 // earliest_fit. earliest_fit serves the other callers that only read:
 // lower bounds and bnb's prune.
 //
-// Candidate-start lemma (used by earliest_fit and by LSRC's event loop):
+// Candidate-start lemma (used by earliest_fit and by the LSRC and EASY
+// event loops):
 // for fixed committed capacity, the set {t : fits_at(t, q, p)} is a finite
 // union of left-closed intervals whose left endpoints are either t0 or
 // *capacity-increase breakpoints* of the profile. Proof sketch: fits_at
@@ -33,6 +37,21 @@
 // completions, reservation ends) never misses a feasible start. It is also
 // why the walk behind StepProfile::first_fit, which earliest_fit shares,
 // may jump from a dip straight to the end of its deficient run.
+//
+// No-rise corollary (why LSRC and EASY wake only at rises and releases):
+// let t_prev be a pass and x > t_prev an instant that is neither a
+// capacity rise of the profile after that pass nor a release. Then the
+// profile does not increase on (t_prev, x], so a job that did not fit at
+// t_prev meets a dip at x too: its first dip d in [t_prev, t_prev + p)
+// either lies at or after x, inside [x, x + p), or lies before x, where
+// value(x) <= value(d) < q. For LSRC that dip is F(q); for EASY it is F(q)
+// for the head, and for a backfill candidate D = min(F, G) keeps a dip
+// because G, the first dip below head.q + q in the head's window, can only
+// move earlier as the candidate's window grows. A pass at x therefore
+// starts nothing, and skipping it changes no start. Rises happen only at
+// job completions and reservation ends, which the per-event loop also
+// woke on, so the passes at rises and releases are a subset of its passes
+// that starts exactly the same jobs at exactly the same instants.
 //
 // Complexity, for a profile of n segments:
 //
@@ -49,7 +68,9 @@
 //   commit_fitted -- StepProfile::add: one binary search, an O(window)
 //                    overflow probe that also finds the window's right
 //                    edge, and the same edge memmoves.
-//   at(t)         -- one binary search; the pass's only one. From the
+//   at(t)         -- one binary search; the schedule's only one (a batch
+//                    loop opens one cursor, a service decision one per
+//                    pass). From the
 //                    index it holds, capacity() is O(1); fit_deadline and
 //                    backfill_deadline walk forward from t to the first
 //                    dip, O(segments before it); try_take walks the window
@@ -58,7 +79,9 @@
 //                    edge memmoves; earliest_fit is earliest_fit's walk
 //                    without the search. Each take leaves the cursor on
 //                    the segment containing t (StepProfile::shift_window
-//                    returns it).
+//                    returns it). next_rise walks forward from the index
+//                    to the first rise, and advance_to(u) walks it to the
+//                    segment containing u: no search, O(segments passed).
 //
 // A caller that takes work back -- bnb on backtrack, the resident service
 // when churn drops its plan -- returns the occupancy by value through
@@ -118,9 +141,9 @@ class FreeProfile {
   // through their pass cursor's take instead.)
   void commit_fitted(Time t, ProcCount q, Time p);
 
-  // Opens a pass at instant t: locates t once (the pass's only binary
-  // search) and returns the cursor that reads, tests and takes at t from
-  // that index. t >= 0.
+  // Opens a cursor at instant t: locates t once (its only binary search)
+  // and returns the cursor that reads, tests and takes at t from that
+  // index, and walks forward to later instants. t >= 0.
   [[nodiscard]] Cursor at(Time t);
 
   // Capacity change (a job starting for real; churn events:
@@ -154,16 +177,34 @@ class FreeProfile {
   StepProfile profile_;
 };
 
-// A pass's view of a FreeProfile at one fixed instant t: t and the index
-// of the segment that contains it, kept current across the cursor's own
-// takes (StepProfile::shift_window returns it). Every operation starts
-// from that index, so none of them searches. Any mutation of the profile
-// other than the cursor's own takes invalidates the cursor; in Debug, a
-// later use trips RESCHED_ASSERT (the cursor stamps the profile version).
+// A pass's view of a FreeProfile at one instant t: t and the index of the
+// segment that contains it, kept current across the cursor's own takes
+// (StepProfile::shift_window returns it) and moved forward by advance_to.
+// Every operation starts from that index, so none of them searches. Any
+// mutation of the profile other than the cursor's own takes invalidates
+// the cursor; in Debug, a later use trips RESCHED_ASSERT (the cursor
+// stamps the profile version).
 class FreeProfile::Cursor {
  public:
+  // The instant t the cursor reads and takes at.
+  [[nodiscard]] Time instant() const noexcept { return t_; }
+
   // Index of the segment that contains t (diagnostic).
   [[nodiscard]] std::size_t index() const noexcept { return index_; }
+
+  // The profile the cursor walks (for reads the cursor does not offer).
+  [[nodiscard]] const FreeProfile& free_profile() const noexcept {
+    return *free_;
+  }
+
+  // The first breakpoint after t at which the capacity rises above its
+  // left neighbour's, or kTimeInfinity: the next instant a job may first
+  // fit (candidate-start lemma). Walks forward from the cursor's index.
+  [[nodiscard]] Time next_rise() const;
+
+  // Moves the cursor to instant u >= t by walking its index forward: no
+  // search, O(segments passed).
+  void advance_to(Time u);
 
   // Free capacity at t, O(1).
   [[nodiscard]] ProcCount capacity() const {

@@ -17,9 +17,6 @@
 // in the middle of a bucket. The reference also knows which jobs the
 // opening capacity gates out: a gated job may lead next_head() but must
 // never surface from next().
-//
-// EventTimes is checked against an ordered std::set<Time>: duplicates,
-// pushes at or before the current time, and kTimeInfinity once drained.
 #include "algorithms/backfill_queue.hpp"
 
 #include <gtest/gtest.h>
@@ -27,7 +24,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <initializer_list>
-#include <iterator>
 #include <optional>
 #include <set>
 #include <tuple>
@@ -552,69 +548,6 @@ TEST(BackfillQueue, LimitSkipsLongJobsAndReoffersTheBucket) {
   queue.keep();
   queue.end_pass();
   EXPECT_EQ(queue.size(), 3u);
-}
-
-// --- EventTimes --------------------------------------------------------------
-
-Time reference_next_after(std::set<Time>& times, Time t) {
-  const auto it = times.upper_bound(t);
-  if (it == times.end()) {
-    times.clear();
-    return kTimeInfinity;
-  }
-  const Time next = *it;
-  times.erase(times.begin(), std::next(it));
-  return next;
-}
-
-class EventTimesDifferential : public ::testing::TestWithParam<bool> {};
-
-TEST_P(EventTimesDifferential, MatchesAnOrderedSet) {
-  const bool arena_backed = GetParam();
-  Arena arena;
-  Prng prng(arena_backed ? 77 : 78);
-  int drained = 0;
-  for (int run = 0; run < 200; ++run) {
-    if (arena_backed) arena.reset();
-    EventTimes events(0, arena_backed ? &arena : nullptr);
-    std::set<Time> reference;
-    Time t = prng.uniform_int(0, 20);
-    for (int step = 0; step < 60; ++step) {
-      // Pushes cluster so duplicates are common; some land at or before t.
-      for (int k = static_cast<int>(prng.uniform_int(0, 3)); k > 0; --k) {
-        const Time at = std::max<Time>(0, t + prng.uniform_int(-5, 12));
-        events.push(at);
-        reference.insert(at);
-      }
-      // Mostly the schedulers' monotone clock, sometimes an arbitrary probe.
-      const Time probe =
-          prng.chance(0.1) ? prng.uniform_int(0, t + 20) : t;
-      const Time got = events.next_after(probe);
-      ASSERT_EQ(got, reference_next_after(reference, probe))
-          << "run " << run << " step " << step << " t=" << probe;
-      if (got == kTimeInfinity) {
-        ++drained;
-        // Drained stays drained until the next push.
-        ASSERT_EQ(events.next_after(probe), kTimeInfinity);
-      } else {
-        t = got;
-      }
-    }
-  }
-  EXPECT_GT(drained, 0) << "no run drained the queue";
-}
-
-INSTANTIATE_TEST_SUITE_P(Backing, EventTimesDifferential, ::testing::Bool());
-
-TEST(EventTimes, DuplicatesCoalesceIntoOneWakeUp) {
-  EventTimes events;
-  for (const Time at : {5, 3, 5, 9, 3, 5}) events.push(at);
-  EXPECT_EQ(events.next_after(0), 3);
-  EXPECT_EQ(events.next_after(3), 5);
-  events.push(4);  // already behind the clock: consumed, never returned
-  EXPECT_EQ(events.next_after(5), 9);
-  EXPECT_EQ(events.next_after(9), kTimeInfinity);
-  EXPECT_EQ(events.next_after(9), kTimeInfinity);
 }
 
 }  // namespace

@@ -1,14 +1,17 @@
 // Differential tests of FreeProfile::Cursor, the pass view LSRC and EASY
 // read, test and take through at one instant t.
 //
-// Random profiles take random take / try_take sequences at one t. After
-// every step the cursor must agree with the stateless operations it
-// replaces: its index with a search for t, capacity() with value_at(t),
-// fit_deadline and backfill_deadline with their two-search definitions,
-// try_take with fits_at followed by commit_fitted (verdict and resulting
-// profile), take with commit_fitted, and earliest_fit with
-// FreeProfile::earliest_fit. The draws aim t, window ends and head windows
-// at breakpoints, and the test checks that each edge case was hit.
+// Random profiles take random take / try_take sequences, and the cursor
+// sometimes walks forward between them, as the batch loops walk it from
+// pass to pass. After every step the cursor must agree with the stateless
+// operations it replaces: its index with a search for t, capacity() with
+// value_at(t), fit_deadline and backfill_deadline with their two-search
+// definitions, try_take with fits_at followed by commit_fitted (verdict and
+// resulting profile), take with commit_fitted, earliest_fit with
+// FreeProfile::earliest_fit, next_rise with a scan of every tick, and
+// advance_to(u) with a fresh at(u). The draws aim t, window ends, head
+// windows and advances at breakpoints, and the test checks that each edge
+// case was hit.
 #include "core/profile_allocator.hpp"
 
 #include <gtest/gtest.h>
@@ -37,6 +40,15 @@ std::size_t index_of(const StepProfile& profile, Time t) {
 
 bool is_breakpoint(const StepProfile& profile, Time t) {
   return t > 0 && profile.next_change_after(t - 1) == t;
+}
+
+// The first tick after t where the value exceeds the previous tick's, by
+// a scan of every tick up to the last breakpoint.
+Time next_rise_oracle(const StepProfile& profile, Time t) {
+  const Time last = profile.segments().back().start;
+  for (Time x = t + 1; x <= last; ++x)
+    if (profile.value_at(x) > profile.value_at(x - 1)) return x;
+  return kTimeInfinity;
 }
 
 // The deadlines as defined, each with two windowed searches.
@@ -76,6 +88,10 @@ struct Coverage {
   int head_starts_at_window_end = 0;
   int refused = 0;              // try_take that did not fit
   int taken = 0;
+  int advanced_to_rise = 0;     // advance_to(next_rise())
+  int advanced_mid_segment = 0;
+  int advanced_in_place = 0;    // advance_to(t)
+  int no_rise_ahead = 0;        // next_rise() == kTimeInfinity
 };
 
 class PassCursorRandomized : public ::testing::TestWithParam<std::uint64_t> {
@@ -87,7 +103,7 @@ TEST_P(PassCursorRandomized, AgreesWithTheStatelessOperations) {
   for (int round = 0; round < 60; ++round) {
     const StepProfile initial = random_profile(prng);
     const std::vector<StepProfile::Segment> segments = initial.segments();
-    const Time t =
+    Time t =
         prng.chance(0.5)
             ? segments[static_cast<std::size_t>(prng.uniform_int(
                            0, static_cast<std::int64_t>(segments.size()) - 1))]
@@ -103,8 +119,29 @@ TEST_P(PassCursorRandomized, AgreesWithTheStatelessOperations) {
     for (int step = 0; step < 12; ++step) {
       const StepProfile& now = reference.profile();
       ASSERT_EQ(free.profile(), now);
+      ASSERT_EQ(at.instant(), t);
       ASSERT_EQ(at.index(), index_of(now, t));
       ASSERT_EQ(at.capacity(), now.value_at(t));
+
+      // The next rise, and sometimes a walk forward to it or past it.
+      const Time rise = at.next_rise();
+      ASSERT_EQ(rise, next_rise_oracle(now, t)) << "t=" << t;
+      if (rise == kTimeInfinity) ++seen.no_rise_ahead;
+      if (step > 0 && prng.chance(0.3)) {
+        Time u = t + prng.uniform_int(0, 12);
+        if (rise < kTimeInfinity && prng.chance(0.5)) u = rise;
+        if (u == t)
+          ++seen.advanced_in_place;
+        else if (u == rise)
+          ++seen.advanced_to_rise;
+        else if (!is_breakpoint(now, u))
+          ++seen.advanced_mid_segment;
+        at.advance_to(u);
+        t = u;
+        ASSERT_EQ(at.instant(), t);
+        ASSERT_EQ(at.index(), reference.at(t).index()) << "t=" << t;
+        ASSERT_EQ(at.capacity(), reference.at(t).capacity()) << "t=" << t;
+      }
 
       // Reads: deadlines over random windows and heads, earliest fit.
       for (int query = 0; query < 6; ++query) {
@@ -173,6 +210,10 @@ TEST_P(PassCursorRandomized, AgreesWithTheStatelessOperations) {
   EXPECT_GT(seen.head_starts_at_window_end, 0);
   EXPECT_GT(seen.refused, 0);
   EXPECT_GT(seen.taken, 0);
+  EXPECT_GT(seen.advanced_to_rise, 0);
+  EXPECT_GT(seen.advanced_mid_segment, 0);
+  EXPECT_GT(seen.advanced_in_place, 0);
+  EXPECT_GT(seen.no_rise_ahead, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PassCursorRandomized,
@@ -184,6 +225,7 @@ TEST(PassCursor, TakeContracts) {
   FreeProfile::Cursor at = free.at(2);
   EXPECT_THROW(at.take(1, 0), std::invalid_argument);
   EXPECT_THROW((void)at.fit_deadline(1, 0), std::invalid_argument);
+  EXPECT_THROW(at.advance_to(1), std::invalid_argument);
   at.take(3, 5);
   EXPECT_FALSE(at.try_take(2, 1));
   EXPECT_TRUE(at.try_take(1, 1));
@@ -221,6 +263,8 @@ TEST(PassCursor, StaleCursorTripsInDebug) {
   expect_invariant_failure([&] { (void)at.try_take(1, 1); });
   expect_invariant_failure([&] { at.take(1, 1); });
   expect_invariant_failure([&] { (void)at.earliest_fit(1, 1); });
+  expect_invariant_failure([&] { (void)at.next_rise(); });
+  expect_invariant_failure([&] { at.advance_to(5); });
   // A new cursor sees the new profile.
   EXPECT_EQ(free.at(3).capacity(), 2);
 }
