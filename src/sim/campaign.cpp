@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <deque>
 #include <exception>
 #include <mutex>
 #include <optional>
@@ -95,51 +94,88 @@ CampaignResult run_campaign(const InstanceGenerator& generator,
     for (std::uint64_t& seed : seeds) seed = master.fork_seed();
   }
 
-  // share_instances: one generator run per index instead of one per task.
-  // No pregeneration barrier: the first task to touch index i generates it
-  // under that instance's once_flag while workers on other indices keep
-  // scheduling, so generation overlaps the task phase instead of
-  // serializing ahead of it. Later tasks on i read the one built instance
-  // const-shared, which is safe because const reads mutate nothing.
-  // call_once's "turns" semantics also keep a throwing generator exact:
-  // the flag stays unset and the exception aborts the campaign as before.
-  // Determinism is untouched -- the instance is a pure function of
-  // (i, seeds[i]) no matter which worker builds it.
-  std::vector<Instance> shared;
-  std::deque<std::once_flag> shared_once;
-  if (config.share_instances) {
-    shared.resize(config.instances);
-    // deque: once_flag is immovable, and the container never resizes after
-    // this point.
-    shared_once.resize(config.instances);
-  }
+  // share_instances: one generator run per index instead of one per task,
+  // through a bounded window. With T workers and S schedulers, index j is
+  // generated (under its once_flag) by task j*S - T, T tasks before j's
+  // first, so workers rarely wait in call_once. Only that task looks
+  // ahead: were all S tasks of an index to do it, S - 1 would wait for the
+  // one generating. The last task to finish with an index frees its
+  // instance on its own worker, so live instances stay O(T + T/S) instead
+  // of O(instances) and no serial teardown follows the pool. Tasks share
+  // the built instance const, which is safe because const reads mutate
+  // nothing. A throwing generator also runs once: its exception is kept
+  // and rethrown by every task that needs the index, aborting the
+  // campaign. (Escaping call_once, it would leave the flag to pthread_once,
+  // whose TSan interceptor never wakes the tasks waiting on it.) The
+  // instance is a pure function of (i, seeds[i]) whichever worker builds
+  // it and whenever it is freed, so determinism is untouched.
+  struct SharedSlot {
+    std::once_flag generated;
+    std::exception_ptr error;  // what the generator threw, if it did
+    // Tasks of this index that have not finished with the instance.
+    std::atomic<std::size_t> unfinished{0};
+    Instance instance;
+  };
+  const std::size_t scheduler_count = names.size();
+  std::vector<SharedSlot> shared(config.share_instances ? config.instances
+                                                        : 0);
+  for (SharedSlot& slot : shared)
+    slot.unfinished.store(scheduler_count, std::memory_order_relaxed);
   const auto shared_instance = [&](std::size_t i) -> const Instance& {
-    std::call_once(shared_once[i],
-                   [&] { shared[i] = generator(i, seeds[i]); });
-    return shared[i];
+    SharedSlot& slot = shared[i];
+    std::call_once(slot.generated, [&] {
+      try {
+        slot.instance = generator(i, seeds[i]);
+      } catch (...) {
+        slot.error = std::current_exception();
+      }
+    });
+    if (slot.error) std::rethrow_exception(slot.error);
+    return slot.instance;
+  };
+  // Armed once a task holds its shared instance, so a count of 0 means
+  // every task of the index got past call_once: nobody will generate or
+  // read the instance again. It drops the count on every exit (scheduled,
+  // skipped, or unwinding); acq_rel orders every reader's last access
+  // before the release.
+  struct ReleaseOnExit {
+    SharedSlot* slot = nullptr;
+    ~ReleaseOnExit() {
+      if (slot != nullptr &&
+          slot->unfinished.fetch_sub(1, std::memory_order_acq_rel) == 1)
+        slot->instance = Instance{};
+    }
   };
 
   std::vector<std::vector<TaskResult>> results(
-      config.instances, std::vector<TaskResult>(names.size()));
+      config.instances, std::vector<TaskResult>(scheduler_count));
   // Work unit = one (instance, scheduler) pair, not one instance: a
   // registry mixing a ~100x-slower scheduler (local-search) with cheap
   // ones would otherwise serialize the tail behind whichever worker drew
   // the slow scheduler's whole instance. The (i, s) result slot is written
   // by exactly one worker.
-  const std::size_t task_count = config.instances * names.size();
+  const std::size_t task_count = config.instances * scheduler_count;
+  const std::size_t threads = resolve_threads(config.threads, task_count);
   parallel_for(
-      resolve_threads(config.threads, task_count), task_count,
+      threads, task_count,
       [&](std::size_t task) {
-        const std::size_t i = task / names.size();
-        const std::size_t s = task % names.size();
-        // Share mode reads (generating on first touch) the per-index
-        // instance; regenerate mode builds its own, whose lifetime must
-        // span the whole task.
+        const std::size_t i = task / scheduler_count;
+        const std::size_t s = task % scheduler_count;
+        // Share mode: if task + threads is the first task of an index, this
+        // task generates that index ahead; then it reads its own instance.
+        // Regenerate mode builds its own, whose lifetime must span the
+        // whole task.
         std::optional<Instance> regenerated;
+        ReleaseOnExit release;
+        const std::size_t ahead = task + threads;
+        if (config.share_instances && ahead % scheduler_count == 0 &&
+            ahead / scheduler_count < config.instances)
+          (void)shared_instance(ahead / scheduler_count);
         const Instance& instance =
             config.share_instances
                 ? shared_instance(i)
                 : regenerated.emplace(generator(i, seeds[i]));
+        if (config.share_instances) release.slot = &shared[i];
         TaskResult& slot = results[i][s];
         const auto scheduler = make_scheduler(names[s]);
         // resched-lint: determinism-audited(wall-latency telemetry only; never feeds schedules)

@@ -22,10 +22,15 @@
 //
 // Sharing is safe because every read of a generated instance is const, and
 // const reads touch no mutable state: StepProfile, the structure underneath
-// it, holds no cache (core/step_profile.hpp). Regeneration is kept as the
-// default only because it is the seed behavior; share_instances skips
-// instances-x-schedulers redundant generator runs and is the mode to use at
-// production scale.
+// it, holds no cache (core/step_profile.hpp). Shared instances stream
+// through a bounded window: with T workers and S schedulers, the task that
+// starts T tasks before an instance's first task generates it, and the
+// last of the instance's S tasks frees it. So workers rarely wait for a
+// generation, at most O(T + T/S) instances are resident whatever the
+// instance count, and no serial teardown follows the pool. share_instances
+// skips instances-x-schedulers redundant generator runs and is the mode to
+// use at production scale; regeneration stays the default because it is
+// the seed behavior.
 //
 // Domain handling: schedulers report out-of-domain instances through the
 // typed DomainError arm of ScheduleOutcome, which the runner counts per
@@ -76,10 +81,11 @@ struct CampaignConfig {
   // naming the scheduler, false throws compute_metrics' precondition
   // failure (std::invalid_argument).
   bool validate = true;
-  // true: generate each instance once -- on first touch, under a
-  // per-instance std::call_once, so generation overlaps the task phase
-  // instead of running behind a pregeneration barrier -- and let every
-  // scheduler task read it shared; false: regenerate per task (seed
+  // true: generate each instance once, under a per-instance
+  // std::call_once, a window ahead of the tasks that read it (by the task
+  // `workers` places before its first one); every scheduler task reads it
+  // shared, and the last one frees it. Resident instances are bounded by
+  // O(workers), not by `instances`. false: regenerate per task (seed
   // behavior). Aggregates are bit-identical either way.
   bool share_instances = false;
   // Run bounds/check_guarantee on every produced schedule and tally the

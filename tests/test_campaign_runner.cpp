@@ -16,8 +16,10 @@
 #include <cmath>
 #include <exception>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/step_profile.hpp"
 #include "generators/reservations.hpp"
@@ -127,12 +129,12 @@ TEST(CampaignRunner, OutOfDomainSchedulersAreCountedAsSkipped) {
 }
 
 TEST(CampaignRunner, SharedInstancesMatchRegeneratedBitForBit) {
-  // share_instances generates each instance once -- on first touch, under
-  // a per-instance std::call_once that overlaps generation with the task
-  // phase (no pregeneration barrier) -- and every scheduler task reads it
-  // concurrently; the aggregated result must be bit-identical to the
-  // regenerate mode for every thread count, and the generator must run
-  // exactly once per index regardless of how many tasks race to it.
+  // share_instances generates each instance once, under a per-instance
+  // std::call_once, a window ahead of the tasks that read it; every
+  // scheduler task reads it concurrently and the last one frees it. The
+  // aggregated result must be bit-identical to the regenerate mode for
+  // every thread count, and the generator must run exactly once per index
+  // regardless of how many tasks race to it, ahead or on demand.
   CampaignConfig config;
   config.instances = 8;
   config.seed = 777;
@@ -165,16 +167,174 @@ TEST(CampaignRunner, SharedInstancesMatchRegeneratedBitForBit) {
 TEST(CampaignRunner, SharedModeGeneratorExceptionsStillAbortTheCampaign) {
   // call_once's turns semantics must not swallow or double-run a throwing
   // generator: the failure propagates and aborts, same as regenerate mode.
+  // At 4 schedulers, index 3 is generated ahead by a task of index 2 (the
+  // last one at 1 thread, the first one at 4), and index 5 is the last
+  // index, whose own tasks generate nothing ahead.
   CampaignConfig config;
   config.instances = 6;
-  config.threads = 3;
   config.share_instances = true;
-  config.schedulers = {"fcfs"};
-  const InstanceGenerator generator = [](std::size_t index, std::uint64_t) {
-    if (index == 3) throw std::runtime_error("generator failure");
-    return sweep_instance(index + 1, false);
+  config.schedulers = {"fcfs", "lsrc", "easy", "conservative"};
+  for (const std::size_t failing : {3u, 5u}) {
+    const InstanceGenerator generator = [failing](std::size_t index,
+                                                  std::uint64_t) {
+      if (index == failing)
+        throw std::runtime_error("generator failure at " +
+                                 std::to_string(index));
+      return sweep_instance(index + 1, true);
+    };
+    for (const std::size_t threads : {1u, 4u}) {
+      config.threads = threads;
+      try {
+        (void)run_campaign(generator, config);
+        ADD_FAILURE() << "no abort: failing index " << failing
+                      << ", threads=" << threads;
+      } catch (const std::runtime_error& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "generator failure at " + std::to_string(failing))
+            << "threads=" << threads;
+      }
+    }
+  }
+}
+
+namespace {
+// The window probe: a scheduler and a generator that share process-wide
+// counters (the scheduler is registered once per process, so its state
+// cannot live in one test). The generator encodes the index as n = index
+// + 1 on a machine just as wide, and the probe starts every job at 0.
+struct WindowProbe {
+  static constexpr std::size_t kMaxInstances = 48;
+  struct Generation {
+    std::size_t index = 0;
+    std::size_t live = 0;        // generated, not yet finished by all tasks
+    std::size_t tasks_done = 0;  // probe tasks finished before this call
   };
-  EXPECT_THROW((void)run_campaign(generator, config), std::runtime_error);
+  std::size_t tasks_per_instance = 1;
+  std::array<std::atomic<std::size_t>, kMaxInstances> calls{};
+  std::array<std::atomic<std::size_t>, kMaxInstances> finished{};
+  std::atomic<std::size_t> generated{0};
+  std::atomic<std::size_t> completed{0};  // indices finished by all tasks
+  std::atomic<std::size_t> tasks_done{0};
+  std::mutex mutex;
+  std::vector<Generation> log;
+
+  void reset(std::size_t schedulers) {
+    tasks_per_instance = schedulers;
+    for (auto& count : calls) count.store(0);
+    for (auto& count : finished) count.store(0);
+    generated.store(0);
+    completed.store(0);
+    tasks_done.store(0);
+    log.clear();
+  }
+
+  Instance generate(std::size_t index) {
+    calls[index].fetch_add(1);
+    const std::size_t tasks = tasks_done.load();
+    // Counted after this generation began and loaded in this order, live
+    // can only undercount the instances that are really resident.
+    const std::size_t started = generated.fetch_add(1) + 1;
+    const std::size_t live = started - completed.load();
+    {
+      const std::lock_guard<std::mutex> lock(mutex);
+      log.push_back({index, live, tasks});
+    }
+    std::vector<Job> jobs(index + 1);
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      jobs[j].id = static_cast<JobId>(j);
+      jobs[j].p = 3;
+    }
+    return Instance(static_cast<ProcCount>(index + 1), std::move(jobs));
+  }
+
+  void finish(std::size_t index) {
+    if (finished[index].fetch_add(1) + 1 == tasks_per_instance)
+      completed.fetch_add(1);
+    tasks_done.fetch_add(1);
+  }
+};
+
+WindowProbe& window_probe() {
+  static WindowProbe probe;
+  return probe;
+}
+
+class WindowProbeScheduler final : public Scheduler {
+ public:
+  [[nodiscard]] ScheduleOutcome schedule(
+      const Instance& instance) const override {
+    Schedule schedule(instance.n());
+    for (const Job& job : instance.jobs()) schedule.set_start(job.id, 0);
+    window_probe().finish(instance.n() - 1);
+    return schedule;
+  }
+  [[nodiscard]] std::string name() const override { return "window-probe"; }
+};
+
+// Runs a shared-mode campaign of `schedulers` probe tasks per instance.
+void run_window_campaign(std::size_t instances, std::size_t schedulers,
+                         std::size_t threads) {
+  static const bool registered = [] {
+    register_scheduler(
+        "window-probe", [] { return std::make_unique<WindowProbeScheduler>(); },
+        "test-only: counts finished tasks per shared instance");
+    return true;
+  }();
+  (void)registered;
+  window_probe().reset(schedulers);
+  CampaignConfig config;
+  config.instances = instances;
+  config.threads = threads;
+  config.share_instances = true;
+  config.schedulers.assign(schedulers, "window-probe");
+  const InstanceGenerator generator = [](std::size_t index, std::uint64_t) {
+    return window_probe().generate(index);
+  };
+  const CampaignResult result = run_campaign(generator, config);
+  for (const CampaignCell& cell : result.cells)
+    EXPECT_EQ(cell.scheduled, instances) << "threads=" << threads;
+  for (std::size_t i = 0; i < instances; ++i)
+    EXPECT_EQ(window_probe().calls[i].load(), 1u)
+        << "instance " << i << " generated " << window_probe().calls[i]
+        << " times (threads=" << threads << ")";
+}
+}  // namespace
+
+TEST(CampaignRunner, SharedModeGeneratesAheadWithinABoundedWindow) {
+  constexpr std::size_t kInstances = WindowProbe::kMaxInstances;
+  WindowProbe& probe = window_probe();
+  // One thread, exact order: index j is generated by the task just before
+  // j's first one, ahead of that task's own read. So index i + 1 is
+  // generated inside the last task of index i, before that task schedules;
+  // with one scheduler that is i's first and only task, and index 1 comes
+  // before index 0.
+  for (const std::size_t schedulers : {1u, 4u}) {
+    run_window_campaign(kInstances, schedulers, 1);
+    ASSERT_EQ(probe.log.size(), kInstances);
+    for (std::size_t k = 0; k < kInstances; ++k) {
+      const WindowProbe::Generation& generation = probe.log[k];
+      const std::size_t j = generation.index;
+      EXPECT_EQ(j, schedulers == 1 && k < 2 ? 1 - k : k)
+          << "generation " << k << ", schedulers=" << schedulers;
+      EXPECT_EQ(generation.tasks_done, j == 0 ? 0 : j * schedulers - 1)
+          << "index " << j << ", schedulers=" << schedulers;
+      EXPECT_LE(generation.live, 2u) << "index " << j;
+    }
+  }
+  // Threads: at most T tasks are in flight, and generation reaches at most
+  // T tasks past the next unpicked one, so at most T + ceil(T / S) + 1
+  // instances are resident, whatever the instance count.
+  constexpr std::size_t kSchedulers = 4;
+  for (const std::size_t threads : {2u, 4u, 8u}) {
+    run_window_campaign(kInstances, kSchedulers, threads);
+    const std::size_t bound =
+        threads + (threads + kSchedulers - 1) / kSchedulers + 1;
+    ASSERT_EQ(probe.log.size(), kInstances);
+    for (const WindowProbe::Generation& generation : probe.log)
+      EXPECT_LE(generation.live, bound)
+          << "generating index " << generation.index
+          << " (threads=" << threads << ")";
+  }
 }
 
 namespace {
