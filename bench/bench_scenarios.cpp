@@ -3,7 +3,7 @@
 // resident-service step running under a scenario's availability windows.
 //
 // The table section prints the stock survival matrix (the qualitative
-// verdict grid EXPERIMENTS.md quotes); the timing section exports cell
+// verdict grid) on stdout; the timing section exports cell
 // counts, verdict tallies and parse/skip counters so BENCH_scenarios.json
 // tracks both the subsystem's speed and its deterministic aggregates
 // across PRs.

@@ -2,7 +2,7 @@
 //
 // Every binary follows the same shape: main() prints the paper-figure
 // reproduction table(s) on stdout, then hands over to google-benchmark for
-// the timing section. The tables are what EXPERIMENTS.md quotes.
+// the timing section, so the stdout of a run is the reproduction record.
 //
 // Machine-readable perf trajectory: every binary declares a JSON artifact
 // name (RESCHED_BENCH_MAIN's second argument, e.g. "BENCH_profile.json").

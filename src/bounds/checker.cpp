@@ -110,8 +110,9 @@ GuaranteeReport guarantee_of_feasible(const Instance& instance,
 Lemma1Report check_lemma1(const Instance& instance, const Schedule& schedule) {
   RESCHED_REQUIRE_MSG(instance.is_rigid_only() && !instance.has_release_times(),
                       "Lemma 1 is stated for RIGIDSCHEDULING");
-  const ValidationResult valid = schedule.validate(instance);
-  RESCHED_REQUIRE_MSG(valid.ok, "Lemma 1 check needs a feasible schedule");
+  CheckedSweep sweep = schedule.checked_sweep(instance);
+  RESCHED_REQUIRE_MSG(sweep.verdict.ok,
+                      "Lemma 1 check needs a feasible schedule");
 
   Lemma1Report report;
   const Time makespan = schedule.makespan(instance);
@@ -120,8 +121,7 @@ Lemma1Report check_lemma1(const Instance& instance, const Schedule& schedule) {
 
   // r as steps over [0, C): segment k is [r[k].tick, r[k + 1].tick), and
   // the last step is the 0 at C. Without reservations the load is r.
-  std::vector<LoadStep> r =
-      load_steps(instance, sweep_events(instance, schedule));
+  std::vector<LoadStep>& r = sweep.steps;
   if (r.front().tick > 0) r.insert(r.begin(), LoadStep{0, 0});
   // suffix_min[k] = min of r over [r[k].tick, C).
   const std::size_t segments = r.size() - 1;

@@ -65,9 +65,10 @@ struct Lemma1Report {
 // Requires a feasible schedule on a no-reservation, no-release instance
 // (Lemma 1's setting). Checks the implication at every breakpoint pair that
 // matters (r is a step function, so finitely many candidates suffice), on
-// the load sweep's steps (core/load_sweep.hpp): linear after the sweep's
-// radix sort. A violation reports the earliest t, and the earliest t' >=
-// t + p_max where r attains its minimum over [t + p_max, C).
+// the load steps of the sweep its feasibility check built
+// (Schedule::checked_sweep): linear after the sweep's radix sort. A
+// violation reports the earliest t, and the earliest t' >= t + p_max where
+// r attains its minimum over [t + p_max, C).
 [[nodiscard]] Lemma1Report check_lemma1(const Instance& instance,
                                         const Schedule& schedule);
 

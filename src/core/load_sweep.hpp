@@ -10,10 +10,11 @@
 // passes = ceil(bits(2 * latest end) / 8): two while every window ends
 // before tick 32768, three below 2^23.
 //
-// The sweep is what every independent checker of a schedule walks:
-// Schedule::validate sums its load steps against m, assign_machines and
-// simulate_cluster acquire and release machines in its order, and
-// check_lemma1 reads r(t) from its load steps. It shares no code with
+// The sweep is what every independent checker of a schedule walks, built
+// once per check: Schedule::checked_sweep sums its load steps against m and
+// hands the sweep to assign_machines and validate_assignment, which acquire
+// and release machines in its order, and to simulate_cluster and
+// check_lemma1, which read its load steps. It shares no code with
 // StepProfile, the structure the schedulers plan on (defence in depth).
 #pragma once
 
@@ -70,5 +71,14 @@ struct LoadStep {
 // running sum overflows int64.
 [[nodiscard]] std::vector<LoadStep> load_steps(
     const Instance& instance, std::span<const LoadEvent> events);
+
+// A schedule's sweep after Schedule::checked_sweep: its feasibility verdict
+// and, when the verdict is ok, the events and load steps the check walked
+// (a rejection is the verdict alone).
+struct CheckedSweep {
+  ValidationResult verdict;
+  std::vector<LoadEvent> events = {};
+  std::vector<LoadStep> steps = {};
+};
 
 }  // namespace resched

@@ -10,9 +10,11 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/instance.hpp"
+#include "core/load_sweep.hpp"
 #include "core/schedule.hpp"
 
 namespace resched {
@@ -26,17 +28,23 @@ struct MachineAssignment {
   std::vector<std::vector<MachineIndex>> reservation_machines;
 };
 
-// Requires schedule.validate(instance). Deterministic: machines are assigned
-// smallest-index-first in load-sweep order (core/load_sweep.hpp: at equal
-// ticks, releases before acquisitions, reservations before jobs, lower id
-// first).
+// Requires schedule.validate(instance): throws std::invalid_argument
+// otherwise. Deterministic: machines are assigned smallest-index-first in
+// load-sweep order (core/load_sweep.hpp: at equal ticks, releases before
+// acquisitions, reservations before jobs, lower id first).
 [[nodiscard]] MachineAssignment assign_machines(const Instance& instance,
                                                 const Schedule& schedule);
+// The same on a sweep already checked, for a caller that walks it again;
+// requires sweep.verdict.ok.
+[[nodiscard]] MachineAssignment assign_machines(const Instance& instance,
+                                                const CheckedSweep& sweep);
 
-// Independent checker: every job/reservation got exactly q distinct machines
-// in [0, m), and no machine is used by two occupants at once.
+// Independent checker: replays the assignment on `events`, the sweep of a
+// fully scheduled schedule (sweep_events). Each start must bring exactly q
+// machines in [0, m), none already held (a machine listed twice is), and
+// each end frees them; ends come first at equal ticks.
 [[nodiscard]] ValidationResult validate_assignment(
-    const Instance& instance, const Schedule& schedule,
+    const Instance& instance, std::span<const LoadEvent> events,
     const MachineAssignment& assignment);
 
 }  // namespace resched

@@ -51,31 +51,38 @@ Time Schedule::makespan(const Instance& instance) const {
 }
 
 ValidationResult Schedule::validate(const Instance& instance) const {
+  return checked_sweep(instance).verdict;
+}
+
+CheckedSweep Schedule::checked_sweep(const Instance& instance) const {
   if (starts_.size() != instance.n())
-    return {false, "schedule covers " + std::to_string(starts_.size()) +
-                       " jobs but instance has " + std::to_string(instance.n())};
+    return {{false, "schedule covers " + std::to_string(starts_.size()) +
+                        " jobs but instance has " +
+                        std::to_string(instance.n())}};
   for (std::size_t i = 0; i < starts_.size(); ++i) {
     if (!starts_[i].has_value())
-      return {false, "job " + std::to_string(i) + " is not scheduled"};
+      return {{false, "job " + std::to_string(i) + " is not scheduled"}};
     const Job& job = instance.jobs()[i];
     if (*starts_[i] < job.release)
-      return {false, "job " + std::to_string(i) + " starts at " +
-                         std::to_string(*starts_[i]) + " before its release " +
-                         std::to_string(job.release)};
+      return {{false, "job " + std::to_string(i) + " starts at " +
+                          std::to_string(*starts_[i]) + " before its release " +
+                          std::to_string(job.release)}};
   }
   // Capacity: usage + unavailability must never exceed m. Each load step
   // holds until the next one, so an overloaded run ends at the next step.
-  const std::vector<LoadStep> steps =
-      load_steps(instance, sweep_events(instance, *this));
+  CheckedSweep sweep;  // verdict ok
+  sweep.events = sweep_events(instance, *this);
+  sweep.steps = load_steps(instance, sweep.events);
+  const std::vector<LoadStep>& steps = sweep.steps;
   for (std::size_t k = 0; k < steps.size(); ++k) {
     if (steps[k].load <= instance.m()) continue;
     // The last step closes every window, so an overload is never last.
-    return {false, "capacity exceeded: " + std::to_string(steps[k].load) +
-                       " > m = " + std::to_string(instance.m()) +
-                       " during [" + std::to_string(steps[k].tick) + ", " +
-                       std::to_string(steps[k + 1].tick) + ")"};
+    return {{false, "capacity exceeded: " + std::to_string(steps[k].load) +
+                        " > m = " + std::to_string(instance.m()) +
+                        " during [" + std::to_string(steps[k].tick) + ", " +
+                        std::to_string(steps[k + 1].tick) + ")"}};
   }
-  return {true, ""};
+  return sweep;
 }
 
 std::int64_t Schedule::idle_area(const Instance& instance) const {

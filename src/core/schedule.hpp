@@ -23,6 +23,8 @@ struct ValidationResult {
   explicit operator bool() const noexcept { return ok; }
 };
 
+struct CheckedSweep;  // core/load_sweep.hpp
+
 class Schedule {
  public:
   // A schedule over no jobs (default-constructible for result structs).
@@ -54,6 +56,9 @@ class Schedule {
   // for the earliest maximal interval of constant overloaded load L. Throws
   // std::overflow_error when a window's end overflows int64.
   [[nodiscard]] ValidationResult validate(const Instance& instance) const;
+  // validate's checks and verdict, keeping on success the load sweep they
+  // walked for the checkers that walk the schedule next.
+  [[nodiscard]] CheckedSweep checked_sweep(const Instance& instance) const;
 
   // Area available to the scheduler in [0, makespan) minus the work placed
   // there: integral of (m - U - r) over [0, C_max). Zero idle area means the

@@ -357,13 +357,6 @@ bool StepProfile::is_non_increasing() const noexcept {
   return true;
 }
 
-bool StepProfile::is_non_decreasing() const noexcept {
-  const std::int64_t* values = steps_.values_data();
-  for (std::size_t i = 1; i < steps_.size(); ++i)
-    if (values[i] < values[i - 1]) return false;
-  return true;
-}
-
 std::int64_t StepProfile::min_value() const noexcept {
   const std::int64_t* values = steps_.values_data();
   std::int64_t result = values[0];

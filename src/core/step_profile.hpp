@@ -169,9 +169,8 @@ class StepProfile {
   // clamps to kTimeInfinity instead of overflowing.
   [[nodiscard]] Time time_to_accumulate(Time from, std::int64_t target) const;
 
-  // True if the function never increases / never decreases over [0, +inf).
+  // True if the function never increases over [0, +inf).
   [[nodiscard]] bool is_non_increasing() const noexcept;
-  [[nodiscard]] bool is_non_decreasing() const noexcept;
 
   [[nodiscard]] std::int64_t min_value() const noexcept;
   [[nodiscard]] std::int64_t max_value() const noexcept;

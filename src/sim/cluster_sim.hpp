@@ -1,13 +1,12 @@
 // Cluster execution simulator.
 //
-// Replays a schedule on a concrete cluster: it walks the load sweep
-// (core/load_sweep.hpp), acquiring each job's and reservation's assigned
-// machines at its start and returning them at its end. The replay shares
-// its event order with Schedule::validate and assign_machines; what it
-// checks on its own is per-machine occupancy, against the live machine
-// state: no machine is acquired while held or released while idle, and
-// every machine is idle at the end. Produces a per-job execution trace for
-// the examples and the online experiments.
+// Replays a schedule on a concrete cluster over one checked load sweep
+// (core/load_sweep.hpp): Schedule::checked_sweep checks capacity,
+// assign_machines gives each job and reservation its machines, and
+// validate_assignment checks per-machine occupancy on the same events. The
+// replay then maps each event to a trace row and reads the peak machine
+// usage from the load steps. Produces a per-job execution trace for the
+// examples and the online experiments.
 #pragma once
 
 #include <iosfwd>
@@ -38,8 +37,8 @@ struct SimulationResult {
 };
 
 // Requires a fully scheduled, feasible schedule: throws
-// std::invalid_argument otherwise, and throws on any internal inconsistency
-// (double acquisition, release of an idle machine).
+// std::invalid_argument otherwise, and std::logic_error when the machine
+// assignment fails validate_assignment.
 [[nodiscard]] SimulationResult simulate_cluster(const Instance& instance,
                                                 const Schedule& schedule);
 

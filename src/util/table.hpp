@@ -1,8 +1,8 @@
 // Aligned console tables.
 //
 // The benchmark binaries print each paper table/figure as a plain-text table
-// before running google-benchmark timings; this keeps the reproduction output
-// greppable and diffable (EXPERIMENTS.md quotes these tables verbatim).
+// on stdout before running google-benchmark timings; this keeps the
+// reproduction output greppable and diffable.
 #pragma once
 
 #include <iosfwd>

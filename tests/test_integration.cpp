@@ -84,7 +84,9 @@ TEST_P(FullPipeline, EveryOfflineSchedulerSurvivesTheWholeStack) {
     EXPECT_NE(report.compliance, Compliance::kViolated) << report.detail;
     // 3. maps to concrete machines;
     const MachineAssignment assignment = assign_machines(instance, schedule);
-    EXPECT_TRUE(validate_assignment(instance, schedule, assignment).ok);
+    EXPECT_TRUE(validate_assignment(instance, sweep_events(instance, schedule),
+                                    assignment)
+                    .ok);
     // 4. replays on the simulated cluster;
     const SimulationResult sim = simulate_cluster(instance, schedule);
     EXPECT_LE(sim.peak_busy, instance.m());

@@ -19,7 +19,9 @@ TEST(MachineAssignment, SimpleTwoJobs) {
   schedule.set_start(0, 0);
   schedule.set_start(1, 0);
   const MachineAssignment assignment = assign_machines(instance, schedule);
-  EXPECT_TRUE(validate_assignment(instance, schedule, assignment).ok);
+  EXPECT_TRUE(validate_assignment(instance, sweep_events(instance, schedule),
+                                  assignment)
+                  .ok);
   EXPECT_EQ(assignment.job_machines[0].size(), 2u);
   EXPECT_EQ(assignment.job_machines[1].size(), 1u);
 }
@@ -30,7 +32,9 @@ TEST(MachineAssignment, ReservationsGetMachines) {
   Schedule schedule(1);
   schedule.set_start(0, 0);
   const MachineAssignment assignment = assign_machines(instance, schedule);
-  EXPECT_TRUE(validate_assignment(instance, schedule, assignment).ok);
+  EXPECT_TRUE(validate_assignment(instance, sweep_events(instance, schedule),
+                                  assignment)
+                  .ok);
   EXPECT_EQ(assignment.reservation_machines[0].size(), 2u);
   // Reservations acquire first at equal times: they get the lowest ids.
   EXPECT_EQ(assignment.reservation_machines[0][0], 0);
@@ -45,7 +49,9 @@ TEST(MachineAssignment, MachinesReusedAfterCompletion) {
   schedule.set_start(0, 0);
   schedule.set_start(1, 1);
   const MachineAssignment assignment = assign_machines(instance, schedule);
-  EXPECT_TRUE(validate_assignment(instance, schedule, assignment).ok);
+  EXPECT_TRUE(validate_assignment(instance, sweep_events(instance, schedule),
+                                  assignment)
+                  .ok);
   EXPECT_EQ(assignment.job_machines[0], assignment.job_machines[1]);
 }
 
@@ -62,13 +68,35 @@ TEST(MachineAssignment, ValidatorCatchesDoubleBooking) {
   Schedule schedule(2);
   schedule.set_start(0, 0);
   schedule.set_start(1, 0);
+  const std::vector<LoadEvent> events = sweep_events(instance, schedule);
   MachineAssignment assignment = assign_machines(instance, schedule);
   // Corrupt: both jobs on machine 0.
   assignment.job_machines[1] = assignment.job_machines[0];
   const ValidationResult result =
-      validate_assignment(instance, schedule, assignment);
+      validate_assignment(instance, events, assignment);
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("double-booked"), std::string::npos);
+
+  // One occupant listing a machine twice books it twice.
+  const Instance wide(3, {Job{0, 2, 4, 0, ""}});
+  Schedule wide_schedule(1);
+  wide_schedule.set_start(0, 0);
+  MachineAssignment twice = assign_machines(wide, wide_schedule);
+  twice.job_machines[0] = {1, 1};
+  EXPECT_FALSE(
+      validate_assignment(wide, sweep_events(wide, wide_schedule), twice).ok);
+
+  // A reservation handing its machine to a job at the same tick is not a
+  // double booking: the end frees the machine before the start takes it.
+  const Instance handoff(1, {Job{0, 1, 2, 0, ""}},
+                         {Reservation{0, 1, 3, 0, ""}});
+  Schedule handoff_schedule(1);
+  handoff_schedule.set_start(0, 3);
+  const MachineAssignment shared = assign_machines(handoff, handoff_schedule);
+  EXPECT_EQ(shared.reservation_machines[0], shared.job_machines[0]);
+  EXPECT_TRUE(validate_assignment(
+                  handoff, sweep_events(handoff, handoff_schedule), shared)
+                  .ok);
 }
 
 TEST(MachineAssignment, ValidatorCatchesWrongCount) {
@@ -77,7 +105,9 @@ TEST(MachineAssignment, ValidatorCatchesWrongCount) {
   schedule.set_start(0, 0);
   MachineAssignment assignment = assign_machines(instance, schedule);
   assignment.job_machines[0].pop_back();
-  EXPECT_FALSE(validate_assignment(instance, schedule, assignment).ok);
+  EXPECT_FALSE(validate_assignment(instance, sweep_events(instance, schedule),
+                                   assignment)
+                   .ok);
 }
 
 TEST(MachineAssignment, ValidatorCatchesOutOfRange) {
@@ -86,7 +116,9 @@ TEST(MachineAssignment, ValidatorCatchesOutOfRange) {
   schedule.set_start(0, 0);
   MachineAssignment assignment = assign_machines(instance, schedule);
   assignment.job_machines[0][0] = 99;
-  EXPECT_FALSE(validate_assignment(instance, schedule, assignment).ok);
+  EXPECT_FALSE(validate_assignment(instance, sweep_events(instance, schedule),
+                                   assignment)
+                   .ok);
 }
 
 // Property: every LSRC schedule on random instances (with reservations)
@@ -109,7 +141,9 @@ TEST_P(AssignmentProperty, LsrcSchedulesAlwaysAssignable) {
   const Schedule schedule = LsrcScheduler().schedule(instance).value();
   ASSERT_TRUE(schedule.validate(instance).ok);
   const MachineAssignment assignment = assign_machines(instance, schedule);
-  EXPECT_TRUE(validate_assignment(instance, schedule, assignment).ok);
+  EXPECT_TRUE(validate_assignment(instance, sweep_events(instance, schedule),
+                                  assignment)
+                  .ok);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AssignmentProperty,
@@ -147,7 +181,10 @@ TEST(MachineAssignment, GoldenHashOverSeededSchedules) {
               ? ConservativeBackfillScheduler().schedule(instance).value()
               : LsrcScheduler().schedule(instance).value();
       const MachineAssignment assignment = assign_machines(instance, schedule);
-      ASSERT_TRUE(validate_assignment(instance, schedule, assignment).ok);
+      ASSERT_TRUE(validate_assignment(instance,
+                                      sweep_events(instance, schedule),
+                                      assignment)
+                      .ok);
       for (const auto* lists :
            {&assignment.job_machines, &assignment.reservation_machines})
         for (const std::vector<MachineIndex>& machines : *lists) {
