@@ -1,98 +1,19 @@
-// Experiment E7 -- empirical companion to Proposition 3.
-//
-// Random alpha-restricted workloads across the alpha axis: measured ratios
-// (vs the certified lower bound) for every scheduler, against the analytic
-// worst-case envelope 2/alpha. Average-case ratios sit far below the
-// envelope, but degrade as alpha shrinks -- same direction as the theory.
+// The alpha sweep (empirical companion to Prop. 3): prints
+// report/paper_tables' alpha_sweep(), then times one LSRC cell.
 #include "bench_util.hpp"
 
-#include <vector>
-
 #include "algorithms/scheduler.hpp"
-#include "bounds/guarantees.hpp"
-#include "bounds/lower_bounds.hpp"
-#include "generators/reservations.hpp"
-#include "generators/workload.hpp"
-#include "util/stats.hpp"
-#include "util/strings.hpp"
+#include "report/paper_tables.hpp"
 
 namespace {
 
 using namespace resched;
 
-Instance alpha_instance(std::uint64_t seed, const Rational& alpha) {
-  WorkloadConfig config;
-  config.n = 80;
-  config.m = 32;
-  config.alpha = alpha;
-  config.p_max = 40;
-  const Instance base = random_workload(config, seed);
-  AlphaReservationConfig resa;
-  resa.alpha = alpha;
-  resa.count = 6;
-  resa.horizon = 150;
-  resa.max_duration = 40;
-  return with_alpha_restricted_reservations(base, resa, seed + 5000);
-}
-
-void print_tables() {
-  benchutil::print_header(
-      "Alpha sweep (empirical companion to Prop. 3)",
-      "Mean / max makespan ratio vs certified lower bound over 10 seeds per "
-      "alpha.\nThe 2/alpha column is the worst-case envelope; averages sit "
-      "well below it.");
-
-  const std::vector<std::pair<int, int>> alphas{
-      {1, 8}, {1, 4}, {1, 3}, {1, 2}, {2, 3}, {3, 4}, {1, 1}};
-  const std::vector<std::string> algorithms{"lsrc", "lsrc-lpt", "fcfs",
-                                            "conservative", "easy"};
-
-  for (const auto& name : algorithms) {
-    Table table({"alpha", "mean ratio", "max ratio", "envelope 2/alpha"});
-    for (const auto& [num, den] : alphas) {
-      const Rational alpha(num, den);
-      OnlineStats stats;
-      // Seeds are independent: fan the cell out across cores when OpenMP is
-      // enabled (results are merged deterministically -- OnlineStats::merge
-      // is exact up to floating-point commutativity of the pooled moments).
-#ifdef _OPENMP
-#pragma omp parallel
-      {
-        OnlineStats local;
-#pragma omp for nowait
-        for (int seed = 1; seed <= 10; ++seed) {
-          const Instance instance =
-              alpha_instance(static_cast<std::uint64_t>(seed) * 37, alpha);
-          const Schedule schedule = make_scheduler(name)->schedule(instance).value();
-          const Time lb = makespan_lower_bound(instance);
-          local.add(static_cast<double>(schedule.makespan(instance)) /
-                    static_cast<double>(lb));
-        }
-#pragma omp critical
-        stats.merge(local);
-      }
-#else
-      for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-        const Instance instance = alpha_instance(seed * 37, alpha);
-        const Schedule schedule = make_scheduler(name)->schedule(instance).value();
-        const Time lb = makespan_lower_bound(instance);
-        stats.add(static_cast<double>(schedule.makespan(instance)) /
-                  static_cast<double>(lb));
-      }
-#endif
-      table.add(format_double(alpha.to_double(), 3),
-                format_double(stats.mean(), 4),
-                format_double(stats.max(), 4),
-                format_double(alpha_upper_bound(alpha).to_double(), 3));
-    }
-    std::cout << "-- " << name << "\n";
-    benchutil::print_table(table);
-  }
-}
+void print_tables() { std::cout << alpha_sweep().text; }
 
 void BM_AlphaSweepCell(benchmark::State& state) {
   const Rational alpha(1, state.range(0));
-  const Instance instance = alpha_instance(99, alpha);
+  const Instance instance = alpha_sweep_instance(99, alpha);
   const auto scheduler = make_scheduler("lsrc");
   for (auto _ : state) {
     const Schedule schedule = scheduler->schedule(instance).value();

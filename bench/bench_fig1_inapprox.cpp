@@ -1,84 +1,16 @@
-// Experiment E1 -- Figure 1 / Theorem 1 (inapproximability).
-//
-// Builds the 3-PARTITION -> RESASCHEDULING (m = 1) reduction for growing
-// presumed guarantees rho. On YES instances the optimum is k(B+1)-1, but the
-// greedy heuristics miss the exact packing, overshoot the huge final
-// reservation, and land at ratio > rho -- demonstrating that *no* fixed rho
-// can be a guarantee when reservations are unrestricted. A second table
-// shows the n' = 1 variant (one full-width gap reservation after the target
-// makespan).
+// Fig. 1 / Theorem 1 (inapproximability): prints report/paper_tables'
+// fig1_inapproximability(), then times the reduction's construction and the
+// 3-PARTITION solver.
 #include "bench_util.hpp"
 
-#include "algorithms/conservative_bf.hpp"
-#include "algorithms/fcfs.hpp"
-#include "algorithms/lsrc.hpp"
-#include "bounds/lower_bounds.hpp"
-#include "exact/bnb.hpp"
 #include "generators/adversarial.hpp"
+#include "report/paper_tables.hpp"
 
 namespace {
 
 using namespace resched;
 
-void print_tables() {
-  benchutil::print_header(
-      "Figure 1 / Theorem 1 (inapproximability with unrestricted "
-      "reservations)",
-      "m = 1 reduction from 3-PARTITION: any heuristic that misses the "
-      "packing is pushed\npast the final reservation, so its ratio exceeds "
-      "the presumed guarantee rho.");
-
-  Prng prng(2026);
-  const std::size_t k = 3;
-  const std::int64_t B = 24;
-  const ThreePartitionInstance partition =
-      random_strict_yes_instance(k, B, prng);
-  const ThreePartitionSolution solution = solve_three_partition(partition);
-
-  Table table({"rho", "OPT", "gap threshold", "C_FCFS", "C_CBF",
-               "C_LSRC", "worst ratio", "exceeds rho?"});
-  for (const std::int64_t rho : {1, 2, 4, 8, 16}) {
-    const Theorem1Reduction reduction = theorem1_reduction(partition, rho);
-    const Time fcfs =
-        FcfsScheduler().schedule(reduction.instance).value().makespan(
-            reduction.instance);
-    const Time cbf = ConservativeBackfillScheduler()
-                         .schedule(reduction.instance).value()
-                         .makespan(reduction.instance);
-    const Time lsrc =
-        LsrcScheduler().schedule(reduction.instance).value().makespan(
-            reduction.instance);
-    const Time worst = std::max({fcfs, cbf, lsrc});
-    const Rational ratio = makespan_ratio(worst, reduction.opt_if_solvable);
-    table.add(rho, reduction.opt_if_solvable, reduction.gap_threshold, fcfs,
-              cbf, lsrc, ratio, ratio > Rational(rho) ? "yes" : "no");
-  }
-  benchutil::print_table(table);
-  std::cout << "(the constructed optimum from the known partition: "
-            << (solution.solvable ? "exists and equals OPT" : "unsolvable")
-            << ")\n";
-
-  benchutil::print_header(
-      "Theorem 1, n' = 1 variant",
-      "One full-width reservation placed right after the rigid optimum "
-      "turns the makespan\ndecision into a gap: a wrong order jumps past "
-      "the block.");
-  const Instance rigid(2, {Job{0, 1, 3, 0, ""}, Job{1, 1, 3, 0, ""},
-                           Job{2, 1, 2, 0, ""}, Job{3, 1, 2, 0, ""},
-                           Job{4, 1, 2, 0, ""}});
-  const Time opt = optimal_makespan(rigid);
-  Table table2({"gap length L", "OPT (exact B&B)", "C_LSRC", "LSRC/OPT"});
-  for (const Time L : {Time{10}, Time{100}, Time{1000}, Time{10000}}) {
-    const Instance gapped = add_gap_reservation(rigid, opt, L);
-    const Time exact = optimal_makespan(gapped);
-    const Schedule greedy = LsrcScheduler().schedule(gapped).value();
-    table2.add(L, exact, greedy.makespan(gapped),
-               makespan_ratio(greedy.makespan(gapped), exact));
-  }
-  benchutil::print_table(table2);
-  std::cout << "(the bad/OPT column grows linearly in L: no finite "
-               "guarantee survives)\n";
-}
+void print_tables() { std::cout << fig1_inapproximability().text; }
 
 void BM_ReductionConstruction(benchmark::State& state) {
   Prng prng(7);

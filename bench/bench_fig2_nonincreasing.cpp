@@ -1,106 +1,20 @@
-// Experiment E2 -- Figure 2 / Proposition 1 (non-increasing reservations).
-//
-// Random staircase availabilities: LSRC stays within the refined bound
-// 2 - 1/m(C*) of the exact optimum (small instances) and is never caught
-// violating the weak 2 - 1/m form on large ones. The second table replays
-// the proof's transformation I -> I'' (reservations become head-of-list
-// jobs, Figure 2 right) and confirms the LSRC schedule is bitwise identical
-// on the original jobs.
+// Fig. 2 / Proposition 1 (non-increasing reservations): prints
+// report/paper_tables' fig2_nonincreasing(), then times LSRC on staircases
+// and the I -> I'' head-job transform.
 #include "bench_util.hpp"
 
 #include "algorithms/lsrc.hpp"
-#include "bounds/guarantees.hpp"
-#include "bounds/lower_bounds.hpp"
-#include "core/availability.hpp"
-#include "exact/bnb.hpp"
-#include "generators/reservations.hpp"
 #include "generators/transform.hpp"
-#include "generators/workload.hpp"
-#include "util/strings.hpp"
+#include "report/paper_tables.hpp"
 
 namespace {
 
 using namespace resched;
 
-Instance staircase_instance(std::uint64_t seed, std::size_t n, ProcCount m) {
-  WorkloadConfig config;
-  config.n = n;
-  config.m = m;
-  config.p_max = 12;
-  const Instance base = random_workload(config, seed);
-  StaircaseConfig stairs;
-  stairs.steps = 4;
-  stairs.max_initial = m / 2;
-  stairs.max_step_duration = 15;
-  return with_nonincreasing_reservations(base, stairs, seed + 9000);
-}
-
-void print_tables() {
-  benchutil::print_header(
-      "Figure 2 / Proposition 1 (non-increasing reservations)",
-      "Small instances: ratio vs exact optimum never exceeds 2 - 1/m(C*).");
-
-  Table small({"seed", "n", "m", "C*", "m(C*)", "bound 2-1/m(C*)",
-               "C_LSRC", "ratio", "within?"});
-  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
-    const Instance instance = staircase_instance(seed, 6, 6);
-    const Time optimum = optimal_makespan(instance);
-    const ProcCount m_at = availability_at(instance, optimum);
-    const Rational bound = nonincreasing_bound(m_at);
-    const Schedule schedule = LsrcScheduler().schedule(instance).value();
-    const Rational ratio =
-        makespan_ratio(schedule.makespan(instance), optimum);
-    small.add(seed, instance.n(), instance.m(), optimum, m_at, bound,
-              schedule.makespan(instance), ratio,
-              ratio <= bound ? "yes" : "NO");
-  }
-  benchutil::print_table(small);
-
-  Table large({"seed", "n", "m", "LB", "C_LSRC", "ratio vs LB",
-               "weak bound 2-1/m"});
-  for (const std::uint64_t seed : {11u, 12u, 13u, 14u}) {
-    const Instance instance = staircase_instance(seed, 120, 32);
-    const Time lb = makespan_lower_bound(instance);
-    const Schedule schedule = LsrcScheduler().schedule(instance).value();
-    large.add(seed, instance.n(), instance.m(), lb,
-              schedule.makespan(instance),
-              format_double(static_cast<double>(schedule.makespan(instance)) /
-                                static_cast<double>(lb),
-                            4),
-              graham_bound(instance.m()));
-  }
-  benchutil::print_table(large);
-
-  benchutil::print_header(
-      "Transformation I -> I'' (reservations as head-of-list jobs)",
-      "The proof's hinge: LSRC gives identical start times on I and I''.");
-  Table transform_table({"seed", "reservations", "head jobs",
-                         "C_LSRC(I)", "C_LSRC(I'' orig jobs)", "identical?"});
-  for (const std::uint64_t seed : {21u, 22u, 23u, 24u}) {
-    const Instance instance = staircase_instance(seed, 40, 16);
-    const Schedule direct = LsrcScheduler().schedule(instance).value();
-    const HeadJobTransform transform = reservations_to_head_jobs(instance);
-    const Schedule indirect =
-        LsrcScheduler(transform.head_first_list).schedule(transform.rigid).value();
-    bool identical = true;
-    Time indirect_makespan = 0;
-    for (const Job& job : instance.jobs()) {
-      const JobId mapped =
-          transform.job_map[static_cast<std::size_t>(job.id)];
-      identical &= indirect.start(mapped) == direct.start(job.id);
-      indirect_makespan =
-          std::max(indirect_makespan, indirect.start(mapped) + job.p);
-    }
-    transform_table.add(seed, instance.n_reservations(),
-                        transform.head_ids.size(),
-                        direct.makespan(instance), indirect_makespan,
-                        identical ? "yes" : "NO");
-  }
-  benchutil::print_table(transform_table);
-}
+void print_tables() { std::cout << fig2_nonincreasing().text; }
 
 void BM_LsrcOnStaircase(benchmark::State& state) {
-  const Instance instance = staircase_instance(
+  const Instance instance = fig2_staircase_instance(
       42, static_cast<std::size_t>(state.range(0)), 32);
   for (auto _ : state) {
     const Schedule schedule = LsrcScheduler().schedule(instance).value();
@@ -111,7 +25,7 @@ void BM_LsrcOnStaircase(benchmark::State& state) {
 BENCHMARK(BM_LsrcOnStaircase)->Range(16, 1024)->Complexity();
 
 void BM_HeadJobTransform(benchmark::State& state) {
-  const Instance instance = staircase_instance(
+  const Instance instance = fig2_staircase_instance(
       43, static_cast<std::size_t>(state.range(0)), 32);
   for (auto _ : state) {
     const HeadJobTransform transform = reservations_to_head_jobs(instance);

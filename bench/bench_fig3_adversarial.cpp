@@ -1,48 +1,17 @@
-// Experiment E3 -- Figure 3 / Proposition 2.
-//
-// Reproduces the paper's adversarial family: for alpha = 2/k, LSRC with the
-// bad list order is exactly (2/alpha - 1 + alpha/2) = k - 1 + 1/k times
-// optimal. The k = 6 row is the figure printed in the paper (m = 180,
-// C* = 6, C_LSRC = 31). An LPT column shows the conclusion's conjecture in
-// action: sorting by decreasing durations defuses this family completely.
+// Fig. 3 / Proposition 2 (the adversarial family): prints
+// report/paper_tables' fig3_adversarial(), then times LSRC's bad order on the
+// family and the family's construction.
 #include "bench_util.hpp"
 
 #include "algorithms/lsrc.hpp"
-#include "bounds/guarantees.hpp"
-#include "bounds/lower_bounds.hpp"
 #include "generators/adversarial.hpp"
+#include "report/paper_tables.hpp"
 
 namespace {
 
 using namespace resched;
 
-void print_tables() {
-  benchutil::print_header(
-      "Figure 3 / Proposition 2 (lower bound instances)",
-      "LSRC(bad order) achieves ratio exactly 2/alpha - 1 + alpha/2 at "
-      "alpha = 2/k;\nthe paper's printed instance is the k = 6 row. "
-      "LSRC(LPT) lands on the optimum.");
-
-  Table table({"k", "alpha", "m", "C*", "C_LSRC(bad)", "ratio",
-               "predicted 2/a-1+a/2", "upper 2/a", "C_LSRC(lpt)"});
-  for (const std::int64_t k : {2, 3, 4, 5, 6, 8, 10, 12}) {
-    const Prop2Family family = prop2_instance(k);
-    const Schedule bad =
-        LsrcScheduler(family.bad_order).schedule(family.instance).value();
-    const Schedule lpt =
-        LsrcScheduler(ListOrder::kLpt).schedule(family.instance).value();
-    const Rational ratio = makespan_ratio(bad.makespan(family.instance),
-                                          family.optimal_makespan);
-    table.add(k, Rational(2, k), family.instance.m(),
-              family.optimal_makespan, bad.makespan(family.instance),
-              ratio, prop2_ratio_for_k(k),
-              alpha_upper_bound(Rational(2, k)),
-              lpt.makespan(family.instance));
-  }
-  benchutil::print_table(table);
-  std::cout << "(paper check: k = 6 row must read C* = 6, C_LSRC = 31, "
-               "ratio 31/6)\n";
-}
+void print_tables() { std::cout << fig3_adversarial().text; }
 
 void BM_Prop2BadOrder(benchmark::State& state) {
   const Prop2Family family = prop2_instance(state.range(0));

@@ -1,56 +1,15 @@
-// Experiment E4 -- Figure 4.
-//
-// The paper's Figure 4 plots three analytic curves over alpha in (0, 1]:
-// the 2/alpha upper bound (Prop. 3) and the lower bounds B1 >= B2
-// (section 4.2). This binary prints the same series (exact rationals plus
-// decimal renderings for plotting) and adds the *achieved* adversarial
-// ratios at the constructive points alpha = 2/k, where all three meet the
-// measured value.
+// Fig. 4 (2/alpha and B1 >= B2): prints report/paper_tables' fig4_bounds(),
+// then times the bound curves and the rational arithmetic behind them.
 #include "bench_util.hpp"
 
-#include "algorithms/lsrc.hpp"
 #include "bounds/guarantees.hpp"
-#include "bounds/lower_bounds.hpp"
-#include "generators/adversarial.hpp"
-#include "util/strings.hpp"
+#include "report/paper_tables.hpp"
 
 namespace {
 
 using namespace resched;
 
-void print_tables() {
-  benchutil::print_header(
-      "Figure 4 (bounds for LSRC on alpha-RESASCHEDULING)",
-      "Upper bound 2/alpha and lower bounds B1 >= B2 as functions of alpha;\n"
-      "the curves approach each other near alpha = 2/k.");
-
-  Table curve({"alpha", "B2", "B1", "upper 2/alpha"});
-  for (int i = 5; i <= 100; i += 5) {
-    const Rational alpha(i, 100);
-    curve.add(format_double(alpha.to_double(), 2),
-              format_double(lsrc_lower_bound_b2(alpha).to_double(), 4),
-              format_double(lsrc_lower_bound_b1(alpha).to_double(), 4),
-              format_double(alpha_upper_bound(alpha).to_double(), 4));
-  }
-  benchutil::print_table(curve);
-
-  Table achieved({"alpha = 2/k", "k", "B2", "B1", "achieved (measured)",
-                  "upper 2/alpha"});
-  for (const std::int64_t k : {2, 3, 4, 5, 6, 8, 10}) {
-    const Rational alpha(2, k);
-    const Prop2Family family = prop2_instance(k);
-    const Schedule bad =
-        LsrcScheduler(family.bad_order).schedule(family.instance).value();
-    const Rational ratio = makespan_ratio(bad.makespan(family.instance),
-                                          family.optimal_makespan);
-    achieved.add(alpha, k, lsrc_lower_bound_b2(alpha),
-                 lsrc_lower_bound_b1(alpha), ratio,
-                 alpha_upper_bound(alpha));
-  }
-  benchutil::print_table(achieved);
-  std::cout << "(B1 = B2 = achieved at every constructive point: the lower "
-               "bound is exact there)\n";
-}
+void print_tables() { std::cout << fig4_bounds().text; }
 
 void BM_BoundCurveEvaluation(benchmark::State& state) {
   for (auto _ : state) {

@@ -1,118 +1,19 @@
-// Experiment E5 + E10 -- the practical scheduler ladder and the online
-// doubling wrapper (paper sections 2.1 and 2.2).
-//
-// Table 1: the FCFS pathology family (OPT ~ m^2, FCFS ~ m^3): ratio grows
-//          linearly with m while conservative backfilling and LSRC stay
-//          optimal / near-optimal.
-// Table 2: the release-time trap: conservative and EASY protect queue order
-//          at bounded cost; strict FCFS serialises (ratio grows with the
-//          round count); LSRC starves the wide jobs but stays near the lower
-//          bound -- the utilisation-vs-fairness trade-off in numbers
-//          (mean waits included).
-// Table 3: the Shmoys-Wein-Williamson doubling wrapper on Poisson streams:
-//          online makespan <= 2 rho LB.
+// Sections 2.1 and 2.2 (FCFS pathology, release-time trap, online doubling
+// batches): prints report/paper_tables' online_ladder(), then times EASY on
+// the trap and the doubling wrapper.
 #include "bench_util.hpp"
 
 #include "algorithms/online_batch.hpp"
 #include "algorithms/scheduler.hpp"
-#include "bounds/lower_bounds.hpp"
 #include "generators/adversarial.hpp"
 #include "generators/workload.hpp"
-#include "sim/metrics.hpp"
-#include "util/strings.hpp"
+#include "report/paper_tables.hpp"
 
 namespace {
 
 using namespace resched;
 
-void print_tables() {
-  benchutil::print_header(
-      "FCFS pathology (section 2.2: optimal ~1, FCFS ~m)",
-      "fcfs_bad_instance(m): FCFS ratio grows linearly in m; conservative "
-      "backfilling\nrestores the optimum on this family.");
-  Table fcfs_table({"m", "OPT", "C_FCFS", "FCFS ratio", "C_CBF", "C_LSRC",
-                    "LSRC ratio"});
-  for (const ProcCount m : {2, 4, 8, 16, 24}) {
-    const FcfsBadFamily family = fcfs_bad_instance(m);
-    const Time fcfs =
-        make_scheduler("fcfs")->schedule(family.instance).value().makespan(
-            family.instance);
-    const Time cbf = make_scheduler("conservative")
-                         ->schedule(family.instance).value()
-                         .makespan(family.instance);
-    const Time lsrc =
-        make_scheduler("lsrc")->schedule(family.instance).value().makespan(
-            family.instance);
-    fcfs_table.add(
-        m, family.optimal_makespan, fcfs,
-        format_double(static_cast<double>(fcfs) /
-                          static_cast<double>(family.optimal_makespan),
-                      3),
-        cbf, lsrc,
-        format_double(static_cast<double>(lsrc) /
-                          static_cast<double>(family.optimal_makespan),
-                      3));
-  }
-  benchutil::print_table(fcfs_table);
-
-  benchutil::print_header(
-      "Release-time trap (backfilling aggressiveness ladder)",
-      "cbf_trap_instance(k, m=16, T=50): narrow jobs stream in ahead of "
-      "full-width ones.\nwait(G) = mean wait of the full-width jobs "
-      "(starvation indicator).");
-  Table trap({"rounds k", "LB", "algorithm", "C_max", "ratio vs LB",
-              "mean wait", "wait(G jobs)"});
-  for (const std::int64_t k : {4, 8, 16}) {
-    const Instance instance = cbf_trap_instance(k, 16, 50);
-    const Time lb = makespan_lower_bound(instance);
-    for (const char* name : {"fcfs", "conservative", "easy", "lsrc"}) {
-      const Schedule schedule = make_scheduler(name)->schedule(instance).value();
-      const ScheduleMetrics metrics = compute_metrics(instance, schedule);
-      double g_wait = 0.0;
-      for (const Job& job : instance.jobs())
-        if (job.q == instance.m())
-          g_wait += static_cast<double>(schedule.start(job.id) - job.release);
-      g_wait /= static_cast<double>(k);
-      trap.add(k, lb, name, metrics.makespan,
-               format_double(static_cast<double>(metrics.makespan) /
-                                 static_cast<double>(lb),
-                             3),
-               format_double(metrics.mean_wait, 1),
-               format_double(g_wait, 1));
-    }
-  }
-  benchutil::print_table(trap);
-
-  benchutil::print_header(
-      "Online doubling batches (section 2.1, Shmoys-Wein-Williamson)",
-      "Poisson arrivals; online-batch(base) makespan vs the certified "
-      "offline LB.\nGuarantee: <= 2 rho LB with rho = 2 - 1/m.");
-  Table online({"seed", "base", "batches", "C_online", "LB",
-                "ratio", "2*rho cap"});
-  for (const std::uint64_t seed : {1u, 2u, 3u}) {
-    WorkloadConfig config;
-    config.n = 60;
-    config.m = 16;
-    config.mean_interarrival = 4.0;
-    const Instance instance = random_workload(config, seed * 1111);
-    const Time lb = makespan_lower_bound(instance);
-    for (const char* base : {"lsrc", "conservative"}) {
-      OnlineBatchScheduler scheduler(make_scheduler(base));
-      std::vector<BatchInfo> batches;
-      const Schedule schedule =
-          scheduler.schedule_with_batches(instance, batches).value();
-      const double cap =
-          2.0 * (2.0 - 1.0 / static_cast<double>(instance.m()));
-      online.add(seed, base, batches.size(), schedule.makespan(instance), lb,
-                 format_double(static_cast<double>(
-                                   schedule.makespan(instance)) /
-                                   static_cast<double>(lb),
-                               3),
-                 format_double(cap, 3));
-    }
-  }
-  benchutil::print_table(online);
-}
+void print_tables() { std::cout << online_ladder().text; }
 
 void BM_SchedulerOnTrap(benchmark::State& state) {
   const Instance instance = cbf_trap_instance(state.range(0), 16, 50);

@@ -1,126 +1,18 @@
-// Experiment E6 -- priority-rule ablation (the paper's conclusion:
-// "an immediate but not trivial perspective is to study some variants of
-// list scheduling ... for instance adding a priority based on sorting the
-// jobs by decreasing durations").
-//
-// Three views: random workloads (mean ratio per order), the Graham-tight
-// family (where the submission order is adversarial and LPT is optimal),
-// and the Prop. 2 family (same story under reservations). Shelf packing
-// (the other conclusion direction) rides along as a packing baseline.
+// Priority-rule ablation (the conclusion's LPT conjecture): prints
+// report/paper_tables' priority_ablation(), then times LSRC under each list
+// order.
 #include "bench_util.hpp"
 
 #include "algorithms/list_order.hpp"
 #include "algorithms/lsrc.hpp"
-#include "algorithms/portfolio.hpp"
-#include "algorithms/shelf.hpp"
-#include "bounds/guarantees.hpp"
-#include "bounds/lower_bounds.hpp"
-#include "generators/adversarial.hpp"
 #include "generators/workload.hpp"
-#include "util/stats.hpp"
-#include "util/strings.hpp"
+#include "report/paper_tables.hpp"
 
 namespace {
 
 using namespace resched;
 
-void print_tables() {
-  benchutil::print_header(
-      "Priority ablation (conclusion's future work)",
-      "Mean / max LSRC ratio vs certified lower bound per list order, over "
-      "20 random\nworkloads (n = 80, m = 32), plus the shelf baselines.");
-
-  Table random_table({"order / algorithm", "mean ratio", "max ratio"});
-  auto run_order = [&](ListOrder order) {
-    OnlineStats stats;
-    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-      WorkloadConfig config;
-      config.n = 80;
-      config.m = 32;
-      config.p_max = 60;
-      const Instance instance = random_workload(config, seed * 101);
-      const Schedule schedule =
-          LsrcScheduler(order, seed).schedule(instance).value();
-      stats.add(static_cast<double>(schedule.makespan(instance)) /
-                static_cast<double>(makespan_lower_bound(instance)));
-    }
-    random_table.add("lsrc[" + to_string(order) + "]",
-                     format_double(stats.mean(), 4),
-                     format_double(stats.max(), 4));
-  };
-  for (const ListOrder order : all_list_orders()) run_order(order);
-  for (const ShelfPolicy policy :
-       {ShelfPolicy::kFirstFit, ShelfPolicy::kNextFit}) {
-    OnlineStats stats;
-    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-      WorkloadConfig config;
-      config.n = 80;
-      config.m = 32;
-      config.p_max = 60;
-      const Instance instance = random_workload(config, seed * 101);
-      const Schedule schedule = ShelfScheduler(policy).schedule(instance).value();
-      stats.add(static_cast<double>(schedule.makespan(instance)) /
-                static_cast<double>(makespan_lower_bound(instance)));
-    }
-    random_table.add(ShelfScheduler(policy).name(),
-                     format_double(stats.mean(), 4),
-                     format_double(stats.max(), 4));
-  }
-  // Order-searching schedulers (library extensions on the same question).
-  for (const bool use_local_search : {false, true}) {
-    OnlineStats stats;
-    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-      WorkloadConfig config;
-      config.n = 80;
-      config.m = 32;
-      config.p_max = 60;
-      const Instance instance = random_workload(config, seed * 101);
-      const Schedule schedule =
-          use_local_search
-              ? LocalSearchScheduler(100, ListOrder::kLpt, seed)
-                    .schedule(instance).value()
-              : PortfolioScheduler(2, seed).schedule(instance).value();
-      stats.add(static_cast<double>(schedule.makespan(instance)) /
-                static_cast<double>(makespan_lower_bound(instance)));
-    }
-    random_table.add(use_local_search ? "local-search(lpt,100)" : "portfolio",
-                     format_double(stats.mean(), 4),
-                     format_double(stats.max(), 4));
-  }
-  benchutil::print_table(random_table);
-
-  benchutil::print_header(
-      "Order sensitivity on the worst-case families",
-      "Submission order realises the analytic worst case; LPT defuses both "
-      "families.");
-  Table families({"family", "C*", "C_LSRC[submission]", "ratio",
-                  "analytic bound", "C_LSRC[lpt]"});
-  for (const ProcCount m : {4, 8, 16}) {
-    const GrahamTightFamily family = graham_tight_instance(m);
-    const Schedule bad =
-        LsrcScheduler(family.bad_order).schedule(family.instance).value();
-    const Schedule lpt =
-        LsrcScheduler(ListOrder::kLpt).schedule(family.instance).value();
-    families.add("graham-tight m=" + std::to_string(m),
-                 family.optimal_makespan, bad.makespan(family.instance),
-                 makespan_ratio(bad.makespan(family.instance),
-                                family.optimal_makespan),
-                 graham_bound(m), lpt.makespan(family.instance));
-  }
-  for (const std::int64_t k : {4, 6, 8}) {
-    const Prop2Family family = prop2_instance(k);
-    const Schedule bad =
-        LsrcScheduler(family.bad_order).schedule(family.instance).value();
-    const Schedule lpt =
-        LsrcScheduler(ListOrder::kLpt).schedule(family.instance).value();
-    families.add("prop2 k=" + std::to_string(k), family.optimal_makespan,
-                 bad.makespan(family.instance),
-                 makespan_ratio(bad.makespan(family.instance),
-                                family.optimal_makespan),
-                 prop2_ratio_for_k(k), lpt.makespan(family.instance));
-  }
-  benchutil::print_table(families);
-}
+void print_tables() { std::cout << priority_ablation().text; }
 
 void BM_OrderedLsrc(benchmark::State& state) {
   WorkloadConfig config;

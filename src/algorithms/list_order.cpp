@@ -69,19 +69,27 @@ ScratchVec<JobId> release_order(const std::vector<Job>& jobs,
   return order;
 }
 
+void fill_list(std::span<JobId> ids, const std::vector<Job>& jobs,
+               ListOrder order) {
+  RESCHED_REQUIRE(ids.size() == jobs.size());
+  std::iota(ids.begin(), ids.end(), JobId{0});
+  if (order == ListOrder::kSubmission) return;
+  std::sort(ids.begin(), ids.end(), [&](JobId a, JobId b) {
+    const std::int64_t ka = list_key(order, jobs[static_cast<std::size_t>(a)]);
+    const std::int64_t kb = list_key(order, jobs[static_cast<std::size_t>(b)]);
+    return ka != kb ? ka < kb : a < b;
+  });
+}
+
 std::vector<JobId> make_list(const Instance& instance, ListOrder order,
                              std::uint64_t seed) {
   std::vector<JobId> ids(instance.n());
-  std::iota(ids.begin(), ids.end(), JobId{0});
   if (order == ListOrder::kRandom) {
+    std::iota(ids.begin(), ids.end(), JobId{0});
     Prng prng(seed);
     prng.shuffle(ids);
-  } else if (order != ListOrder::kSubmission) {
-    const auto& jobs = instance.jobs();
-    std::stable_sort(ids.begin(), ids.end(), [&](JobId a, JobId b) {
-      return list_key(order, jobs[static_cast<std::size_t>(a)]) <
-             list_key(order, jobs[static_cast<std::size_t>(b)]);
-    });
+  } else {
+    fill_list(ids, instance.jobs(), order);
   }
   return ids;
 }

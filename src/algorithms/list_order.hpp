@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -82,5 +83,11 @@ void for_each_by_release(const std::vector<Job>& jobs, Arena* scratch,
 // Sort key of a deterministic order: make_list lists the jobs by ascending
 // (list_key(order, job), id). Requires order != kRandom.
 [[nodiscard]] std::int64_t list_key(ListOrder order, const Job& job);
+
+// Writes the ids of `jobs` into `ids` (one slot per job) in ascending
+// (list_key(order, job), id) order: make_list's list for a deterministic
+// order, built in caller-owned storage. Requires order != kRandom.
+void fill_list(std::span<JobId> ids, const std::vector<Job>& jobs,
+               ListOrder order);
 
 }  // namespace resched

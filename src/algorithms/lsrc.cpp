@@ -1,7 +1,6 @@
 #include "algorithms/lsrc.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <vector>
 
 #include "algorithms/backfill_queue.hpp"
@@ -144,20 +143,10 @@ Schedule LsrcScheduler::replan(const ReplanRequest& request) const {
   const std::vector<Job>& jobs = request.queue;
   Schedule schedule(jobs.size(), request.scratch);
   // The list make_list builds for the scratch translation (every release
-  // 0, ids in queue order): ascending (list_key, id). The submission order
-  // is the queue itself.
+  // 0, ids in queue order).
   ScratchVec<JobId> list(jobs.size(), JobId{0},
                          ArenaAlloc<JobId>(request.scratch));
-  std::iota(list.begin(), list.end(), JobId{0});
-  if (order_ != ListOrder::kSubmission) {
-    std::sort(list.begin(), list.end(), [&](JobId a, JobId b) {
-      const std::int64_t ka =
-          list_key(order_, jobs[static_cast<std::size_t>(a)]);
-      const std::int64_t kb =
-          list_key(order_, jobs[static_cast<std::size_t>(b)]);
-      return ka != kb ? ka < kb : a < b;
-    });
-  }
+  fill_list(list, jobs, order_);
   BackfillQueue pending(request.m, jobs, request.scratch);
   for (std::size_t r = 0; r < list.size(); ++r) {
     const Job& job = jobs[static_cast<std::size_t>(list[r])];

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "core/instance.hpp"
 #include "core/step_profile.hpp"
@@ -32,6 +33,18 @@ namespace resched {
 // int64 product or sum overflows.
 [[nodiscard]] std::int64_t available_area(const Instance& instance,
                                           Time horizon);
+
+// Decomposes a non-negative staircase with final value 0 into reservation
+// rectangles whose stacked sum reproduces it exactly, via a skyline stack:
+// a rise opens a block, a fall closes the most recent blocks first
+// (splitting the top block when the fall is partial). Rectangles are sorted
+// by (start, p, q) and given dense ids, named block<i>. On a non-increasing
+// profile this is Proposition 1's staircase: drop j of the staircase becomes
+// the block [0, s_{j+1}) x (U_j - U_{j+1}), in ascending end. Throws
+// std::invalid_argument when the profile dips negative or never returns
+// to 0.
+[[nodiscard]] std::vector<Reservation> unavailability_to_reservations(
+    const StepProfile& unavailability);
 
 // Section 4.1 restriction: U non-increasing (equivalently m(t) non-
 // decreasing). Instances with no reservations qualify trivially.

@@ -9,27 +9,6 @@
 
 namespace resched {
 
-std::vector<Reservation> staircase_to_reservations(
-    const StepProfile& unavailability) {
-  RESCHED_REQUIRE_MSG(unavailability.is_non_increasing(),
-                      "staircase decomposition needs non-increasing U");
-  RESCHED_REQUIRE_MSG(unavailability.final_value() == 0,
-                      "staircase must eventually reach 0");
-  std::vector<Reservation> blocks;
-  const auto segments = unavailability.segments();
-  // Segment j holds value V_j on [s_j, s_{j+1}); the drop V_j - V_{j+1}
-  // becomes a block spanning [0, s_{j+1}).
-  for (std::size_t j = 0; j + 1 < segments.size(); ++j) {
-    const std::int64_t drop =
-        checked_sub(segments[j].value, segments[j + 1].value);
-    RESCHED_CHECK(drop > 0);  // canonical segments + non-increasing
-    blocks.push_back(Reservation{static_cast<ReservationId>(blocks.size()),
-                                 drop, segments[j].end, 0,
-                                 tag("step", static_cast<std::int64_t>(j))});
-  }
-  return blocks;
-}
-
 Instance truncate_availability(const Instance& instance, Time reference) {
   RESCHED_REQUIRE(reference >= 0);
   RESCHED_REQUIRE_MSG(has_non_increasing_unavailability(instance),
@@ -47,14 +26,14 @@ Instance truncate_availability(const Instance& instance, Time reference) {
     if (excess > 0) truncated.add(segment.start, segment.end, excess);
   }
   return Instance(m_prime, instance.jobs(),
-                  staircase_to_reservations(truncated));
+                  unavailability_to_reservations(truncated));
 }
 
 HeadJobTransform reservations_to_head_jobs(const Instance& instance) {
   RESCHED_REQUIRE_MSG(has_non_increasing_unavailability(instance),
                       "head-job transform needs non-increasing U");
   const std::vector<Reservation> blocks =
-      staircase_to_reservations(unavailability_profile(instance));
+      unavailability_to_reservations(unavailability_profile(instance));
 
   HeadJobTransform out;
   std::vector<Job> jobs;

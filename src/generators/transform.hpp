@@ -18,15 +18,8 @@
 #include <vector>
 
 #include "core/instance.hpp"
-#include "core/step_profile.hpp"
 
 namespace resched {
-
-// Decomposes a non-increasing step function that eventually reaches 0 into
-// stacked blocks [0, t_j) x q_j (all starting at t = 0). Requires
-// profile.is_non_increasing() and final value 0.
-[[nodiscard]] std::vector<Reservation> staircase_to_reservations(
-    const StepProfile& unavailability);
 
 // I -> I': new machine count m' = m(T); unavailability becomes
 // U'(t) = U(t) - U(T) for t < T and 0 afterwards. Requires non-increasing

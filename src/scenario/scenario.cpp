@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <tuple>
 #include <utility>
 
 #include "util/checked.hpp"
 #include "util/require.hpp"
-#include "util/strings.hpp"
 
 namespace resched {
 
@@ -152,57 +150,6 @@ StepProfile min_profile(const StepProfile& a, const StepProfile& b) {
       current = value;
     }
     t = next;
-  }
-  return out;
-}
-
-std::vector<Reservation> unavailability_to_reservations(
-    const StepProfile& unavailability) {
-  // Skyline stack: a rise opens a block at its height delta, a fall closes
-  // the most recent blocks first (LIFO nesting keeps every emitted
-  // rectangle maximal in its own layer). The sum of the emitted rectangles
-  // reproduces the staircase exactly -- pinned by the round-trip fuzz.
-  struct Block {
-    Time start;
-    std::int64_t height;
-  };
-  std::vector<Block> open;
-  std::vector<Reservation> out;
-  std::int64_t previous = 0;
-  for (const StepProfile::Segment& segment : unavailability.segments()) {
-    if (segment.value < 0)
-      throw std::invalid_argument(
-          "unavailability_to_reservations: profile dips below 0 at t=" +
-          std::to_string(segment.start));
-    if (segment.value > previous) {
-      open.push_back(
-          Block{segment.start, checked_sub(segment.value, previous)});
-    } else if (segment.value < previous) {
-      std::int64_t fall = checked_sub(previous, segment.value);
-      while (fall > 0) {
-        Block& top = open.back();
-        const std::int64_t take = std::min(top.height, fall);
-        out.push_back(Reservation{0, static_cast<ProcCount>(take),
-                                  checked_sub(segment.start, top.start),
-                                  top.start, ""});
-        top.height = checked_sub(top.height, take);
-        if (top.height == 0) open.pop_back();
-        fall = checked_sub(fall, take);
-      }
-    }
-    previous = segment.value;
-  }
-  if (previous != 0 || !open.empty())
-    throw std::invalid_argument(
-        "unavailability_to_reservations: profile never returns to 0 "
-        "(reservations must be finite)");
-  std::sort(out.begin(), out.end(),
-            [](const Reservation& a, const Reservation& b) {
-              return std::tie(a.start, a.p, a.q) < std::tie(b.start, b.p, b.q);
-            });
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i].id = static_cast<ReservationId>(i);
-    out[i].name = tag("scn", static_cast<std::int64_t>(i));
   }
   return out;
 }

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "core/availability.hpp"
 #include "core/instance.hpp"
 #include "core/step_profile.hpp"
 
@@ -106,17 +107,6 @@ struct CompiledScenario {
 // over a daily availability base: the effective machine is the min).
 [[nodiscard]] StepProfile min_profile(const StepProfile& a,
                                       const StepProfile& b);
-
-// Decomposes a non-negative staircase with final value 0 into reservation
-// rectangles whose stacked sum reproduces it exactly. Generalizes
-// generators/transform.hpp's staircase_to_reservations (which requires a
-// non-increasing profile) to arbitrary shapes via a skyline stack: a rise
-// opens a block, a fall closes the most recent blocks first (splitting the
-// top block when the fall is partial). Rectangles are sorted by
-// (start, p, q) and given dense ids; throws std::invalid_argument when the
-// profile dips negative or never returns to 0.
-[[nodiscard]] std::vector<Reservation> unavailability_to_reservations(
-    const StepProfile& unavailability);
 
 // U(t) = m - curve(t) on [0, horizon), 0 afterwards (the program is over;
 // the machine is whole again, so every job remains schedulable). Requires

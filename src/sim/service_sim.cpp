@@ -34,6 +34,10 @@ constexpr std::uint64_t kCompactCompletionBudget = 32;
 // independent of the arrival draws under the same seed.
 constexpr std::uint64_t kChurnSeedSalt = 0x6368'7572'6e21'7331ULL;
 
+// Saturation test: a sustained completion rate below this fraction of the
+// offered rate marks the step saturated.
+constexpr double kSaturationFraction = 0.95;
+
 struct ServiceJob {
   Time arrival = 0;
   ProcCount q = 1;
@@ -232,7 +236,7 @@ class ServiceLoop {
       result_.saturated =
           measured_done_ + measure_canceled_ < config_.phases.measure ||
           result_.sustained_rate <
-              config_.saturation_fraction * result_.offered_rate;
+              kSaturationFraction * result_.offered_rate;
     }
     return std::move(result_);
   }
@@ -892,8 +896,6 @@ ServiceStepResult run_service_step(const Scheduler& scheduler,
   RESCHED_REQUIRE(config.dispatch_window >= 1);
   RESCHED_REQUIRE(config.queue_sample_interval >= 1);
   RESCHED_REQUIRE(config.compact_interval >= 1);
-  RESCHED_REQUIRE(config.saturation_fraction > 0.0 &&
-                  config.saturation_fraction <= 1.0);
   RESCHED_REQUIRE_MSG(scheduler.capabilities().reservations,
                       "service harness models running jobs as reservations; "
                       "the scheduler must accept them");

@@ -87,7 +87,7 @@
 // increments (exact integer step indices -- no accumulated floating-point
 // drift) and reports the saturation knee: the first step whose queue growth
 // diverges -- the backlog trips bail_queue_depth, or the sustained
-// completion rate falls below saturation_fraction of the offered rate.
+// completion rate falls below 95% of the offered rate.
 //
 // Determinism: with record_wall_latency off, a step's entire result is a
 // pure function of (scheduler, load config, seed, rate, churn config) --
@@ -146,9 +146,6 @@ struct ServiceConfig {
   // simulation start until measurement finishes, recording only samples
   // that fall inside the open measure window.
   Time queue_sample_interval = 500;
-  // Saturation test: sustained completion rate below this fraction of the
-  // offered rate marks the step saturated.
-  double saturation_fraction = 0.95;
   // Wall-clock timing of each scheduler decision (steady_clock). Off =>
   // decision_ns stays empty and the whole result is deterministic.
   bool record_wall_latency = true;

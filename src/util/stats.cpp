@@ -24,25 +24,6 @@ double OnlineStats::variance() const noexcept {
 
 double OnlineStats::stddev() const noexcept { return std::sqrt(variance()); }
 
-void OnlineStats::merge(const OnlineStats& other) noexcept {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double total = static_cast<double>(count_ + other.count_);
-  const double delta = other.mean_ - mean_;
-  m2_ += other.m2_ + delta * delta * static_cast<double>(count_) *
-                         static_cast<double>(other.count_) / total;
-  mean_ = (mean_ * static_cast<double>(count_) +
-           other.mean_ * static_cast<double>(other.count_)) /
-          total;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 namespace {
 // Closest-rank interpolation over an already sorted sample set.
 double sorted_percentile(const std::vector<double>& sorted, double q) {

@@ -22,9 +22,6 @@ class OnlineStats {
   [[nodiscard]] double max() const noexcept { return max_; }
   [[nodiscard]] double sum() const noexcept { return sum_; }
 
-  // Pools two accumulators (Chan et al. parallel combination).
-  void merge(const OnlineStats& other) noexcept;
-
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;

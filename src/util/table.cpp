@@ -49,4 +49,27 @@ std::string Table::to_string() const {
 
 void Table::print(std::ostream& os) const { os << to_string(); }
 
+std::string Table::to_csv() const {
+  std::string out;
+  const auto emit_row = [&](const std::vector<std::string>& row) {
+    for (std::size_t c = 0; c < row.size(); ++c) {
+      if (c > 0) out += ',';
+      if (row[c].find_first_of(",\"") == std::string::npos) {
+        out += row[c];
+        continue;
+      }
+      out += '"';
+      for (const char ch : row[c]) {
+        if (ch == '"') out += '"';
+        out += ch;
+      }
+      out += '"';
+    }
+    out += '\n';
+  };
+  emit_row(headers_);
+  for (const auto& row : rows_) emit_row(row);
+  return out;
+}
+
 }  // namespace resched

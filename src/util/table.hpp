@@ -2,7 +2,8 @@
 //
 // The benchmark binaries print each paper table/figure as a plain-text table
 // on stdout before running google-benchmark timings; this keeps the
-// reproduction output greppable and diffable.
+// reproduction output greppable and diffable. to_csv() renders the same
+// table for examples/campaign.
 #pragma once
 
 #include <iosfwd>
@@ -27,6 +28,9 @@ class Table {
 
   [[nodiscard]] std::string to_string() const;
   void print(std::ostream& os) const;
+  // Header line then one line per row, comma-separated; a cell holding a
+  // comma or a double quote is quoted (RFC 4180).
+  [[nodiscard]] std::string to_csv() const;
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
 

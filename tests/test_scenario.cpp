@@ -202,10 +202,10 @@ TEST(Scenario, DecompositionRebuildsTheStaircaseExactly) {
   for (const Reservation& r : rectangles)
     rebuilt.add(r.start, r.start + r.p, r.q);
   EXPECT_EQ(rebuilt, u);
-  // Dense ids, sorted by (start, p, q), named scn<i>.
+  // Dense ids, sorted by (start, p, q), named block<i>.
   for (std::size_t i = 0; i < rectangles.size(); ++i) {
     EXPECT_EQ(rectangles[i].id, static_cast<ReservationId>(i));
-    EXPECT_EQ(rectangles[i].name, "scn" + std::to_string(i));
+    EXPECT_EQ(rectangles[i].name, "block" + std::to_string(i));
     if (i > 0) {
       EXPECT_LE(rectangles[i - 1].start, rectangles[i].start);
     }

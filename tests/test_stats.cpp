@@ -37,36 +37,6 @@ TEST(OnlineStats, KnownMoments) {
   EXPECT_DOUBLE_EQ(stats.max(), 9.0);
 }
 
-TEST(OnlineStats, MergeMatchesSequential) {
-  OnlineStats all;
-  OnlineStats left;
-  OnlineStats right;
-  const std::vector<double> values{1.5, -2.0, 3.25, 7.0, 0.0, 4.5, -1.25};
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    all.add(values[i]);
-    (i < 3 ? left : right).add(values[i]);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-12);
-  EXPECT_DOUBLE_EQ(left.min(), all.min());
-  EXPECT_DOUBLE_EQ(left.max(), all.max());
-}
-
-TEST(OnlineStats, MergeWithEmpty) {
-  OnlineStats stats;
-  stats.add(1.0);
-  stats.add(3.0);
-  OnlineStats empty;
-  stats.merge(empty);
-  EXPECT_EQ(stats.count(), 2u);
-  EXPECT_DOUBLE_EQ(stats.mean(), 2.0);
-  empty.merge(stats);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
-}
-
 TEST(Percentile, MedianOddAndEven) {
   EXPECT_DOUBLE_EQ(percentile({3.0, 1.0, 2.0}, 0.5), 2.0);
   EXPECT_DOUBLE_EQ(percentile({4.0, 1.0, 2.0, 3.0}, 0.5), 2.5);

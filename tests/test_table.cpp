@@ -63,5 +63,15 @@ TEST(Table, PrintMatchesToString) {
   EXPECT_EQ(os.str(), table.to_string());
 }
 
+TEST(Table, CsvQuotesOnlyCellsThatNeedIt) {
+  Table table({"order / algorithm", "ratio"});
+  table.add("local-search(lpt,100)", Rational(31, 6));
+  table.add("say \"hi\"", 2);
+  EXPECT_EQ(table.to_csv(),
+            "order / algorithm,ratio\n"
+            "\"local-search(lpt,100)\",31/6\n"
+            "\"say \"\"hi\"\"\",2\n");
+}
+
 }  // namespace
 }  // namespace resched

@@ -22,30 +22,27 @@ Instance staircase_instance(std::uint64_t seed = 1) {
   return with_nonincreasing_reservations(base, stairs, seed + 100);
 }
 
+// Proposition 1's staircase: on a non-increasing profile every block starts
+// at 0 and the blocks run in ascending end, one per drop.
 TEST(StaircaseDecomposition, ReconstructsProfile) {
   const Instance instance = staircase_instance();
   const StepProfile u = unavailability_profile(instance);
-  const std::vector<Reservation> blocks = staircase_to_reservations(u);
+  const std::vector<Reservation> blocks = unavailability_to_reservations(u);
   StepProfile rebuilt(0);
   for (const Reservation& block : blocks)
     rebuilt.add(block.start, block.end(), block.q);
   EXPECT_EQ(rebuilt, u);
-  for (const Reservation& block : blocks) EXPECT_EQ(block.start, 0);
-}
-
-TEST(StaircaseDecomposition, RejectsNonMonotone) {
-  StepProfile u(0);
-  u.add(5, 10, 3);  // increases at 5
-  EXPECT_THROW(staircase_to_reservations(u), std::invalid_argument);
-}
-
-TEST(StaircaseDecomposition, RejectsNonVanishing) {
-  StepProfile u(2);  // constant 2 forever
-  EXPECT_THROW(staircase_to_reservations(u), std::invalid_argument);
+  const auto segments = u.segments();
+  ASSERT_EQ(blocks.size() + 1, segments.size());
+  for (std::size_t j = 0; j < blocks.size(); ++j) {
+    EXPECT_EQ(blocks[j].start, 0);
+    EXPECT_EQ(blocks[j].end(), segments[j].end);
+    EXPECT_EQ(blocks[j].q, segments[j].value - segments[j + 1].value);
+  }
 }
 
 TEST(StaircaseDecomposition, EmptyProfileGivesNoBlocks) {
-  EXPECT_TRUE(staircase_to_reservations(StepProfile(0)).empty());
+  EXPECT_TRUE(unavailability_to_reservations(StepProfile(0)).empty());
 }
 
 TEST(Truncate, CapsMachineCountAtReference) {
