@@ -17,7 +17,7 @@ void BM_Prop2BadOrder(benchmark::State& state) {
   const Prop2Family family = prop2_instance(state.range(0));
   for (auto _ : state) {
     const Schedule schedule =
-        LsrcScheduler(family.bad_order).schedule(family.instance).value();
+        LsrcScheduler().schedule(family.instance).value();
     benchmark::DoNotOptimize(schedule.makespan(family.instance));
   }
   state.counters["jobs"] = static_cast<double>(family.instance.n());

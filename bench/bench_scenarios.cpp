@@ -1,5 +1,5 @@
 // Scenario subsystem costs: program compilation, skyline decomposition,
-// tolerant SWF parsing, the scenario x scheduler survival matrix, and a
+// SWF parsing, the scenario x scheduler survival matrix, and a
 // resident-service step running under a scenario's availability windows.
 //
 // The table section prints the stock survival matrix (the qualitative
@@ -14,9 +14,9 @@
 
 #include "algorithms/scheduler.hpp"
 #include "bench_util.hpp"
+#include "core/swf.hpp"
 #include "scenario/matrix.hpp"
 #include "scenario/scn_format.hpp"
-#include "scenario/swf_reader.hpp"
 
 namespace {
 
@@ -83,7 +83,7 @@ void BM_ScnRoundTrip(benchmark::State& state) {
   state.counters["steps"] = static_cast<double>(reparsed.steps.size());
 }
 
-// Tolerant SWF parse over a synthesized in-memory trace: 2000 records, a
+// SWF parse over a synthesized in-memory trace: 2000 records, a
 // deterministic sprinkle of every skip reason plus clamped fields.
 void BM_SwfParse(benchmark::State& state) {
   std::ostringstream trace;
@@ -105,7 +105,7 @@ void BM_SwfParse(benchmark::State& state) {
   const std::string text = trace.str();
   SwfTrace parsed;
   for (auto _ : state) {
-    parsed = parse_swf_trace(text);
+    parsed = parse_swf(text);
     benchmark::DoNotOptimize(parsed.jobs.size());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -19,7 +19,7 @@
 #include <fstream>
 #include <iostream>
 
-#include "core/io.hpp"
+#include "core/swf.hpp"
 #include "generators/reservations.hpp"
 #include "generators/workload.hpp"
 #include "report/paper_tables.hpp"

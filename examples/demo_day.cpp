@@ -39,7 +39,7 @@ constexpr const char* kDemoDayScn =
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace resched;
   CliParser cli("demo_day",
                 "schedule a mixed queue around a demo-slot reservation");
@@ -107,4 +107,7 @@ int main(int argc, char** argv) {
                "idle whenever the\nqueue head is too wide; LSRC backfills "
                "everything but pushes wide jobs behind\nthe demo slot.\n";
   return 0;
+} catch (const std::exception& error) {
+  std::cerr << "error: " << error.what() << "\n";
+  return 1;
 }

@@ -24,7 +24,7 @@
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace resched;
   CliParser cli("grid_coallocation",
                 "impact of a cross-site co-allocation reservation on the "
@@ -103,4 +103,7 @@ int main(int argc, char** argv) {
     std::cout << "\nSVG Gantt written to " << svg_path << "\n";
   }
   return 0;
+} catch (const std::exception& error) {
+  std::cerr << "error: " << error.what() << "\n";
+  return 1;
 }

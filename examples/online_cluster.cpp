@@ -24,7 +24,7 @@
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace resched;
   CliParser cli("online_cluster",
                 "online arrivals + maintenance reservations, reactive vs "
@@ -98,4 +98,7 @@ int main(int argc, char** argv) {
               << sim.trace.size() << " events)\n";
   }
   return 0;
+} catch (const std::exception& error) {
+  std::cerr << "error: " << error.what() << "\n";
+  return 1;
 }

@@ -33,14 +33,29 @@ namespace {
 
 using namespace resched;
 
+// "parsed=5 skipped=5 (...)" plus the clamp counts that are non-zero.
+std::string read_summary(const SwfTrace& trace) {
+  std::string summary = trace.skip_summary();
+  if (trace.clamped_procs > 0)
+    summary += ", clamped-procs " + std::to_string(trace.clamped_procs);
+  if (trace.clamped_times > 0)
+    summary += ", clamped-times " + std::to_string(trace.clamped_times);
+  return summary;
+}
+
+// SWF goes through the one tolerant reader, which reports on stderr only
+// when it skipped or clamped something.
 Instance load_any(const std::string& path) {
   std::ifstream probe(path);
   RESCHED_REQUIRE_MSG(probe.good(), "cannot open: " + path);
   std::string first_line;
   std::getline(probe, first_line);
   probe.seekg(0);
-  if (starts_with(trim(first_line), ";")) return read_swf(probe);
-  return load_instance(probe);
+  if (!starts_with(trim(first_line), ";")) return load_instance(probe);
+  const SwfTrace trace = load_swf(path);
+  if (trace.skipped > 0 || trace.clamped_procs > 0 || trace.clamped_times > 0)
+    std::cerr << path << ": " << read_summary(trace) << "\n";
+  return trace.to_instance();
 }
 
 int cmd_info(const Instance& instance) {
@@ -200,22 +215,19 @@ int cmd_scenario_validate(const std::vector<std::string>& files) {
   return failures == 0 ? 0 : 1;
 }
 
-// `trace info FILE...`: tolerant SWF summary -- machine size, parsed and
-// skipped record counts (by reason), clamps, header directives. Exit code 1
-// when a file is unreadable or yields no jobs at all.
+// `trace info FILE...`: SWF summary -- machine size, parsed and skipped
+// record counts (by reason), clamps, reservations, header directives. Exit
+// code 1 when a file is unreadable or malformed, or yields no jobs at all.
 int cmd_trace_info(const std::vector<std::string>& files) {
   RESCHED_REQUIRE_MSG(!files.empty(), "usage: resched_tool trace info FILE...");
   int failures = 0;
   for (const std::string& path : files) {
     try {
-      const SwfTrace trace = load_swf_trace(path);
+      const SwfTrace trace = load_swf(path);
       std::cout << path << ": MaxProcs " << trace.max_procs << ", "
-                << trace.skip_summary();
-      if (trace.clamped_procs > 0)
-        std::cout << ", clamped-procs " << trace.clamped_procs;
-      if (trace.clamped_times > 0)
-        std::cout << ", clamped-times " << trace.clamped_times;
-      std::cout << ", " << trace.directives.size() << " header directive(s)\n";
+                << read_summary(trace) << ", " << trace.reservations.size()
+                << " reservation(s), " << trace.directives.size()
+                << " header directive(s)\n";
       if (trace.parsed == 0) {
         std::cerr << path << ": error: no schedulable job records\n";
         ++failures;
@@ -240,9 +252,9 @@ int main(int argc, char** argv) {
   cli.add_option("out-csv", "write the schedule as CSV", "");
   cli.add_option("out-svg", "write an SVG Gantt chart", "");
   cli.add_flag("no-gantt", "suppress the ASCII Gantt chart");
-  if (!cli.parse(argc, argv)) return 0;
 
   try {
+    if (!cli.parse(argc, argv)) return 0;
     RESCHED_REQUIRE_MSG(!cli.positional().empty(),
                         "usage: resched_tool <schedule|compare|info|"
                         "anomalies|list-schedulers> --input=FILE | "

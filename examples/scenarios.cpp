@@ -12,9 +12,10 @@
 //   ./build/examples/scenarios --m=16 --instances=2 --schedulers=fcfs,lsrc
 //       --scenarios=soak,ramp --csv=matrix.csv       (one command line)
 //
-//   # committed .scn programs and a real SWF trace as extra rows
+//   # committed .scn programs and an SWF trace as extra rows (a trace that
+//   # carries ;RESERVATION lines is rejected rather than run without them)
 //   ./build/examples/scenarios --scn=tests/data/maintenance.scn
-//       --trace=tests/data/tiny.swf                  (one command line)
+//       --trace=tests/data/pwa_sample.swf            (one command line)
 #include <fstream>
 #include <iostream>
 
@@ -57,9 +58,9 @@ int main(int argc, char** argv) {
   cli.add_option("trace",
                  "SWF trace file to add as a fixed-workload scenario", "");
   cli.add_option("csv", "write the long-form per-cell report here", "");
-  if (!cli.parse(argc, argv)) return 0;
 
   try {
+    if (!cli.parse(argc, argv)) return 0;
     const ProcCount m = cli.get_int("m");
     const std::string scenario_filter = cli.get_string("scenarios");
     const std::vector<std::string> keep =
@@ -82,9 +83,7 @@ int main(int argc, char** argv) {
 
     const std::string trace_path = cli.get_string("trace");
     if (!trace_path.empty()) {
-      const SwfTrace trace = load_swf_trace(trace_path);
-      RESCHED_REQUIRE_MSG(trace.parsed > 0,
-                          "trace has no schedulable job records");
+      const SwfTrace trace = load_swf(trace_path);
       std::cout << "trace " << trace_path << ": " << trace.skip_summary()
                 << "\n";
       specs.push_back(trace_scenario(trace));

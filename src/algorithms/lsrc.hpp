@@ -51,8 +51,7 @@ class LsrcScheduler final : public Scheduler {
  public:
   explicit LsrcScheduler(ListOrder order = ListOrder::kSubmission,
                          std::uint64_t seed = 0);
-  // Fixed explicit priority list (used by the adversarial instances, whose
-  // lower bound needs a specific "bad" order).
+  // Fixed explicit priority list (the local search's candidate orders).
   explicit LsrcScheduler(std::vector<JobId> explicit_list);
 
   // Unrestricted domain (release times and reservations are the algorithm's

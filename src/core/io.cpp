@@ -3,7 +3,6 @@
 #include "util/checked.hpp"
 #include "util/require.hpp"
 #include "util/strings.hpp"
-#include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -125,75 +124,6 @@ Instance load_instance(std::istream& is) {
     }
   }
   RESCHED_REQUIRE_MSG(saw_m, "instance file lacks an 'm' record");
-  return Instance(m, std::move(jobs), std::move(reservations));
-}
-
-void save_instance_file(const Instance& instance, const std::string& path) {
-  std::ofstream os(path);
-  RESCHED_REQUIRE_MSG(os.good(), "cannot open for writing: " + path);
-  save_instance(instance, os);
-}
-
-Instance load_instance_file(const std::string& path) {
-  std::ifstream is(path);
-  RESCHED_REQUIRE_MSG(is.good(), "cannot open for reading: " + path);
-  return load_instance(is);
-}
-
-void write_swf(const Instance& instance, std::ostream& os) {
-  os << "; SWF trace written by resched\n";
-  os << "; MaxProcs: " << instance.m() << "\n";
-  for (const Reservation& resa : instance.reservations())
-    os << ";RESERVATION " << resa.id << ' ' << resa.q << ' ' << resa.p << ' '
-       << resa.start << "\n";
-  // 18 standard SWF fields; unknown values are -1. We use:
-  //  1 job number (1-based per SWF convention), 2 submit, 4 run time,
-  //  5 allocated processors, 8 requested processors.
-  for (const Job& job : instance.jobs()) {
-    os << (job.id + 1) << ' ' << job.release << " -1 " << job.p << ' '
-       << job.q << " -1 -1 " << job.q << ' ' << job.p
-       << " -1 -1 -1 -1 -1 -1 -1 -1 -1\n";
-  }
-}
-
-Instance read_swf(std::istream& is) {
-  ProcCount m = -1;
-  std::vector<Job> jobs;
-  std::vector<Reservation> reservations;
-  std::string line;
-  int line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    const std::string_view trimmed = trim(line);
-    if (trimmed.empty()) continue;
-    const std::string context = "line " + std::to_string(line_no);
-    if (trimmed.front() == ';') {
-      const auto fields = split_ws(trimmed.substr(1));
-      if (!fields.empty() && fields[0] == "RESERVATION") {
-        RESCHED_REQUIRE_MSG(fields.size() == 5,
-                            "bad ;RESERVATION line at " + context);
-        reservations.push_back(Reservation{
-            static_cast<ReservationId>(parse_int(fields[1], context)),
-            parse_int(fields[2], context), parse_int(fields[3], context),
-            parse_int(fields[4], context), ""});
-      } else if (fields.size() >= 2 && fields[0] == "MaxProcs:") {
-        m = parse_int(fields[1], context);
-      }
-      continue;
-    }
-    const auto fields = split_ws(trimmed);
-    RESCHED_REQUIRE_MSG(fields.size() >= 8,
-                        "SWF record too short at " + context);
-    const auto number = parse_int(fields[0], context);
-    const auto submit = parse_int(fields[1], context);
-    const auto runtime = parse_int(fields[3], context);
-    auto procs = parse_int(fields[4], context);
-    if (procs <= 0) procs = parse_int(fields[7], context);  // requested
-    jobs.push_back(Job{static_cast<JobId>(checked_sub(number, 1)), procs,
-                       runtime,
-                       submit < 0 ? 0 : submit, ""});
-  }
-  RESCHED_REQUIRE_MSG(m >= 1, "SWF lacks a '; MaxProcs:' header");
   return Instance(m, std::move(jobs), std::move(reservations));
 }
 

@@ -1,18 +1,11 @@
-// Instance and schedule (de)serialization.
-//
-// Two formats:
-//  * native ("# resched instance v1"): loss-free round-trip of m, jobs
+// Instance and schedule (de)serialization in resched's native formats:
+//  * instances ("# resched instance v1"): loss-free round-trip of m, jobs
 //    (q, p, release, name) and reservations (q, p, start, name);
-//  * SWF (Standard Workload Format, Feitelson's Parallel Workloads Archive):
-//    the community format for rigid-job traces. Jobs map onto the standard
-//    18-column records (submit time, runtime, allocated processors);
-//    reservations -- which SWF has no record type for -- travel in header
-//    comment lines of the form ";RESERVATION id q p start", so a resched SWF
-//    file is still readable by any stock SWF consumer (comments are skipped).
+//  * schedules as CSV.
+// The Standard Workload Format (SWF) lives in core/swf.hpp.
 #pragma once
 
 #include <iosfwd>
-#include <string>
 
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
@@ -22,12 +15,6 @@ namespace resched {
 // Native format.
 void save_instance(const Instance& instance, std::ostream& os);
 [[nodiscard]] Instance load_instance(std::istream& is);
-void save_instance_file(const Instance& instance, const std::string& path);
-[[nodiscard]] Instance load_instance_file(const std::string& path);
-
-// SWF with the ;RESERVATION extension.
-void write_swf(const Instance& instance, std::ostream& os);
-[[nodiscard]] Instance read_swf(std::istream& is);
 
 // Schedule as CSV: header "job,start,end" then one row per scheduled job.
 void save_schedule_csv(const Instance& instance, const Schedule& schedule,

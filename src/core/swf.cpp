@@ -1,10 +1,11 @@
-#include "scenario/swf_reader.hpp"
+#include "core/swf.hpp"
 
 #include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <fstream>
 #include <optional>
+#include <ostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -18,14 +19,18 @@ namespace {
 // resolution); clamp instead of overflowing downstream arithmetic.
 constexpr Time kTimeCap = Time{1} << 40;
 
+[[nodiscard]] std::optional<std::int64_t> parse_exact(std::string_view text) {
+  std::int64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc() && ptr == end) return value;
+  return std::nullopt;
+}
+
 // SWF fields are integers, but archives occasionally carry "123.0" or
 // scientific notation; accept anything that round-trips through a double.
 [[nodiscard]] std::optional<std::int64_t> parse_field(std::string_view text) {
-  std::int64_t value = 0;
-  const char* begin = text.data();
-  const char* end = begin + text.size();
-  auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec == std::errc() && ptr == end) return value;
+  if (const auto exact = parse_exact(text)) return exact;
   try {
     std::size_t consumed = 0;
     const double real = std::stod(std::string(text), &consumed);
@@ -48,7 +53,45 @@ struct TimeClamp {
   return {raw, false};
 }
 
+// ";RESERVATION id q p start": four exact integers with q, p >= 1 and
+// 0 <= start, and p and start within the time cap jobs clamp to; else
+// std::invalid_argument naming the line.
+[[nodiscard]] Reservation parse_reservation(std::string_view line,
+                                            std::size_t line_no) {
+  const std::vector<std::string> fields = split_ws(line.substr(1));
+  std::optional<std::int64_t> id, q, p, start;
+  if (fields.size() == 5) {
+    id = parse_exact(fields[1]);
+    q = parse_exact(fields[2]);
+    p = parse_exact(fields[3]);
+    start = parse_exact(fields[4]);
+  }
+  if (!id || !q || !p || !start || *q < 1 || *p < 1 || *p > kTimeCap ||
+      *start < 0 || *start > kTimeCap)
+    throw std::invalid_argument(
+        "malformed ;RESERVATION at line " + std::to_string(line_no) +
+        " (want id q p start, q and p >= 1, 0 <= start, p and start <= "
+        "2^40): '" + std::string(line) + "'");
+  return Reservation{static_cast<ReservationId>(*id), *q, *p, *start, ""};
+}
+
 }  // namespace
+
+void write_swf(const Instance& instance, std::ostream& os) {
+  os << "; SWF trace written by resched\n";
+  os << "; MaxProcs: " << instance.m() << "\n";
+  for (const Reservation& resa : instance.reservations())
+    os << ";RESERVATION " << resa.id << ' ' << resa.q << ' ' << resa.p << ' '
+       << resa.start << "\n";
+  // 18 standard SWF fields; unknown values are -1. We use:
+  //  1 job number (1-based per SWF convention), 2 submit, 4 run time,
+  //  5 allocated processors, 8 requested processors, 9 requested time.
+  for (const Job& job : instance.jobs()) {
+    os << (job.id + 1) << ' ' << job.release << " -1 " << job.p << ' '
+       << job.q << " -1 -1 " << job.q << ' ' << job.p
+       << " -1 -1 -1 -1 -1 -1 -1 -1 -1\n";
+  }
+}
 
 std::string to_string(SwfSkipReason reason) {
   switch (reason) {
@@ -61,7 +104,7 @@ std::string to_string(SwfSkipReason reason) {
   return "?";
 }
 
-SwfTrace parse_swf_trace(std::string_view text, const SwfReadOptions& options) {
+SwfTrace parse_swf(std::string_view text, const SwfReadOptions& options) {
   SwfTrace trace;
   ProcCount header_max_procs = 0;
 
@@ -71,19 +114,25 @@ SwfTrace parse_swf_trace(std::string_view text, const SwfReadOptions& options) {
   };
 
   std::size_t pos = 0;
+  std::size_t line_no = 0;
   while (pos <= text.size()) {
     const std::size_t eol = text.find('\n', pos);
     std::string_view line =
         text.substr(pos, eol == std::string_view::npos ? text.size() - pos
                                                        : eol - pos);
     pos = eol == std::string_view::npos ? text.size() + 1 : eol + 1;
+    ++line_no;
     line = trim(line);
     if (line.empty()) continue;
 
     if (line.front() == ';') {
-      // `; Key: Value` directives; other comment lines (e.g. the archive's
-      // free-form notes) are ignored.
+      // ;RESERVATION lines, then `; Key: Value` directives; other comment
+      // lines (e.g. the archive's free-form notes) are ignored.
       const std::string_view body = trim(line.substr(1));
+      if (body.substr(0, body.find_first_of(" \t")) == "RESERVATION") {
+        trace.reservations.push_back(parse_reservation(line, line_no));
+        continue;
+      }
       const std::size_t colon = body.find(':');
       if (colon == std::string_view::npos) continue;
       const std::string key{trim(body.substr(0, colon))};
@@ -152,9 +201,12 @@ SwfTrace parse_swf_trace(std::string_view text, const SwfReadOptions& options) {
 
   trace.max_procs = header_max_procs > 0 ? header_max_procs
                                          : options.default_max_procs;
-  if (trace.max_procs == 0)
+  if (trace.max_procs == 0) {
     for (const Job& job : trace.jobs)
       trace.max_procs = std::max(trace.max_procs, job.q);
+    for (const Reservation& resa : trace.reservations)
+      trace.max_procs = std::max(trace.max_procs, resa.q);
+  }
   if (trace.max_procs == 0) trace.max_procs = 1;
 
   for (Job& job : trace.jobs)
@@ -165,20 +217,16 @@ SwfTrace parse_swf_trace(std::string_view text, const SwfReadOptions& options) {
   return trace;
 }
 
-SwfTrace read_swf_trace(std::istream& in, const SwfReadOptions& options) {
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_swf_trace(buffer.str(), options);
-}
-
-SwfTrace load_swf_trace(const std::string& path, const SwfReadOptions& options) {
+SwfTrace load_swf(const std::string& path, const SwfReadOptions& options) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open SWF trace: " + path);
-  return read_swf_trace(in, options);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return parse_swf(buffer.str(), options);
 }
 
 Instance SwfTrace::to_instance() const {
-  return Instance(max_procs, jobs, {});
+  return Instance(max_procs, jobs, reservations);
 }
 
 std::string SwfTrace::skip_summary() const {

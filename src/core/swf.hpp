@@ -1,12 +1,16 @@
-// Tolerant reader for the Standard Workload Format (SWF) used by the
-// Parallel Workloads Archive -- the trace lineage behind the EASY/CBF
-// evaluations in PAPERS.md.
+// The Standard Workload Format (SWF) of Feitelson's Parallel Workloads
+// Archive: one writer for resched instances and one reader for any SWF file,
+// from resched's own dumps to messy archive logs.
 //
 // An SWF file is `; Key: Value` header directives followed by one job per
 // line, 18 whitespace-separated integer fields (missing values are -1).
+// Reservations, which SWF has no record type for, travel in header comment
+// lines of the form ";RESERVATION id q p start", so a resched SWF file is
+// still readable by any stock SWF consumer (comments are skipped).
+//
 // Field mapping into the repo's Instance model:
 //
-//   field  1 (job number)      -> Job::name
+//   field  1 (job number)      -> Job::name "swf<number>"
 //   field  2 (submit time)     -> Job::release   (clamped to >= 0)
 //   field  4 (run time)        -> Job::p         (fallback: field 9,
 //                                 requested time; both <= 0 skips the line)
@@ -18,9 +22,10 @@
 //
 // Real archive files are messy: lines with fewer than 11 fields,
 // unparsable numbers, zero/negative runtimes, jobs wider than the machine.
-// The reader never throws on record content -- each dropped line is
-// accounted for in skipped_by_reason, and out-of-range values saturate via
-// util/checked-style clamps (counted in clamped_procs / clamped_times).
+// The reader never throws on job-record content -- each dropped line is
+// accounted for in skipped_by_reason, and out-of-range values saturate
+// (counted in clamped_procs / clamped_times). A malformed ;RESERVATION line
+// does throw: dropping a reservation would silently loosen every schedule.
 #pragma once
 
 #include <array>
@@ -35,6 +40,10 @@
 
 namespace resched {
 
+// Writes the instance as 18-field SWF records plus a `; MaxProcs:` header
+// and one ;RESERVATION line per reservation.
+void write_swf(const Instance& instance, std::ostream& os);
+
 enum class SwfSkipReason {
   kTruncated,           // fewer than 11 fields
   kBadInteger,          // a needed field did not parse as a number
@@ -48,7 +57,7 @@ inline constexpr std::size_t kSwfSkipReasonCount = 5;
 
 struct SwfReadOptions {
   // Machine size when the trace has no `; MaxProcs:` header (0 = infer
-  // from the widest parsed job).
+  // from the widest parsed job or reservation).
   ProcCount default_max_procs = 0;
   // Keep failed/cancelled records (status 0 or 5) instead of skipping.
   bool include_cancelled = false;
@@ -61,10 +70,12 @@ struct SwfReadOptions {
 
 struct SwfTrace {
   // Machine size: header MaxProcs, else options.default_max_procs, else
-  // the widest parsed job.
+  // the widest parsed job or reservation.
   ProcCount max_procs = 0;
   // Kept jobs, ids dense in file order.
   std::vector<Job> jobs;
+  // ;RESERVATION lines, in file order with their ids as written.
+  std::vector<Reservation> reservations;
   // Data lines kept / dropped (parsed + skipped = data lines seen).
   std::uint64_t parsed = 0;
   std::uint64_t skipped = 0;
@@ -76,25 +87,21 @@ struct SwfTrace {
   // `; Key: Value` header directives, in the order-independent map form.
   std::map<std::string, std::string> directives;
 
-  // The trace as a schedulable instance (no reservations; compose with a
-  // scenario program via scenario_instance for availability).
+  // The trace as a schedulable instance: max_procs, jobs, reservations.
   [[nodiscard]] Instance to_instance() const;
 
   // "parsed=5 skipped=5 (truncated=1 bad-integer=1 ...)" for logs/tools.
   [[nodiscard]] std::string skip_summary() const;
 };
 
-// Parsers (named *_swf_trace: core/io.hpp's read_swf is the strict reader
-// for resched's own round-trip files; this family is the tolerant one for
-// foreign archive traces). parse_swf_trace consumes a string,
-// read_swf_trace a stream. load_swf_trace throws std::runtime_error when
-// the file cannot be opened; record-level problems never throw (see
-// skipped_by_reason).
-[[nodiscard]] SwfTrace parse_swf_trace(std::string_view text,
-                                       const SwfReadOptions& options = {});
-[[nodiscard]] SwfTrace read_swf_trace(std::istream& in,
-                                      const SwfReadOptions& options = {});
-[[nodiscard]] SwfTrace load_swf_trace(const std::string& path,
-                                      const SwfReadOptions& options = {});
+// parse_swf consumes a string; load_swf reads a file and throws
+// std::runtime_error when it cannot be opened. Job-record problems never
+// throw (see skipped_by_reason); a ;RESERVATION line that is not four
+// integers id q p start with q, p >= 1, 0 <= start and p, start <= 2^40
+// throws std::invalid_argument naming its line.
+[[nodiscard]] SwfTrace parse_swf(std::string_view text,
+                                 const SwfReadOptions& options = {});
+[[nodiscard]] SwfTrace load_swf(const std::string& path,
+                                const SwfReadOptions& options = {});
 
 }  // namespace resched

@@ -1,7 +1,6 @@
 #include "generators/adversarial.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "util/checked.hpp"
 #include "util/require.hpp"
@@ -38,11 +37,8 @@ Prop2Family prop2_instance(std::int64_t k) {
     reservations.push_back(
         Reservation{0, resa_q, checked_mul(2, checked_mul(k, k)), k, "resa"});
   }
+  // Submission order is the bad list order: set 1 first, then set 2.
   family.instance = Instance(m, std::move(jobs), std::move(reservations));
-
-  // Bad list order: set 1 first, then set 2 (submission order).
-  family.bad_order.resize(family.instance.n());
-  std::iota(family.bad_order.begin(), family.bad_order.end(), JobId{0});
 
   // Constructive optimum (paper: C* = 1, scaled to k): the k-1 wide jobs all
   // start at 0; the k short jobs chain on one block of (k-1)^2 processors.
@@ -67,8 +63,6 @@ GrahamTightFamily graham_tight_instance(ProcCount m) {
     jobs.push_back(Job{static_cast<JobId>(i), 1, 1, 0, ""});
   jobs.push_back(Job{static_cast<JobId>(shorts), 1, m, 0, "long"});
   family.instance = Instance(m, std::move(jobs));
-  family.bad_order.resize(family.instance.n());
-  std::iota(family.bad_order.begin(), family.bad_order.end(), JobId{0});
   family.optimal_makespan = m;
   family.lsrc_makespan = checked_sub(checked_mul(2, m), 1);
   return family;

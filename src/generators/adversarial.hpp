@@ -31,9 +31,10 @@
 
 namespace resched {
 
+// Both LSRC families below are built in their bad list order, so plain
+// LsrcScheduler() (submission order) realises the lower bound.
 struct Prop2Family {
   Instance instance;
-  std::vector<JobId> bad_order;   // list order realising the lower bound
   Schedule optimal_schedule;      // constructive optimum (validates)
   Time optimal_makespan = 0;      // = k (scaled)
   Time lsrc_makespan = 0;         // = k^2 - k + 1 (scaled)
@@ -45,8 +46,7 @@ struct Prop2Family {
 [[nodiscard]] Prop2Family prop2_instance(std::int64_t k);
 
 struct GrahamTightFamily {
-  Instance instance;
-  std::vector<JobId> bad_order;  // shorts before the long job
+  Instance instance;             // shorts before the long job
   Time optimal_makespan = 0;     // = m
   Time lsrc_makespan = 0;        // = 2m - 1
 };

@@ -1,7 +1,5 @@
 #include "generators/transform.hpp"
 
-#include <numeric>
-
 #include "core/availability.hpp"
 #include "util/checked.hpp"
 #include "util/require.hpp"
@@ -52,8 +50,6 @@ HeadJobTransform reservations_to_head_jobs(const Instance& instance) {
     jobs.push_back(std::move(copy));
   }
   out.rigid = Instance(instance.m(), std::move(jobs));
-  out.head_first_list.resize(out.rigid.n());
-  std::iota(out.head_first_list.begin(), out.head_first_list.end(), JobId{0});
   return out;
 }
 

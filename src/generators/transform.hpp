@@ -33,10 +33,9 @@ struct HeadJobTransform {
   // I'': no reservations; job ids 0..h-1 are the head (ex-reservation) jobs,
   // ids h..h+n-1 are the original jobs shifted by h.
   Instance rigid;
+  // Head jobs come first in submission order, so plain LsrcScheduler()
+  // on `rigid` reproduces LSRC-on-I.
   std::vector<JobId> head_ids;
-  // A full priority list: head jobs first, then the original jobs in their
-  // original order. Feeding this to LsrcScheduler reproduces LSRC-on-I.
-  std::vector<JobId> head_first_list;
   // Mapping: original job id j -> id in `rigid` (= h + j).
   std::vector<JobId> job_map;
 };

@@ -60,11 +60,6 @@ void claim(bool holds, const std::string& what) {
   if (!holds) throw std::logic_error("paper claim failed: " + what);
 }
 
-Time lsrc_makespan(const Instance& instance, std::vector<JobId> list) {
-  return LsrcScheduler(std::move(list)).schedule(instance).value().makespan(
-      instance);
-}
-
 Time makespan_of(const char* scheduler, const Instance& instance) {
   return make_scheduler(scheduler)->schedule(instance).value().makespan(
       instance);
@@ -310,9 +305,8 @@ PaperFigure fig2_nonincreasing() {
     const Instance instance = fig2_staircase_instance(seed, 40, 16);
     const Schedule direct = LsrcScheduler().schedule(instance).value();
     const HeadJobTransform transform = reservations_to_head_jobs(instance);
-    const Schedule indirect = LsrcScheduler(transform.head_first_list)
-                                  .schedule(transform.rigid)
-                                  .value();
+    const Schedule indirect =
+        LsrcScheduler().schedule(transform.rigid).value();
     bool identical = true;
     Time indirect_makespan = 0;
     for (const Job& job : instance.jobs()) {
@@ -344,7 +338,7 @@ PaperFigure fig3_adversarial() {
   for (const std::int64_t k : {2, 3, 4, 5, 6, 8, 10, 12}) {
     Prop2Family family = prop2_instance(k);
     const Time opt = family.optimal_makespan;
-    const Time bad = lsrc_makespan(family.instance, family.bad_order);
+    const Time bad = makespan_of("lsrc", family.instance);
     const Time lpt = makespan_of("lsrc-lpt", family.instance);
     const Rational ratio = makespan_ratio(bad, opt);
     const std::string row = "Fig. 3 k = " + std::to_string(k) + ": ";
@@ -388,7 +382,7 @@ PaperFigure fig4_bounds() {
     const Rational alpha(2, k);
     Prop2Family family = prop2_instance(k);
     const Rational ratio =
-        makespan_ratio(lsrc_makespan(family.instance, family.bad_order),
+        makespan_ratio(makespan_of("lsrc", family.instance),
                        family.optimal_makespan);
     const Rational b1 = lsrc_lower_bound_b1(alpha);
     const Rational b2 = lsrc_lower_bound_b2(alpha);
@@ -567,7 +561,7 @@ PaperFigure priority_ablation() {
                   "analytic bound", "C_LSRC[lpt]"});
   for (const ProcCount m : {4, 8, 16}) {
     const GrahamTightFamily family = graham_tight_instance(m);
-    const Time bad = lsrc_makespan(family.instance, family.bad_order);
+    const Time bad = makespan_of("lsrc", family.instance);
     families.add("graham-tight m=" + std::to_string(m),
                  family.optimal_makespan, bad,
                  makespan_ratio(bad, family.optimal_makespan), graham_bound(m),
@@ -575,7 +569,7 @@ PaperFigure priority_ablation() {
   }
   for (const std::int64_t k : {4, 6, 8}) {
     const Prop2Family family = prop2_instance(k);
-    const Time bad = lsrc_makespan(family.instance, family.bad_order);
+    const Time bad = makespan_of("lsrc", family.instance);
     families.add("prop2 k=" + std::to_string(k), family.optimal_makespan, bad,
                  makespan_ratio(bad, family.optimal_makespan),
                  prop2_ratio_for_k(k),

@@ -257,6 +257,14 @@ ScenarioSpec trace_scenario(const SwfTrace& trace, std::string name) {
   RESCHED_REQUIRE_MSG(!trace.jobs.empty(),
                       "trace has no schedulable job records");
   RESCHED_REQUIRE(trace.max_procs >= 1);
+  // A trace row runs on the whole machine (soak program); dropping the
+  // trace's own reservations would loosen every schedule, so refuse them.
+  RESCHED_REQUIRE_MSG(
+      trace.reservations.empty(),
+      "trace carries " + std::to_string(trace.reservations.size()) +
+          " reservation(s), first ;RESERVATION " +
+          std::to_string(trace.reservations.front().id) +
+          "; a trace scenario schedules its jobs on the whole machine");
   ScenarioSpec spec;
   spec.name = std::move(name);
   spec.program = soak_program(trace.max_procs);

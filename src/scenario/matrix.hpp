@@ -4,7 +4,7 @@
 // A ScenarioSpec pairs an availability program (compiled once, decomposed
 // once into the equivalent reservation set) with a workload source: the
 // parametric generators, the daily arrival cycle, a fixed blocking workload
-// (the FCFS worst case below), or a pre-parsed trace (scenario/swf_reader).
+// (the FCFS worst case below), or a pre-parsed SWF trace (core/swf).
 // run_scenario_matrix runs one guarantee-checking run_campaign per scenario
 // and derives a verdict per (scenario, scheduler) cell:
 //
@@ -31,8 +31,8 @@
 #include <string>
 #include <vector>
 
+#include "core/swf.hpp"
 #include "scenario/scenario.hpp"
-#include "scenario/swf_reader.hpp"
 #include "sim/campaign.hpp"
 #include "sim/service_sim.hpp"
 #include "util/rational.hpp"
@@ -133,8 +133,9 @@ struct ScenarioMatrixResult {
 
 // A parsed SWF trace as a fixed-workload scenario row: whole machine
 // (soak program over trace.max_procs), every instance the identical
-// trace_jobs list. Requires a non-empty trace. tests/data/pwa_sample.swf
-// is the committed sample row.
+// trace_jobs list. Requires a non-empty trace; throws
+// std::invalid_argument when the trace carries ;RESERVATION lines rather
+// than drop them. tests/data/pwa_sample.swf is the committed sample row.
 [[nodiscard]] ScenarioSpec trace_scenario(const SwfTrace& trace,
                                           std::string name = "trace");
 

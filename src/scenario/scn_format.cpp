@@ -159,16 +159,12 @@ ScenarioProgram parse_scn(std::string_view text) {
   return program;
 }
 
-ScenarioProgram read_scn(std::istream& in) {
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_scn(buffer.str());
-}
-
 ScenarioProgram load_scn(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open scenario file: " + path);
-  return read_scn(in);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return parse_scn(buffer.str());
 }
 
 std::string serialize_scn(const ScenarioProgram& program) {
@@ -186,12 +182,6 @@ std::string serialize_scn(const ScenarioProgram& program) {
   }
   out << "end\n";
   return out.str();
-}
-
-void save_scn(const ScenarioProgram& program, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot write scenario file: " + path);
-  out << serialize_scn(program);
 }
 
 }  // namespace resched

@@ -21,7 +21,6 @@
 // column of the offending token.
 #pragma once
 
-#include <iosfwd>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -50,14 +49,12 @@ class ScnParseError : public std::runtime_error {
 // input (unknown directive, bad integer, missing end, trailing garbage).
 [[nodiscard]] ScenarioProgram parse_scn(std::string_view text);
 
-// Stream / file front-ends for parse_scn. load_scn throws
-// std::runtime_error when the file cannot be opened.
-[[nodiscard]] ScenarioProgram read_scn(std::istream& in);
+// File front end for parse_scn; throws std::runtime_error when the file
+// cannot be opened.
 [[nodiscard]] ScenarioProgram load_scn(const std::string& path);
 
 // Canonical text for the program (validates first). parse_scn(serialize_scn
 // (p)) == p for every valid program.
 [[nodiscard]] std::string serialize_scn(const ScenarioProgram& program);
-void save_scn(const ScenarioProgram& program, const std::string& path);
 
 }  // namespace resched

@@ -39,7 +39,7 @@ TEST(Prop2Family, LsrcWithBadOrderRealisesTheLowerBound) {
   for (const std::int64_t k : {2, 3, 4, 5, 6, 8, 10}) {
     const Prop2Family family = prop2_instance(k);
     const Schedule schedule =
-        LsrcScheduler(family.bad_order).schedule(family.instance).value();
+        LsrcScheduler().schedule(family.instance).value();
     ASSERT_TRUE(schedule.validate(family.instance).ok) << "k=" << k;
     EXPECT_EQ(schedule.makespan(family.instance), family.lsrc_makespan)
         << "k=" << k;
@@ -75,7 +75,7 @@ TEST(GrahamTight, RealisesTwoMinusOneOverM) {
   for (const ProcCount m : {2, 3, 4, 8}) {
     const GrahamTightFamily family = graham_tight_instance(m);
     const Schedule bad =
-        LsrcScheduler(family.bad_order).schedule(family.instance).value();
+        LsrcScheduler().schedule(family.instance).value();
     ASSERT_TRUE(bad.validate(family.instance).ok);
     EXPECT_EQ(bad.makespan(family.instance), 2 * m - 1);
     EXPECT_EQ(makespan_lower_bound(family.instance), m);

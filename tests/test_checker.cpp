@@ -153,7 +153,7 @@ TEST(Checker, ComplianceToString) {
 TEST(Lemma1, HoldsOnLsrcSchedules) {
   const GrahamTightFamily family = graham_tight_instance(4);
   const Schedule schedule =
-      LsrcScheduler(family.bad_order).schedule(family.instance).value();
+      LsrcScheduler().schedule(family.instance).value();
   const Lemma1Report report = check_lemma1(family.instance, schedule);
   EXPECT_TRUE(report.holds);
 }

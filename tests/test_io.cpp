@@ -54,60 +54,6 @@ TEST(NativeFormat, MalformedIntegerThrows) {
   EXPECT_THROW(load_instance(is), std::invalid_argument);
 }
 
-TEST(NativeFormat, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/resched_io_test.inst";
-  const Instance original = sample_instance();
-  save_instance_file(original, path);
-  EXPECT_EQ(load_instance_file(path), original);
-}
-
-TEST(NativeFormat, MissingFileThrows) {
-  EXPECT_THROW(load_instance_file("/nonexistent/nowhere.inst"),
-               std::invalid_argument);
-}
-
-TEST(Swf, RoundTripJobsAndReservations) {
-  const Instance original = sample_instance();
-  std::stringstream stream;
-  write_swf(original, stream);
-  const Instance loaded = read_swf(stream);
-  EXPECT_EQ(loaded.m(), original.m());
-  ASSERT_EQ(loaded.n(), original.n());
-  for (std::size_t i = 0; i < original.n(); ++i) {
-    EXPECT_EQ(loaded.jobs()[i].q, original.jobs()[i].q);
-    EXPECT_EQ(loaded.jobs()[i].p, original.jobs()[i].p);
-    EXPECT_EQ(loaded.jobs()[i].release, original.jobs()[i].release);
-  }
-  ASSERT_EQ(loaded.n_reservations(), original.n_reservations());
-  EXPECT_EQ(loaded.reservation(0).q, original.reservation(0).q);
-  EXPECT_EQ(loaded.reservation(0).start, original.reservation(0).start);
-}
-
-TEST(Swf, ReadableByPlainSwfConsumers) {
-  // The ;RESERVATION extension lives in comments: job lines alone must parse
-  // as standard 18-column SWF.
-  const Instance original = sample_instance();
-  std::stringstream stream;
-  write_swf(original, stream);
-  std::string line;
-  int job_lines = 0;
-  while (std::getline(stream, line)) {
-    if (line.empty() || line[0] == ';') continue;
-    std::istringstream fields(line);
-    int count = 0;
-    std::string field;
-    while (fields >> field) ++count;
-    EXPECT_EQ(count, 18);
-    ++job_lines;
-  }
-  EXPECT_EQ(job_lines, 3);
-}
-
-TEST(Swf, MissingMaxProcsThrows) {
-  std::istringstream is("1 0 -1 5 2 -1 -1 2 5 -1 -1 -1 -1 -1 -1 -1 -1 -1\n");
-  EXPECT_THROW(read_swf(is), std::invalid_argument);
-}
-
 TEST(ScheduleCsv, RoundTrip) {
   const Instance instance = sample_instance();
   Schedule schedule(instance.n());

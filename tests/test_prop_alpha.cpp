@@ -89,7 +89,7 @@ TEST_P(Prop2Sandwich, AchievedRatioMatchesB1B2AtConstructivePoints) {
   const std::int64_t k = GetParam();
   const Prop2Family family = prop2_instance(k);
   const Schedule bad =
-      LsrcScheduler(family.bad_order).schedule(family.instance).value();
+      LsrcScheduler().schedule(family.instance).value();
   const Rational achieved = makespan_ratio(bad.makespan(family.instance),
                                            family.optimal_makespan);
   const Rational alpha(2, k);

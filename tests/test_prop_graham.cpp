@@ -80,7 +80,7 @@ TEST(GrahamTightness, FamilyAttainsBoundExactly) {
   for (const ProcCount m : {2, 3, 5, 8, 13}) {
     const GrahamTightFamily family = graham_tight_instance(m);
     const Schedule bad =
-        LsrcScheduler(family.bad_order).schedule(family.instance).value();
+        LsrcScheduler().schedule(family.instance).value();
     EXPECT_EQ(makespan_ratio(bad.makespan(family.instance),
                              family.optimal_makespan),
               graham_bound(m));

@@ -90,7 +90,7 @@ TEST(Prop1Chain, EndToEndTransformationPreservesLsrcMakespan) {
     const Schedule direct = LsrcScheduler().schedule(instance).value();
     const HeadJobTransform transform = reservations_to_head_jobs(instance);
     const Schedule indirect =
-        LsrcScheduler(transform.head_first_list).schedule(transform.rigid).value();
+        LsrcScheduler().schedule(transform.rigid).value();
     Time original_jobs_makespan = 0;
     for (const Job& job : instance.jobs()) {
       const JobId mapped =

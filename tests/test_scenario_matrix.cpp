@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "algorithms/scheduler.hpp"
 
@@ -139,7 +140,7 @@ TEST(ScenarioMatrix, CommittedPwaSampleDrivesTheTraceRow) {
   // The committed synthetic PWA-style sample parses cleanly and becomes
   // the matrix's fixed-workload row via trace_scenario().
   const SwfTrace trace =
-      load_swf_trace(std::string(RESCHED_TEST_DATA_DIR) + "/pwa_sample.swf");
+      load_swf(std::string(RESCHED_TEST_DATA_DIR) + "/pwa_sample.swf");
   EXPECT_EQ(trace.max_procs, 32);
   EXPECT_EQ(trace.parsed, 48u);
   EXPECT_EQ(trace.skipped, 0u);
@@ -165,9 +166,26 @@ TEST(ScenarioMatrix, CommittedPwaSampleDrivesTheTraceRow) {
   EXPECT_EQ(with_trace.back().name, "trace");
 }
 
+TEST(ScenarioMatrix, TraceWithReservationsIsRejected) {
+  // A trace row schedules its jobs on the whole machine: a trace that
+  // carries ;RESERVATION lines is refused, not run without them.
+  const SwfTrace trace =
+      load_swf(std::string(RESCHED_TEST_DATA_DIR) + "/tiny.swf");
+  ASSERT_EQ(trace.reservations.size(), 1u);
+  try {
+    (void)trace_scenario(trace);
+    ADD_FAILURE() << "trace_scenario accepted a trace with a reservation";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("RESERVATION 0"),
+              std::string::npos)
+        << error.what();
+  }
+  EXPECT_THROW((void)stock_scenarios(16, trace), std::invalid_argument);
+}
+
 TEST(ScenarioMatrix, TraceRowIsIndependentOfThreadCount) {
   const SwfTrace trace =
-      load_swf_trace(std::string(RESCHED_TEST_DATA_DIR) + "/pwa_sample.swf");
+      load_swf(std::string(RESCHED_TEST_DATA_DIR) + "/pwa_sample.swf");
   ScenarioMatrixConfig config;
   config.instances = 2;
   config.seed = 5;

@@ -85,7 +85,7 @@ TEST(HeadJobs, HeadJobsReproduceUnavailabilityUnderLsrc) {
   const Instance instance = staircase_instance();
   const HeadJobTransform transform = reservations_to_head_jobs(instance);
   const Schedule schedule =
-      LsrcScheduler(transform.head_first_list).schedule(transform.rigid).value();
+      LsrcScheduler().schedule(transform.rigid).value();
   // Every head job starts at 0 (they sum to U(0) <= m).
   StepProfile head_usage(0);
   for (const JobId id : transform.head_ids) {
@@ -106,7 +106,7 @@ TEST_P(HeadJobEquivalence, LsrcSchedulesMatch) {
   const Schedule direct = LsrcScheduler().schedule(instance).value();
   const HeadJobTransform transform = reservations_to_head_jobs(instance);
   const Schedule transformed =
-      LsrcScheduler(transform.head_first_list).schedule(transform.rigid).value();
+      LsrcScheduler().schedule(transform.rigid).value();
   ASSERT_TRUE(transformed.validate(transform.rigid).ok);
   for (const Job& job : instance.jobs()) {
     EXPECT_EQ(transformed.start(transform.job_map[static_cast<std::size_t>(
