@@ -22,10 +22,8 @@ StepProfile busy_profile(std::int64_t segments, std::uint64_t seed) {
     profile.add(start, start + len, prng.uniform_int(-2, 2));
   }
   // Keep it a valid capacity profile.
-  if (profile.min_value() < 0) {
-    StepProfile lifted(256 - profile.min_value());
-    return lifted.plus(profile.minus(StepProfile(256)));
-  }
+  if (profile.min_value() < 0)
+    profile.add(0, kTimeInfinity, -profile.min_value());
   return profile;
 }
 
@@ -176,13 +174,6 @@ void BM_BackfillChurn(benchmark::State& state) {
                  : 0.0;
 }
 BENCHMARK(BM_BackfillChurn)->Range(64, 4096);
-
-void BM_ProfilePlus(benchmark::State& state) {
-  const StepProfile a = busy_profile(state.range(0), 8);
-  const StepProfile b = busy_profile(state.range(0), 9);
-  for (auto _ : state) benchmark::DoNotOptimize(a.plus(b).segment_count());
-}
-BENCHMARK(BM_ProfilePlus)->Range(64, 4096);
 
 }  // namespace
 

@@ -3,18 +3,15 @@
 // The table section runs a small fixed-seed rate sweep per scheduler and
 // prints sustained throughput plus the saturation knee -- the per-PR
 // "heavy traffic" curve the ROADMAP north star asks for. The benchmark
-// section times single service steps below and above the knee, on both
-// planning paths (incremental -- append-only suffix repair for
-// conservative, decision-only passes at now for easy and lsrc -- vs
-// per-decision scratch rebuild) and under churn, and exports the sustained rate, decision
-// counts, decision-latency p99 and the incremental-path counters
-// (suffix length replanned, frames rewound) so BENCH_service.json tracks
-// harness cost, scheduler capacity and the incremental speedup across PRs.
+// section times single service steps below and above the knee (append-only
+// suffix repair for conservative, decision-only passes at now for easy and
+// lsrc) and under churn, and exports the sustained rate, decision counts,
+// decision-latency p99 and the planning counters (suffix length replanned,
+// frames rewound) so BENCH_service.json tracks harness cost and scheduler
+// capacity across PRs.
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <string>
-#include <utility>
 
 #include "algorithms/scheduler.hpp"
 #include "bench_util.hpp"
@@ -73,38 +70,12 @@ void print_tables() {
   }
 }
 
-// Forwards to a registry scheduler but hides its incremental_replan
-// capability, so the service plans every decision on the scratch path.
-class ScratchOnly final : public Scheduler {
- public:
-  explicit ScratchOnly(std::unique_ptr<Scheduler> inner)
-      : inner_(std::move(inner)) {}
-  [[nodiscard]] ScheduleOutcome schedule(
-      const Instance& instance) const override {
-    return inner_->schedule(instance);
-  }
-  [[nodiscard]] std::string name() const override { return inner_->name(); }
-  [[nodiscard]] Capabilities capabilities() const override {
-    Capabilities caps = inner_->capabilities();
-    caps.incremental_replan = false;
-    caps.append_only_replan = false;
-    return caps;
-  }
-
- private:
-  std::unique_ptr<Scheduler> inner_;
-};
-
 // One full service step at a fixed offered rate; counters export the
-// deterministic aggregates next to the wall-clock timing. `incremental`
-// selects the planning path (replan() on the persistent profile vs
-// per-decision scratch rebuild through ScratchOnly) and `churn_rate`
+// deterministic aggregates next to the wall-clock timing. `churn_rate`
 // enables the deterministic churn stream.
 void BM_ServiceStep(benchmark::State& state, const char* scheduler_name,
-                    double rate, bool incremental, double churn_rate) {
-  std::unique_ptr<Scheduler> scheduler = make_scheduler(scheduler_name);
-  if (!incremental)
-    scheduler = std::make_unique<ScratchOnly>(std::move(scheduler));
+                    double rate, double churn_rate) {
+  const auto scheduler = make_scheduler(scheduler_name);
   const LoadGenConfig load = bench_load();
   ServiceConfig config = bench_config();
   config.churn.events_per_kilotick = churn_rate;
@@ -112,7 +83,7 @@ void BM_ServiceStep(benchmark::State& state, const char* scheduler_name,
   // The simulation is deterministic per iteration; only the wall-clock
   // decision latencies vary. Track the minimum p99 across iterations so
   // the exported figure reflects the path's cost, not scheduler noise on
-  // the bench host (both planning paths get identical treatment).
+  // the bench host.
   double best_p99 = 0.0;
   for (auto _ : state) {
     last = run_service_step(*scheduler, load, kSeed, rate, config);
@@ -127,8 +98,6 @@ void BM_ServiceStep(benchmark::State& state, const char* scheduler_name,
   state.counters["decisions"] = static_cast<double>(last.decisions);
   state.counters["decisions_incremental"] =
       static_cast<double>(last.decisions_incremental);
-  state.counters["decisions_scratch"] =
-      static_cast<double>(last.decisions_scratch);
   state.counters["suffix_jobs_replanned"] =
       static_cast<double>(last.suffix_jobs_replanned);
   state.counters["plan_frames_rewound"] =
@@ -141,7 +110,7 @@ void BM_ServiceStep(benchmark::State& state, const char* scheduler_name,
       static_cast<double>(last.deferred_dispatches);
   // Heap allocations per measure-window decision (global operator-new hook
   // plus the library's instrumented malloc sites). Deterministic; gated by
-  // bench/alloc_budget.json in CI. Steady-state incremental paths target 0.
+  // bench/alloc_budget.json in CI. Steady-state decisions target 0.
   state.counters["allocs_per_decision"] =
       last.decisions_measured > 0
           ? static_cast<double>(last.decision_allocs) /
@@ -169,47 +138,29 @@ void BM_ServiceKnee(benchmark::State& state, const char* scheduler_name) {
       sweep.has_knee() ? sweep.knee_rate() : 0.0;
 }
 
-// Incremental-vs-scratch pairs: same seed, same rate, only the planning
-// path differs, so the wall-clock ratio and decision_p99_ns deltas are the
-// incremental speedup.
-BENCHMARK_CAPTURE(BM_ServiceStep, easy_subsat, "easy", 200.0, true, 0.0)
+BENCHMARK_CAPTURE(BM_ServiceStep, easy_subsat, "easy", 200.0, 0.0)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ServiceStep, easy_subsat_scratch, "easy", 200.0, false,
-                  0.0)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ServiceStep, easy_saturated, "easy", 700.0, true, 0.0)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ServiceStep, easy_saturated_scratch, "easy", 700.0,
-                  false, 0.0)
+BENCHMARK_CAPTURE(BM_ServiceStep, easy_saturated, "easy", 700.0, 0.0)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ServiceStep, conservative_subsat, "conservative", 200.0,
-                  true, 0.0)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ServiceStep, conservative_subsat_scratch, "conservative",
-                  200.0, false, 0.0)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ServiceStep, conservative_saturated, "conservative",
-                  700.0, true, 0.0)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ServiceStep, conservative_saturated_scratch,
-                  "conservative", 700.0, false, 0.0)
-    ->Unit(benchmark::kMillisecond);
-// The paper's list scheduler (LSRC, submission order) as a service.
-BENCHMARK_CAPTURE(BM_ServiceStep, lsrc_subsat, "lsrc", 200.0, true, 0.0)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ServiceStep, lsrc_subsat_scratch, "lsrc", 200.0, false,
                   0.0)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ServiceStep, lsrc_saturated, "lsrc", 700.0, true, 0.0)
+BENCHMARK_CAPTURE(BM_ServiceStep, conservative_saturated, "conservative",
+                  700.0, 0.0)
+    ->Unit(benchmark::kMillisecond);
+// The paper's list scheduler (LSRC, submission order) as a service.
+BENCHMARK_CAPTURE(BM_ServiceStep, lsrc_subsat, "lsrc", 200.0, 0.0)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ServiceStep, lsrc_saturated, "lsrc", 700.0, 0.0)
     ->Unit(benchmark::kMillisecond);
 // Churn-heavy step: cancellations, availability drops and window moves at
-// 30 events/kilotick on the incremental path.
-BENCHMARK_CAPTURE(BM_ServiceStep, easy_churn, "easy", 300.0, true, 30.0)
+// 30 events/kilotick.
+BENCHMARK_CAPTURE(BM_ServiceStep, easy_churn, "easy", 300.0, 30.0)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ServiceStep, conservative_churn, "conservative", 300.0,
-                  true, 30.0)
+                  30.0)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ServiceStep, lsrc_churn, "lsrc", 300.0, true, 30.0)
+BENCHMARK_CAPTURE(BM_ServiceStep, lsrc_churn, "lsrc", 300.0, 30.0)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ServiceKnee, easy, "easy")
     ->Unit(benchmark::kMillisecond);

@@ -21,6 +21,7 @@
 //
 // Input format is auto-detected (native "# resched instance" vs SWF).
 #include <algorithm>
+#include <cctype>
 #include <fstream>
 #include <utility>
 #include <iostream>
@@ -43,15 +44,24 @@ std::string read_summary(const SwfTrace& trace) {
   return summary;
 }
 
-// SWF goes through the one tolerant reader, which reports on stderr only
-// when it skipped or clamped something.
+// A file is SWF when its first non-blank line is a ';' header comment or,
+// in a headerless archive trace, a job record's leading digits; native
+// records start with '#', 'm', 'job' or 'resa'. SWF goes through the one
+// tolerant reader, which reports on stderr only when it skipped or clamped
+// something.
 Instance load_any(const std::string& path) {
   std::ifstream probe(path);
   RESCHED_REQUIRE_MSG(probe.good(), "cannot open: " + path);
-  std::string first_line;
-  std::getline(probe, first_line);
+  std::string line;
+  while (std::getline(probe, line) && trim(line).empty()) {
+  }
+  const std::string_view first = trim(line);
+  const bool swf = !first.empty() &&
+                   (first.front() == ';' ||
+                    std::isdigit(static_cast<unsigned char>(first.front())));
+  probe.clear();
   probe.seekg(0);
-  if (!starts_with(trim(first_line), ";")) return load_instance(probe);
+  if (!swf) return load_instance(probe);
   const SwfTrace trace = load_swf(path);
   if (trace.skipped > 0 || trace.clamped_procs > 0 || trace.clamped_times > 0)
     std::cerr << path << ": " << read_summary(trace) << "\n";
@@ -146,12 +156,10 @@ int cmd_compare(const Instance& instance) {
 }
 
 int cmd_list_schedulers() {
-  Table table({"scheduler", "release times", "reservations", "deterministic",
-               "description"});
+  Table table({"scheduler", "release times", "reservations", "description"});
   for (const SchedulerInfo& info : registered_scheduler_info())
     table.add(info.name, info.capabilities.release_times ? "yes" : "no",
               info.capabilities.reservations ? "yes" : "no",
-              info.capabilities.deterministic ? "yes" : "no",
               info.description);
   table.print(std::cout);
   return 0;

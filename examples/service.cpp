@@ -11,13 +11,13 @@
 // Decision accounting: `decisions` counts every scheduler invocation across
 // all three phases, while the dec_ns_* percentiles sample only the
 // `decisions_measured` invocations that fell inside the open measure window
-// (the two were conflated before the counters were split). Schedulers that
-// advertise incremental_replan plan on the persistent absolute-time profile
-// (decisions_incremental); the rest rebuild a scratch instance per decision
-// (decisions_scratch); --verify-incremental runs both per decision and
-// cross-checks them. --churn enables the deterministic churn
-// stream (cancellations, availability drops, window moves) at the given
-// events-per-kilotick rate.
+// (the two were conflated before the counters were split). Every decision
+// plans through the scheduler's replan() on the persistent absolute-time
+// profile, so only schedulers with a replan mode (fcfs, conservative, easy,
+// lsrc, lsrc-lpt) are accepted; any other is an error. --verify-incremental
+// also solves each decision from scratch and cross-checks the two. --churn
+// enables the deterministic churn stream (cancellations, availability
+// drops, window moves) at the given events-per-kilotick rate.
 //
 // With a fixed --seed every simulated quantity (arrivals, waits, queue
 // depths, knee) is bit-identical across runs and across schedulers at the
@@ -108,7 +108,7 @@ int main(int argc, char** argv) try {
   cli.add_option("churn", "churn events per kilotick (0 = off)", "0");
   cli.add_option("compact", "history compaction interval, ticks", "256");
   cli.add_flag("verify-incremental",
-               "run both planning paths per decision and cross-check them");
+               "also solve each decision from scratch and check replan()");
   cli.add_flag("machine-readable", "CSV rows instead of aligned tables");
   cli.add_flag("stable", "blank wall-clock columns (deterministic output)");
   if (!cli.parse(argc, argv)) return 0;
@@ -142,8 +142,7 @@ int main(int argc, char** argv) try {
     std::cout << "record,scheduler,rate,arrivals,completed,wait_p50,"
                  "wait_p99,wait_p999,dec_ns_p50,dec_ns_p99,dec_ns_p999,"
                  "queue_mean,queue_peak,queue_end,sustained,saturated,"
-                 "decisions,decisions_measured,decisions_incremental,"
-                 "decisions_scratch,suffix_jobs,frames_rewound,"
+                 "decisions,decisions_measured,suffix_jobs,frames_rewound,"
                  "deferred_dispatches,canceled,churn_events\n";
 
   for (const std::string& name : split(cli.get_string("schedulers"), ',')) {
@@ -155,15 +154,11 @@ int main(int argc, char** argv) try {
       std::cout << "=== " << name << " ===  (m = " << load.m
                 << ", phases " << config.phases.warmup << "/"
                 << config.phases.measure << "/" << config.phases.cooldown
-                << ", seed " << seed << ", plan "
-                << (scheduler->capabilities().incremental_replan
-                        ? "incremental"
-                        : "scratch")
-                << ")\n";
+                << ", seed " << seed << ")\n";
     Table table({"rate/kt", "arrived", "done", "wait p50", "wait p99",
                  "wait p999", "dec ns p50", "dec ns p99", "dec ns p999",
-                 "q mean", "q peak", "q end", "decisions", "inc/scr",
-                 "sustained", "sat"});
+                 "q mean", "q peak", "q end", "decisions", "sustained",
+                 "sat"});
     for (const ServiceStepResult& step : sweep.steps) {
       const auto wait = quantile_cells(step.wait_ticks, false);
       const auto dec = quantile_cells(step.decision_ns, stable);
@@ -171,9 +166,6 @@ int main(int argc, char** argv) try {
           step.queue_depth.count() == 0
               ? "-"
               : format_double(step.queue_depth.mean(), 1);
-      const std::string plan_split =
-          std::to_string(step.decisions_incremental) + "/" +
-          std::to_string(step.decisions_scratch);
       if (csv) {
         std::cout << "service," << name << ','
                   << format_double(step.offered_rate, 3) << ','
@@ -184,8 +176,6 @@ int main(int argc, char** argv) try {
                   << format_double(step.sustained_rate, 3) << ','
                   << (step.saturated ? 1 : 0) << ','
                   << step.decisions << ',' << step.decisions_measured << ','
-                  << step.decisions_incremental << ','
-                  << step.decisions_scratch << ','
                   << step.suffix_jobs_replanned << ','
                   << step.plan_frames_rewound << ','
                   << step.deferred_dispatches << ',' << step.canceled << ','
@@ -194,7 +184,7 @@ int main(int argc, char** argv) try {
         table.add(format_double(step.offered_rate, 1), step.arrivals,
                   step.completed, wait[0], wait[1], wait[2], dec[0], dec[1],
                   dec[2], queue_mean, step.peak_queue_depth,
-                  step.end_queue_depth, step.decisions, plan_split,
+                  step.end_queue_depth, step.decisions,
                   format_double(step.sustained_rate, 2),
                   step.saturated ? "yes" : "no");
       }
@@ -205,7 +195,7 @@ int main(int argc, char** argv) try {
       std::cout << "knee," << name << ','
                 << (sweep.has_knee() ? format_double(sweep.knee_rate(), 3)
                                      : std::string("none"))
-                << ",,,,,,,,,,,,,,,,,,,,,,\n";
+                << ",,,,,,,,,,,,,,,,,,,,\n";
     } else if (sweep.has_knee()) {
       std::cout << "saturation knee: " << format_double(sweep.knee_rate(), 1)
                 << " jobs/kilotick (step " << sweep.knee_index + 1 << ")\n\n";

@@ -47,8 +47,7 @@ class ConservativeBackfillScheduler final : public Scheduler {
   [[nodiscard]] Schedule replan(const ReplanRequest& request) const override;
   [[nodiscard]] std::string name() const override { return "conservative"; }
   [[nodiscard]] Capabilities capabilities() const override {
-    return Capabilities{.incremental_replan = true,
-                        .append_only_replan = true};
+    return Capabilities{.replan = ReplanMode::kAppendOnly};
   }
 };
 

@@ -32,7 +32,7 @@ class EasyBackfillScheduler final : public Scheduler {
   [[nodiscard]] Schedule replan(const ReplanRequest& request) const override;
   [[nodiscard]] std::string name() const override { return "easy"; }
   [[nodiscard]] Capabilities capabilities() const override {
-    return Capabilities{.incremental_replan = true};
+    return Capabilities{.replan = ReplanMode::kDecisionOnly};
   }
 };
 

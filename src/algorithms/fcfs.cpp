@@ -18,7 +18,7 @@ namespace {
 // `floor` seeds the non-overtaking chain for append-mode suffix planning:
 // when `jobs` is the tail of a longer queue whose prefix is already planned
 // on `free`, the chain must continue from the prefix's last start, not
-// restart at t0 (append_only_replan in scheduler.hpp).
+// restart at t0 (ReplanMode::kAppendOnly in scheduler.hpp).
 Schedule fcfs_run(FreeProfile& free, const std::vector<Job>& jobs, Time t0,
                   Time floor, Arena* scratch) {
   Schedule schedule(jobs.size(), scratch);

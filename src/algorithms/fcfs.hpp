@@ -24,8 +24,7 @@ class FcfsScheduler final : public Scheduler {
   [[nodiscard]] Schedule replan(const ReplanRequest& request) const override;
   [[nodiscard]] std::string name() const override { return "fcfs"; }
   [[nodiscard]] Capabilities capabilities() const override {
-    return Capabilities{.incremental_replan = true,
-                        .append_only_replan = true};
+    return Capabilities{.replan = ReplanMode::kAppendOnly};
   }
 };
 

@@ -133,12 +133,13 @@ Schedule LsrcScheduler::run(const Instance& instance,
 }
 
 Capabilities LsrcScheduler::capabilities() const {
-  return Capabilities{.incremental_replan =
-                          !use_explicit_ && order_ != ListOrder::kRandom};
+  return Capabilities{.replan = (!use_explicit_ && order_ != ListOrder::kRandom)
+                                    ? ReplanMode::kDecisionOnly
+                                    : ReplanMode::kNone};
 }
 
 Schedule LsrcScheduler::replan(const ReplanRequest& request) const {
-  RESCHED_CHECK_MSG(capabilities().incremental_replan,
+  RESCHED_CHECK_MSG(capabilities().replan == ReplanMode::kDecisionOnly,
                     name() + " has no decision-only replan");
   const std::vector<Job>& jobs = request.queue;
   Schedule schedule(jobs.size(), request.scratch);

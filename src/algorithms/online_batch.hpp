@@ -41,12 +41,11 @@ class OnlineBatchScheduler final : public Scheduler {
   // Inherited from the base scheduler: a batch sub-instance keeps the full
   // reservation set and carries release times (= the batch epoch), so the
   // wrapper accepts exactly the instances its base does and requires the
-  // base to accept release times. The incremental ones are not inherited:
+  // base to accept release times. The replan mode is not inherited:
   // the wrapper has no replan(), and batching is not the base's decision.
   [[nodiscard]] Capabilities capabilities() const override {
     Capabilities caps = base_->capabilities();
-    caps.incremental_replan = false;
-    caps.append_only_replan = false;
+    caps.replan = ReplanMode::kNone;
     return caps;
   }
 

@@ -45,9 +45,9 @@ const DomainError& ScheduleOutcome::error() const {
 
 Schedule Scheduler::replan(const ReplanRequest& request) const {
   (void)request;
-  fail_invariant("incremental_replan", __FILE__, __LINE__,
+  fail_invariant("replan", __FILE__, __LINE__,
                  name() + " does not implement incremental replan "
-                          "(capabilities().incremental_replan is false)");
+                          "(capabilities().replan is ReplanMode::kNone)");
 }
 
 std::optional<DomainError> Scheduler::out_of_domain(

@@ -37,18 +37,20 @@
 // concrete instance, so drivers filter up front instead of throw-and-catch.
 // Capability matrix of the built-in registry:
 //
-//   scheduler      release times  reservations  deterministic  incremental
-//   lsrc[,-lpt]        yes            yes            yes         decision-only
-//   fcfs               yes            yes            yes         append-only
-//   conservative       yes            yes            yes         append-only
-//   easy               yes            yes            yes         decision-only
-//   shelf-ff/-nf       no             no             yes             no
-//   portfolio          yes            yes       yes (seeded)         no
-//   local-search       yes            yes       yes (seeded)         no
+//   scheduler      release times  reservations  replan
+//   lsrc[,-lpt]        yes            yes        decision-only
+//   fcfs               yes            yes        append-only
+//   conservative       yes            yes        append-only
+//   easy               yes            yes        decision-only
+//   shelf-ff/-nf       no             no             none
+//   portfolio          yes            yes            none
+//   local-search       yes            yes            none
 //
-// ("incremental" is the replan() contract, see Capabilities and
-// ReplanRequest below: append-only schedulers plan the whole queue and keep
-// the plan, decision-only ones return just the starts at now.)
+// ("replan" is the replan() contract, see ReplanMode and ReplanRequest
+// below: append-only schedulers plan the whole queue and keep the plan,
+// decision-only ones return just the starts at now. The resident service
+// (sim/service_sim.hpp) runs only schedulers with a replan mode; the rest
+// are batch-only.)
 //
 // (Availability windows are not a separate capability: the paper's
 // transformation reduces a machine profile m(t) to reservations, and
@@ -90,44 +92,51 @@ struct DomainError {
   std::string message;
 };
 
+// How a scheduler answers replan() (see ReplanRequest). Every mode other
+// than kNone works directly against an externally maintained FreeProfile at
+// an absolute clock, so a resident service repairs its plan on events
+// instead of rebuilding instance + profile from scratch per decision. Either
+// way replan() shares its core loop with schedule() and agrees with
+// schedule() on the equivalent from-scratch instance -- pinned by the churn
+// oracle fuzz.
+enum class ReplanMode {
+  // No replan(): the scheduler is batch-only (schedule()).
+  kNone,
+  // replan() decides who starts at now and nothing else: it commits
+  // exactly those jobs on the profile and leaves every other job
+  // unscheduled. Its starts at now are the jobs schedule() starts at 0 on
+  // the scratch translation. Event-loop algorithms (easy, lsrc) are
+  // decision-only: their first pass at now fixes every start at now, and a
+  // late arrival can overtake an earlier job's pending decision, so a
+  // retained plan would be wrong anyway.
+  kDecisionOnly,
+  // replan() plans the whole queue and is bit-identical (modulo the time
+  // translation) to schedule(). It is a pure FCFS fold: each queued job is
+  // planned exactly once, in queue order, against the profile state left
+  // by its predecessors, and never revisited. Planning a queue suffix on
+  // the profile that still holds the prefix's committed plan therefore
+  // yields the same starts as replanning the whole queue (earliest-fit
+  // results are stable as `now` advances past nothing), so the service
+  // keeps the plan across arrivals and on-time completions and plans only
+  // the appended jobs (fcfs, conservative).
+  kAppendOnly,
+};
+
 // What instance features a scheduler accepts. Default-constructed =
-// unrestricted (the common case; only shelf packers restrict anything).
+// unrestricted and batch-only (the common case; only shelf packers restrict
+// anything).
 struct Capabilities {
   bool release_times = true;  // accepts instances with release > 0
   bool reservations = true;   // accepts instances with reservations
-  bool deterministic = true;  // pure function of the instance (seeds fixed)
-  // Implements replan(): the algorithm works directly against an
-  // externally maintained FreeProfile at an absolute clock, so a resident
-  // service repairs its plan on events instead of rebuilding instance +
-  // profile from scratch per decision. What replan() returns depends on
-  // append_only_replan below; either way it shares its core loop with
-  // schedule() and agrees with schedule() on the equivalent from-scratch
-  // instance -- pinned by the churn oracle fuzz.
-  bool incremental_replan = false;
-  // true:  append-only. replan() plans the whole queue and is bit-identical
-  //   (modulo the time translation) to schedule(). It is a pure FCFS fold:
-  //   each queued job is planned exactly once, in queue order, against the
-  //   profile state left by its predecessors, and never revisited. Planning
-  //   a queue suffix on the profile that still holds the prefix's committed
-  //   plan therefore yields the same starts as replanning the whole queue
-  //   (earliest-fit results are stable as `now` advances past nothing), so
-  //   the service keeps the plan across arrivals and on-time completions
-  //   and plans only the appended jobs (fcfs, conservative).
-  // false: decision-only. replan() decides who starts at now and nothing
-  //   else: it commits exactly those jobs on the profile and leaves every
-  //   other job unscheduled. Its starts at now are the jobs schedule()
-  //   starts at 0 on the scratch translation. Event-loop algorithms (easy,
-  //   lsrc) are decision-only: their first pass at now fixes every start at
-  //   now, and a late arrival can overtake an earlier job's pending
-  //   decision, so a retained plan would be wrong anyway.
-  bool append_only_replan = false;
+  ReplanMode replan = ReplanMode::kNone;
 };
 
 class Arena;
 class FreeProfile;
 
-// Input to Scheduler::replan -- the incremental path of the resident
-// service (sim/service_sim.*). Semantics contract:
+// Input to Scheduler::replan -- the one planning path of the resident
+// service (sim/service_sim.*), which accepts only schedulers whose
+// capabilities().replan is not ReplanMode::kNone. Semantics contract:
 //  * `free` is the persistent remaining-capacity profile in ABSOLUTE time:
 //    already-started jobs and availability windows are subtracted; history
 //    before `now` is dead (never queried, possibly compacted).
@@ -135,16 +144,16 @@ class FreeProfile;
 //    release is the absolute arrival tick, all <= now.
 //  * The scheduler places jobs only through commits on `free`; returned
 //    starts are absolute.
-//  * Append-only schedulers (Capabilities::append_only_replan) plan every
-//    job (starts >= now), each one an ordinary permanent commit on `free`:
-//    the caller keeps the plan, and to drop it returns each job's
-//    occupancy by value (FreeProfile::adjust_capacity). replan(free,
-//    queue, now) must equal schedule(instance) + now, where instance is the
-//    scratch translation (releases 0, running jobs and windows as
-//    reservations relative to now).
-//  * Decision-only schedulers (every other incremental_replan scheduler)
-//    start jobs at `now` only: each one is committed on `free` and returned
-//    with start == now, and every other job comes back unscheduled. Those
+//  * Append-only schedulers (ReplanMode::kAppendOnly) plan every job
+//    (starts >= now), each one an ordinary permanent commit on `free`: the
+//    caller keeps the plan, and to drop it returns each job's occupancy by
+//    value (FreeProfile::adjust_capacity). replan(free, queue, now) must
+//    equal schedule(instance) + now, where instance is the scratch
+//    translation (releases 0, running jobs and windows as reservations
+//    relative to now).
+//  * Decision-only schedulers (ReplanMode::kDecisionOnly) start jobs at
+//    `now` only: each one is committed on `free` and returned with
+//    start == now, and every other job comes back unscheduled. Those
 //    permanent commits ARE the jobs starting. {j : start_j == now} must
 //    equal {j : schedule(instance).start_j == 0}. A start later than now
 //    would leak its capacity forever; the service loop rejects it.
@@ -155,7 +164,7 @@ struct ReplanRequest {
   const std::vector<Job>& queue;
   ProcCount m = 1;  // cluster size (demand bound for the event structures)
   Time now = 0;
-  // Order floor for append-mode suffix planning (append_only_replan): the
+  // Order floor for append-mode suffix planning (kAppendOnly): the
   // largest start already planned for jobs ahead of `queue`. Schedulers
   // whose placement chains on queue order (fcfs non-overtaking) must not
   // start any queued job before this instant; overtaking schedulers
@@ -213,7 +222,7 @@ class Scheduler {
   }
 
   // Incremental replan entry point (see ReplanRequest). Only meaningful
-  // when capabilities().incremental_replan is true; the default trips
+  // when capabilities().replan is not ReplanMode::kNone; the default trips
   // RESCHED_CHECK. Implementations share their core loop with schedule()
   // so the two agree by construction: the whole plan for append-only
   // schedulers, the starts at now for decision-only ones.

@@ -1,4 +1,4 @@
-// Memory subsystem for the decision hot path (ROADMAP item 5).
+// Memory subsystem for the decision hot path.
 //
 // Three pieces, used together by the service loop and the schedulers:
 //

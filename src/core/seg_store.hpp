@@ -1,4 +1,4 @@
-// SegStore: the segment storage engine under StepProfile (ROADMAP item 5).
+// SegStore: the segment storage engine under StepProfile.
 //
 // Structure-of-arrays with small-buffer optimization. Starts and values live
 // in two parallel contiguous int64 arrays instead of an array of {start,

@@ -409,41 +409,4 @@ std::vector<StepProfile::Segment> StepProfile::segments_in(Time from,
   return out;
 }
 
-StepProfile StepProfile::plus(const StepProfile& other) const {
-  StepProfile result(0);
-  result.steps_.clear();
-  result.steps_.reserve(steps_.size() + other.steps_.size());
-  std::size_t a = 0;
-  std::size_t b = 0;
-  std::int64_t va = steps_.value(0);
-  std::int64_t vb = other.steps_.value(0);
-  // Merge the two breakpoint sets; emitted starts are strictly increasing.
-  while (a < steps_.size() || b < other.steps_.size()) {
-    Time t;
-    if (b == other.steps_.size() ||
-        (a < steps_.size() && steps_.start(a) <= other.steps_.start(b))) {
-      t = steps_.start(a);
-      va = steps_.value(a);
-      if (b < other.steps_.size() && other.steps_.start(b) == t)
-        vb = other.steps_.value(b++);
-      ++a;
-    } else {
-      t = other.steps_.start(b);
-      vb = other.steps_.value(b++);
-    }
-    const std::int64_t v = checked_add(va, vb);
-    if (result.steps_.empty() || result.steps_.back_value() != v)
-      result.steps_.push_back(t, v);
-  }
-  return result;
-}
-
-StepProfile StepProfile::minus(const StepProfile& other) const {
-  StepProfile negated = other;
-  std::int64_t* values = negated.steps_.values_data();
-  for (std::size_t i = 0; i < negated.steps_.size(); ++i)
-    values[i] = checked_neg(values[i]);
-  return plus(negated);
-}
-
 }  // namespace resched

@@ -184,10 +184,6 @@ class StepProfile {
   // Segments clipped to [from, to).
   [[nodiscard]] std::vector<Segment> segments_in(Time from, Time to) const;
 
-  // Pointwise combination: this + other, this - other.
-  [[nodiscard]] StepProfile plus(const StepProfile& other) const;
-  [[nodiscard]] StepProfile minus(const StepProfile& other) const;
-
   // Pointwise function equality (canonical form makes it structural on the
   // segment vector; the version is explicitly not compared).
   friend bool operator==(const StepProfile& a, const StepProfile& b) {

@@ -104,7 +104,7 @@ std::string to_string(SwfSkipReason reason) {
   return "?";
 }
 
-SwfTrace parse_swf(std::string_view text, const SwfReadOptions& options) {
+SwfTrace parse_swf(std::string_view text) {
   SwfTrace trace;
   ProcCount header_max_procs = 0;
 
@@ -145,8 +145,6 @@ SwfTrace parse_swf(std::string_view text, const SwfReadOptions& options) {
       continue;
     }
 
-    if (options.max_jobs != 0 && trace.jobs.size() >= options.max_jobs) break;
-
     const std::vector<std::string> fields = split_ws(line);
     if (fields.size() < 11) {
       skip(SwfSkipReason::kTruncated);
@@ -166,7 +164,7 @@ SwfTrace parse_swf(std::string_view text, const SwfReadOptions& options) {
       continue;
     }
 
-    if (!options.include_cancelled && (*status == 0 || *status == 5)) {
+    if (*status == 0 || *status == 5) {
       skip(SwfSkipReason::kCancelled);
       continue;
     }
@@ -199,8 +197,7 @@ SwfTrace parse_swf(std::string_view text, const SwfReadOptions& options) {
     ++trace.parsed;
   }
 
-  trace.max_procs = header_max_procs > 0 ? header_max_procs
-                                         : options.default_max_procs;
+  trace.max_procs = header_max_procs;
   if (trace.max_procs == 0) {
     for (const Job& job : trace.jobs)
       trace.max_procs = std::max(trace.max_procs, job.q);
@@ -217,12 +214,12 @@ SwfTrace parse_swf(std::string_view text, const SwfReadOptions& options) {
   return trace;
 }
 
-SwfTrace load_swf(const std::string& path, const SwfReadOptions& options) {
+SwfTrace load_swf(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot open SWF trace: " + path);
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  return parse_swf(buffer.str(), options);
+  return parse_swf(buffer.str());
 }
 
 Instance SwfTrace::to_instance() const {

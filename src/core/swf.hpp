@@ -18,7 +18,6 @@
 //                                 requested procs; both <= 0 skips; values
 //                                 above MaxProcs are clamped down)
 //   field 11 (status)          -> 0 (failed) / 5 (cancelled) skip the line
-//                                 unless options.include_cancelled
 //
 // Real archive files are messy: lines with fewer than 11 fields,
 // unparsable numbers, zero/negative runtimes, jobs wider than the machine.
@@ -55,22 +54,9 @@ inline constexpr std::size_t kSwfSkipReasonCount = 5;
 
 [[nodiscard]] std::string to_string(SwfSkipReason reason);
 
-struct SwfReadOptions {
-  // Machine size when the trace has no `; MaxProcs:` header (0 = infer
-  // from the widest parsed job or reservation).
-  ProcCount default_max_procs = 0;
-  // Keep failed/cancelled records (status 0 or 5) instead of skipping.
-  bool include_cancelled = false;
-  // Stop after this many parsed jobs (0 = no limit).
-  std::size_t max_jobs = 0;
-
-  friend bool operator==(const SwfReadOptions&, const SwfReadOptions&) =
-      default;
-};
-
 struct SwfTrace {
-  // Machine size: header MaxProcs, else options.default_max_procs, else
-  // the widest parsed job or reservation.
+  // Machine size: header MaxProcs, else the widest parsed job or
+  // reservation.
   ProcCount max_procs = 0;
   // Kept jobs, ids dense in file order.
   std::vector<Job> jobs;
@@ -95,13 +81,12 @@ struct SwfTrace {
 };
 
 // parse_swf consumes a string; load_swf reads a file and throws
-// std::runtime_error when it cannot be opened. Job-record problems never
-// throw (see skipped_by_reason); a ;RESERVATION line that is not four
-// integers id q p start with q, p >= 1, 0 <= start and p, start <= 2^40
-// throws std::invalid_argument naming its line.
-[[nodiscard]] SwfTrace parse_swf(std::string_view text,
-                                 const SwfReadOptions& options = {});
-[[nodiscard]] SwfTrace load_swf(const std::string& path,
-                                const SwfReadOptions& options = {});
+// std::runtime_error when it cannot be opened. Failed and cancelled records
+// (status 0 or 5) are skipped, and there is no job limit. Job-record
+// problems never throw (see skipped_by_reason); a ;RESERVATION line that is
+// not four integers id q p start with q, p >= 1, 0 <= start and
+// p, start <= 2^40 throws std::invalid_argument naming its line.
+[[nodiscard]] SwfTrace parse_swf(std::string_view text);
+[[nodiscard]] SwfTrace load_swf(const std::string& path);
 
 }  // namespace resched

@@ -6,14 +6,7 @@
 //  * subset_sums       -- the reachable-sum bitset DP underlying PARTITION;
 //  * two_machine_optimal -- exact C* for m = 2, unit-width (q = 1) jobs
 //                          without reservations: the best split is the
-//                          smallest reachable sum >= ceil(total/2);
-//  * single_machine_gap_optimal -- exact C* for m = 1 unit-width jobs with
-//                          reservations, by DP over (gap prefix, reachable
-//                          duration subsets) -- the Theorem 1 setting. Being
-//                          strongly NP-hard, it is exponential in the gap
-//                          count in the worst case but pseudo-polynomial for
-//                          a constant number of gaps, which is what the
-//                          reduction experiments need.
+//                          smallest reachable sum >= ceil(total/2).
 #pragma once
 
 #include <cstdint>

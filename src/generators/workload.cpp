@@ -74,21 +74,15 @@ Instance random_workload(const WorkloadConfig& config, std::uint64_t seed) {
 
 StepProfile daily_intensity_profile(Time ticks_per_day) {
   RESCHED_REQUIRE(ticks_per_day >= 24);
-  // Relative hourly intensity (0h..23h) in percent of the mid-morning /
-  // mid-afternoon peaks: night trough, peaks at 10h and 15h -- the
-  // canonical bimodal shape of the Parallel Workloads Archive traces.
-  static constexpr std::int64_t kHourlyPercent[24] = {
-      20, 15, 10,  10,  10,  15, 30, 50, 80, 100, 110, 100,
-      90, 100, 110, 110, 100, 90, 70, 60, 50, 40,  30,  25};
-  StepProfile curve(kHourlyPercent[0]);
-  std::int64_t level = kHourlyPercent[0];
+  StepProfile curve(kDailyIntensityPercent[0]);
+  std::int64_t level = kDailyIntensityPercent[0];
   for (int hour = 1; hour < 24; ++hour) {
-    if (kHourlyPercent[hour] == level) continue;
+    if (kDailyIntensityPercent[hour] == level) continue;
     // hour(t) = t * 24 / tpd (floor) reaches `hour` first at
     // ceil(hour * tpd / 24).
     curve.add(ceil_div(checked_mul(hour, ticks_per_day), 24), kTimeInfinity,
-              checked_sub(kHourlyPercent[hour], level));
-    level = kHourlyPercent[hour];
+              checked_sub(kDailyIntensityPercent[hour], level));
+    level = kDailyIntensityPercent[hour];
   }
   return curve;
 }

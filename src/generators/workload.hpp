@@ -75,6 +75,15 @@ struct DailyCycleConfig {
   std::optional<StepProfile> intensity;
 };
 
+// Relative hourly intensity (0h..23h) in percent of the mid-morning /
+// mid-afternoon peaks: night trough, peaks at 10h and 15h -- the canonical
+// bimodal shape of the Parallel Workloads Archive traces. The one table
+// behind daily_intensity_profile and the scenario layer's
+// daily_intensity_program.
+inline constexpr std::int64_t kDailyIntensityPercent[24] = {
+    20, 15, 10,  10,  10,  15, 30, 50, 80, 100, 110, 100,
+    90, 100, 110, 110, 100, 90, 70, 60, 50, 40,  30,  25};
+
 // The built-in diurnal intensity curve as an integer step function over one
 // day: percent of peak-hour pressure (trough 10, peak 110), hour h active
 // on [ceil(h * tpd / 24), ceil((h+1) * tpd / 24)) -- exactly the floor

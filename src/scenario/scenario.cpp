@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "generators/workload.hpp"
 #include "util/checked.hpp"
 #include "util/require.hpp"
 
@@ -183,21 +184,18 @@ Instance scenario_instance(ProcCount m, std::vector<Job> jobs,
 ScenarioProgram daily_intensity_program(Time ticks_per_day) {
   RESCHED_REQUIRE_MSG(ticks_per_day >= 24,
                       "a day needs at least one tick per hour");
-  // The kHourly curve of generators/workload.cpp, in percent. Hour h spans
+  // The generator's kDailyIntensityPercent table. Hour h spans
   // [ceil(h * tpd / 24), ceil((h+1) * tpd / 24)) -- exactly the floor
   // mapping hour(t) = t * 24 / tpd the generator uses.
-  static constexpr std::int64_t kHourlyPercent[24] = {
-      20, 15, 10,  10,  10,  15, 30, 50, 80, 100, 110, 100,
-      90, 100, 110, 110, 100, 90, 70, 60, 50, 40,  30,  25};
   ScenarioProgram program;
   program.name = "daily_intensity";
-  program.initial = kHourlyPercent[0];
+  program.initial = kDailyIntensityPercent[0];
   for (int hour = 0; hour < 24; ++hour) {
     const Time begin = ceil_div(checked_mul(hour, ticks_per_day), 24);
     const Time end = ceil_div(checked_mul(hour + 1, ticks_per_day), 24);
     if (end > begin)
       program.steps.push_back(
-          soak_at(kHourlyPercent[hour], checked_sub(end, begin)));
+          soak_at(kDailyIntensityPercent[hour], checked_sub(end, begin)));
   }
   return program;
 }

@@ -46,8 +46,8 @@ struct ServiceJob {
 };
 
 // An active churn availability window: `width` processors withdrawn over
-// [start, end). Kept (also) outside the profile so the scratch path can
-// rebuild them as reservations and moves can find future windows.
+// [start, end). Kept (also) outside the profile so moves can find future
+// windows and the verify oracle can rebuild them as reservations.
 struct ChurnWindow {
   Time start = 0;
   Time end = 0;
@@ -174,11 +174,8 @@ class ServiceLoop {
       : scheduler_(scheduler),
         config_(config),
         m_(load.m),
-        use_replan_(scheduler.capabilities().incremental_replan),
-        append_replan_(use_replan_ &&
-                       scheduler.capabilities().append_only_replan),
-        maintain_profile_(use_replan_ || config.churn.enabled() ||
-                          !config.availability.empty()),
+        append_replan_(scheduler.capabilities().replan ==
+                       ReplanMode::kAppendOnly),
         gen_(load, seed),
         free_(StepProfile(static_cast<std::int64_t>(load.m))) {
     gen_.set_rate(rate);
@@ -445,9 +442,7 @@ class ServiceLoop {
         running_.erase(running_.begin() + static_cast<std::ptrdiff_t>(*nth));
         std::make_heap(running_.begin(), running_.end(), ends_later);
         canceled_end_ = std::max(canceled_end_, rec.end);
-        if (maintain_profile_)
-          free_.adjust_capacity(now, rec.end,
-                                static_cast<std::int64_t>(rec.q));
+        free_.adjust_capacity(now, rec.end, static_cast<std::int64_t>(rec.q));
         ++result_.churn_events;
         ++result_.churn_cancel_running;
         dispatch();  // repair: capacity rose at now
@@ -510,8 +505,8 @@ class ServiceLoop {
 
   // Planned (scenario) availability windows, applied once before the first
   // arrival. They ride the exact churn-drop machinery -- permanent capacity
-  // withdrawal on the persistent profile, a windows_ record for the scratch
-  // path's reservation rebuild, a wakeup at each window end -- but unlike
+  // withdrawal on the persistent profile, a windows_ record for the verify
+  // oracle's reservation rebuild, a wakeup at each window end -- but unlike
   // drops they are part of the step's contract: an infeasible window (the
   // stack would dip below zero processors) is a configuration error, not a
   // skip.
@@ -602,7 +597,7 @@ class ServiceLoop {
 
   // Append-mode suffix repair: plan only the jobs that arrived since the
   // plan was built, on the profile that already holds the prefix's
-  // commits. Valid exactly for append_only_replan schedulers (FCFS folds):
+  // commits. Valid exactly for kAppendOnly schedulers (FCFS folds):
   // the prefix's re-solve is bit-identical to the kept plan, so only the
   // suffix is new work. `not_before` continues fcfs's non-overtaking chain.
   // With no plan (planned == 0) this is the full window solve.
@@ -616,7 +611,7 @@ class ServiceLoop {
     result_.suffix_jobs_replanned += k - planned;
   }
 
-  // Incremental path: plan directly on the persistent absolute-time
+  // The one planning path: plan directly on the persistent absolute-time
   // profile and collect in head_ the window positions that start now.
   //  * Append-only schedulers commit their whole plan permanently and keep
   //    it across decisions: each job is planned once, when it enters the
@@ -647,7 +642,7 @@ class ServiceLoop {
     }
   }
 
-  // Oracle mode: a full re-solve per decision on the scratch path. An
+  // Oracle mode: a full re-solve per decision from scratch. An
   // append-only plan must match it job by job -- with a kept plan the
   // strongest form of the append-equivalence claim, since the prefix
   // starts were computed at an earlier instant and must still match a
@@ -655,7 +650,6 @@ class ServiceLoop {
   // exactly the jobs the re-solve starts at 0.
   void verify_against_scratch(Time now, std::size_t k) {
     const Schedule oracle = plan_scratch(now, k);
-    ++result_.decisions_scratch;
     if (append_replan_) {
       for (std::size_t j = 0; j < k; ++j)
         RESCHED_CHECK_MSG(
@@ -677,17 +671,18 @@ class ServiceLoop {
                       "full re-solve oracle");
   }
 
-  // Scratch path: translate the live state into a fresh Instance relative
-  // to now (running jobs and churn windows as reservations) and full-solve.
+  // The verify oracle's from-scratch solve: translate the live state into a
+  // fresh Instance relative to now (running jobs and churn windows as
+  // reservations) and full-solve.
   Schedule plan_scratch(Time now, std::size_t k) {
-    // resched-lint: hot-path-alloc-audited(scratch full-solve, non-incremental schedulers only)
+    // resched-lint: hot-path-alloc-audited(verify_incremental oracle only)
     std::vector<Job> window;
     window.reserve(k);
     for (std::size_t j = 0; j < k; ++j) {
       const ServiceJob& job = jobs_[waiting_[j].index];
       window.push_back(Job{static_cast<JobId>(j), job.q, job.p, 0, ""});
     }
-    // resched-lint: hot-path-alloc-audited(scratch full-solve, non-incremental schedulers only)
+    // resched-lint: hot-path-alloc-audited(verify_incremental oracle only)
     std::vector<Reservation> held;
     held.reserve(running_.size() + windows_.size());
     ReservationId rid = 0;
@@ -725,7 +720,7 @@ class ServiceLoop {
       // force it next to a timed decision) and there is nothing to plan,
       // compacting here costs no decision anything. Under sustained
       // pressure the queue never empties and settle() compacts instead.
-      if (use_replan_ && result_.decisions_incremental > 0 &&
+      if (result_.decisions > 0 &&
           compact_due(now, config_.compact_interval / 2))
         compact_now(now);
       return;
@@ -755,16 +750,9 @@ class ServiceLoop {
     purge_windows(now);
 
     head_.clear();  // window positions starting now
-    if (use_replan_) {
-      plan_incremental(now, k);
-      ++result_.decisions_incremental;
-      if (config_.verify_incremental) verify_against_scratch(now, k);
-    } else {
-      const Schedule plan = plan_scratch(now, k);
-      ++result_.decisions_scratch;
-      for (std::size_t j = 0; j < k; ++j)
-        if (plan.start(static_cast<JobId>(j)) == 0) head_.push_back(j);
-    }
+    plan_incremental(now, k);
+    ++result_.decisions_incremental;
+    if (config_.verify_incremental) verify_against_scratch(now, k);
     ++result_.decisions;
 
     // Starts go last position first: that order fixes the completions'
@@ -798,7 +786,6 @@ class ServiceLoop {
   // clock, so an append-only plan (all of it at or after now) stays as it
   // is.
   void settle(Time now) {
-    if (!use_replan_) return;
     // Append-only schedulers compact at the deadline. Decision-only ones
     // compact as soon as any completion has stranded dead history (each
     // completion leaves ~2 dead segments, and every live one drags the
@@ -817,30 +804,22 @@ class ServiceLoop {
     RESCHED_CHECK_MSG(busy_ <= m_, "service dispatch exceeded capacity");
     if (job.phase == kMeasure)
       result_.wait_ticks.record(checked_sub(now_, job.arrival));
+    // replan() already committed the occupancy [now, completion)
+    // permanently -- an append-only plan when the job was planned, a
+    // decision-only pass just now. It leaves the profile by natural expiry,
+    // so a normal completion needs no mutation at all.
     const Time completion = checked_add(now_, job.p);
     running_.push_back(
         RunningRec{completion, events_.take_seq(), index, job.q});
     std::push_heap(running_.begin(), running_.end(), ends_later);
-    // Occupancy [now, completion) leaves the profile by natural expiry, so
-    // a normal completion needs no mutation at all. On the incremental path
-    // replan() already committed it permanently: an append-only plan when
-    // the job was planned, a decision-only pass just now. The scratch path
-    // with churn or windows applies the start here.
-    if (!use_replan_ && maintain_profile_)
-      free_.adjust_capacity(now_, completion,
-                            -static_cast<std::int64_t>(job.q));
   }
 
   const Scheduler& scheduler_;
   const ServiceConfig& config_;
   const ProcCount m_;
-  const bool use_replan_;
-  // FCFS-fold schedulers (append_only_replan) keep their plan across
-  // decisions; pure-arrival dispatches then plan only the new suffix.
+  // FCFS-fold schedulers (kAppendOnly) keep their plan across decisions;
+  // pure-arrival dispatches then plan only the new suffix.
   const bool append_replan_;
-  // The persistent profile is maintained whenever the incremental path or
-  // churn needs it; pure scratch steps skip the bookkeeping entirely.
-  const bool maintain_profile_;
   LoadGen gen_;
   // The step's clock and pending events. Arrivals and churn each keep one
   // event in flight, so their drawn specs wait in the members below.
@@ -875,7 +854,7 @@ class ServiceLoop {
   // high-water capacity is reused so the timed window stays allocation-free.
   std::vector<std::size_t> head_;
   std::vector<Job> window_jobs_;
-  std::vector<RunningRec> running_by_index_;  // scratch path's sorted copy
+  std::vector<RunningRec> running_by_index_;  // the oracle's sorted copy
   bool aborted_ = false;
   ServiceStepResult result_;
 };
@@ -896,13 +875,13 @@ ServiceStepResult run_service_step(const Scheduler& scheduler,
   RESCHED_REQUIRE(config.dispatch_window >= 1);
   RESCHED_REQUIRE(config.queue_sample_interval >= 1);
   RESCHED_REQUIRE(config.compact_interval >= 1);
-  RESCHED_REQUIRE_MSG(scheduler.capabilities().reservations,
+  const Capabilities caps = scheduler.capabilities();
+  RESCHED_REQUIRE_MSG(caps.reservations,
                       "service harness models running jobs as reservations; "
                       "the scheduler must accept them");
-  RESCHED_REQUIRE_MSG(!config.verify_incremental ||
-                          scheduler.capabilities().incremental_replan,
-                      "verify_incremental requires a scheduler with "
-                      "capabilities().incremental_replan");
+  RESCHED_REQUIRE_MSG(caps.replan != ReplanMode::kNone,
+                      "the service plans every decision through replan(); " +
+                          scheduler.name() + " has no replan mode");
   ServiceLoop loop(scheduler, load, seed, rate, config);
   return loop.run();
 }

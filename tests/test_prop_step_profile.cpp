@@ -169,38 +169,6 @@ TEST(PropStepProfile, TimeToAccumulateMatchesDenseReferenceOnCapacityProfiles) {
   }
 }
 
-TEST(PropStepProfile, PlusMinusMatchDenseReferenceAndRoundTrip) {
-  Prng prng(7);
-  for (int round = 0; round < 60; ++round) {
-    StepProfile a(prng.uniform_int(-3, 3));
-    StepProfile b(prng.uniform_int(-3, 3));
-    DenseRef ra(a.value_at(0));
-    DenseRef rb(b.value_at(0));
-    for (int op = 0; op < 24; ++op) {
-      const Time lo = prng.uniform_int(0, kHorizon);
-      const Time hi = prng.chance(0.2) ? kTimeInfinity : prng.uniform_int(0, kHorizon);
-      const std::int64_t delta = prng.uniform_int(-2, 2);
-      if (prng.chance(0.5)) {
-        a.add(lo, hi, delta);
-        ra.add(lo, hi, delta);
-      } else {
-        b.add(lo, hi, delta);
-        rb.add(lo, hi, delta);
-      }
-    }
-    const StepProfile sum = a.plus(b);
-    const StepProfile diff = a.minus(b);
-    ASSERT_NO_FATAL_FAILURE(ExpectCanonical(sum));
-    ASSERT_NO_FATAL_FAILURE(ExpectCanonical(diff));
-    for (Time t = 0; t <= kHorizon + 2; ++t) {
-      ASSERT_EQ(sum.value_at(t), ra.value_at(t) + rb.value_at(t));
-      ASSERT_EQ(diff.value_at(t), ra.value_at(t) - rb.value_at(t));
-    }
-    // (a + b) - b == a pointwise, and canonical form makes that operator==.
-    ASSERT_EQ(sum.minus(b), a);
-  }
-}
-
 TEST(PropStepProfile, EqualityIsPointwiseViaCanonicalForm) {
   // Two different construction orders of the same function compare equal.
   StepProfile lhs(2);

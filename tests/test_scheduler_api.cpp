@@ -79,7 +79,7 @@ TEST(Capabilities, DefaultIsUnrestricted) {
   const Capabilities caps;
   EXPECT_TRUE(caps.release_times);
   EXPECT_TRUE(caps.reservations);
-  EXPECT_TRUE(caps.deterministic);
+  EXPECT_EQ(caps.replan, ReplanMode::kNone);
 }
 
 TEST(Registry, InfoCoversEverySchedulerWithDescriptions) {
@@ -89,7 +89,6 @@ TEST(Registry, InfoCoversEverySchedulerWithDescriptions) {
   for (std::size_t i = 0; i < info.size(); ++i) {
     EXPECT_EQ(info[i].name, names[i]);  // same (sorted) order
     EXPECT_FALSE(info[i].description.empty()) << info[i].name;
-    EXPECT_TRUE(info[i].capabilities.deterministic) << info[i].name;
   }
 }
 
@@ -198,10 +197,9 @@ TEST(OnlineBatch, InheritsBaseCapabilities) {
   const Capabilities caps = wrapper.capabilities();
   EXPECT_TRUE(caps.release_times);
   EXPECT_TRUE(caps.reservations);
-  // The base's replan() is not the wrapper's: a service must take the
-  // scratch path through the wrapper's own schedule().
-  EXPECT_FALSE(caps.incremental_replan);
-  EXPECT_FALSE(caps.append_only_replan);
+  // The base's replan() is not the wrapper's: the wrapper is batch-only,
+  // and the service rejects it.
+  EXPECT_EQ(caps.replan, ReplanMode::kNone);
 }
 
 TEST(OnlineBatch, RejectsOfflineOnlyBaseAtConstruction) {

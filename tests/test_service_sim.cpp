@@ -14,7 +14,6 @@
 
 #include "algorithms/scheduler.hpp"
 #include "plans_ahead.hpp"
-#include "scratch_only.hpp"
 
 namespace resched {
 namespace {
@@ -341,23 +340,10 @@ TEST(ServiceSim, DecisionCountersAreConsistent) {
 }
 
 TEST(ServiceSim, IncrementalPathIsUsedAndAccounted) {
-  const ServiceConfig config = small_config();
-  const ServiceStepResult inc =
-      run_service_step(*make_scheduler("easy"), small_load(), 42, 80.0, config);
+  const ServiceStepResult inc = run_service_step(
+      *make_scheduler("easy"), small_load(), 42, 80.0, small_config());
   EXPECT_EQ(inc.decisions_incremental, inc.decisions);
-  EXPECT_EQ(inc.decisions_scratch, 0u);
   EXPECT_GE(inc.suffix_jobs_replanned, inc.decisions);
-
-  const ServiceStepResult scratch =
-      run_service_step(ScratchOnly("easy"), small_load(), 42, 80.0, config);
-  EXPECT_EQ(scratch.decisions_scratch, scratch.decisions);
-  EXPECT_EQ(scratch.decisions_incremental, 0u);
-  // Same service either way: both paths start the same jobs at every
-  // decision, by construction.
-  EXPECT_EQ(inc.completed, scratch.completed);
-  EXPECT_EQ(inc.wait_ticks, scratch.wait_ticks);
-  EXPECT_EQ(inc.response_ticks, scratch.response_ticks);
-  EXPECT_EQ(inc.sim_end, scratch.sim_end);
 }
 
 TEST(ServiceSim, HistoryCompactionKeepsTheProfileBounded) {
@@ -415,7 +401,7 @@ TEST(ServiceSim, AppendPlanIsSolvedOnce) {
 TEST(ServiceSim, ChurnDropsTheAppendPlanAndTheOracleHolds) {
   // Churn returns the waiting jobs' planned occupancy to the profile and
   // the next decision re-solves the window; verify_incremental checks
-  // every decision against a full re-solve on the scratch path.
+  // every decision against a full re-solve from scratch.
   for (const char* name : {"conservative", "fcfs"}) {
     ServiceConfig config = knee_config(256);
     config.phases = ServicePhases{100, 600, 100};
@@ -425,24 +411,21 @@ TEST(ServiceSim, ChurnDropsTheAppendPlanAndTheOracleHolds) {
     EXPECT_GT(step.churn_events, 0u) << name;
     EXPECT_GT(step.plan_frames_rewound, 0u) << name;
     EXPECT_GT(step.suffix_jobs_replanned, step.arrivals) << name;
-    EXPECT_EQ(step.decisions_scratch, step.decisions) << name;
   }
 }
 
-TEST(ServiceSim, VerifyModeRequiresIncrementalCapability) {
-  // portfolio accepts reservations but does not implement replan(); asking
-  // for the oracle mode must be rejected up front.
+TEST(ServiceSim, RejectsSchedulerWithoutReplan) {
+  // portfolio accepts reservations but does not implement replan(): the
+  // service plans every decision through replan(), so it is rejected up
+  // front, with or without the oracle.
   const auto portfolio = make_scheduler("portfolio");
   ServiceConfig config = small_config();
-  config.verify_incremental = true;
-  EXPECT_THROW(run_service_step(*portfolio, small_load(), 1, 10.0, config),
-               std::invalid_argument);
-  // Without verify it degrades gracefully to the scratch path.
-  config.verify_incremental = false;
-  const ServiceStepResult step =
-      run_service_step(*portfolio, small_load(), 1, 10.0, config);
-  EXPECT_EQ(step.decisions_incremental, 0u);
-  EXPECT_EQ(step.decisions_scratch, step.decisions);
+  for (const bool verify : {true, false}) {
+    config.verify_incremental = verify;
+    EXPECT_THROW(run_service_step(*portfolio, small_load(), 1, 10.0, config),
+                 std::invalid_argument)
+        << "verify_incremental " << verify;
+  }
 }
 
 // Test decorator: forwards to a registry scheduler and counts the calls to
@@ -476,8 +459,7 @@ TEST(ServiceSim, DecisionOnlyPathNeverRunsTheBatchSolve) {
   // EASY and LSRC decide through one replan() pass per decision; the batch
   // schedule() (for lsrc, LsrcScheduler::run) runs on the service path only
   // as verify_incremental's oracle, once per decision. Churn included: it
-  // perturbs the profile but never sends a decision-only scheduler to the
-  // scratch path.
+  // perturbs the profile but never makes a decision solve from scratch.
   for (const char* name : {"easy", "lsrc"}) {
     for (const double churn : {0.0, 20.0}) {
       ServiceConfig config = small_config();
@@ -551,7 +533,6 @@ std::string deterministic_fields(const ServiceStepResult& r) {
       << "end_queue_depth=" << r.end_queue_depth << '\n'
       << "sim_end=" << r.sim_end << '\n'
       << "decisions_incremental=" << r.decisions_incremental << '\n'
-      << "decisions_scratch=" << r.decisions_scratch << '\n'
       << "suffix_jobs_replanned=" << r.suffix_jobs_replanned << '\n'
       << "plan_frames_rewound=" << r.plan_frames_rewound << '\n'
       << "history_compactions=" << r.history_compactions << '\n'
@@ -634,22 +615,22 @@ struct ServicePin {
 // RESCHED_PRINT_SERVICE_PINS and run this binary; it prints the table and
 // fails.
 constexpr ServicePin kServicePins[] = {
-    {"fcfs", PinCase::kPlain, 42, 500, 0x849f43c193652aabull},
-    {"fcfs", PinCase::kChurn, 42, 715, 0xceae6424d546ee4cull},
-    {"fcfs", PinCase::kWindows, 42, 515, 0x8b6933c144b2498full},
-    {"fcfs", PinCase::kCanceledLast, 56, 423, 0x746e41f2c2c62069ull},
-    {"conservative", PinCase::kPlain, 42, 500, 0x1089a6895ef7d62full},
-    {"conservative", PinCase::kChurn, 42, 715, 0x503a477498eaa5f7ull},
-    {"conservative", PinCase::kWindows, 42, 500, 0x2da761cd593b45b2ull},
-    {"conservative", PinCase::kCanceledLast, 56, 423, 0xaa1d0970957bd23eull},
-    {"easy", PinCase::kPlain, 42, 500, 0x297e974f7aa13b79ull},
-    {"easy", PinCase::kChurn, 42, 715, 0x23a4f24132e7ac55ull},
-    {"easy", PinCase::kWindows, 42, 500, 0xcba3f3fe9d627abdull},
-    {"easy", PinCase::kCanceledLast, 56, 423, 0xcdc530ca9441955aull},
-    {"lsrc", PinCase::kPlain, 42, 500, 0xb4c6f09220862983ull},
-    {"lsrc", PinCase::kChurn, 42, 715, 0x0d0dfa8839cdd9a7ull},
-    {"lsrc", PinCase::kWindows, 42, 500, 0xedfed56f7fcb1cecull},
-    {"lsrc", PinCase::kCanceledLast, 56, 423, 0xc970c8b22f60e409ull},
+    {"fcfs", PinCase::kPlain, 42, 500, 0xf98d0c3ab81217deull},
+    {"fcfs", PinCase::kChurn, 42, 715, 0x7eacbccbfdbf8ca7ull},
+    {"fcfs", PinCase::kWindows, 42, 515, 0x9a898cae1201c4c8ull},
+    {"fcfs", PinCase::kCanceledLast, 56, 423, 0x7056b826d42125eaull},
+    {"conservative", PinCase::kPlain, 42, 500, 0x85ce2125bb688ea6ull},
+    {"conservative", PinCase::kChurn, 42, 715, 0x81763164630f264eull},
+    {"conservative", PinCase::kWindows, 42, 500, 0x808440ad368ba88bull},
+    {"conservative", PinCase::kCanceledLast, 56, 423, 0x2c7755ef2c7ba563ull},
+    {"easy", PinCase::kPlain, 42, 500, 0x468ce3eab601f7f2ull},
+    {"easy", PinCase::kChurn, 42, 715, 0xafc7ccc3ca669618ull},
+    {"easy", PinCase::kWindows, 42, 500, 0x3bd62f2e33114e34ull},
+    {"easy", PinCase::kCanceledLast, 56, 423, 0xc4300e323ad89a09ull},
+    {"lsrc", PinCase::kPlain, 42, 500, 0xe08eabf26e9b7f28ull},
+    {"lsrc", PinCase::kChurn, 42, 715, 0x4ffb6fa43b6b9d38ull},
+    {"lsrc", PinCase::kWindows, 42, 500, 0x3d27c263ffb1d30dull},
+    {"lsrc", PinCase::kCanceledLast, 56, 423, 0xd6d0b11abefeec5eull},
 };
 
 TEST(ServiceSim, DeterministicResultsArePinned) {

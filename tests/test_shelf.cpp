@@ -74,7 +74,6 @@ TEST(Shelf, CapabilitiesDeclareTheRestrictedDomain) {
   const Capabilities caps = ShelfScheduler().capabilities();
   EXPECT_FALSE(caps.release_times);
   EXPECT_FALSE(caps.reservations);
-  EXPECT_TRUE(caps.deterministic);
 }
 
 TEST(Shelf, NfdhGuaranteeHolds) {

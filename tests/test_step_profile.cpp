@@ -241,20 +241,6 @@ TEST(StepProfile, SegmentsInClips) {
   EXPECT_EQ(segments[1], (StepProfile::Segment{4, 10, 1}));
 }
 
-TEST(StepProfile, PlusMinus) {
-  StepProfile a(1);
-  a.add(0, 5, 2);  // 3 on [0,5), 1 after
-  StepProfile b(2);
-  b.add(3, 8, 4);  // 6 on [3,8), 2 elsewhere
-  const StepProfile sum = a.plus(b);
-  EXPECT_EQ(sum.value_at(0), 5);
-  EXPECT_EQ(sum.value_at(3), 9);
-  EXPECT_EQ(sum.value_at(5), 7);
-  EXPECT_EQ(sum.value_at(8), 3);
-  const StepProfile diff = sum.minus(b);
-  EXPECT_EQ(diff, a);
-}
-
 // Randomised differential test: StepProfile must agree with a dense array
 // under arbitrary interleavings of add / point / window queries.
 class StepProfileRandomized : public ::testing::TestWithParam<std::uint64_t> {

@@ -180,18 +180,13 @@ TEST(SwfReader, ClampsWideJobsAndNegativeSubmitTimes) {
   EXPECT_EQ(trace.clamped_times, 1u);
 }
 
-TEST(SwfReader, MaxProcsFallsBackToOptionsThenWidestJob) {
+TEST(SwfReader, MaxProcsFallsBackToWidestJob) {
   const std::string record =
       "1 0 0 5 6 -1 -1 -1 -1 -1 1 1 -1 -1 -1 -1 -1 -1\n";
-  // No header: options win.
-  SwfReadOptions options;
-  options.default_max_procs = 12;
-  EXPECT_EQ(parse_swf(record, options).max_procs, 12);
-  // No header, no option: the widest parsed job.
+  // No header: the widest parsed job.
   EXPECT_EQ(parse_swf(record).max_procs, 6);
-  // The header beats both.
-  EXPECT_EQ(parse_swf("; MaxProcs: 64\n" + record, options).max_procs,
-            64);
+  // The header beats it.
+  EXPECT_EQ(parse_swf("; MaxProcs: 64\n" + record).max_procs, 64);
 }
 
 TEST(SwfReader, HeaderOnlyFileParsesToZeroJobs) {
@@ -206,22 +201,6 @@ TEST(SwfReader, HeaderOnlyFileParsesToZeroJobs) {
   EXPECT_EQ(trace.directives.at("Version"), "2.2");
   // Empty input is also fine (max_procs falls back to 1).
   EXPECT_EQ(parse_swf("").parsed, 0u);
-}
-
-TEST(SwfReader, IncludeCancelledAndMaxJobsOptions) {
-  const std::string text =
-      "1 0 0 5 2 -1 -1 -1 -1 -1 5 1 -1 -1 -1 -1 -1 -1\n"  // cancelled
-      "2 0 0 5 2 -1 -1 -1 -1 -1 1 1 -1 -1 -1 -1 -1 -1\n"
-      "3 0 0 5 2 -1 -1 -1 -1 -1 1 1 -1 -1 -1 -1 -1 -1\n";
-  SwfReadOptions keep;
-  keep.include_cancelled = true;
-  EXPECT_EQ(parse_swf(text, keep).parsed, 3u);
-  SwfReadOptions capped;
-  capped.include_cancelled = true;
-  capped.max_jobs = 2;
-  const SwfTrace trace = parse_swf(text, capped);
-  EXPECT_EQ(trace.parsed, 2u);
-  EXPECT_EQ(trace.jobs.size(), 2u);
 }
 
 TEST(SwfReader, ParsingIsDeterministicAndInstanceIsSchedulable) {
